@@ -2,9 +2,11 @@
 
 Snapshots are plain text: a versioned header of ``key value`` metadata
 lines, a ``records N`` line, then N tab-separated key/value records in
-sorted key order. Q-tables store one record per (state, action) pair;
-networks store one record per parameter element. Floats round-trip
-exactly via repr.
+sorted key order. Q-tables store one record per action of every stored
+state row, keyed ``state|action``; a reader also accepts files that
+store only some actions of a state (the others read as 0). Networks
+store one record per parameter element. Floats round-trip exactly via
+repr. A malformed snapshot raises ContractError naming the line.
 """
 
 from __future__ import annotations
@@ -60,6 +62,22 @@ def _read_header(lines: list[str]) -> tuple[str, dict[str, str], int]:
     return agent_kind, meta, i
 
 
+def _is_count(text: str) -> bool:
+    return text.isascii() and text.isdigit()
+
+
+def _meta_int(meta: dict[str, str], key: str, default: int | None = None) -> int:
+    """A positive integer header field; ``default`` when absent, if given."""
+    text = meta.get(key)
+    if text is None:
+        if default is None:
+            raise ContractError(f"snapshot header has no {key!r} line")
+        return default
+    if not _is_count(text) or int(text) < 1:
+        raise ContractError(f"snapshot header line {key!r}: {text!r} is not a positive integer")
+    return int(text)
+
+
 def save_tabular(agent: TabularAgent, out: TextIO) -> None:
     _write_header(
         out,
@@ -71,7 +89,8 @@ def save_tabular(agent: TabularAgent, out: TextIO) -> None:
     )
     records = sorted(
         (f"{_encode_state_key(s)}|{a}", repr(v))
-        for (s, a), v in agent.q.values.items()
+        for s, row in agent.q.rows.items()
+        for a, v in enumerate(row)
     )
     out.write(f"records {len(records)}\n")
     for key, value in records:
@@ -119,23 +138,25 @@ def load_snapshot(path: str) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
         lines = fh.read().splitlines()
     kind, meta, start = _read_header(lines)
-    n_records = int(lines[start].split()[1])
+    count_text = lines[start].partition(" ")[2].strip()
+    if not _is_count(count_text):
+        raise ContractError(
+            f"snapshot line {start + 1}: record count {count_text!r} is not an integer"
+        )
+    n_records = int(count_text)
     body = lines[start + 1 : start + 1 + n_records]
     if len(body) != n_records:
         raise ContractError(
             f"snapshot truncated: expected {n_records} records, found {len(body)}"
         )
     if kind in TabularAgent.KINDS:
-        q = QTable(int(meta["action_count"]))
-        for line in body:
-            key_text, _, value_text = line.partition("\t")
-            state_text, _, action_text = key_text.rpartition("|")
-            q.set(_decode_state_key(state_text), int(action_text), float(value_text))
+        q = QTable(_meta_int(meta, "action_count"))
+        _read_records(body, start + 2, lambda key, value: _set_q(q, key, value))
         return {"kind": kind, "meta": meta, "q": q}
     if kind == "dqn":
-        input_dim = int(meta["input_dim"])
-        action_count = int(meta["action_count"])
-        hidden = int(meta.get("hidden", HIDDEN_UNITS))
+        input_dim = _meta_int(meta, "input_dim")
+        action_count = _meta_int(meta, "action_count")
+        hidden = _meta_int(meta, "hidden", HIDDEN_UNITS)
         net = MLPQNet(input_dim, action_count, np.random.default_rng(0), hidden=hidden)
         arrays = {
             "w1": np.zeros(input_dim * hidden),
@@ -143,19 +164,49 @@ def load_snapshot(path: str) -> dict:
             "w2": np.zeros(hidden * action_count),
             "b2": np.zeros(action_count),
         }
-        for line in body:
-            key_text, _, value_text = line.partition("\t")
-            name, _, index_text = key_text.partition("/")
-            arrays[name][int(index_text)] = float(value_text)
+        _read_records(body, start + 2, lambda key, value: _set_param(arrays, key, value))
         net.w1 = arrays["w1"].reshape(input_dim, hidden)
         net.b1 = arrays["b1"]
         net.w2 = arrays["w2"].reshape(hidden, action_count)
         net.b2 = arrays["b2"]
         scales_text = meta.get("context_scales", "")
-        scales = (
-            tuple(float(s) for s in scales_text.split(","))
-            if scales_text
-            else (1.0,) * (input_dim - 1)
-        )
+        try:
+            scales = (
+                tuple(float(s) for s in scales_text.split(","))
+                if scales_text
+                else (1.0,) * (input_dim - 1)
+            )
+        except ValueError:
+            raise ContractError(
+                f"snapshot header line 'context_scales': {scales_text!r} is not a list of numbers"
+            ) from None
         return {"kind": kind, "meta": meta, "net": net, "context_scales": scales}
     raise ContractError(f"snapshot for unknown agent kind {kind!r}")
+
+
+def _read_records(body: list[str], first_lineno: int, store) -> None:
+    """Pass each ``key<TAB>value`` record to ``store(key, value)``; a
+    record that does not parse raises ContractError naming its line."""
+    for lineno, line in enumerate(body, start=first_lineno):
+        key_text, _, value_text = line.partition("\t")
+        try:
+            store(key_text, float(value_text))
+        except (ValueError, KeyError, IndexError):
+            raise ContractError(f"snapshot line {lineno}: malformed record {line!r}") from None
+
+
+def _set_q(q: QTable, key_text: str, value: float) -> None:
+    state_text, _, action_text = key_text.rpartition("|")
+    action = int(action_text)
+    if not 0 <= action < q.action_count:
+        raise IndexError(action)
+    q.set(_decode_state_key(state_text), action, value)
+
+
+def _set_param(arrays: dict[str, np.ndarray], key_text: str, value: float) -> None:
+    name, _, index_text = key_text.partition("/")
+    array = arrays[name]
+    index = int(index_text)
+    if not 0 <= index < len(array):
+        raise IndexError(index)
+    array[index] = value

@@ -11,7 +11,8 @@ training.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections.abc import Sequence
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,64 +22,70 @@ StateKey = tuple
 
 def state_key(obs: Observation) -> StateKey:
     """Canonical hashable encoding of an observation for table lookup."""
+    features = obs.continuous_features
     return (
         obs.time_step,
-        tuple(int(round(f)) for f in obs.continuous_features),
+        tuple(int(round(f)) for f in features) if features else (),
         obs.action_history,
     )
 
 
 class QTable:
-    """Action-value table with default 0 for unseen (state, action) pairs."""
+    """Action-value table: one row of ``action_count`` values per state.
+
+    A state's row is created, all zeros, on the first write to it;
+    unseen states read as all zeros. Actions index rows, so they must
+    lie in [0, action_count).
+    """
 
     def __init__(self, action_count: int) -> None:
         if action_count < 1:
             raise ContractError("action_count must be >= 1")
         self.action_count = action_count
-        self.values: dict[tuple[StateKey, ActionId], float] = {}
+        self.rows: dict[StateKey, list[float]] = {}
+        self._zeros = (0.0,) * action_count
 
     def get(self, s: StateKey, a: ActionId) -> float:
-        return self.values.get((s, a), 0.0)
+        row = self.rows.get(s)
+        return 0.0 if row is None else row[a]
 
     def set(self, s: StateKey, a: ActionId, value: float) -> None:
-        self.values[(s, a)] = value
+        row = self.rows.get(s)
+        if row is None:
+            row = self.rows[s] = [0.0] * self.action_count
+        row[a] = value
 
-    def row(self, s: StateKey) -> list[float]:
-        return [self.values.get((s, a), 0.0) for a in range(self.action_count)]
+    def row(self, s: StateKey) -> Sequence[float]:
+        """The action values of ``s``: the stored row itself, read only."""
+        return self.rows.get(s, self._zeros)
 
     def max(self, s: StateKey) -> float:
         return max(self.row(s))
 
     def argmax(self, s: StateKey) -> ActionId:
+        """Greedy action; ties go to the lowest action index."""
         row = self.row(s)
-        best = row[0]
-        best_a = 0
-        for a in range(1, self.action_count):
-            if row[a] > best:
-                best = row[a]
-                best_a = a
-        return best_a
+        return row.index(max(row))
 
     def copy(self) -> "QTable":
         clone = QTable(self.action_count)
-        clone.values = dict(self.values)
+        clone.rows = {s: row[:] for s, row in self.rows.items()}
         return clone
 
     def __len__(self) -> int:
-        return len(self.values)
+        """Number of states with a stored row."""
+        return len(self.rows)
 
 
 @dataclass
 class TransitionRecord:
     visit_count: int = 0
-    mean_reward: float = 0.0
     mean_remaining_steps: float = 0.0
-    successor_counts: dict[StateKey, int] = field(default_factory=dict)
 
 
 class TransitionStats:
-    """Per (state, action) ledger: visits, running mean reward, running
-    mean of remaining episode steps, and successor-state counts."""
+    """Per (state, action) ledger: visits and the running mean of the
+    remaining episode steps, which PURS selects by."""
 
     def __init__(self, action_count: int) -> None:
         self.action_count = action_count
@@ -99,17 +106,13 @@ def record_transition(
     stats: TransitionStats,
     s: StateKey,
     a: ActionId,
-    reward: float,
-    s_next: StateKey,
     steps_remaining: int,
 ) -> TransitionStats:
-    """Update the ledger with one observed transition (running means)."""
+    """Count one visit of (s, a) and fold ``steps_remaining`` into its
+    running mean."""
     rec = stats.record(s, a)
     rec.visit_count += 1
-    n = rec.visit_count
-    rec.mean_reward += (reward - rec.mean_reward) / n
-    rec.mean_remaining_steps += (steps_remaining - rec.mean_remaining_steps) / n
-    rec.successor_counts[s_next] = rec.successor_counts.get(s_next, 0) + 1
+    rec.mean_remaining_steps += (steps_remaining - rec.mean_remaining_steps) / rec.visit_count
     return stats
 
 
@@ -206,6 +209,16 @@ class AgentHyperparams:
             raise ContractError("epsilon must be in [0, 1]")
         if not 0.0 < self.alpha <= 1.0:
             raise ContractError("alpha must be in (0, 1]")
+        if not self.dqn_lr > 0.0:
+            raise ContractError("dqn_lr must be > 0")
+        if self.target_sync_every < 1:
+            raise ContractError("target_sync_every must be >= 1")
+        if self.batch_size < 0:
+            raise ContractError("batch_size must be >= 0 (0 = episode length)")
+        if self.buffer_capacity < 1:
+            raise ContractError("buffer_capacity must be >= 1")
+        if not 0.0 < self.eps_decay_fraction <= 1.0:
+            raise ContractError("eps_decay_fraction must be in (0, 1]")
 
 
 def q_update(
@@ -271,7 +284,8 @@ class TabularAgent:
         self.q = QTable(action_count)
         self.stats = TransitionStats(action_count)
         self.episodes_trained = 0
-        self._episode: list[tuple[StateKey, ActionId, float, StateKey, bool]] = []
+        # (state, action) of each step this episode; only PURS keeps them.
+        self._episode: list[tuple[StateKey, ActionId]] = []
 
     def begin_episode(self) -> None:
         self._episode = []
@@ -294,13 +308,14 @@ class TabularAgent:
     ) -> None:
         s, s_next = state_key(obs), state_key(next_obs)
         q_update(self.q, s, action, reward, s_next, done, self.hp)
-        self._episode.append((s, action, reward, s_next, done))
+        if self.kind == "purs":
+            self._episode.append((s, action))
 
     def end_episode(self, rng: np.random.Generator | None = None) -> None:
         # Remaining steps are only known once the episode length is.
         length = len(self._episode)
-        for i, (s, a, r, s_next, _) in enumerate(self._episode):
-            record_transition(self.stats, s, a, r, s_next, length - 1 - i)
+        for i, (s, a) in enumerate(self._episode):
+            record_transition(self.stats, s, a, length - 1 - i)
         self._episode = []
         self.episodes_trained += 1
 

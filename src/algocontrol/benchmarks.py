@@ -162,8 +162,7 @@ class FuzzyEnv(Environment):
     def _reward(self, t: int, action: ActionId) -> float:
         if action == 0:
             return 0.0
-        assert self._rng is not None
-        return self.mean + self.spread * self._rng.standard_normal()
+        return self.mean + self.spread * self.rng.standard_normal()
 
     def _terminates(self, t: int, action: ActionId) -> bool:
         return action == 0

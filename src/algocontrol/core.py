@@ -165,12 +165,12 @@ class Environment:
     def __init__(self, spec: EnvSpec) -> None:
         self._spec = spec
         self._instance: InstanceContext | None = None
+        self._seed: SeedSpec | None = None
         self._rng: np.random.Generator | None = None
         self._t = 0
         self._done = True
         self._history: tuple[int, ...] = ()
         self._trace: EpisodeTrace | None = None
-        self._record_trace = False
 
     @property
     def spec(self) -> EnvSpec:
@@ -187,23 +187,40 @@ class Environment:
             raise ContractError("environment has not been reset")
         return self._instance
 
+    @property
+    def rng(self) -> np.random.Generator:
+        """The episode's random stream, derived from its seed on first use."""
+        if self._rng is None:
+            self._rng = as_generator(self._seed)
+        return self._rng
+
     def reset(
         self,
         instance: InstanceContext = CONTEXT_FREE,
         seed: SeedSpec | np.random.Generator | None = None,
         record_trace: bool = False,
     ) -> Observation:
+        """Start an episode on ``instance`` and return its first observation.
+
+        ``seed`` addresses the episode's random stream; None means stream
+        (0, 0). A SeedSpec is stored and its Generator derived on the
+        first draw, so benchmarks whose rewards draw nothing never derive
+        one. The stream and the order of draws are the same as if it were
+        derived here. A Generator passed in is used as is.
+        """
         if len(instance.params) != self._spec.context_dim:
             raise ContractError(
                 f"instance has {len(instance.params)} context parameters, "
                 f"environment expects {self._spec.context_dim}"
             )
         self._instance = instance
-        self._rng = as_generator(seed)
+        if isinstance(seed, np.random.Generator):
+            self._seed, self._rng = None, seed
+        else:
+            self._seed, self._rng = seed, None
         self._t = 0
         self._done = False
         self._history = (self.pad_action,) * self._spec.history_len
-        self._record_trace = record_trace
         self._trace = EpisodeTrace(instance=instance) if record_trace else None
         return self._observe()
 
@@ -214,7 +231,8 @@ class Environment:
             raise ContractError(
                 f"action {action} out of range [0, {self._spec.action_count})"
             )
-        obs = self._observe()
+        # The pre-step observation only feeds the trace.
+        obs = self._observe() if self._trace is not None else None
         reward = float(self._reward(self._t, action))
         terminated = self._terminates(self._t, action)
         if self._spec.history_len > 0:

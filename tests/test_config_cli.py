@@ -30,6 +30,18 @@ episodes = 200
 """
 
 
+# One value just outside each range AgentHyperparams checks.
+BAD_HYPERPARAMS = [
+    ("dqn_lr", "0"),
+    ("dqn_lr", "-1"),
+    ("target_sync_every", "0"),
+    ("buffer_capacity", "0"),
+    ("batch_size", "-3"),
+    ("eps_decay_fraction", "0"),
+    ("eps_decay_fraction", "1.5"),
+]
+
+
 class TestParseConfig:
     def test_minimal_defaults(self):
         cfg = parse_config(MINIMAL)
@@ -48,6 +60,12 @@ class TestParseConfig:
     def test_gamma_out_of_range(self):
         text = MINIMAL.replace("kind = qlearn", "kind = qlearn\ngamma = 1.5")
         with pytest.raises(ConfigError, match="gamma"):
+            parse_config(text)
+
+    @pytest.mark.parametrize("key,value", BAD_HYPERPARAMS)
+    def test_hyperparameter_out_of_range(self, key, value):
+        text = MINIMAL.replace("kind = qlearn", f"kind = qlearn\n{key} = {value}")
+        with pytest.raises(ConfigError, match=key):
             parse_config(text)
 
     def test_unknown_key_names_line(self):
@@ -114,6 +132,15 @@ class TestCliRun:
         config = self._write(tmp_path, MINIMAL.replace("counting", "chess"))
         assert main(["run", config]) == 2
         assert capsys.readouterr().err.startswith("E-CONFIG:")
+
+    @pytest.mark.parametrize("key,value", BAD_HYPERPARAMS)
+    def test_bad_hyperparameter_is_one_config_line(self, tmp_path, capsys, key, value):
+        config = self._write(
+            tmp_path, MINIMAL.replace("kind = qlearn", f"kind = qlearn\n{key} = {value}")
+        )
+        assert main(["run", config]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("E-CONFIG:") and key in err[0]
 
     def test_seed_env_var_changes_results(self, tmp_path, capsys, monkeypatch):
         config = self._write(

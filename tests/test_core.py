@@ -12,6 +12,7 @@ from algocontrol.benchmarks import (
     SigmoidEnv,
     SigmoidMVAEnv,
 )
+from algocontrol import core
 from algocontrol.core import (
     CONTEXT_FREE,
     ContractError,
@@ -189,3 +190,60 @@ class TestEpisodeTrace:
             assert len(obs.action_history) == spec.history_len
             assert obs.time_step <= spec.horizon
             obs = env.step(0).observation
+
+
+class TestLazyStreams:
+    @pytest.fixture
+    def derivations(self, monkeypatch):
+        calls = []
+        real = core.derive_stream
+
+        def counting(master_seed, stream_id):
+            calls.append((master_seed, stream_id))
+            return real(master_seed, stream_id)
+
+        monkeypatch.setattr(core, "derive_stream", counting)
+        return calls
+
+    @pytest.mark.parametrize("ctor,args", FIXED_LENGTH_ENVS)
+    def test_deterministic_rewards_derive_no_stream(self, ctor, args, derivations):
+        env = ctor(*args)
+        instance = InstanceContext(0, (3.0, 5.0)) if env.spec.context_dim else CONTEXT_FREE
+        for episode in range(3):
+            for seed in (SeedSpec(9, episode), None):
+                env.reset(instance, seed)
+                while not env.done:
+                    env.step(episode % env.spec.action_count)
+        assert derivations == []
+
+    def test_fuzzy_rewards_match_eager_stream(self, derivations):
+        env = FuzzyEnv(20)
+        for stream in range(3):
+            env.reset(CONTEXT_FREE, SeedSpec(31, stream))
+            lazy = [env.step(1).reward for _ in range(20)]
+            eager_rng = derive_stream(31, stream)
+            eager = [1.0 + 2.0 * eager_rng.standard_normal() for _ in range(20)]
+            assert lazy == eager
+        assert derivations == [(31, 0), (31, 1), (31, 2)]
+
+    def test_fuzzy_derives_on_first_draw_only(self, derivations):
+        env = FuzzyEnv(20)
+        env.reset(CONTEXT_FREE, SeedSpec(32, 0))
+        env.step(0)  # terminates without drawing
+        assert derivations == []
+        env.reset(CONTEXT_FREE, None)
+        first = env.step(1).reward
+        assert first == 1.0 + 2.0 * derive_stream(0, 0).standard_normal()
+        env.step(1)
+        assert derivations == [(0, 0)]
+
+    def test_generator_passed_in_is_used_as_is(self, derivations):
+        rng = derive_stream(33, 0)
+        twin = derive_stream(33, 0)
+        derivations.clear()
+        env = FuzzyEnv(20)
+        env.reset(CONTEXT_FREE, rng)
+        rewards = [env.step(1).reward for _ in range(5)]
+        assert rewards == [1.0 + 2.0 * twin.standard_normal() for _ in range(5)]
+        assert rng.bit_generator.state == twin.bit_generator.state
+        assert derivations == []

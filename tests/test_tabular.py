@@ -2,9 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from algocontrol.agents import (
     AgentHyperparams,
+    DQNAgent,
     QTable,
     TabularAgent,
     TransitionStats,
@@ -20,6 +23,7 @@ from algocontrol.agents import (
 )
 from algocontrol.benchmarks import CountingEnv, FuzzyEnv
 from algocontrol.core import CONTEXT_FREE, ContractError, Observation, SeedSpec, derive_stream
+from algocontrol.agents.tabular import argmax_with_random_ties
 from algocontrol.harness import run_training_episode
 from oracles import enumerate_counting_mdp, value_iteration_oracle
 
@@ -46,6 +50,95 @@ class TestUrsSelect:
     def test_zero_actions_rejected(self):
         with pytest.raises(ContractError):
             urs_select(derive_stream(2, 0), 0)
+
+
+class ReferenceTable:
+    """Q-table keyed by (state, action): the layout rows replaced."""
+
+    def __init__(self, action_count):
+        self.action_count = action_count
+        self.values = {}
+
+    def get(self, s, a):
+        return self.values.get((s, a), 0.0)
+
+    def set(self, s, a, value):
+        self.values[(s, a)] = value
+
+    def row(self, s):
+        return [self.values.get((s, a), 0.0) for a in range(self.action_count)]
+
+    def argmax(self, s):
+        row = self.row(s)
+        best, best_a = row[0], 0
+        for a in range(1, self.action_count):
+            if row[a] > best:
+                best, best_a = row[a], a
+        return best_a
+
+    def argmax_with_random_ties(self, rng, s):
+        row = self.row(s)
+        best = max(row)
+        tied = [a for a in range(self.action_count) if row[a] == best]
+        if len(tied) == 1:
+            return tied[0]
+        return tied[int(rng.integers(len(tied)))]
+
+    def copy(self):
+        clone = ReferenceTable(self.action_count)
+        clone.values = dict(self.values)
+        return clone
+
+
+_STATES = ["s0", "s1", (0, (), (1, 2))]
+_VALUES = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5]),
+    st.floats(-1e3, 1e3, allow_nan=False),
+)
+_OPS = st.one_of(
+    st.tuples(st.just("set"), st.sampled_from(_STATES), st.integers(0, 5), _VALUES),
+    st.tuples(st.sampled_from(["get", "row", "max", "argmax", "ties"]),
+              st.sampled_from(_STATES), st.integers(0, 5)),
+    st.tuples(st.just("copy")),
+)
+
+
+class TestQTableMatchesPairTable:
+    @given(action_count=st.integers(1, 6), ops=st.lists(_OPS, max_size=60),
+           seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=200, deadline=None)
+    def test_random_sequences(self, action_count, ops, seed):
+        q, ref = QTable(action_count), ReferenceTable(action_count)
+        rng, ref_rng = derive_stream(seed, 0), derive_stream(seed, 0)
+        frozen = []  # (table, reference) pairs left behind by copy
+        for op in ops:
+            if op[0] == "copy":
+                frozen.append((q, ref.copy()))
+                q, ref = q.copy(), ref.copy()
+                continue
+            name, s, a = op[0], op[1], op[2] % action_count
+            if name == "set":
+                q.set(s, a, op[3])
+                ref.set(s, a, op[3])
+            elif name == "get":
+                assert repr(q.get(s, a)) == repr(ref.get(s, a))
+            elif name == "row":
+                assert [repr(v) for v in q.row(s)] == [repr(v) for v in ref.row(s)]
+            elif name == "max":
+                assert repr(q.max(s)) == repr(max(ref.row(s)))
+            elif name == "argmax":
+                assert q.argmax(s) == ref.argmax(s)
+            else:
+                picked = argmax_with_random_ties(rng, q, s, action_count)
+                assert picked == ref.argmax_with_random_ties(ref_rng, s)
+                assert rng.bit_generator.state == ref_rng.bit_generator.state
+        frozen.append((q, ref))
+        for table, reference in frozen:  # copies share no row with later tables
+            for s in _STATES:
+                assert [repr(table.get(s, a)) for a in range(action_count)] == [
+                    repr(v) for v in reference.row(s)
+                ]
+                assert [repr(v) for v in table.row(s)] == [repr(v) for v in reference.row(s)]
 
 
 class TestGrSelect:
@@ -182,32 +275,57 @@ class TestQUpdate:
             assert q.get(*key) == value
 
 
+class TestHyperparamRanges:
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("dqn_lr", 0.0),
+            ("dqn_lr", -1.0),
+            ("dqn_lr", float("nan")),
+            ("target_sync_every", 0),
+            ("buffer_capacity", 0),
+            ("batch_size", -3),
+            ("eps_decay_fraction", 0.0),
+            ("eps_decay_fraction", 1.01),
+        ],
+    )
+    def test_out_of_range_rejected(self, field, value):
+        with pytest.raises(ContractError, match=field):
+            AgentHyperparams(**{field: value})
+
+    def test_range_edges_accepted(self):
+        hp = AgentHyperparams(
+            dqn_lr=1e-12, target_sync_every=1, buffer_capacity=1, batch_size=0,
+            eps_decay_fraction=1.0,
+        )
+        assert hp.eps_decay_fraction == 1.0
+
+
 class TestRecordTransition:
     def test_first_visit(self):
         stats = TransitionStats(2)
-        record_transition(stats, "s", 0, 2.0, "s2", 4)
+        record_transition(stats, "s", 0, 4)
         rec = stats.get("s", 0)
         assert rec.visit_count == 1
-        assert rec.mean_reward == 2.0
         assert rec.mean_remaining_steps == 4.0
-        assert rec.successor_counts == {"s2": 1}
+        assert stats.get("s", 1) is None and stats.visit_count("s", 1) == 0
 
     def test_running_mean(self):
         stats = TransitionStats(2)
-        record_transition(stats, "s", 0, 1.0, "s2", 3)
-        record_transition(stats, "s", 0, 3.0, "s3", 1)
+        record_transition(stats, "s", 0, 3)
+        record_transition(stats, "s", 0, 1)
         rec = stats.get("s", 0)
-        assert rec.mean_reward == 2.0
         assert rec.visit_count == 2
         assert rec.mean_remaining_steps == 2.0
 
     def test_mean_matches_batch_mean(self):
         rng = derive_stream(11, 0)
         stats = TransitionStats(1)
-        rewards = rng.normal(size=10**4)
-        for r in rewards:
-            record_transition(stats, "s", 0, float(r), "s2", 0)
-        assert abs(stats.get("s", 0).mean_reward - float(rewards.mean())) <= 1e-9
+        steps = rng.integers(0, 1000, size=10**4)
+        for n in steps:
+            record_transition(stats, "s", 0, int(n))
+        assert stats.visit_count("s", 0) == len(steps)
+        assert abs(stats.get("s", 0).mean_remaining_steps - float(steps.mean())) <= 1e-9
 
 
 class TestValueIterationFixedPoint:
@@ -264,15 +382,19 @@ class TestTabularAgent:
     def test_snapshot_immune_to_training(self):
         agent = self._train("qlearn", episodes=30)
         policy = agent.extract_greedy_policy()
-        probe_states = [key for key, _ in list(agent.q.values)[:10]]
+        probe_states = list(agent.q.rows)
+        assert probe_states
         before = {s: policy.q.argmax(s) for s in probe_states}
+        before_rows = {s: list(policy.q.row(s)) for s in probe_states}
         env = CountingEnv(3)
         rng = derive_stream(13, 0)
         for episode in range(100):
             run_training_episode(
                 agent, env, CONTEXT_FREE, SeedSpec(13, episode), rng, rng
             )
+        assert agent.q.rows != before_rows  # training went on
         assert {s: policy.q.argmax(s) for s in probe_states} == before
+        assert {s: list(policy.q.row(s)) for s in policy.q.rows} == before_rows
 
     def test_untrained_policy_plays_action_zero(self):
         agent = TabularAgent("qlearn", 5)
@@ -328,7 +450,61 @@ class TestSnapshotRoundTrip:
         save_agent(agent, str(path))
         loaded = load_snapshot(str(path))
         assert loaded["kind"] == "qlearn"
-        assert loaded["q"].values == agent.q.values
+        assert loaded["q"].rows == agent.q.rows
+        assert len(agent.q) > 0
+        records = path.read_text().split("records ")[1].splitlines()
+        assert int(records[0]) == len(agent.q) * 3 == len(records) - 1
+
+    # A v1 file that stores only some actions of a state, as files
+    # written before state rows did.
+    PAIR_SNAPSHOT = (
+        "algocontrol-snapshot v1\n"
+        "agent qlearn\n"
+        "action_count 3\n"
+        "episodes_trained 7\n"
+        "records 2\n"
+        "0||3,3|1\t0.5\n"
+        "1||3,1|2\t-2.0\n"
+    )
+
+    def test_loads_pair_records(self, tmp_path):
+        path = tmp_path / "old.snap"
+        path.write_text(self.PAIR_SNAPSHOT)
+        q = load_snapshot(str(path))["q"]
+        assert q.rows == {(0, (), (3, 3)): [0.0, 0.5, 0.0], (1, (), (3, 1)): [0.0, 0.0, -2.0]}
+        assert q.argmax((1, (), (3, 1))) == 0
+
+    def _rejects(self, tmp_path, text, match):
+        path = tmp_path / "bad.snap"
+        path.write_text(text)
+        with pytest.raises(ContractError, match=match):
+            load_snapshot(str(path))
+
+    def test_non_numeric_record_count_names_line(self, tmp_path):
+        text = self.PAIR_SNAPSHOT.replace("records 2", "records two")
+        self._rejects(tmp_path, text, r"line 5: record count 'two'")
+
+    def test_missing_action_count_named(self, tmp_path):
+        text = self.PAIR_SNAPSHOT.replace("action_count 3\n", "")
+        self._rejects(tmp_path, text, "no 'action_count' line")
+
+    def test_unknown_record_name_names_line(self, tmp_path):
+        agent = DQNAgent(
+            action_count=2, horizon=11, context_dim=2, total_episodes=10,
+            rng=derive_stream(17, 0),
+        )
+        path = tmp_path / "net.snap"
+        save_agent(agent, str(path))
+        lines = path.read_text().splitlines()
+        first = next(i for i, line in enumerate(lines) if line.startswith("records ")) + 1
+        lines[first] = "zz/000000\t1.0"
+        self._rejects(tmp_path, "\n".join(lines) + "\n", rf"line {first + 1}: .*zz/000000")
+
+    @pytest.mark.parametrize("record", ["0||3,3|3\t0.5", "0||3,3|-1\t0.5", "0|3,3|1\t0.5",
+                                        "0||3,3|1\tnope", "0||3,3|1"])
+    def test_malformed_tabular_record_names_line(self, tmp_path, record):
+        text = self.PAIR_SNAPSHOT.replace("1||3,1|2\t-2.0", record)
+        self._rejects(tmp_path, text, "line 7: malformed record")
 
     def test_rejects_garbage(self, tmp_path):
         path = tmp_path / "bad.snap"
