@@ -240,7 +240,6 @@ class TestLazyStreams:
     def test_generator_passed_in_is_used_as_is(self, derivations):
         rng = derive_stream(33, 0)
         twin = derive_stream(33, 0)
-        derivations.clear()
         env = FuzzyEnv(20)
         env.reset(CONTEXT_FREE, rng)
         rewards = [env.step(1).reward for _ in range(5)]
