@@ -24,7 +24,6 @@ from .blackbox import (
     IncumbentRecord,
     Schedule,
     blackbox_optimize,
-    evaluate_schedule,
     race,
     random_schedule,
 )
@@ -40,7 +39,7 @@ from .core import (
     StepOutcome,
     derive_seed,
     derive_stream,
-    run_episode,
+    greedy_rollout,
 )
 from .harness import (
     ConfigError,

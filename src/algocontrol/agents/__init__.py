@@ -3,11 +3,9 @@ and a from-scratch double DQN."""
 
 from .dqn import (
     DQNAgent,
-    GreedyNetPolicy,
     MLPQNet,
     ReplayBuffer,
     dqn_epsilon,
-    dqn_forward,
     dqn_loss_and_grads,
     dqn_train_step,
     sync_target,
@@ -15,17 +13,13 @@ from .dqn import (
 from .snapshot import load_snapshot, save_agent
 from .tabular import (
     AgentHyperparams,
-    GreedyTablePolicy,
     QTable,
     TabularAgent,
     TransitionStats,
-    eps_greedy_select,
-    gr_select,
     purs_select,
     q_update,
     record_transition,
     state_key,
-    urs_select,
 )
 
 AGENT_KINDS = ("qlearn", "urs", "gr", "purs", "dqn", "blackbox")
@@ -34,19 +28,14 @@ __all__ = [
     "AGENT_KINDS",
     "AgentHyperparams",
     "DQNAgent",
-    "GreedyNetPolicy",
-    "GreedyTablePolicy",
     "MLPQNet",
     "QTable",
     "ReplayBuffer",
     "TabularAgent",
     "TransitionStats",
     "dqn_epsilon",
-    "dqn_forward",
     "dqn_loss_and_grads",
     "dqn_train_step",
-    "eps_greedy_select",
-    "gr_select",
     "load_snapshot",
     "purs_select",
     "q_update",
@@ -54,5 +43,4 @@ __all__ = [
     "save_agent",
     "state_key",
     "sync_target",
-    "urs_select",
 ]

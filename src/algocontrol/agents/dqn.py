@@ -71,10 +71,6 @@ class MLPQNet:
         return q[0] if single else q
 
 
-def dqn_forward(net: MLPQNet, obs: np.ndarray) -> np.ndarray:
-    return net.forward(obs)
-
-
 @dataclass
 class Batch:
     obs: np.ndarray
@@ -200,21 +196,6 @@ def sync_target(
     return target_net
 
 
-class GreedyNetPolicy:
-    """Frozen greedy policy over a copied network."""
-
-    def __init__(self, net: MLPQNet, encode) -> None:
-        self._net = net.clone()
-        self._encode = encode
-
-    def __call__(self, obs: Observation) -> ActionId:
-        return int(np.argmax(self._net.forward(self._encode(obs))))
-
-    @property
-    def net(self) -> MLPQNet:
-        return self._net
-
-
 class DQNAgent:
     """Double DQN agent over the benchmark observation encoding.
 
@@ -294,6 +275,3 @@ class DQNAgent:
 
     def greedy_action(self, obs: Observation) -> ActionId:
         return int(np.argmax(self.net.forward(self.encode(obs))))
-
-    def extract_greedy_policy(self) -> GreedyNetPolicy:
-        return GreedyNetPolicy(self.net, self.encode)

@@ -6,7 +6,9 @@ sorted key order. Q-tables store one record per action of every stored
 state row, keyed ``state|action``; a reader also accepts files that
 store only some actions of a state (the others read as 0). Networks
 store one record per parameter element. Floats round-trip exactly via
-repr. A malformed snapshot raises ContractError naming the line.
+repr. Loading rebuilds the agent itself, so a replay acts through the
+same ``greedy_action`` as training. A malformed snapshot raises
+ContractError naming the line.
 """
 
 from __future__ import annotations
@@ -133,8 +135,8 @@ def save_agent(agent, path: str) -> None:
         fh.write(buf.getvalue())
 
 
-def load_snapshot(path: str) -> dict:
-    """Parse a snapshot into {'kind', 'meta', 'q' or 'net'}."""
+def load_snapshot(path: str) -> TabularAgent | DQNAgent:
+    """Rebuild the agent a snapshot holds, ready for ``greedy_action``."""
     with open(path, "r", encoding="utf-8") as fh:
         lines = fh.read().splitlines()
     kind, meta, start = _read_header(lines)
@@ -150,14 +152,13 @@ def load_snapshot(path: str) -> dict:
             f"snapshot truncated: expected {n_records} records, found {len(body)}"
         )
     if kind in TabularAgent.KINDS:
-        q = QTable(_meta_int(meta, "action_count"))
-        _read_records(body, start + 2, lambda key, value: _set_q(q, key, value))
-        return {"kind": kind, "meta": meta, "q": q}
+        agent = TabularAgent(kind, _meta_int(meta, "action_count"))
+        _read_records(body, start + 2, lambda key, value: _set_q(agent.q, key, value))
+        return agent
     if kind == "dqn":
         input_dim = _meta_int(meta, "input_dim")
         action_count = _meta_int(meta, "action_count")
         hidden = _meta_int(meta, "hidden", HIDDEN_UNITS)
-        net = MLPQNet(input_dim, action_count, np.random.default_rng(0), hidden=hidden)
         arrays = {
             "w1": np.zeros(input_dim * hidden),
             "b1": np.zeros(hidden),
@@ -165,10 +166,6 @@ def load_snapshot(path: str) -> dict:
             "b2": np.zeros(action_count),
         }
         _read_records(body, start + 2, lambda key, value: _set_param(arrays, key, value))
-        net.w1 = arrays["w1"].reshape(input_dim, hidden)
-        net.b1 = arrays["b1"]
-        net.w2 = arrays["w2"].reshape(hidden, action_count)
-        net.b2 = arrays["b2"]
         scales_text = meta.get("context_scales", "")
         try:
             scales = (
@@ -180,7 +177,20 @@ def load_snapshot(path: str) -> dict:
             raise ContractError(
                 f"snapshot header line 'context_scales': {scales_text!r} is not a list of numbers"
             ) from None
-        return {"kind": kind, "meta": meta, "net": net, "context_scales": scales}
+        agent = DQNAgent(
+            action_count=action_count,
+            horizon=_meta_int(meta, "horizon"),
+            context_dim=input_dim - 1,
+            total_episodes=1,
+            context_scales=scales,
+        )
+        net = MLPQNet(input_dim, action_count, np.random.default_rng(0), hidden=hidden)
+        net.w1 = arrays["w1"].reshape(input_dim, hidden)
+        net.b1 = arrays["b1"]
+        net.w2 = arrays["w2"].reshape(hidden, action_count)
+        net.b2 = arrays["b2"]
+        agent.net, agent.target_net = net, net.clone()
+        return agent
     raise ContractError(f"snapshot for unknown agent kind {kind!r}")
 
 

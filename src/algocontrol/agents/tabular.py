@@ -116,19 +116,6 @@ def record_transition(
     return stats
 
 
-def urs_select(rng: np.random.Generator, action_count: int) -> ActionId:
-    """Uniform random selection."""
-    if action_count < 1:
-        raise ContractError("action_count must be >= 1")
-    return int(rng.integers(action_count))
-
-
-def gr_select(stats: TransitionStats, q: QTable, s: StateKey) -> ActionId:
-    """Greedy selection on expected future reward; ties go to the lowest
-    action index."""
-    return q.argmax(s)
-
-
 def purs_select(
     rng: np.random.Generator,
     stats: TransitionStats,
@@ -155,21 +142,6 @@ def purs_select(
         if u < acc:
             return a
     return action_count - 1
-
-
-def eps_greedy_select(
-    rng: np.random.Generator,
-    q: QTable,
-    s: StateKey,
-    epsilon: float,
-    action_count: int,
-) -> ActionId:
-    """Uniform with probability epsilon, greedy otherwise."""
-    if not 0.0 <= epsilon <= 1.0:
-        raise ContractError("epsilon must be in [0, 1]")
-    if epsilon > 0.0 and rng.random() < epsilon:
-        return int(rng.integers(action_count))
-    return q.argmax(s)
 
 
 def argmax_with_random_ties(
@@ -240,20 +212,6 @@ def q_update(
     return q
 
 
-class GreedyTablePolicy:
-    """Frozen greedy policy: a snapshot decoupled from further training."""
-
-    def __init__(self, q: QTable) -> None:
-        self._q = q.copy()
-
-    def __call__(self, obs: Observation) -> ActionId:
-        return self._q.argmax(state_key(obs))
-
-    @property
-    def q(self) -> QTable:
-        return self._q
-
-
 class TabularAgent:
     """Q-table learner covering qlearn, urs, gr and purs behaviours.
 
@@ -321,6 +279,3 @@ class TabularAgent:
 
     def greedy_action(self, obs: Observation) -> ActionId:
         return self.q.argmax(state_key(obs))
-
-    def extract_greedy_policy(self) -> GreedyTablePolicy:
-        return GreedyTablePolicy(self.q)

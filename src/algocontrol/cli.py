@@ -16,15 +16,14 @@ from __future__ import annotations
 import argparse
 import csv
 import io
+import math
 import os
 import sys
 
-import numpy as np
-
-from .agents import load_snapshot, save_agent
+from .agents import DQNAgent, load_snapshot, save_agent
 from .benchmarks import BENCHMARK_KINDS, BenchmarkConfig, make_env
 from .config import apply_overrides, parse_config, render_config
-from .core import ContractError, InstanceContext, SeedSpec
+from .core import ContractError, InstanceContext, SeedSpec, greedy_rollout
 from .harness import (
     CSV_HEADER,
     ConfigError,
@@ -152,28 +151,44 @@ def _cmd_bench_info(args) -> int:
     return EXIT_OK
 
 
+_COLUMNS = CSV_HEADER.split(",")
+
+
 def _read_result_csv(path: str) -> list[dict]:
     try:
         with open(path, "r", encoding="utf-8", newline="") as fh:
             reader = csv.reader(fh)
             header = next(reader, None)
-            if header != CSV_HEADER.split(","):
+            if header != _COLUMNS:
                 raise ContractError(
                     f"{path}: unexpected CSV columns {header}; expected {CSV_HEADER}"
                 )
-            return [
-                {
-                    "benchmark": row[0],
-                    "agent": row[1],
-                    "seed": int(row[2]),
-                    "episode": int(row[3]),
-                    "phase": row[4],
-                    "eval_reward": float(row[5]),
-                }
-                for row in reader
-            ]
+            return [_result_row(path, reader.line_num, row) for row in reader]
+    except (csv.Error, UnicodeDecodeError) as exc:
+        raise ContractError(f"{path}: {exc}") from None
     except OSError as exc:
         raise OSError(f"cannot read {path}: {exc}") from exc
+
+
+def _result_row(path: str, lineno: int, row: list[str]) -> dict:
+    """One data row of a result CSV; a bad row raises ContractError
+    naming its file and line."""
+    try:
+        if len(row) != len(_COLUMNS):
+            raise ValueError(f"expected {len(_COLUMNS)} fields, got {len(row)}")
+        reward = float(row[5])
+        if not math.isfinite(reward):
+            raise ValueError(f"eval_reward {row[5]!r} is not finite")
+        return {
+            "benchmark": row[0],
+            "agent": row[1],
+            "seed": int(row[2]),
+            "episode": int(row[3]),
+            "phase": row[4],
+            "eval_reward": reward,
+        }
+    except ValueError as exc:
+        raise ContractError(f"{path} line {lineno}: {exc}") from None
 
 
 def _series_by_agent(rows: list[dict], window: int):
@@ -312,54 +327,33 @@ def _parse_instance(text: str, bench: BenchmarkConfig) -> InstanceContext:
 
 
 def _cmd_replay(args) -> int:
-    snapshot = load_snapshot(args.snapshot)
+    agent = load_snapshot(args.snapshot)
     bench = BenchmarkConfig(kind=args.benchmark, horizon=args.horizon, levels=args.levels)
     env = make_env(bench)
     spec = env.spec
-    snap_actions = int(snapshot["meta"]["action_count"])
-    if snap_actions != spec.action_count:
+    if agent.action_count != spec.action_count:
         raise ContractError(
-            f"snapshot has {snap_actions} actions but {bench.kind} expects "
+            f"snapshot has {agent.action_count} actions but {bench.kind} expects "
             f"{spec.action_count}"
         )
-    if snapshot["kind"] == "dqn":
-        net = snapshot["net"]
+    if isinstance(agent, DQNAgent):
         expected = 1 + spec.context_dim
-        if net.input_dim != expected:
+        if agent.input_dim != expected:
             raise ContractError(
-                f"snapshot input dim {net.input_dim} != benchmark obs dim {expected}"
+                f"snapshot input dim {agent.input_dim} != benchmark obs dim {expected}"
             )
-        horizon = spec.horizon
-        scales = np.array(snapshot["context_scales"])
-
-        def policy(obs):
-            features = np.empty(net.input_dim)
-            features[0] = obs.time_step / horizon
-            if net.input_dim > 1:
-                features[1:] = np.asarray(obs.continuous_features) * scales
-            return int(np.argmax(net.forward(features)))
-
-    else:
-        q = snapshot["q"]
-        from .agents import state_key
-
-        def policy(obs):
-            return q.argmax(state_key(obs))
-
+        if agent.horizon != spec.horizon:
+            raise ContractError(
+                f"snapshot horizon {agent.horizon} but {bench.kind} expects {spec.horizon}"
+            )
     instance = _parse_instance(args.instance, bench)
-    obs = env.reset(instance, SeedSpec(args.seed, 0))
-    total = 0.0
-    print(f"replay {snapshot['kind']} on {bench.kind} (T={spec.horizon})")
-    while not env.done:
-        action = policy(obs)
-        outcome = env.step(action)
+    total = greedy_rollout(
+        agent.greedy_action, env, instance, SeedSpec(args.seed, 0), record_trace=True
+    )
+    print(f"replay {agent.kind} on {bench.kind} (T={spec.horizon})")
+    for obs, action, reward, _, _ in env.trace.transitions:
         features = ",".join(f"{v:g}" for v in obs.continuous_features)
-        print(
-            f"t={obs.time_step:3d} obs=[{features}] action={action} "
-            f"reward={outcome.reward:.6g}"
-        )
-        total += outcome.reward
-        obs = outcome.observation
+        print(f"t={obs.time_step:3d} obs=[{features}] action={action} reward={reward:.6g}")
     print(f"total reward: {total:.6g}")
     return EXIT_OK
 

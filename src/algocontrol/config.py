@@ -3,46 +3,46 @@
 Three sections — [benchmark], [agent], [harness] — of ``key = value``
 lines. ``#`` and ``;`` start comments. Unknown sections or keys are
 rejected with the offending line number, as are type and range errors.
+Each key names one field of ``BenchmarkConfig``, ``AgentHyperparams`` or
+``ExperimentConfig`` (``FIELDS``), so every default lives in its dataclass.
 """
 
 from __future__ import annotations
 
-from dataclasses import replace
+from dataclasses import fields, replace
 
-from .agents import AGENT_KINDS, AgentHyperparams
-from .benchmarks import BENCHMARK_KINDS, BenchmarkConfig
+from .agents import AgentHyperparams
+from .benchmarks import BenchmarkConfig
 from .core import ContractError
-from .harness import INSTANCE_MODES, ConfigError, ExperimentConfig
+from .harness import ConfigError, ExperimentConfig
 
-_BENCH_KEYS = ("kind", "horizon", "levels", "fuzzy_mean", "fuzzy_spread")
-_AGENT_KEYS = (
-    "kind",
-    "gamma",
-    "epsilon",
-    "alpha",
-    "dqn_lr",
-    "target_sync_every",
-    "batch_size",
-    "buffer_capacity",
-    "eps_decay_fraction",
+_SECTIONS = (
+    (BenchmarkConfig, "benchmark"),
+    (AgentHyperparams, "agent"),
+    (ExperimentConfig, "harness"),
 )
-_HARNESS_KEYS = (
-    "episodes",
-    "n_seeds",
-    "seed",
-    "instance_mode",
-    "train_instances",
-    "test_instances",
-    "eval_runs",
-    "test_eval_every",
-    "train_eval_every",
-    "smoothing_window",
-    "neighbor_fraction",
-    "record_wall_time",
-    "workers",
-    "output",
-)
-_SECTIONS = {"benchmark": _BENCH_KEYS, "agent": _AGENT_KEYS, "harness": _HARNESS_KEYS}
+# Fields whose key is not their name in their dataclass's section.
+_RENAMED = {
+    "agent_kind": ("agent", "kind"),
+    "n_episodes": ("harness", "episodes"),
+    "master_seed": ("harness", "seed"),
+    "n_train_instances": ("harness", "train_instances"),
+    "n_test_instances": ("harness", "test_instances"),
+    "output_path": ("harness", "output"),
+}
+# (section, key) -> (dataclass, field): the one table that parsing,
+# --set overrides and rendering read.
+FIELDS = {
+    _RENAMED.get(f.name, (section, f.name)): (owner, f)
+    for owner, section in _SECTIONS
+    for f in fields(owner)
+    if f.name not in ("benchmark", "hp")
+}
+_SECTION_NAMES = tuple(section for _, section in _SECTIONS)
+_REQUIRED = (("benchmark", "kind"), ("agent", "kind"), ("harness", "episodes"))
+# Benchmark keys that one benchmark kind alone reads; rendered for it only.
+_KIND_ONLY = {"levels": "sigmoidmva", "fuzzy_mean": "fuzzy", "fuzzy_spread": "fuzzy"}
+_TYPES = {"int": int, "float": float, "bool": bool, "str": str}
 
 
 def _parse_lines(text: str) -> dict[str, dict[str, tuple[str, int]]]:
@@ -54,7 +54,7 @@ def _parse_lines(text: str) -> dict[str, dict[str, tuple[str, int]]]:
             continue
         if line.startswith("[") and line.endswith("]"):
             current = line[1:-1].strip().lower()
-            if current not in _SECTIONS:
+            if current not in _SECTION_NAMES:
                 raise ConfigError(f"line {lineno}: unknown section [{current}]")
             sections.setdefault(current, {})
             continue
@@ -64,22 +64,13 @@ def _parse_lines(text: str) -> dict[str, dict[str, tuple[str, int]]]:
             raise ConfigError(f"line {lineno}: key outside any section")
         key, _, value = line.partition("=")
         key = key.strip().lower()
-        if key not in _SECTIONS[current]:
+        if (current, key) not in FIELDS:
             raise ConfigError(f"line {lineno}: unknown key {key!r} in [{current}]")
         sections[current][key] = (value.strip(), lineno)
     return sections
 
 
-def _get(sections, section: str, key: str, default=None):
-    entry = sections.get(section, {}).get(key)
-    return entry[0] if entry is not None else default
-
-
-def _convert(sections, section: str, key: str, kind, default):
-    entry = sections.get(section, {}).get(key)
-    if entry is None:
-        return default
-    value, lineno = entry
+def _convert(section: str, key: str, kind: type, value: str, lineno: int):
     try:
         if kind is bool:
             lowered = value.lower()
@@ -88,6 +79,8 @@ def _convert(sections, section: str, key: str, kind, default):
             if lowered in ("false", "0", "no", "off"):
                 return False
             raise ValueError(value)
+        if kind is str:  # names are case-insensitive, an output path is not
+            return value if key == "output" else value.lower()
         return kind(value)
     except ValueError:
         raise ConfigError(
@@ -95,16 +88,9 @@ def _convert(sections, section: str, key: str, kind, default):
         ) from None
 
 
-def _require(sections, section: str, key: str) -> str:
-    entry = sections.get(section, {}).get(key)
-    if entry is None:
-        raise ConfigError(f"missing required key {section}.{key}")
-    return entry[0]
-
-
 def parse_config(text: str) -> ExperimentConfig:
-    """Parse and fully validate a config file; defaults are filled in
-    (25 seeds, discount 0.99, epsilon 0.1, smoothing window 10)."""
+    """Parse and fully validate a config file. A key left out takes its
+    dataclass default, except ``agent.alpha`` (see ``_build_config``)."""
     sections = _parse_lines(text)
     try:
         return _build_config(sections)
@@ -115,69 +101,28 @@ def parse_config(text: str) -> ExperimentConfig:
 
 
 def _build_config(sections) -> ExperimentConfig:
-    bench_kind = _require(sections, "benchmark", "kind").lower()
-    if bench_kind not in BENCHMARK_KINDS:
-        raise ConfigError(
-            f"benchmark.kind must be one of {BENCHMARK_KINDS}, got {bench_kind!r}"
-        )
-    benchmark = BenchmarkConfig(
-        kind=bench_kind,
-        horizon=_convert(sections, "benchmark", "horizon", int, 0),
-        levels=_convert(sections, "benchmark", "levels", int, 4),
-        fuzzy_mean=_convert(sections, "benchmark", "fuzzy_mean", float, 1.0),
-        fuzzy_spread=_convert(sections, "benchmark", "fuzzy_spread", float, 2.0),
-    )
+    for section, key in _REQUIRED:
+        if key not in sections.get(section, {}):
+            raise ConfigError(f"missing required key {section}.{key}")
+    values: dict[type, dict] = {owner: {} for owner, _ in _SECTIONS}
+    for (section, key), (owner, f) in FIELDS.items():
+        entry = sections.get(section, {}).get(key)
+        if entry is not None:
+            values[owner][f.name] = _convert(section, key, _TYPES[f.type], *entry)
+    benchmark = BenchmarkConfig(**values[BenchmarkConfig])
     # canonicalize so render/parse round-trips exactly
     benchmark = replace(benchmark, horizon=benchmark.resolved_horizon)
-
-    agent_kind = _require(sections, "agent", "kind").lower()
-    if agent_kind not in AGENT_KINDS:
-        raise ConfigError(f"agent.kind must be one of {AGENT_KINDS}, got {agent_kind!r}")
-
-    instance_mode = _get(sections, "harness", "instance_mode", "").lower()
-    if instance_mode and instance_mode not in INSTANCE_MODES:
-        raise ConfigError(
-            f"harness.instance_mode must be one of {INSTANCE_MODES}, got {instance_mode!r}"
-        )
+    harness = values[ExperimentConfig]
     # Learning rate convention: 0.1 when the reward signal is noisy from
     # the agent's point of view (stochastic rewards or sampled instances),
     # 1.0 on deterministic benchmarks.
-    mode = instance_mode or ("distribution" if benchmark.has_instances else "none")
-    default_alpha = 0.1 if (benchmark.stochastic_reward or mode != "none") else 1.0
-
-    hp = AgentHyperparams(
-        gamma=_convert(sections, "agent", "gamma", float, 0.99),
-        epsilon=_convert(sections, "agent", "epsilon", float, 0.1),
-        alpha=_convert(sections, "agent", "alpha", float, default_alpha),
-        dqn_lr=_convert(sections, "agent", "dqn_lr", float, 5e-4),
-        target_sync_every=_convert(sections, "agent", "target_sync_every", int, 5),
-        batch_size=_convert(sections, "agent", "batch_size", int, 0),
-        buffer_capacity=_convert(sections, "agent", "buffer_capacity", int, 50_000),
-        eps_decay_fraction=_convert(sections, "agent", "eps_decay_fraction", float, 0.1),
+    mode = harness.get("instance_mode") or (
+        "distribution" if benchmark.has_instances else "none"
     )
-
-    cfg = ExperimentConfig(
-        benchmark=benchmark,
-        agent_kind=agent_kind,
-        hp=hp,
-        n_seeds=_convert(sections, "harness", "n_seeds", int, 25),
-        n_episodes=_convert(sections, "harness", "episodes", int, 0),
-        master_seed=_convert(sections, "harness", "seed", int, 0),
-        instance_mode=instance_mode,
-        n_train_instances=_convert(sections, "harness", "train_instances", int, 100),
-        n_test_instances=_convert(sections, "harness", "test_instances", int, 100),
-        eval_runs=_convert(sections, "harness", "eval_runs", int, 0),
-        test_eval_every=_convert(sections, "harness", "test_eval_every", int, 500),
-        train_eval_every=_convert(sections, "harness", "train_eval_every", int, 1),
-        smoothing_window=_convert(sections, "harness", "smoothing_window", int, 10),
-        neighbor_fraction=_convert(sections, "harness", "neighbor_fraction", float, 0.5),
-        record_wall_time=_convert(sections, "harness", "record_wall_time", bool, False),
-        workers=_convert(sections, "harness", "workers", int, 1),
-        output_path=_get(sections, "harness", "output", ""),
-    )
-    if cfg.n_episodes < 1:
-        raise ConfigError("missing required key harness.episodes (must be >= 1)")
-    return cfg.validated()
+    noisy = benchmark.stochastic_reward or mode != "none"
+    values[AgentHyperparams].setdefault("alpha", 0.1 if noisy else 1.0)
+    hp = AgentHyperparams(**values[AgentHyperparams])
+    return ExperimentConfig(benchmark=benchmark, hp=hp, **harness).validated()
 
 
 def apply_overrides(text: str, overrides: list[str]) -> str:
@@ -190,9 +135,9 @@ def apply_overrides(text: str, overrides: list[str]) -> str:
         section, _, key = target.partition(".")
         section = section.strip().lower()
         key = key.strip().lower()
-        if section not in _SECTIONS:
+        if section not in _SECTION_NAMES:
             raise ConfigError(f"override names unknown section {section!r}")
-        if key not in _SECTIONS[section]:
+        if (section, key) not in FIELDS:
             raise ConfigError(f"override names unknown key {key!r} in [{section}]")
         lines = _set_key(lines, section, key, value.strip())
     return "\n".join(lines) + "\n"
@@ -228,46 +173,17 @@ def _set_key(lines: list[str], section: str, key: str, value: str) -> list[str]:
 def render_config(cfg: ExperimentConfig) -> str:
     """Canonical text for a config; parse_config round-trips it."""
     cfg = cfg.validated()
-    b = cfg.benchmark
-    lines = [
-        "[benchmark]",
-        f"kind = {b.kind}",
-        f"horizon = {b.resolved_horizon}",
-    ]
-    if b.kind == "sigmoidmva":
-        lines.append(f"levels = {b.levels}")
-    if b.kind == "fuzzy":
-        lines.append(f"fuzzy_mean = {b.fuzzy_mean!r}")
-        lines.append(f"fuzzy_spread = {b.fuzzy_spread!r}")
-    hp = cfg.hp
-    lines += [
-        "",
-        "[agent]",
-        f"kind = {cfg.agent_kind}",
-        f"gamma = {hp.gamma!r}",
-        f"epsilon = {hp.epsilon!r}",
-        f"alpha = {hp.alpha!r}",
-        f"dqn_lr = {hp.dqn_lr!r}",
-        f"target_sync_every = {hp.target_sync_every}",
-        f"batch_size = {hp.batch_size}",
-        f"buffer_capacity = {hp.buffer_capacity}",
-        f"eps_decay_fraction = {hp.eps_decay_fraction!r}",
-        "",
-        "[harness]",
-        f"episodes = {cfg.n_episodes}",
-        f"n_seeds = {cfg.n_seeds}",
-        f"seed = {cfg.master_seed}",
-        f"instance_mode = {cfg.instance_mode}",
-        f"train_instances = {cfg.n_train_instances}",
-        f"test_instances = {cfg.n_test_instances}",
-        f"eval_runs = {cfg.eval_runs}",
-        f"test_eval_every = {cfg.test_eval_every}",
-        f"train_eval_every = {cfg.train_eval_every}",
-        f"smoothing_window = {cfg.smoothing_window}",
-        f"neighbor_fraction = {cfg.neighbor_fraction!r}",
-        f"record_wall_time = {str(cfg.record_wall_time).lower()}",
-        f"workers = {cfg.workers}",
-    ]
-    if cfg.output_path:
-        lines.append(f"output = {cfg.output_path}")
-    return "\n".join(lines) + "\n"
+    bench = replace(cfg.benchmark, horizon=cfg.benchmark.resolved_horizon)
+    objects = {BenchmarkConfig: bench, AgentHyperparams: cfg.hp, ExperimentConfig: cfg}
+    blocks = []
+    for section in _SECTION_NAMES:
+        block = [f"[{section}]"]
+        keys = sorted((k for s, k in FIELDS if s == section), key=lambda k: k != "kind")
+        for key in keys:
+            owner, f = FIELDS[section, key]
+            value = getattr(objects[owner], f.name)
+            if key in _KIND_ONLY and _KIND_ONLY[key] != bench.kind or value == "":
+                continue
+            block.append(f"{key} = {str(value).lower() if isinstance(value, bool) else value}")
+        blocks.append("\n".join(block))
+    return "\n\n".join(blocks) + "\n"

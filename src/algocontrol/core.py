@@ -107,15 +107,6 @@ class EnvSpec:
     obs_continuous_dim: int
     history_len: int
 
-    def astuple(self) -> tuple[int, int, int, int, int]:
-        return (
-            self.action_count,
-            self.horizon,
-            self.context_dim,
-            self.obs_continuous_dim,
-            self.history_len,
-        )
-
 
 _SPLITMIX_GAMMA = 0x9E3779B97F4A7C15
 _MASK64 = (1 << 64) - 1
@@ -271,15 +262,24 @@ class Environment:
         return False
 
 
-def run_episode(
-    env: Environment,
+def greedy_rollout(
     policy,
-    instance: InstanceContext = CONTEXT_FREE,
-    seed: SeedSpec | np.random.Generator | None = None,
-) -> EpisodeTrace:
-    """Roll out ``policy(obs) -> action`` for one full episode."""
-    obs = env.reset(instance, seed, record_trace=True)
+    env: Environment,
+    instance: InstanceContext,
+    seed: SeedSpec | np.random.Generator | None,
+    record_trace: bool = False,
+) -> float:
+    """Roll out ``policy(obs) -> action`` for one episode; returns the
+    total reward.
+
+    This is the one loop that runs a fixed policy: greedy evaluation,
+    open-loop schedules and snapshot replay all go through it. With
+    ``record_trace`` the episode's transitions stay in ``env.trace``.
+    """
+    obs = env.reset(instance, seed, record_trace)
+    total = 0.0
     while not env.done:
         outcome = env.step(policy(obs))
+        total += outcome.reward
         obs = outcome.observation
-    return env.trace
+    return total

@@ -34,6 +34,7 @@ from .core import (
     SeedSpec,
     derive_seed,
     derive_stream,
+    greedy_rollout,
 )
 
 INSTANCE_MODES = ("none", "distribution", "fixed")
@@ -95,6 +96,8 @@ class ExperimentConfig:
             raise ConfigError("evaluation intervals must be >= 1")
         if not 0.0 <= cfg.neighbor_fraction <= 1.0:
             raise ConfigError("neighbor_fraction must be in [0, 1]")
+        if cfg.workers < 1:
+            raise ConfigError("workers must be >= 1")
         if cfg.instance_mode == "":
             mode = "distribution" if cfg.benchmark.has_instances else "none"
             cfg = replace(cfg, instance_mode=mode)
@@ -191,22 +194,6 @@ def aggregate(curves: list[SeedCurve]) -> AggregateCurve:
     )
 
 
-def greedy_rollout(
-    policy,
-    env: Environment,
-    instance: InstanceContext,
-    seed: SeedSpec,
-) -> float:
-    """One greedy episode; returns the total reward."""
-    obs = env.reset(instance, seed)
-    total = 0.0
-    while not env.done:
-        outcome = env.step(policy(obs))
-        total += outcome.reward
-        obs = outcome.observation
-    return total
-
-
 def run_training_episode(
     agent,
     env: Environment,
@@ -266,14 +253,8 @@ class _EvalSetup:
     def evaluate(self, agent, env: Environment, episode: int) -> float:
         # Instances stay fixed across checkpoints (variance reduction);
         # reward noise is fresh per checkpoint so smoothing averages it.
-        policy = agent.greedy_action
         base = EVAL_NOISE_BASE + episode * len(self.instances)
-        total = 0.0
-        for r, instance in enumerate(self.instances):
-            total += greedy_rollout(
-                policy, env, instance, SeedSpec(self.run_seed, base + r)
-            )
-        return total / len(self.instances)
+        return _mean_greedy_return(agent, env, self.instances, self.run_seed, base)
 
 
 def evaluate_on_test_set(
@@ -285,13 +266,17 @@ def evaluate_on_test_set(
     """Greedy episode on each held-out instance; mean total reward."""
     if not test_instances:
         raise ContractError("test instance set is empty")
+    return _mean_greedy_return(agent, env, test_instances, run_seed, TEST_NOISE_BASE)
+
+
+def _mean_greedy_return(agent, env: Environment, instances: list[InstanceContext],
+                        run_seed: int, base: int) -> float:
+    """Mean greedy return over ``instances``; run r draws noise stream base + r."""
     policy = agent.greedy_action
     total = 0.0
-    for r, instance in enumerate(test_instances):
-        total += greedy_rollout(
-            policy, env, instance, SeedSpec(run_seed, TEST_NOISE_BASE + r)
-        )
-    return total / len(test_instances)
+    for r, instance in enumerate(instances):
+        total += greedy_rollout(policy, env, instance, SeedSpec(run_seed, base + r))
+    return total / len(instances)
 
 
 def _instance_sets(
@@ -310,32 +295,61 @@ def _instance_sets(
     return train, test
 
 
-def _blackbox_curve(cfg: ExperimentConfig, seed_index: int, run_seed: int,
-                    train_set: list[InstanceContext] | None) -> SeedCurve:
-    env = make_env(cfg.benchmark)
-    instances: list[InstanceContext] | None = None
-    if cfg.instance_mode == "distribution":
-        rng = derive_stream(run_seed, EVAL_INSTANCE_STREAM)
-        instances = make_instance_set(rng, cfg.benchmark.resolved_horizon, cfg.eval_runs)
-    elif cfg.instance_mode == "fixed":
-        instances = train_set
+def _blackbox_curve(cfg: ExperimentConfig, seed_index: int,
+                    eval_setup: _EvalSetup) -> SeedCurve:
+    noisy = cfg.instance_mode != "none" or cfg.benchmark.stochastic_reward
     result = blackbox_optimize(
-        env,
-        instances,
+        make_env(cfg.benchmark),
+        eval_setup.instances,
         episode_budget=cfg.n_episodes,
-        rng=derive_stream(run_seed, BLACKBOX_STREAM),
+        rng=derive_stream(eval_setup.run_seed, BLACKBOX_STREAM),
         neighbor_fraction=cfg.neighbor_fraction,
+        max_runs=10 if noisy else 1,
     )
-    curve = result.best_so_far
-    episodes = list(range(1, cfg.n_episodes + 1))
-    thinned = [
-        (e, curve[e - 1]) for e in episodes if e % cfg.train_eval_every == 0
-    ]
+    episodes = list(range(cfg.train_eval_every, cfg.n_episodes + 1, cfg.train_eval_every))
     return SeedCurve(
         seed=seed_index,
-        episodes=[e for e, _ in thinned],
-        train_rewards=[v for _, v in thinned],
+        episodes=episodes,
+        train_rewards=[result.best_so_far[e - 1] for e in episodes],
     )
+
+
+def _training(cfg: ExperimentConfig, run_seed: int, agent,
+              train_set: list[InstanceContext] | None):
+    """Train ``agent`` for one seed run, yielding each episode number
+    once that episode is done.
+
+    Training consumes no evaluation streams, so whatever the caller
+    does between episodes leaves the agent bit-identical.
+    """
+    env = make_env(cfg.benchmark)
+    explore_rng = derive_stream(run_seed, EXPLORE_STREAM)
+    train_rng = derive_stream(run_seed, TRAIN_NOISE_BASE)
+    instance_rng = derive_stream(run_seed, TRAIN_INSTANCE_STREAM)
+    for episode in range(1, cfg.n_episodes + 1):
+        run_training_episode(
+            agent,
+            env,
+            _draw_instance(cfg, instance_rng, train_set),
+            SeedSpec(run_seed, TRAIN_NOISE_BASE + episode),
+            explore_rng,
+            train_rng,
+        )
+        yield episode
+
+
+def _draw_instance(
+    cfg: ExperimentConfig,
+    instance_rng: np.random.Generator,
+    train_set: list[InstanceContext] | None,
+) -> InstanceContext:
+    if cfg.instance_mode == "distribution":
+        horizon = cfg.benchmark.resolved_horizon
+        return sample_sigmoid_instance(instance_rng, horizon).as_context()
+    if cfg.instance_mode == "fixed":
+        assert train_set is not None
+        return train_set[int(instance_rng.integers(len(train_set)))]
+    return CONTEXT_FREE
 
 
 def train_and_evaluate(
@@ -357,92 +371,38 @@ def train_and_evaluate(
         train_set, test_set = _instance_sets(cfg)
     run_seed = derive_seed(cfg.master_seed, RUN_BASE + seed_index)
     started = time.perf_counter()
-
-    if cfg.agent_kind == "blackbox":
-        curve = _blackbox_curve(cfg, seed_index, run_seed, train_set)
-        if cfg.record_wall_time:
-            curve.wall_time_ms = int((time.perf_counter() - started) * 1000)
-        return curve
-
-    env = make_env(cfg.benchmark)
-    eval_env = make_env(cfg.benchmark)
-    agent = _make_agent(cfg, run_seed)
-    explore_rng = derive_stream(run_seed, EXPLORE_STREAM)
-    train_rng = derive_stream(run_seed, TRAIN_NOISE_BASE)
-    instance_rng = derive_stream(run_seed, TRAIN_INSTANCE_STREAM)
     eval_setup = _EvalSetup(cfg, run_seed, train_set)
 
-    episodes: list[int] = []
-    train_rewards: list[float] = []
-    test_points: list[tuple[int, float]] = []
-    for episode in range(1, cfg.n_episodes + 1):
-        run_training_episode(
-            agent,
-            env,
-            _draw_instance(cfg, instance_rng, train_set),
-            SeedSpec(run_seed, TRAIN_NOISE_BASE + episode),
-            explore_rng,
-            train_rng,
-        )
-        if episode % cfg.train_eval_every == 0:
-            episodes.append(episode)
-            train_rewards.append(eval_setup.evaluate(agent, eval_env, episode))
-        if cfg.instance_mode == "fixed" and episode % cfg.test_eval_every == 0:
-            assert test_set is not None
-            test_points.append(
-                (episode, evaluate_on_test_set(agent, eval_env, test_set, run_seed))
-            )
-    curve = SeedCurve(
-        seed=seed_index,
-        episodes=episodes,
-        train_rewards=train_rewards,
-        test_points=test_points,
-    )
+    if cfg.agent_kind == "blackbox":
+        curve = _blackbox_curve(cfg, seed_index, eval_setup)
+    else:
+        curve = SeedCurve(seed=seed_index, episodes=[], train_rewards=[])
+        eval_env = make_env(cfg.benchmark)
+        agent = _make_agent(cfg, run_seed)
+        for episode in _training(cfg, run_seed, agent, train_set):
+            if episode % cfg.train_eval_every == 0:
+                curve.episodes.append(episode)
+                curve.train_rewards.append(eval_setup.evaluate(agent, eval_env, episode))
+            if cfg.instance_mode == "fixed" and episode % cfg.test_eval_every == 0:
+                curve.test_points.append(
+                    (episode, evaluate_on_test_set(agent, eval_env, test_set, run_seed))
+                )
     if cfg.record_wall_time:
         curve.wall_time_ms = int((time.perf_counter() - started) * 1000)
     return curve
 
 
-def _draw_instance(
-    cfg: ExperimentConfig,
-    instance_rng: np.random.Generator,
-    train_set: list[InstanceContext] | None,
-) -> InstanceContext:
-    if cfg.instance_mode == "distribution":
-        horizon = cfg.benchmark.resolved_horizon
-        return sample_sigmoid_instance(instance_rng, horizon).as_context()
-    if cfg.instance_mode == "fixed":
-        assert train_set is not None
-        return train_set[int(instance_rng.integers(len(train_set)))]
-    return CONTEXT_FREE
-
-
 def train_agent(cfg: ExperimentConfig, seed_index: int):
-    """Train one seed's agent without evaluation and return it.
-
-    Training consumes no evaluation streams, so the returned agent is
+    """Train one seed's agent without evaluation and return it; it is
     bit-identical to the one inside ``train_and_evaluate`` for the same
-    seed.
-    """
+    seed."""
     cfg = cfg.validated()
     if cfg.agent_kind == "blackbox":
         raise ContractError("blackbox runs produce schedules, not agent snapshots")
-    train_set, _ = _instance_sets(cfg)
     run_seed = derive_seed(cfg.master_seed, RUN_BASE + seed_index)
-    env = make_env(cfg.benchmark)
     agent = _make_agent(cfg, run_seed)
-    explore_rng = derive_stream(run_seed, EXPLORE_STREAM)
-    train_rng = derive_stream(run_seed, TRAIN_NOISE_BASE)
-    instance_rng = derive_stream(run_seed, TRAIN_INSTANCE_STREAM)
-    for episode in range(1, cfg.n_episodes + 1):
-        run_training_episode(
-            agent,
-            env,
-            _draw_instance(cfg, instance_rng, train_set),
-            SeedSpec(run_seed, TRAIN_NOISE_BASE + episode),
-            explore_rng,
-            train_rng,
-        )
+    for _ in _training(cfg, run_seed, agent, _instance_sets(cfg)[0]):
+        pass
     return agent
 
 
@@ -504,9 +464,15 @@ CSV_HEADER = "benchmark,agent,seed,episode,phase,eval_reward,wall_time_ms"
 
 
 def format_csv(rows: list[tuple]) -> str:
-    """CSV text with floats printed to 6 significant digits."""
+    """CSV text with floats printed to 6 significant digits; a NaN or
+    infinite reward raises ContractError instead of being written."""
     lines = [CSV_HEADER]
     for benchmark, agent, seed, episode, phase, reward, wall_ms in rows:
+        if not math.isfinite(reward):
+            raise ContractError(
+                f"{agent} {phase} reward {reward!r} at seed {seed}, episode {episode} "
+                "is not finite"
+            )
         lines.append(
             f"{benchmark},{agent},{seed},{episode},{phase},{reward:.6g},{wall_ms}"
         )

@@ -326,11 +326,11 @@ class TestCriterion6PropertySuites:
         print(f"[PASS] criterion 6d: reward complementarity, worst dev {worst:.2e}")
 
     def test_6e_blackbox_monotonicity(self):
-        for bench, budget in ((BenchmarkConfig("luby", horizon=16), 2000),
-                              (BenchmarkConfig("fuzzy", horizon=10), 500)):
+        for bench, budget, max_runs in ((BenchmarkConfig("luby", horizon=16), 2000, 1),
+                                        (BenchmarkConfig("fuzzy", horizon=10), 500, 10)):
             env = make_env(bench)
             result = blackbox_optimize(
-                env, None, budget, derive_stream(MASTER_SEED, 9300)
+                env, None, budget, derive_stream(MASTER_SEED, 9300), max_runs=max_runs
             )
             curve = result.best_so_far
             assert all(a <= b + 1e-12 for a, b in zip(curve, curve[1:]))

@@ -11,7 +11,6 @@ from algocontrol.blackbox import (
     Schedule,
     ScheduleEvaluator,
     blackbox_optimize,
-    evaluate_schedule,
     mutate_schedule,
     race,
     random_schedule,
@@ -52,28 +51,23 @@ class TestMutateSchedule:
 
 
 class TestEvaluateSchedule:
+    @staticmethod
+    def _run(schedule, env):
+        return ScheduleEvaluator(env, None, base_seed=5).run(schedule, 0)
+
     def test_counting_optimum(self):
-        value = evaluate_schedule(
-            Schedule((0, 1, 2, 3, 4)), CountingEnv(5), None, 1, derive_stream(5, 0)
-        )
-        assert value == 5.0
+        assert self._run(Schedule((0, 1, 2, 3, 4)), CountingEnv(5)) == 5.0
 
     def test_counting_constant(self):
-        value = evaluate_schedule(
-            Schedule((0, 0, 0, 0, 0)), CountingEnv(5), None, 1, derive_stream(5, 0)
-        )
-        assert value == 1.0
+        assert self._run(Schedule((0, 0, 0, 0, 0)), CountingEnv(5)) == 1.0
 
     def test_luby_exponent_schedule(self):
         sched = Schedule(tuple(luby_exponent(t) for t in range(1, 33)))
-        value = evaluate_schedule(sched, LubyEnv(32), None, 1, derive_stream(6, 0))
-        assert value == 32.0
+        assert self._run(sched, LubyEnv(32)) == 32.0
 
     def test_length_mismatch(self):
         with pytest.raises(ContractError):
-            evaluate_schedule(
-                Schedule((0, 1)), CountingEnv(5), None, 1, derive_stream(7, 0)
-            )
+            self._run(Schedule((0, 1)), CountingEnv(5))
 
     def test_open_loop_ignores_state(self):
         # the same schedule is applied verbatim whatever the instance
@@ -166,10 +160,14 @@ class TestBlackboxOptimize:
 
     def test_best_so_far_monotone_stochastic(self):
         env = FuzzyEnv(10)
-        result = blackbox_optimize(env, None, 500, derive_stream(12, 0))
+        result = blackbox_optimize(env, None, 500, derive_stream(12, 0), max_runs=10)
         curve = result.best_so_far
         assert len(curve) == 500
         assert all(a <= b + 1e-12 for a, b in zip(curve, curve[1:]))
+
+    def test_max_runs_must_be_positive(self):
+        with pytest.raises(ContractError):
+            blackbox_optimize(CountingEnv(5), None, 10, derive_stream(14, 0), max_runs=0)
 
     def test_stop_at_halts_early(self):
         env = CountingEnv(5)

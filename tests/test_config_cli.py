@@ -1,10 +1,15 @@
 """Config parsing, rendering round-trips, and the CLI surface."""
 
+from pathlib import Path
+
 import pytest
 
 from algocontrol.cli import main
-from algocontrol.config import apply_overrides, parse_config, render_config
+from algocontrol.config import FIELDS, apply_overrides, parse_config, render_config
 from algocontrol.harness import ConfigError
+from test_golden import case_text, valid_cases
+
+WORKLOADS = sorted((Path(__file__).parents[1] / "perfbench" / "workloads").glob("*.ini"))
 
 MINIMAL = """\
 [benchmark]
@@ -105,6 +110,28 @@ class TestParseConfig:
         )
         assert parse_config(render_config(cfg)) == cfg
 
+    @pytest.mark.parametrize("case", valid_cases(), ids="-".join)
+    def test_roundtrip_every_valid_case(self, case):
+        cfg = parse_config(case_text(*case))
+        assert parse_config(render_config(cfg)) == cfg
+
+    def test_roundtrip_every_workload(self):
+        assert WORKLOADS
+        for path in WORKLOADS:
+            cfg = parse_config(path.read_text())
+            assert parse_config(render_config(cfg)) == cfg, path.name
+
+    def test_override_accepts_every_table_key(self):
+        cfg = parse_config(MINIMAL)
+        for section, key in FIELDS:
+            text = apply_overrides(render_config(cfg), [f"{section}.{key}=x"])
+            assert f"{key} = x" in text.split(f"[{section}]")[1].split("[")[0]
+
+    @pytest.mark.parametrize("value", ["0", "-5"])
+    def test_workers_out_of_range(self, value):
+        with pytest.raises(ConfigError, match="workers"):
+            parse_config(MINIMAL + f"workers = {value}\n")
+
 
 class TestCliRun:
     def _write(self, tmp_path, text):
@@ -141,6 +168,12 @@ class TestCliRun:
         assert main(["run", config]) == 2
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("E-CONFIG:") and key in err[0]
+
+    def test_bad_workers_is_one_config_line(self, tmp_path, capsys):
+        config = self._write(tmp_path, MINIMAL + "workers = -5\n")
+        assert main(["run", config]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("E-CONFIG:") and "workers" in err[0]
 
     def test_seed_env_var_changes_results(self, tmp_path, capsys, monkeypatch):
         config = self._write(
@@ -210,6 +243,31 @@ class TestCliReport:
         path.write_text("foo,bar\n1,2\n")
         assert main(["report", str(path)]) == 3
         assert "foo" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "row,reason",
+        [
+            ("luby,qlearn,0", "expected 7 fields, got 3"),
+            ("counting,qlearn,x,1,train,5,0", "'x'"),
+            ("counting,qlearn,0,1,train,five,0", "'five'"),
+            ("counting,qlearn,0,1,train,nan,0", "'nan' is not finite"),
+            ("counting,qlearn,0,1,train,-inf,0", "'-inf' is not finite"),
+        ],
+    )
+    def test_bad_row_is_one_runtime_line(self, tmp_path, capsys, row, reason):
+        path = tmp_path / "r.csv"
+        path.write_text(self.CSV + row + "\n")
+        assert main(["report", str(path)]) == 3
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("E-RUNTIME:")
+        assert f"{path} line 6:" in err[0] and reason in err[0]
+
+    def test_undecodable_csv_is_one_runtime_line(self, tmp_path, capsys):
+        path = tmp_path / "r.csv"
+        path.write_bytes(self.CSV.encode() + b"counting,\xff\n")
+        assert main(["report", str(path)]) == 3
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"E-RUNTIME: {path}:")
 
     def test_svg_emission(self, tmp_path, capsys):
         csv_path = tmp_path / "r.csv"
@@ -315,6 +373,20 @@ class TestCliReplay:
         save_agent(agent, str(snap))
         assert main(["replay", str(snap), "--benchmark", "luby", "--horizon", "32"]) == 3
         assert "expects" in capsys.readouterr().err
+
+    def test_dqn_horizon_mismatch_exit_code(self, tmp_path, capsys):
+        from algocontrol.agents import DQNAgent, save_agent
+        from algocontrol.core import derive_stream
+
+        agent = DQNAgent(action_count=2, horizon=11, context_dim=2, total_episodes=10,
+                         rng=derive_stream(23, 0))
+        snap = tmp_path / "dqn.snap"
+        save_agent(agent, str(snap))
+        argv = ["replay", str(snap), "--benchmark", "sigmoid", "--instance", "s=1,p=5"]
+        assert main(argv + ["--horizon", "12"]) == 3
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("E-RUNTIME:") and "horizon" in err[0]
+        assert main(argv + ["--horizon", "11"]) == 0
 
     def test_dqn_replay_matches_agent_rollout(self, tmp_path, capsys):
         from algocontrol.agents import AgentHyperparams, save_agent

@@ -1,5 +1,7 @@
 """Environment contract, seeding, and episode bookkeeping."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -20,7 +22,7 @@ from algocontrol.core import (
     SeedSpec,
     derive_seed,
     derive_stream,
-    run_episode,
+    greedy_rollout,
 )
 
 
@@ -48,19 +50,19 @@ class TestDeriveStream:
 
 class TestEnvSpec:
     def test_counting_spec(self):
-        assert CountingEnv(5).spec.astuple() == (5, 5, 0, 0, 5)
+        assert dataclasses.astuple(CountingEnv(5).spec) == (5, 5, 0, 0, 5)
 
     def test_luby_spec(self):
-        assert LubyEnv(32).spec.astuple() == (6, 32, 0, 0, 5)
+        assert dataclasses.astuple(LubyEnv(32).spec) == (6, 32, 0, 0, 5)
 
     def test_sigmoidmva_spec(self):
-        assert SigmoidMVAEnv(11, 4).spec.astuple() == (5, 11, 2, 2, 0)
+        assert dataclasses.astuple(SigmoidMVAEnv(11, 4).spec) == (5, 11, 2, 2, 0)
 
     def test_sigmoid_spec(self):
-        assert SigmoidEnv(11).spec.astuple() == (2, 11, 2, 2, 0)
+        assert dataclasses.astuple(SigmoidEnv(11).spec) == (2, 11, 2, 2, 0)
 
     def test_fuzzy_spec(self):
-        assert FuzzyEnv(20).spec.astuple() == (2, 20, 0, 0, 5)
+        assert dataclasses.astuple(FuzzyEnv(20).spec) == (2, 20, 0, 0, 5)
 
 
 class TestResetContract:
@@ -128,6 +130,12 @@ def _random_policy(rng, action_count):
     return lambda obs: int(rng.integers(action_count))
 
 
+def _traced_rollout(env, policy, instance, seed):
+    """Total reward and trace of one greedy_rollout with a trace."""
+    total = greedy_rollout(policy, env, instance, seed, record_trace=True)
+    return total, env.trace
+
+
 FIXED_LENGTH_ENVS = [
     (CountingEnv, (5,)),
     (LubyEnv, (32,)),
@@ -144,23 +152,24 @@ class TestEpisodeTrace:
             InstanceContext(0, (3.0, 5.0)) if env.spec.context_dim else CONTEXT_FREE
         )
         rng = derive_stream(5, 1)
-        trace = run_episode(env, _random_policy(rng, env.spec.action_count), instance,
-                            SeedSpec(5, 2))
+        _, trace = _traced_rollout(
+            env, _random_policy(rng, env.spec.action_count), instance, SeedSpec(5, 2)
+        )
         assert len(trace) == env.spec.horizon
 
     def test_total_reward_is_sum(self):
         env = FuzzyEnv(20)
         rng = derive_stream(6, 1)
-        trace = run_episode(env, _random_policy(rng, 2), CONTEXT_FREE, SeedSpec(6, 2))
-        assert trace.total_reward == pytest.approx(
+        total, trace = _traced_rollout(env, _random_policy(rng, 2), CONTEXT_FREE, SeedSpec(6, 2))
+        assert total == trace.total_reward == pytest.approx(
             sum(t[2] for t in trace.transitions), abs=0
         )
 
     def test_fuzzy_can_end_early(self):
         env = FuzzyEnv(20)
-        trace = run_episode(env, lambda obs: 0, CONTEXT_FREE, SeedSpec(7, 0))
+        total, trace = _traced_rollout(env, lambda obs: 0, CONTEXT_FREE, SeedSpec(7, 0))
         assert len(trace) == 1
-        assert trace.total_reward == 0.0
+        assert total == trace.total_reward == 0.0
 
     @given(seed=st.integers(0, 2**32 - 1), data=st.data())
     @settings(max_examples=25, deadline=None)
@@ -175,7 +184,7 @@ class TestEpisodeTrace:
     def _run_fixed(seed, actions):
         env = FuzzyEnv(20)
         it = iter(actions)
-        return run_episode(env, lambda obs: next(it), CONTEXT_FREE, SeedSpec(seed, 0))
+        return _traced_rollout(env, lambda obs: next(it), CONTEXT_FREE, SeedSpec(seed, 0))[1]
 
     @pytest.mark.parametrize("ctor,args", FIXED_LENGTH_ENVS)
     def test_observation_dims_match_spec(self, ctor, args):

@@ -9,7 +9,6 @@ from algocontrol.agents import (
     MLPQNet,
     ReplayBuffer,
     dqn_epsilon,
-    dqn_forward,
     dqn_loss_and_grads,
     dqn_train_step,
     load_snapshot,
@@ -41,7 +40,7 @@ class TestForward:
         x = np.array([1.0, 2.0])
         # hidden = relu([1.5, 2.5]) = [1.5, 2.5] (positive region)
         # out = [1.5*2 + 2.5*1 + 0.1, 1.5*-1 + 2.5*3 - 0.2] = [5.6, 5.8]
-        assert np.allclose(dqn_forward(net, x), [5.6, 5.8], atol=1e-12)
+        assert np.allclose(net.forward(x), [5.6, 5.8], atol=1e-12)
 
     def test_positive_homogeneity_with_zero_biases(self):
         net = make_net()
@@ -215,7 +214,7 @@ class TestDQNAgent:
         encoded = agent.encode(obs)
         assert np.allclose(encoded, [5 / 11, 0.5, 0.5])
 
-    def test_greedy_policy_snapshot_is_frozen(self):
+    def test_greedy_policy_snapshot_is_frozen(self, tmp_path):
         agent = DQNAgent(
             action_count=2,
             horizon=11,
@@ -223,11 +222,13 @@ class TestDQNAgent:
             total_episodes=100,
             rng=derive_stream(84, 0),
         )
-        policy = agent.extract_greedy_policy()
+        path = tmp_path / "net.snap"
+        save_agent(agent, str(path))
+        frozen = load_snapshot(str(path))
         obs = Observation(time_step=3, continuous_features=(7.0, 4.0))
-        before = policy(obs)
+        before = frozen.net.forward(agent.encode(obs))
         agent.net.w2 += 100.0  # training drift must not leak into snapshots
-        assert policy(obs) == before
+        assert np.array_equal(frozen.net.forward(agent.encode(obs)), before)
 
     def test_snapshot_roundtrip(self, tmp_path):
         agent = DQNAgent(
@@ -240,5 +241,8 @@ class TestDQNAgent:
         path = tmp_path / "net.snap"
         save_agent(agent, str(path))
         loaded = load_snapshot(str(path))
+        assert isinstance(loaded, DQNAgent) and loaded.horizon == agent.horizon
         x = derive_stream(86, 0).normal(size=3)
-        assert np.allclose(loaded["net"].forward(x), agent.net.forward(x), atol=0)
+        assert np.allclose(loaded.net.forward(x), agent.net.forward(x), atol=0)
+        obs = Observation(time_step=4, continuous_features=(-30.0, 6.0))
+        assert loaded.greedy_action(obs) == agent.greedy_action(obs)

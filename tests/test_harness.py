@@ -126,6 +126,11 @@ class TestConfigValidation:
                 instance_mode="none",
             ).validated()
 
+    @pytest.mark.parametrize("workers", [0, -5])
+    def test_workers_must_be_positive(self, workers):
+        with pytest.raises(ConfigError, match="workers"):
+            counting_cfg(workers=workers).validated()
+
     def test_dqn_needs_context(self):
         with pytest.raises(ConfigError):
             counting_cfg(agent_kind="dqn").validated()
@@ -301,6 +306,12 @@ class TestCsvOutput:
         first = lines[1].split(",")
         assert first[0] == "counting" and first[1] == "qlearn"
         assert first[4] == "train"
+
+    @pytest.mark.parametrize("reward", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_reward_refused(self, reward):
+        rows = [("b", "a", 0, 1, "train", 1.0, 0), ("b", "a", 2, 7, "test", reward, 0)]
+        with pytest.raises(ContractError, match=r"seed 2, episode 7"):
+            format_csv(rows)
 
     def test_six_significant_digits(self):
         rows = [("b", "a", 0, 1, "train", 1.23456789, 0)]

@@ -11,15 +11,12 @@ from algocontrol.agents import (
     QTable,
     TabularAgent,
     TransitionStats,
-    eps_greedy_select,
-    gr_select,
     load_snapshot,
     purs_select,
     q_update,
     record_transition,
     save_agent,
     state_key,
-    urs_select,
 )
 from algocontrol.benchmarks import CountingEnv, FuzzyEnv
 from algocontrol.core import CONTEXT_FREE, ContractError, Observation, SeedSpec, derive_stream
@@ -37,19 +34,29 @@ def chi2_uniform(counts):
     return float(((counts - expected) ** 2 / expected).sum())
 
 
+# An observation and its table key, for selection-rule tests.
+OBS = Observation(time_step=0, action_history=(5,) * 5)
+S = state_key(OBS)
+
+
+def draws(agent, rng, n):
+    """``n`` training-time action choices of ``agent`` at OBS."""
+    return [agent.select_action(OBS, rng) for _ in range(n)]
+
+
 class TestUrsSelect:
     def test_single_action(self):
         rng = derive_stream(0, 0)
-        assert all(urs_select(rng, 1) == 0 for _ in range(20))
+        assert draws(TabularAgent("urs", 1), rng, 20) == [0] * 20
 
     def test_uniform_frequencies(self):
         rng = derive_stream(1, 0)
-        counts = np.bincount([urs_select(rng, 5) for _ in range(10**5)], minlength=5)
+        counts = np.bincount(draws(TabularAgent("urs", 5), rng, 10**5), minlength=5)
         assert np.all(np.abs(counts / 10**5 - 0.2) <= 0.01)
 
     def test_zero_actions_rejected(self):
         with pytest.raises(ContractError):
-            urs_select(derive_stream(2, 0), 0)
+            TabularAgent("urs", 0)
 
 
 class ReferenceTable:
@@ -149,19 +156,15 @@ class TestGrSelect:
         return q
 
     def test_argmax(self):
-        q = self._table([0.5, 0.9])
-        assert gr_select(TransitionStats(2), q, "s") == 1
+        assert self._table([0.5, 0.9]).argmax("s") == 1
 
     def test_all_zero_tie_break(self):
-        q = QTable(4)
-        assert gr_select(TransitionStats(4), q, "s") == 0
+        assert QTable(4).argmax("s") == 0
 
     def test_scale_invariance(self):
         row = [0.2, 0.7, 0.4]
-        base = gr_select(TransitionStats(3), self._table(row), "s")
-        scaled = gr_select(
-            TransitionStats(3), self._table([10 * v for v in row]), "s"
-        )
+        base = self._table(row).argmax("s")
+        scaled = self._table([10 * v for v in row]).argmax("s")
         assert base == scaled == 1
 
 
@@ -211,34 +214,28 @@ class TestEpsGreedySelect:
         rng = derive_stream(7, 0)
         value_rng = derive_stream(7, 1)
         for _ in range(100):
-            q = QTable(4)
+            agent = TabularAgent("gr", 4)
             for a in range(4):
-                q.set("s", a, float(value_rng.normal()))
-            assert eps_greedy_select(rng, q, "s", 0.0, 4) == gr_select(
-                TransitionStats(4), q, "s"
-            )
+                agent.q.set(S, a, float(value_rng.normal()))
+            assert agent.select_action(OBS, rng) == agent.q.argmax(S)
 
     def test_epsilon_one_uniform_chi_squared(self):
-        q = QTable(5)
-        q.set("s", 2, 10.0)  # a clear argmax that must be ignored
+        agent = TabularAgent("urs", 5)
+        agent.q.set(S, 2, 10.0)  # a clear argmax that must be ignored
         rng = derive_stream(8, 0)
-        counts = np.bincount(
-            [eps_greedy_select(rng, q, "s", 1.0, 5) for _ in range(10**5)],
-            minlength=5,
-        )
+        counts = np.bincount(draws(agent, rng, 10**5), minlength=5)
         assert chi2_uniform(counts) < CHI2_99[4]
 
     def test_argmax_frequency(self):
-        q = QTable(5)
-        q.set("s", 3, 1.0)
+        agent = TabularAgent("qlearn", 5, hp=AgentHyperparams(epsilon=0.1))
+        agent.q.set(S, 3, 1.0)
         rng = derive_stream(9, 0)
-        draws = [eps_greedy_select(rng, q, "s", 0.1, 5) for _ in range(10**5)]
-        frequency = sum(a == 3 for a in draws) / 10**5
+        frequency = sum(a == 3 for a in draws(agent, rng, 10**5)) / 10**5
         assert abs(frequency - (0.9 + 0.1 / 5)) <= 0.01
 
     def test_invalid_epsilon(self):
         with pytest.raises(ContractError):
-            eps_greedy_select(derive_stream(10, 0), QTable(2), "s", 1.5, 2)
+            AgentHyperparams(epsilon=1.5)
 
 
 class TestQUpdate:
@@ -381,11 +378,11 @@ class TestTabularAgent:
 
     def test_snapshot_immune_to_training(self):
         agent = self._train("qlearn", episodes=30)
-        policy = agent.extract_greedy_policy()
+        frozen = agent.q.copy()
         probe_states = list(agent.q.rows)
         assert probe_states
-        before = {s: policy.q.argmax(s) for s in probe_states}
-        before_rows = {s: list(policy.q.row(s)) for s in probe_states}
+        before = {s: frozen.argmax(s) for s in probe_states}
+        before_rows = {s: list(frozen.row(s)) for s in probe_states}
         env = CountingEnv(3)
         rng = derive_stream(13, 0)
         for episode in range(100):
@@ -393,14 +390,11 @@ class TestTabularAgent:
                 agent, env, CONTEXT_FREE, SeedSpec(13, episode), rng, rng
             )
         assert agent.q.rows != before_rows  # training went on
-        assert {s: policy.q.argmax(s) for s in probe_states} == before
-        assert {s: list(policy.q.row(s)) for s in policy.q.rows} == before_rows
+        assert {s: frozen.argmax(s) for s in probe_states} == before
+        assert {s: list(frozen.row(s)) for s in frozen.rows} == before_rows
 
     def test_untrained_policy_plays_action_zero(self):
-        agent = TabularAgent("qlearn", 5)
-        policy = agent.extract_greedy_policy()
-        obs = Observation(time_step=0, action_history=(5,) * 5)
-        assert policy(obs) == 0
+        assert TabularAgent("qlearn", 5).greedy_action(OBS) == 0
 
     def test_purs_uniform_on_fixed_length_benchmark(self):
         # once every action is visited, equal remaining-step estimates
@@ -449,8 +443,8 @@ class TestSnapshotRoundTrip:
         path = tmp_path / "agent.snap"
         save_agent(agent, str(path))
         loaded = load_snapshot(str(path))
-        assert loaded["kind"] == "qlearn"
-        assert loaded["q"].rows == agent.q.rows
+        assert isinstance(loaded, TabularAgent) and loaded.kind == "qlearn"
+        assert loaded.q.rows == agent.q.rows
         assert len(agent.q) > 0
         records = path.read_text().split("records ")[1].splitlines()
         assert int(records[0]) == len(agent.q) * 3 == len(records) - 1
@@ -470,7 +464,7 @@ class TestSnapshotRoundTrip:
     def test_loads_pair_records(self, tmp_path):
         path = tmp_path / "old.snap"
         path.write_text(self.PAIR_SNAPSHOT)
-        q = load_snapshot(str(path))["q"]
+        q = load_snapshot(str(path)).q
         assert q.rows == {(0, (), (3, 3)): [0.0, 0.5, 0.0], (1, (), (3, 1)): [0.0, 0.0, -2.0]}
         assert q.argmax((1, (), (3, 1))) == 0
 
