@@ -32,11 +32,9 @@ from .core import (
     ContractError,
     Environment,
     EnvSpec,
-    EpisodeTrace,
     InstanceContext,
     Observation,
     SeedSpec,
-    StepOutcome,
     derive_seed,
     derive_stream,
     greedy_rollout,

@@ -9,6 +9,7 @@ episode length.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -247,30 +248,31 @@ class DQNAgent:
     def epsilon(self) -> float:
         return dqn_epsilon(self.episodes_trained, self.decay_episodes)
 
-    def begin_episode(self) -> None:
-        pass
-
-    def select_action(self, obs: Observation, rng: np.random.Generator) -> ActionId:
+    def select_action(self, s: np.ndarray, rng: np.random.Generator) -> ActionId:
         if rng.random() < self.epsilon:
             return int(rng.integers(self.action_count))
-        return int(np.argmax(self.net.forward(self.encode(obs))))
+        return int(np.argmax(self.net.forward(s)))
 
-    def observe(
-        self,
-        obs: Observation,
-        action: ActionId,
-        reward: float,
-        next_obs: Observation,
-        done: bool,
-    ) -> None:
-        self.buffer.push(self.encode(obs), action, reward, self.encode(next_obs), done)
+    def observe(self, s: np.ndarray, action: ActionId, reward: float,
+                s_next: np.ndarray, done: bool) -> None:
+        self.buffer.push(s, action, reward, s_next, done)
 
-    def end_episode(self, rng: np.random.Generator | None = None) -> None:
-        sample_rng = rng if rng is not None else np.random.default_rng(0)
+    def end_episode(self, rng: np.random.Generator) -> None:
+        """One SGD step on a replay sample, then the target sync; a loss
+        or parameter that is not finite raises ContractError."""
+        episode = self.episodes_trained + 1
         if len(self.buffer) > 0:
-            batch = self.buffer.sample(sample_rng, self.batch_size)
+            batch = self.buffer.sample(rng, self.batch_size)
             self.last_loss = dqn_train_step(self.net, self.target_net, batch, self.hp)
-        self.episodes_trained += 1
+            if not (
+                math.isfinite(self.last_loss)
+                and all(np.isfinite(p).all() for p in self.net.parameters())
+            ):
+                raise ContractError(
+                    f"DQN training diverged in episode {episode}: loss {self.last_loss!r} "
+                    "or an updated parameter is not finite"
+                )
+        self.episodes_trained = episode
         sync_target(self.net, self.target_net, self.episodes_trained, self.hp)
 
     def greedy_action(self, obs: Observation) -> ActionId:

@@ -7,13 +7,14 @@ state row, keyed ``state|action``; a reader also accepts files that
 store only some actions of a state (the others read as 0). Networks
 store one record per parameter element. Floats round-trip exactly via
 repr. Loading rebuilds the agent itself, so a replay acts through the
-same ``greedy_action`` as training. A malformed snapshot raises
-ContractError naming the line.
+same ``greedy_action`` as training. A malformed snapshot, including a
+value that is not finite, raises ContractError naming the line.
 """
 
 from __future__ import annotations
 
 import io
+import math
 from typing import TextIO
 
 import numpy as np
@@ -66,6 +67,13 @@ def _read_header(lines: list[str]) -> tuple[str, dict[str, str], int]:
 
 def _is_count(text: str) -> bool:
     return text.isascii() and text.isdigit()
+
+
+def _finite(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"{text!r} is not finite")
+    return value
 
 
 def _meta_int(meta: dict[str, str], key: str, default: int | None = None) -> int:
@@ -138,7 +146,10 @@ def save_agent(agent, path: str) -> None:
 def load_snapshot(path: str) -> TabularAgent | DQNAgent:
     """Rebuild the agent a snapshot holds, ready for ``greedy_action``."""
     with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
+        try:
+            lines = fh.read().splitlines()
+        except UnicodeDecodeError as exc:
+            raise ContractError(f"{path}: snapshot is not UTF-8 text ({exc})") from None
     kind, meta, start = _read_header(lines)
     count_text = lines[start].partition(" ")[2].strip()
     if not _is_count(count_text):
@@ -168,14 +179,11 @@ def load_snapshot(path: str) -> TabularAgent | DQNAgent:
         _read_records(body, start + 2, lambda key, value: _set_param(arrays, key, value))
         scales_text = meta.get("context_scales", "")
         try:
-            scales = (
-                tuple(float(s) for s in scales_text.split(","))
-                if scales_text
-                else (1.0,) * (input_dim - 1)
-            )
+            scales = tuple(_finite(s) for s in scales_text.split(",")) if scales_text else None
         except ValueError:
             raise ContractError(
-                f"snapshot header line 'context_scales': {scales_text!r} is not a list of numbers"
+                f"snapshot header line 'context_scales': {scales_text!r} is not a list of "
+                "finite numbers"
             ) from None
         agent = DQNAgent(
             action_count=action_count,
@@ -200,7 +208,7 @@ def _read_records(body: list[str], first_lineno: int, store) -> None:
     for lineno, line in enumerate(body, start=first_lineno):
         key_text, _, value_text = line.partition("\t")
         try:
-            store(key_text, float(value_text))
+            store(key_text, _finite(value_text))
         except (ValueError, KeyError, IndexError):
             raise ContractError(f"snapshot line {lineno}: malformed record {line!r}") from None
 

@@ -245,31 +245,23 @@ class TabularAgent:
         # (state, action) of each step this episode; only PURS keeps them.
         self._episode: list[tuple[StateKey, ActionId]] = []
 
-    def begin_episode(self) -> None:
-        self._episode = []
+    def encode(self, obs: Observation) -> StateKey:
+        return state_key(obs)
 
-    def select_action(self, obs: Observation, rng: np.random.Generator) -> ActionId:
-        s = state_key(obs)
+    def select_action(self, s: StateKey, rng: np.random.Generator) -> ActionId:
         if self.kind == "purs":
             return purs_select(rng, self.stats, s, self.action_count)
         if self.epsilon > 0.0 and rng.random() < self.epsilon:
             return int(rng.integers(self.action_count))
         return argmax_with_random_ties(rng, self.q, s, self.action_count)
 
-    def observe(
-        self,
-        obs: Observation,
-        action: ActionId,
-        reward: float,
-        next_obs: Observation,
-        done: bool,
-    ) -> None:
-        s, s_next = state_key(obs), state_key(next_obs)
+    def observe(self, s: StateKey, action: ActionId, reward: float,
+                s_next: StateKey, done: bool) -> None:
         q_update(self.q, s, action, reward, s_next, done, self.hp)
         if self.kind == "purs":
             self._episode.append((s, action))
 
-    def end_episode(self, rng: np.random.Generator | None = None) -> None:
+    def end_episode(self, rng: np.random.Generator) -> None:
         # Remaining steps are only known once the episode length is.
         length = len(self._episode)
         for i, (s, a) in enumerate(self._episode):

@@ -191,9 +191,6 @@ class LubyEnv(Environment):
         )
         self._targets = tuple(luby_exponent(t + 1) for t in range(horizon))
 
-    def target_exponent(self, t: int) -> int:
-        return self._targets[t]
-
     def _reward(self, t: int, action: ActionId) -> float:
         return 1.0 if action == self._targets[t] else -1.0
 
@@ -219,9 +216,6 @@ class SigmoidEnv(Environment):
                 history_len=0,
             )
         )
-
-    def _continuous_features(self) -> tuple[float, ...]:
-        return self.instance.params
 
     def _reward(self, t: int, action: ActionId) -> float:
         scale, inflection = self.instance.params
@@ -250,9 +244,6 @@ class SigmoidMVAEnv(Environment):
             )
         )
         self.levels = levels
-
-    def _continuous_features(self) -> tuple[float, ...]:
-        return self.instance.params
 
     def _reward(self, t: int, action: ActionId) -> float:
         scale, inflection = self.instance.params

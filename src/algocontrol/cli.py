@@ -20,6 +20,8 @@ import math
 import os
 import sys
 
+import numpy as np
+
 from .agents import DQNAgent, load_snapshot, save_agent
 from .benchmarks import BENCHMARK_KINDS, BenchmarkConfig, make_env
 from .config import apply_overrides, parse_config, render_config
@@ -220,9 +222,9 @@ def _cmd_report(args) -> int:
     rows: list[dict] = []
     for path in args.csvs:
         rows.extend(_read_result_csv(path))
-    if not rows:
-        raise ContractError("no data rows in the given CSVs")
     series = _series_by_agent(rows, args.window)
+    if not series:
+        raise ContractError("no train rows in the given CSVs")
     if args.mode == "table":
         for agent, agg in series.items():
             print(f"{agent}: {agg.mean[-1]:.3f} ± {agg.stderr[-1]:.3f}")
@@ -347,11 +349,15 @@ def _cmd_replay(args) -> int:
                 f"snapshot horizon {agent.horizon} but {bench.kind} expects {spec.horizon}"
             )
     instance = _parse_instance(args.instance, bench)
-    total = greedy_rollout(
-        agent.greedy_action, env, instance, SeedSpec(args.seed, 0), record_trace=True
-    )
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            total = greedy_rollout(
+                agent.greedy_action, env, instance, SeedSpec(args.seed, 0), record_trace=True
+            )
+    except FloatingPointError as exc:
+        raise ContractError(f"{args.snapshot}: a Q-value is not finite ({exc})") from None
     print(f"replay {agent.kind} on {bench.kind} (T={spec.horizon})")
-    for obs, action, reward, _, _ in env.trace.transitions:
+    for obs, action, reward in env.trace:
         features = ",".join(f"{v:g}" for v in obs.continuous_features)
         print(f"t={obs.time_step:3d} obs=[{features}] action={action} reward={reward:.6g}")
     print(f"total reward: {total:.6g}")

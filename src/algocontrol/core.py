@@ -11,7 +11,7 @@ bit for bit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,8 +26,8 @@ class ContractError(ValueError):
 class Observation:
     """What the controller sees at one time step.
 
-    ``continuous_features`` carries instance information for benchmarks
-    that expose it (empty otherwise). ``action_history`` holds the most
+    ``continuous_features`` carries the instance's parameters (empty
+    for context-free benchmarks). ``action_history`` holds the most
     recent actions, oldest first, padded with the environment's pad
     value (== action_count, outside the valid action range) until enough
     actions exist.
@@ -51,38 +51,6 @@ class InstanceContext:
 
 
 CONTEXT_FREE = InstanceContext(instance_id=0, params=())
-
-
-@dataclass(frozen=True)
-class StepOutcome:
-    observation: Observation
-    reward: float
-    done: bool
-
-
-@dataclass
-class EpisodeTrace:
-    """Full record of one episode: transitions plus their reward sum."""
-
-    instance: InstanceContext
-    transitions: list[tuple[Observation, ActionId, float, Observation, bool]] = field(
-        default_factory=list
-    )
-    total_reward: float = 0.0
-
-    def append(
-        self,
-        obs: Observation,
-        action: ActionId,
-        reward: float,
-        next_obs: Observation,
-        done: bool,
-    ) -> None:
-        self.transitions.append((obs, action, reward, next_obs, done))
-        self.total_reward += reward
-
-    def __len__(self) -> int:
-        return len(self.transitions)
 
 
 @dataclass(frozen=True)
@@ -135,15 +103,6 @@ def derive_stream(master_seed: int, stream_id: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(derive_seed(master_seed, stream_id)))
 
 
-def as_generator(seed: SeedSpec | np.random.Generator | None) -> np.random.Generator:
-    """Accept a SeedSpec or an existing Generator; None means stream (0, 0)."""
-    if isinstance(seed, np.random.Generator):
-        return seed
-    if seed is None:
-        return derive_stream(0, 0)
-    return derive_stream(seed.master_seed, seed.stream_id)
-
-
 class Environment:
     """Base class for all benchmarks: pull-based reset/step lifecycle.
 
@@ -161,7 +120,8 @@ class Environment:
         self._t = 0
         self._done = True
         self._history: tuple[int, ...] = ()
-        self._trace: EpisodeTrace | None = None
+        self._obs: Observation | None = None
+        self._trace: list[tuple[Observation, ActionId, float]] | None = None
 
     @property
     def spec(self) -> EnvSpec:
@@ -182,22 +142,19 @@ class Environment:
     def rng(self) -> np.random.Generator:
         """The episode's random stream, derived from its seed on first use."""
         if self._rng is None:
-            self._rng = as_generator(self._seed)
+            seed = self._seed if self._seed is not None else SeedSpec(0, 0)
+            self._rng = derive_stream(seed.master_seed, seed.stream_id)
         return self._rng
 
-    def reset(
-        self,
-        instance: InstanceContext = CONTEXT_FREE,
-        seed: SeedSpec | np.random.Generator | None = None,
-        record_trace: bool = False,
-    ) -> Observation:
+    def reset(self, instance: InstanceContext = CONTEXT_FREE, seed: SeedSpec | None = None,
+              record_trace: bool = False) -> Observation:
         """Start an episode on ``instance`` and return its first observation.
 
         ``seed`` addresses the episode's random stream; None means stream
-        (0, 0). A SeedSpec is stored and its Generator derived on the
-        first draw, so benchmarks whose rewards draw nothing never derive
-        one. The stream and the order of draws are the same as if it were
-        derived here. A Generator passed in is used as is.
+        (0, 0). The seed is stored and its Generator derived on the first
+        draw, so benchmarks whose rewards draw nothing never derive one.
+        The stream and the order of draws are the same as if it were
+        derived here.
         """
         if len(instance.params) != self._spec.context_dim:
             raise ContractError(
@@ -205,42 +162,40 @@ class Environment:
                 f"environment expects {self._spec.context_dim}"
             )
         self._instance = instance
-        if isinstance(seed, np.random.Generator):
-            self._seed, self._rng = None, seed
-        else:
-            self._seed, self._rng = seed, None
+        self._seed, self._rng = seed, None
         self._t = 0
         self._done = False
         self._history = (self.pad_action,) * self._spec.history_len
-        self._trace = EpisodeTrace(instance=instance) if record_trace else None
-        return self._observe()
+        self._trace = [] if record_trace else None
+        self._obs = self._observe()
+        return self._obs
 
-    def step(self, action: ActionId) -> StepOutcome:
+    def step(self, action: ActionId) -> tuple[Observation, float, bool]:
+        """Apply ``action``; returns ``(next observation, reward, done)``."""
         if self._done or self._instance is None:
             raise ContractError("step called on an inactive episode (reset first)")
         if not 0 <= action < self._spec.action_count:
             raise ContractError(
                 f"action {action} out of range [0, {self._spec.action_count})"
             )
-        # The pre-step observation only feeds the trace.
-        obs = self._observe() if self._trace is not None else None
         reward = float(self._reward(self._t, action))
         terminated = self._terminates(self._t, action)
+        if self._trace is not None:
+            self._trace.append((self._obs, action, reward))
         if self._spec.history_len > 0:
             self._history = self._history[1:] + (action,)
         self._t += 1
         self._done = terminated or self._t >= self._spec.horizon
-        next_obs = self._observe()
-        if self._trace is not None:
-            self._trace.append(obs, action, reward, next_obs, self._done)
-        return StepOutcome(observation=next_obs, reward=reward, done=self._done)
+        self._obs = self._observe()
+        return self._obs, reward, self._done
 
     @property
     def done(self) -> bool:
         return self._done
 
     @property
-    def trace(self) -> EpisodeTrace:
+    def trace(self) -> list[tuple[Observation, ActionId, float]]:
+        """The episode's ``(observation, action, reward)`` steps, in order."""
         if self._trace is None:
             raise ContractError("episode was not reset with record_trace=True")
         return self._trace
@@ -248,12 +203,9 @@ class Environment:
     def _observe(self) -> Observation:
         return Observation(
             time_step=self._t,
-            continuous_features=self._continuous_features(),
+            continuous_features=self._instance.params,
             action_history=self._history,
         )
-
-    def _continuous_features(self) -> tuple[float, ...]:
-        return ()
 
     def _reward(self, t: int, action: ActionId) -> float:
         raise NotImplementedError
@@ -262,24 +214,18 @@ class Environment:
         return False
 
 
-def greedy_rollout(
-    policy,
-    env: Environment,
-    instance: InstanceContext,
-    seed: SeedSpec | np.random.Generator | None,
-    record_trace: bool = False,
-) -> float:
+def greedy_rollout(policy, env: Environment, instance: InstanceContext,
+                   seed: SeedSpec | None, record_trace: bool = False) -> float:
     """Roll out ``policy(obs) -> action`` for one episode; returns the
     total reward.
 
     This is the one loop that runs a fixed policy: greedy evaluation,
     open-loop schedules and snapshot replay all go through it. With
-    ``record_trace`` the episode's transitions stay in ``env.trace``.
+    ``record_trace`` the episode's steps stay in ``env.trace``.
     """
     obs = env.reset(instance, seed, record_trace)
     total = 0.0
     while not env.done:
-        outcome = env.step(policy(obs))
-        total += outcome.reward
-        obs = outcome.observation
+        obs, reward, _ = env.step(policy(obs))
+        total += reward
     return total

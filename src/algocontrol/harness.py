@@ -202,16 +202,17 @@ def run_training_episode(
     explore_rng: np.random.Generator,
     train_rng: np.random.Generator,
 ) -> float:
-    """One training episode: act, observe, update; returns total reward."""
-    agent.begin_episode()
-    obs = env.reset(instance, seed)
+    """One training episode: act, observe, update; returns total reward.
+    Each observation is encoded once, by ``agent.encode``."""
+    s = agent.encode(env.reset(instance, seed))
     total = 0.0
     while not env.done:
-        action = agent.select_action(obs, explore_rng)
-        outcome = env.step(action)
-        agent.observe(obs, action, outcome.reward, outcome.observation, outcome.done)
-        total += outcome.reward
-        obs = outcome.observation
+        action = agent.select_action(s, explore_rng)
+        obs, reward, done = env.step(action)
+        s_next = agent.encode(obs)
+        agent.observe(s, action, reward, s_next, done)
+        total += reward
+        s = s_next
     agent.end_episode(train_rng)
     return total
 

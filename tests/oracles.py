@@ -36,14 +36,10 @@ def enumerate_counting_mdp(horizon: int) -> dict:
                 env = CountingEnv(horizon)
                 obs = env.reset(CONTEXT_FREE, SeedSpec(0, 0))
                 for past in prefix:
-                    obs = env.step(past).observation
-                outcome = env.step(action)
-                transitions[(state_key(obs), action)] = (
-                    outcome.reward,
-                    state_key(outcome.observation),
-                    outcome.done,
-                )
-                if not outcome.done:
+                    obs, _, _ = env.step(past)
+                next_obs, reward, done = env.step(action)
+                transitions[(state_key(obs), action)] = (reward, state_key(next_obs), done)
+                if not done:
                     next_frontier.append(prefix + (action,))
         frontier = next_frontier
     return transitions

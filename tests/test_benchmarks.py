@@ -72,8 +72,8 @@ class TestFuzzy:
     def test_immediate_termination_total_zero(self):
         env = FuzzyEnv(20)
         env.reset(CONTEXT_FREE, SeedSpec(0, 0))
-        outcome = env.step(0)
-        assert outcome.done and outcome.reward == 0.0
+        _, reward, done = env.step(0)
+        assert done and reward == 0.0
 
     def test_reward_sample_mean(self):
         # 1e5 reward draws for action 1: mean within 0.02 of 1 (sd 2, so
@@ -84,7 +84,7 @@ class TestFuzzy:
         while len(rewards) < 10**5:
             env.reset(CONTEXT_FREE, SeedSpec(100, episode))
             while not env.done:
-                rewards.append(env.step(1).reward)
+                rewards.append(env.step(1)[1])
             episode += 1
         mean = float(np.mean(rewards[: 10**5]))
         assert abs(mean - 1.0) <= 0.02
@@ -96,7 +96,7 @@ class TestFuzzy:
             env.reset(CONTEXT_FREE, SeedSpec(200, episode))
             total = 0.0
             while not env.done:
-                total += env.step(1).reward
+                total += env.step(1)[1]
             totals.append(total)
         # per-episode sd ~ 2*sqrt(20); 3 SEs over 2000 episodes ~ 0.6
         assert abs(float(np.mean(totals)) - 20.0) <= 0.6
@@ -188,7 +188,7 @@ class TestSigmoidMVA:
             inst = sample_sigmoid_instance(rng, 11).as_context()
             env.reset(inst, SeedSpec(401, episode))
             while not env.done:
-                r = env.step(int(rng.integers(5))).reward
+                _, r, _ = env.step(int(rng.integers(5)))
                 assert 0.0 <= r <= 1.0
 
 
@@ -198,14 +198,14 @@ class TestDiscreteRewardRanges:
         rng = derive_stream(402, 0)
         env.reset(CONTEXT_FREE, SeedSpec(402, 0))
         while not env.done:
-            assert env.step(int(rng.integers(5))).reward in (0.0, 1.0)
+            assert env.step(int(rng.integers(5)))[1] in (0.0, 1.0)
 
     def test_luby_rewards_plus_minus_one(self):
         env = LubyEnv(32)
         rng = derive_stream(403, 0)
         env.reset(CONTEXT_FREE, SeedSpec(403, 0))
         while not env.done:
-            assert env.step(int(rng.integers(6))).reward in (-1.0, 1.0)
+            assert env.step(int(rng.integers(6)))[1] in (-1.0, 1.0)
 
     def test_luby_optimal_rollout_scores_horizon(self):
         env = LubyEnv(32)
@@ -213,7 +213,7 @@ class TestDiscreteRewardRanges:
         total = 0.0
         t = 0
         while not env.done:
-            total += env.step(luby_exponent(t + 1)).reward
+            total += env.step(luby_exponent(t + 1))[1]
             t += 1
         assert total == 32.0
 

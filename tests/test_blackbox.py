@@ -15,7 +15,7 @@ from algocontrol.blackbox import (
     race,
     random_schedule,
 )
-from algocontrol.core import ContractError, InstanceContext, derive_stream
+from algocontrol.core import ContractError, InstanceContext, SeedSpec, derive_stream
 
 
 class TestRandomSchedule:
@@ -74,10 +74,10 @@ class TestEvaluateSchedule:
         env = SigmoidEnv(11)
         sched = random_schedule(derive_stream(8, 0), 11, 2)
         for params in ((5.0, 3.0), (-50.0, 8.0)):
-            env.reset(InstanceContext(0, params), derive_stream(8, 1), record_trace=True)
+            env.reset(InstanceContext(0, params), SeedSpec(8, 1), record_trace=True)
             for action in sched.actions:
                 env.step(action)
-            applied = tuple(tr[1] for tr in env.trace.transitions)
+            applied = tuple(action for _, action, _ in env.trace)
             assert applied == sched.actions
 
 

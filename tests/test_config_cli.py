@@ -1,13 +1,21 @@
 """Config parsing, rendering round-trips, and the CLI surface."""
 
+import contextlib
+import io
+import warnings
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from algocontrol.agents import AgentHyperparams, DQNAgent, TabularAgent, save_agent
+from algocontrol.benchmarks import CountingEnv
 from algocontrol.cli import main
 from algocontrol.config import FIELDS, apply_overrides, parse_config, render_config
-from algocontrol.harness import ConfigError
-from test_golden import case_text, valid_cases
+from algocontrol.core import CONTEXT_FREE, SeedSpec, derive_stream
+from algocontrol.harness import ConfigError, run_training_episode
+from test_golden import case_path, case_text, valid_cases
 
 WORKLOADS = sorted((Path(__file__).parents[1] / "perfbench" / "workloads").glob("*.ini"))
 
@@ -238,6 +246,13 @@ class TestCliReport:
         path.write_text("benchmark,agent,seed,episode,phase,eval_reward,wall_time_ms\n")
         assert main(["report", str(path)]) == 3
 
+    def test_test_rows_only_is_one_runtime_line(self, tmp_path, capsys):
+        path = tmp_path / "r.csv"
+        path.write_text(self.CSV.replace("train", "test"))
+        assert main(["report", str(path), "--svg", str(tmp_path / "chart.svg")]) == 3
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["E-RUNTIME: no train rows in the given CSVs"]
+
     def test_schema_mismatch_lists_columns(self, tmp_path, capsys):
         path = tmp_path / "bad.csv"
         path.write_text("foo,bar\n1,2\n")
@@ -338,7 +353,7 @@ class TestCliReplay:
             s = state_key(obs)
             for a in (0, 1):
                 agent.q.set(s, a, sigmoid_reward(obs.time_step, a, 1.0, 5.0))
-            obs = env.step(0).observation
+            obs, _, _ = env.step(0)
         snap = tmp_path / "sig.snap"
         save_agent(agent, str(snap))
         assert (
@@ -388,6 +403,18 @@ class TestCliReplay:
         assert len(err) == 1 and err[0].startswith("E-RUNTIME:") and "horizon" in err[0]
         assert main(argv + ["--horizon", "11"]) == 0
 
+    def test_dqn_overflowing_q_value_is_one_runtime_line(self, tmp_path, capsys):
+        agent = DQNAgent(action_count=2, horizon=11, context_dim=2, total_episodes=10,
+                         rng=derive_stream(26, 0))
+        agent.net.w1[:] = 1e200  # finite weights whose Q-values overflow
+        agent.net.w2[:] = 1e200
+        snap = tmp_path / "dqn.snap"
+        save_agent(agent, str(snap))
+        argv = ["replay", str(snap), "--benchmark", "sigmoid", "--instance", "s=1,p=5"]
+        assert main(argv) == 3
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"E-RUNTIME: {snap}: a Q-value is not finite")
+
     def test_dqn_replay_matches_agent_rollout(self, tmp_path, capsys):
         from algocontrol.agents import AgentHyperparams, save_agent
         from algocontrol.benchmarks import BenchmarkConfig, SigmoidEnv
@@ -430,3 +457,89 @@ class TestCliReplay:
         out = capsys.readouterr().out
         total = float(out.strip().splitlines()[-1].split(":")[1])
         assert total == pytest.approx(expected, abs=1e-6)
+
+
+@st.composite
+def corrupted(draw, data: bytes) -> bytes:
+    """``data`` cut short, or with one or two single-byte edits (flip,
+    drop, insert); edits favour the first 200 bytes, where the headers are."""
+    buf = bytearray(data)
+    if draw(st.booleans()):
+        return bytes(buf[: draw(st.integers(0, len(buf) - 1))])
+    for _ in range(draw(st.integers(1, 2))):
+        i = draw(st.one_of(st.integers(0, 199), st.integers(0, len(buf) - 1))) % len(buf)
+        edit = draw(st.sampled_from(("flip", "drop", "insert")))
+        if edit == "flip":
+            buf[i] ^= draw(st.integers(1, 255))
+        elif edit == "drop":
+            del buf[i]
+        else:
+            buf.insert(i, draw(st.integers(0, 255)))
+    return bytes(buf)
+
+
+@pytest.fixture(scope="module")
+def valid_inputs(tmp_path_factory):
+    """Valid bytes of a tabular snapshot, a DQN snapshot and a result CSV."""
+    tmp = tmp_path_factory.mktemp("valid")
+    tabular = TabularAgent("qlearn", 5, hp=AgentHyperparams(alpha=1.0))
+    rng = derive_stream(24, 0)
+    for episode in range(30):
+        run_training_episode(tabular, CountingEnv(5), CONTEXT_FREE, SeedSpec(24, episode), rng, rng)
+    dqn = DQNAgent(action_count=2, horizon=11, context_dim=2, total_episodes=10,
+                   rng=derive_stream(25, 0))
+    for name, agent in (("tabular", tabular), ("dqn", dqn)):
+        save_agent(agent, str(tmp / name))
+    return {
+        "tabular": (tmp / "tabular").read_bytes(),
+        "dqn": (tmp / "dqn").read_bytes(),
+        "csv": case_path("sigmoid", "dqn", "fixed").read_bytes(),
+    }
+
+
+FUZZ_SETTINGS = settings(
+    max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow]
+)
+
+
+class TestCorruptedInputs:
+    """A corrupted snapshot or result CSV ends in exit 0, 3 or 4, and in
+    no stderr or exactly one ``E-`` line, never a traceback."""
+
+    ARGS = {
+        "tabular": ["--benchmark", "counting", "--horizon", "5"],
+        "dqn": ["--benchmark", "sigmoid", "--horizon", "11", "--instance", "s=1,p=5"],
+    }
+
+    @staticmethod
+    def _run(argv):
+        err = io.StringIO()
+        # A warning would reach the terminal as more stderr lines.
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err), \
+                warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(argv)
+        assert code in (0, 3, 4)
+        lines = err.getvalue().splitlines()
+        if code == 0:
+            assert lines == []
+        else:
+            assert len(lines) == 1 and lines[0].startswith("E-"), lines
+
+    @pytest.mark.parametrize("kind", ["tabular", "dqn"])
+    @FUZZ_SETTINGS
+    @given(data=st.data())
+    def test_replay(self, kind, valid_inputs, tmp_path_factory, data):
+        path = tmp_path_factory.getbasetemp() / f"fuzz-{kind}.snap"
+        path.write_bytes(data.draw(corrupted(valid_inputs[kind])))
+        self._run(["replay", str(path)] + self.ARGS[kind])
+
+    @FUZZ_SETTINGS
+    @given(data=st.data(), mode=st.sampled_from(("table", "plotdata")), svg=st.booleans())
+    def test_report(self, valid_inputs, tmp_path_factory, data, mode, svg):
+        path = tmp_path_factory.getbasetemp() / "fuzz.csv"
+        path.write_bytes(data.draw(corrupted(valid_inputs["csv"])))
+        argv = ["report", str(path), "--mode", mode]
+        if svg:
+            argv += ["--svg", str(path.with_suffix(".svg"))]
+        self._run(argv)

@@ -89,16 +89,17 @@ class TestStepContract:
     def test_counting_matching_action(self):
         env = CountingEnv(5)
         env.reset(CONTEXT_FREE, SeedSpec(1, 0))
-        outcome = env.step(0)
-        assert outcome.reward == 1.0
-        assert not outcome.done
+        obs, reward, done = env.step(0)
+        assert reward == 1.0
+        assert not done
+        assert obs.time_step == 1 and obs.action_history == (5, 5, 5, 5, 0)
 
     def test_fuzzy_action_zero_terminates(self):
         env = FuzzyEnv(20)
         env.reset(CONTEXT_FREE, SeedSpec(1, 0))
-        outcome = env.step(0)
-        assert outcome.done
-        assert outcome.reward == 0.0
+        _, reward, done = env.step(0)
+        assert done
+        assert reward == 0.0
 
     def test_action_out_of_range(self):
         env = LubyEnv(32)
@@ -123,7 +124,7 @@ class TestStepContract:
         obs = env.reset(CONTEXT_FREE, SeedSpec(1, 0))
         for expected_t in range(5):
             assert obs.time_step == expected_t
-            obs = env.step(0).observation
+            obs, _, _ = env.step(0)
 
 
 def _random_policy(rng, action_count):
@@ -161,15 +162,23 @@ class TestEpisodeTrace:
         env = FuzzyEnv(20)
         rng = derive_stream(6, 1)
         total, trace = _traced_rollout(env, _random_policy(rng, 2), CONTEXT_FREE, SeedSpec(6, 2))
-        assert total == trace.total_reward == pytest.approx(
-            sum(t[2] for t in trace.transitions), abs=0
-        )
+        assert total == pytest.approx(sum(reward for _, _, reward in trace), abs=0)
 
     def test_fuzzy_can_end_early(self):
         env = FuzzyEnv(20)
         total, trace = _traced_rollout(env, lambda obs: 0, CONTEXT_FREE, SeedSpec(7, 0))
         assert len(trace) == 1
-        assert total == trace.total_reward == 0.0
+        assert total == trace[0][2] == 0.0
+
+    def test_trace_holds_each_pre_step_observation(self):
+        env = CountingEnv(3)
+        actions = iter((0, 2, 2))
+        _, trace = _traced_rollout(env, lambda obs: next(actions), CONTEXT_FREE, SeedSpec(7, 1))
+        assert [(obs.time_step, obs.action_history[-1], a, r) for obs, a, r in trace] == [
+            (0, 3, 0, 1.0),
+            (1, 0, 2, 0.0),
+            (2, 2, 2, 1.0),
+        ]
 
     @given(seed=st.integers(0, 2**32 - 1), data=st.data())
     @settings(max_examples=25, deadline=None)
@@ -177,14 +186,13 @@ class TestEpisodeTrace:
         actions = data.draw(st.lists(st.integers(0, 1), min_size=20, max_size=20))
         first = self._run_fixed(seed, actions)
         second = self._run_fixed(seed, actions)
-        assert first.transitions == second.transitions
-        assert first.total_reward == second.total_reward
+        assert first == second
 
     @staticmethod
     def _run_fixed(seed, actions):
         env = FuzzyEnv(20)
         it = iter(actions)
-        return _traced_rollout(env, lambda obs: next(it), CONTEXT_FREE, SeedSpec(seed, 0))[1]
+        return _traced_rollout(env, lambda obs: next(it), CONTEXT_FREE, SeedSpec(seed, 0))
 
     @pytest.mark.parametrize("ctor,args", FIXED_LENGTH_ENVS)
     def test_observation_dims_match_spec(self, ctor, args):
@@ -198,7 +206,7 @@ class TestEpisodeTrace:
             assert len(obs.continuous_features) == spec.obs_continuous_dim
             assert len(obs.action_history) == spec.history_len
             assert obs.time_step <= spec.horizon
-            obs = env.step(0).observation
+            obs, _, _ = env.step(0)
 
 
 class TestLazyStreams:
@@ -229,7 +237,7 @@ class TestLazyStreams:
         env = FuzzyEnv(20)
         for stream in range(3):
             env.reset(CONTEXT_FREE, SeedSpec(31, stream))
-            lazy = [env.step(1).reward for _ in range(20)]
+            lazy = [env.step(1)[1] for _ in range(20)]
             eager_rng = derive_stream(31, stream)
             eager = [1.0 + 2.0 * eager_rng.standard_normal() for _ in range(20)]
             assert lazy == eager
@@ -241,17 +249,7 @@ class TestLazyStreams:
         env.step(0)  # terminates without drawing
         assert derivations == []
         env.reset(CONTEXT_FREE, None)
-        first = env.step(1).reward
+        _, first, _ = env.step(1)
         assert first == 1.0 + 2.0 * derive_stream(0, 0).standard_normal()
         env.step(1)
         assert derivations == [(0, 0)]
-
-    def test_generator_passed_in_is_used_as_is(self, derivations):
-        rng = derive_stream(33, 0)
-        twin = derive_stream(33, 0)
-        env = FuzzyEnv(20)
-        env.reset(CONTEXT_FREE, rng)
-        rewards = [env.step(1).reward for _ in range(5)]
-        assert rewards == [1.0 + 2.0 * twin.standard_normal() for _ in range(5)]
-        assert rng.bit_generator.state == twin.bit_generator.state
-        assert derivations == []

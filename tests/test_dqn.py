@@ -214,6 +214,23 @@ class TestDQNAgent:
         encoded = agent.encode(obs)
         assert np.allclose(encoded, [5 / 11, 0.5, 0.5])
 
+    def test_non_finite_update_names_episode(self):
+        agent = DQNAgent(
+            action_count=2,
+            horizon=11,
+            context_dim=2,
+            total_episodes=100,
+            rng=derive_stream(87, 0),
+        )
+        rng = derive_stream(87, 1)
+        s = agent.encode(Observation(time_step=0, continuous_features=(1.0, 5.0)))
+        agent.observe(s, 1, 0.5, s, True)
+        agent.end_episode(rng)
+        agent.net.w1[0, 0] = np.nan
+        with np.errstate(invalid="ignore"), pytest.raises(ContractError, match="episode 2"):
+            agent.end_episode(rng)
+        assert agent.episodes_trained == 1
+
     def test_greedy_policy_snapshot_is_frozen(self, tmp_path):
         agent = DQNAgent(
             action_count=2,

@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from algocontrol.agents import AgentHyperparams, TabularAgent
-from algocontrol.benchmarks import BenchmarkConfig, CountingEnv, make_env
-from algocontrol.core import CONTEXT_FREE, ContractError, SeedSpec
+from algocontrol.agents import AgentHyperparams, DQNAgent, TabularAgent, tabular
+from algocontrol.benchmarks import BenchmarkConfig, CountingEnv, LubyEnv, SigmoidEnv, make_env
+from algocontrol.core import CONTEXT_FREE, ContractError, InstanceContext, SeedSpec, derive_stream
 from algocontrol.harness import (
     CSV_HEADER,
     ConfigError,
@@ -20,6 +20,7 @@ from algocontrol.harness import (
     format_csv,
     greedy_rollout,
     run_experiment,
+    run_training_episode,
     smooth,
     train_and_evaluate,
 )
@@ -196,7 +197,7 @@ class TestTrainAndEvaluate:
             obs = env.reset(CONTEXT_FREE, SeedSpec(0, 0))
             while not env.done:
                 agent.q.set(state_key(obs), obs.time_step, 1.0)
-                obs = env.step(obs.time_step).observation
+                obs, _, _ = env.step(obs.time_step)
             return agent
 
         monkeypatch.setattr(harness_module, "_make_agent", optimal_agent)
@@ -230,6 +231,40 @@ class TestTrainAndEvaluate:
         curve = train_and_evaluate(cfg, 0)
         assert curve.episodes == list(range(1, 31))
         assert all(a <= b for a, b in zip(curve.train_rewards, curve.train_rewards[1:]))
+
+
+class TestOneEncodingPerObservation:
+    """A training episode encodes each observation once: steps + 1 calls."""
+
+    def test_luby_state_key_calls(self, monkeypatch):
+        calls = []
+        real = tabular.state_key
+
+        def counting(obs):
+            calls.append(obs.time_step)
+            return real(obs)
+
+        monkeypatch.setattr(tabular, "state_key", counting)
+        agent = TabularAgent("qlearn", 6)
+        rng = derive_stream(90, 0)
+        run_training_episode(agent, LubyEnv(32), CONTEXT_FREE, SeedSpec(90, 1), rng, rng)
+        assert calls == list(range(33))
+
+    def test_sigmoid_dqn_encode_calls(self, monkeypatch):
+        calls = []
+        real = DQNAgent.encode
+
+        def counting(self, obs):
+            calls.append(obs.time_step)
+            return real(self, obs)
+
+        monkeypatch.setattr(DQNAgent, "encode", counting)
+        agent = DQNAgent(action_count=2, horizon=11, context_dim=2, total_episodes=10,
+                         rng=derive_stream(91, 0))
+        rng = derive_stream(91, 1)
+        instance = InstanceContext(0, (3.0, 5.0))
+        run_training_episode(agent, SigmoidEnv(11), instance, SeedSpec(91, 1), rng, rng)
+        assert calls == list(range(12))
 
 
 class TestFixedInstanceMode:

@@ -19,6 +19,7 @@ from algocontrol.agents import (
     state_key,
 )
 from algocontrol.benchmarks import CountingEnv, FuzzyEnv
+from algocontrol.cli import main
 from algocontrol.core import CONTEXT_FREE, ContractError, Observation, SeedSpec, derive_stream
 from algocontrol.agents.tabular import argmax_with_random_ties
 from algocontrol.harness import run_training_episode
@@ -41,7 +42,8 @@ S = state_key(OBS)
 
 def draws(agent, rng, n):
     """``n`` training-time action choices of ``agent`` at OBS."""
-    return [agent.select_action(OBS, rng) for _ in range(n)]
+    s = agent.encode(OBS)
+    return [agent.select_action(s, rng) for _ in range(n)]
 
 
 class TestUrsSelect:
@@ -217,7 +219,7 @@ class TestEpsGreedySelect:
             agent = TabularAgent("gr", 4)
             for a in range(4):
                 agent.q.set(S, a, float(value_rng.normal()))
-            assert agent.select_action(OBS, rng) == agent.q.argmax(S)
+            assert agent.select_action(agent.encode(OBS), rng) == agent.q.argmax(S)
 
     def test_epsilon_one_uniform_chi_squared(self):
         agent = TabularAgent("urs", 5)
@@ -349,9 +351,8 @@ class TestValueIterationFixedPoint:
         obs = env.reset(CONTEXT_FREE, SeedSpec(0, 0))
         total = 0.0
         while not env.done:
-            outcome = env.step(q.argmax(state_key(obs)))
-            total += outcome.reward
-            obs = outcome.observation
+            obs, reward, _ = env.step(q.argmax(state_key(obs)))
+            total += reward
         assert total == 3.0
 
 
@@ -495,10 +496,20 @@ class TestSnapshotRoundTrip:
         self._rejects(tmp_path, "\n".join(lines) + "\n", rf"line {first + 1}: .*zz/000000")
 
     @pytest.mark.parametrize("record", ["0||3,3|3\t0.5", "0||3,3|-1\t0.5", "0|3,3|1\t0.5",
-                                        "0||3,3|1\tnope", "0||3,3|1"])
+                                        "0||3,3|1\tnope", "0||3,3|1", "0||3,3|1\tnan",
+                                        "0||3,3|1\t-inf"])
     def test_malformed_tabular_record_names_line(self, tmp_path, record):
         text = self.PAIR_SNAPSHOT.replace("1||3,1|2\t-2.0", record)
         self._rejects(tmp_path, text, "line 7: malformed record")
+
+    def test_non_utf8_snapshot_is_one_runtime_line(self, tmp_path, capsys):
+        path = tmp_path / "bad.snap"
+        path.write_bytes(self.PAIR_SNAPSHOT.encode().replace(b"agent qlearn", b"agent \xffqlearn"))
+        with pytest.raises(ContractError, match=f"{path}: snapshot is not UTF-8 text"):
+            load_snapshot(str(path))
+        assert main(["replay", str(path), "--benchmark", "counting", "--horizon", "3"]) == 3
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"E-RUNTIME: {path}: ")
 
     def test_rejects_garbage(self, tmp_path):
         path = tmp_path / "bad.snap"
