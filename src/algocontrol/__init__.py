@@ -8,7 +8,6 @@ from .benchmarks import (
     FuzzyEnv,
     LubyEnv,
     SigmoidEnv,
-    SigmoidInstance,
     SigmoidMVAEnv,
     counting_reward,
     luby_exponent,
@@ -22,17 +21,17 @@ from .benchmarks import (
 )
 from .blackbox import (
     IncumbentRecord,
-    Schedule,
     blackbox_optimize,
     race,
     random_schedule,
 )
 from .core import (
     ActionId,
+    ConfigError,
     ContractError,
     Environment,
     EnvSpec,
-    InstanceContext,
+    Instance,
     Observation,
     SeedSpec,
     derive_seed,
@@ -40,7 +39,6 @@ from .core import (
     greedy_rollout,
 )
 from .harness import (
-    ConfigError,
     ExperimentConfig,
     aggregate,
     evaluate_on_test_set,

@@ -15,10 +15,7 @@ from .tabular import (
     AgentHyperparams,
     QTable,
     TabularAgent,
-    TransitionStats,
-    purs_select,
     q_update,
-    record_transition,
     state_key,
 )
 
@@ -32,14 +29,11 @@ __all__ = [
     "QTable",
     "ReplayBuffer",
     "TabularAgent",
-    "TransitionStats",
     "dqn_epsilon",
     "dqn_loss_and_grads",
     "dqn_train_step",
     "load_snapshot",
-    "purs_select",
     "q_update",
-    "record_transition",
     "save_agent",
     "state_key",
     "sync_target",

@@ -11,12 +11,13 @@ training.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
-from ..core import ActionId, ContractError, Observation
+from ..core import ActionId, ConfigError, ContractError, Observation
 
 StateKey = tuple
 
@@ -77,73 +78,6 @@ class QTable:
         return len(self.rows)
 
 
-@dataclass
-class TransitionRecord:
-    visit_count: int = 0
-    mean_remaining_steps: float = 0.0
-
-
-class TransitionStats:
-    """Per (state, action) ledger: visits and the running mean of the
-    remaining episode steps, which PURS selects by."""
-
-    def __init__(self, action_count: int) -> None:
-        self.action_count = action_count
-        self.records: dict[tuple[StateKey, ActionId], TransitionRecord] = {}
-
-    def record(self, s: StateKey, a: ActionId) -> TransitionRecord:
-        return self.records.setdefault((s, a), TransitionRecord())
-
-    def get(self, s: StateKey, a: ActionId) -> TransitionRecord | None:
-        return self.records.get((s, a))
-
-    def visit_count(self, s: StateKey, a: ActionId) -> int:
-        rec = self.records.get((s, a))
-        return rec.visit_count if rec is not None else 0
-
-
-def record_transition(
-    stats: TransitionStats,
-    s: StateKey,
-    a: ActionId,
-    steps_remaining: int,
-) -> TransitionStats:
-    """Count one visit of (s, a) and fold ``steps_remaining`` into its
-    running mean."""
-    rec = stats.record(s, a)
-    rec.visit_count += 1
-    rec.mean_remaining_steps += (steps_remaining - rec.mean_remaining_steps) / rec.visit_count
-    return stats
-
-
-def purs_select(
-    rng: np.random.Generator,
-    stats: TransitionStats,
-    s: StateKey,
-    action_count: int,
-) -> ActionId:
-    """Unvisited actions first (uniformly); otherwise sample an action
-    with probability proportional to its mean remaining episode steps.
-
-    Falls back to uniform when every estimate is zero (e.g. the final
-    step of any episode).
-    """
-    unvisited = [a for a in range(action_count) if stats.visit_count(s, a) == 0]
-    if unvisited:
-        return unvisited[int(rng.integers(len(unvisited)))]
-    weights = [stats.record(s, a).mean_remaining_steps for a in range(action_count)]
-    total = sum(weights)
-    if total <= 0.0:
-        return int(rng.integers(action_count))
-    u = rng.random() * total
-    acc = 0.0
-    for a, w in enumerate(weights):
-        acc += w
-        if u < acc:
-            return a
-    return action_count - 1
-
-
 def argmax_with_random_ties(
     rng: np.random.Generator, q: QTable, s: StateKey, action_count: int
 ) -> ActionId:
@@ -176,21 +110,21 @@ class AgentHyperparams:
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.gamma <= 1.0:
-            raise ContractError("gamma must be in [0, 1]")
+            raise ConfigError("gamma must be in [0, 1]")
         if not 0.0 <= self.epsilon <= 1.0:
-            raise ContractError("epsilon must be in [0, 1]")
+            raise ConfigError("epsilon must be in [0, 1]")
         if not 0.0 < self.alpha <= 1.0:
-            raise ContractError("alpha must be in (0, 1]")
-        if not self.dqn_lr > 0.0:
-            raise ContractError("dqn_lr must be > 0")
+            raise ConfigError("alpha must be in (0, 1]")
+        if not 0.0 < self.dqn_lr < math.inf:
+            raise ConfigError("dqn_lr must be finite and > 0")
         if self.target_sync_every < 1:
-            raise ContractError("target_sync_every must be >= 1")
+            raise ConfigError("target_sync_every must be >= 1")
         if self.batch_size < 0:
-            raise ContractError("batch_size must be >= 0 (0 = episode length)")
+            raise ConfigError("batch_size must be >= 0 (0 = episode length)")
         if self.buffer_capacity < 1:
-            raise ContractError("buffer_capacity must be >= 1")
+            raise ConfigError("buffer_capacity must be >= 1")
         if not 0.0 < self.eps_decay_fraction <= 1.0:
-            raise ContractError("eps_decay_fraction must be in (0, 1]")
+            raise ConfigError("eps_decay_fraction must be in (0, 1]")
 
 
 def q_update(
@@ -240,7 +174,10 @@ class TabularAgent:
         else:
             self.epsilon = self.hp.epsilon
         self.q = QTable(action_count)
-        self.stats = TransitionStats(action_count)
+        # PURS ledger, one row per state like the Q rows: visit counts and
+        # the running mean of the episode steps left after each action.
+        self.visits: dict[StateKey, list[int]] = {}
+        self.remaining: dict[StateKey, list[float]] = {}
         self.episodes_trained = 0
         # (state, action) of each step this episode; only PURS keeps them.
         self._episode: list[tuple[StateKey, ActionId]] = []
@@ -250,7 +187,7 @@ class TabularAgent:
 
     def select_action(self, s: StateKey, rng: np.random.Generator) -> ActionId:
         if self.kind == "purs":
-            return purs_select(rng, self.stats, s, self.action_count)
+            return self._purs_action(s, rng)
         if self.epsilon > 0.0 and rng.random() < self.epsilon:
             return int(rng.integers(self.action_count))
         return argmax_with_random_ties(rng, self.q, s, self.action_count)
@@ -261,11 +198,42 @@ class TabularAgent:
         if self.kind == "purs":
             self._episode.append((s, action))
 
+    def _purs_action(self, s: StateKey, rng: np.random.Generator) -> ActionId:
+        """Unvisited actions first (uniformly); otherwise sample an action
+        with probability proportional to its mean remaining episode steps.
+
+        Falls back to uniform when every estimate is zero (e.g. the final
+        step of any episode).
+        """
+        counts = self.visits.get(s)
+        if counts is None:
+            return int(rng.integers(self.action_count))
+        unvisited = [a for a, n in enumerate(counts) if n == 0]
+        if unvisited:
+            return unvisited[int(rng.integers(len(unvisited)))]
+        weights = self.remaining[s]
+        total = sum(weights)
+        if total <= 0.0:
+            return int(rng.integers(self.action_count))
+        u = rng.random() * total
+        acc = 0.0
+        for a, w in enumerate(weights):
+            acc += w
+            if u < acc:
+                return a
+        return self.action_count - 1
+
     def end_episode(self, rng: np.random.Generator) -> None:
         # Remaining steps are only known once the episode length is.
         length = len(self._episode)
         for i, (s, a) in enumerate(self._episode):
-            record_transition(self.stats, s, a, length - 1 - i)
+            counts = self.visits.get(s)
+            if counts is None:
+                counts = self.visits[s] = [0] * self.action_count
+                self.remaining[s] = [0.0] * self.action_count
+            means = self.remaining[s]
+            counts[a] += 1
+            means[a] += (length - 1 - i - means[a]) / counts[a]
         self._episode = []
         self.episodes_trained += 1
 

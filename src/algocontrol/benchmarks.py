@@ -14,13 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (
-    ActionId,
-    ContractError,
-    Environment,
-    EnvSpec,
-    InstanceContext,
-)
+from .core import ActionId, ConfigError, ContractError, Environment, EnvSpec, Instance
 
 HISTORY_LEN = 5
 EXP_CLAMP = 500.0
@@ -78,34 +72,19 @@ def sigmoidmva_reward(
     return 1.0 - abs(sigmoid(t, scale, inflection) - action / levels)
 
 
-@dataclass(frozen=True)
-class SigmoidInstance:
-    """Scale and inflection point defining one sigmoid-family task."""
-
-    scale: float
-    inflection: float
-
-    def as_context(self, instance_id: int = 0) -> InstanceContext:
-        return InstanceContext(instance_id=instance_id, params=(self.scale, self.inflection))
-
-
-def sample_sigmoid_instance(rng: np.random.Generator, horizon: int) -> SigmoidInstance:
-    """Draw scale ~ U(-100, 100) and inflection ~ N(T/2, sd T/4)."""
+def sample_sigmoid_instance(rng: np.random.Generator, horizon: int) -> Instance:
+    """Draw (scale, inflection): scale ~ U(-100, 100) and inflection
+    ~ N(T/2, sd T/4)."""
     scale = rng.uniform(-100.0, 100.0)
     inflection = rng.normal(horizon / 2.0, horizon / 4.0)
-    return SigmoidInstance(scale=scale, inflection=inflection)
+    return (scale, inflection)
 
 
-def make_instance_set(
-    rng: np.random.Generator, horizon: int, n: int
-) -> list[InstanceContext]:
-    """Sample ``n`` independent sigmoid instances with ids 0..n-1."""
+def make_instance_set(rng: np.random.Generator, horizon: int, n: int) -> list[Instance]:
+    """Sample ``n`` independent sigmoid instances."""
     if n < 1:
         raise ContractError(f"instance set size must be >= 1, got {n}")
-    return [
-        sample_sigmoid_instance(rng, horizon).as_context(instance_id=i)
-        for i in range(n)
-    ]
+    return [sample_sigmoid_instance(rng, horizon) for _ in range(n)]
 
 
 class CountingEnv(Environment):
@@ -218,7 +197,7 @@ class SigmoidEnv(Environment):
         )
 
     def _reward(self, t: int, action: ActionId) -> float:
-        scale, inflection = self.instance.params
+        scale, inflection = self.instance
         return sigmoid_reward(t, action, scale, inflection)
 
 
@@ -246,7 +225,7 @@ class SigmoidMVAEnv(Environment):
         self.levels = levels
 
     def _reward(self, t: int, action: ActionId) -> float:
-        scale, inflection = self.instance.params
+        scale, inflection = self.instance
         return sigmoidmva_reward(t, action, scale, inflection, self.levels)
 
 
@@ -273,11 +252,15 @@ class BenchmarkConfig:
 
     def __post_init__(self) -> None:
         if self.kind not in BENCHMARK_KINDS:
-            raise ContractError(
+            raise ConfigError(
                 f"unknown benchmark kind {self.kind!r}; expected one of {BENCHMARK_KINDS}"
             )
         if self.horizon < 0 or self.levels < 1:
-            raise ContractError("horizon must be >= 0 and levels >= 1")
+            raise ConfigError("horizon must be >= 0 and levels >= 1")
+        if not math.isfinite(self.fuzzy_mean):
+            raise ConfigError("fuzzy_mean must be finite")
+        if not 0.0 <= self.fuzzy_spread < math.inf:
+            raise ConfigError("fuzzy_spread must be finite and >= 0")
 
     @property
     def resolved_horizon(self) -> int:
@@ -290,6 +273,14 @@ class BenchmarkConfig:
     @property
     def stochastic_reward(self) -> bool:
         return self.kind == "fuzzy"
+
+    @property
+    def noisy(self) -> bool:
+        """Whether one policy's return varies between episodes: stochastic
+        rewards or sampled instances. It sets the experiment defaults:
+        alpha 0.1 (else 1.0), and 10 runs (else 1) per evaluation outside
+        fixed sets and per blackbox race."""
+        return self.stochastic_reward or self.has_instances
 
     @property
     def fixed_episode_length(self) -> bool:

@@ -14,28 +14,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import (
-    CONTEXT_FREE,
-    ContractError,
-    Environment,
-    InstanceContext,
-    SeedSpec,
-    greedy_rollout,
-)
-
-@dataclass(frozen=True)
-class Schedule:
-    """Open-loop action sequence, one entry per time step."""
-
-    actions: tuple[int, ...]
-
-    def __len__(self) -> int:
-        return len(self.actions)
+from .core import ContractError, Environment, Instance, SeedSpec, greedy_rollout
 
 
 @dataclass
 class IncumbentRecord:
-    schedule: Schedule
+    schedule: tuple[int, ...]
     eval_rewards: list[float] = field(default_factory=list)
 
     @property
@@ -47,24 +31,23 @@ class IncumbentRecord:
         return len(self.eval_rewards)
 
 
-def random_schedule(
-    rng: np.random.Generator, horizon: int, action_count: int
-) -> Schedule:
+def random_schedule(rng: np.random.Generator, horizon: int,
+                    action_count: int) -> tuple[int, ...]:
+    """Uniform actions, one per time step."""
     if horizon < 1:
         raise ContractError("horizon must be >= 1")
-    return Schedule(tuple(int(a) for a in rng.integers(action_count, size=horizon)))
+    return tuple(int(a) for a in rng.integers(action_count, size=horizon))
 
 
-def mutate_schedule(
-    rng: np.random.Generator, schedule: Schedule, action_count: int
-) -> Schedule:
+def mutate_schedule(rng: np.random.Generator, schedule: tuple[int, ...],
+                    action_count: int) -> tuple[int, ...]:
     """Flip one uniformly chosen position to a different uniform value."""
-    actions = list(schedule.actions)
+    actions = list(schedule)
     pos = int(rng.integers(len(actions)))
     if action_count > 1:
         shift = 1 + int(rng.integers(action_count - 1))
         actions[pos] = (actions[pos] + shift) % action_count
-    return Schedule(tuple(actions))
+    return tuple(actions)
 
 
 class ScheduleEvaluator:
@@ -75,31 +58,26 @@ class ScheduleEvaluator:
     identical conditions.
     """
 
-    def __init__(
-        self,
-        env: Environment,
-        instances: list[InstanceContext] | None,
-        base_seed: int,
-    ) -> None:
+    def __init__(self, env: Environment, instances: list[Instance] | None,
+                 base_seed: int) -> None:
         self.env = env
         self.instances = instances
         self.base_seed = base_seed
         self.episodes_consumed = 0
 
-    def instance_for_run(self, run: int) -> InstanceContext:
+    def instance_for_run(self, run: int) -> Instance:
         if self.instances is None:
-            return CONTEXT_FREE
+            return ()
         return self.instances[run % len(self.instances)]
 
-    def run(self, schedule: Schedule, run: int) -> float:
+    def run(self, schedule: tuple[int, ...], run: int) -> float:
         if len(schedule) != self.env.spec.horizon:
             raise ContractError(
                 f"schedule length {len(schedule)} != horizon {self.env.spec.horizon}"
             )
         self.episodes_consumed += 1
-        actions = schedule.actions
         return greedy_rollout(
-            lambda obs: actions[obs.time_step],
+            lambda obs: schedule[obs.time_step],
             self.env,
             self.instance_for_run(run),
             SeedSpec(self.base_seed, run),
@@ -107,7 +85,7 @@ class ScheduleEvaluator:
 
 
 def race(
-    challenger: Schedule,
+    challenger: tuple[int, ...],
     incumbent: IncumbentRecord,
     evaluator: ScheduleEvaluator,
     max_runs: int,
@@ -152,7 +130,7 @@ class BlackboxResult:
 
 def blackbox_optimize(
     env: Environment,
-    instances: list[InstanceContext] | None,
+    instances: list[Instance] | None,
     episode_budget: int,
     rng: np.random.Generator,
     neighbor_fraction: float = 0.5,

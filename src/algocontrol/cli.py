@@ -25,10 +25,9 @@ import numpy as np
 from .agents import DQNAgent, load_snapshot, save_agent
 from .benchmarks import BENCHMARK_KINDS, BenchmarkConfig, make_env
 from .config import apply_overrides, parse_config, render_config
-from .core import ContractError, InstanceContext, SeedSpec, greedy_rollout
+from .core import ConfigError, ContractError, Instance, SeedSpec, greedy_rollout
 from .harness import (
     CSV_HEADER,
-    ConfigError,
     SeedCurve,
     aggregate,
     run_experiment,
@@ -219,6 +218,8 @@ def _series_by_agent(rows: list[dict], window: int):
 
 
 def _cmd_report(args) -> int:
+    if args.window < 1:
+        raise ConfigError(f"--window must be >= 1, got {args.window}")
     rows: list[dict] = []
     for path in args.csvs:
         rows.extend(_read_result_csv(path))
@@ -306,11 +307,11 @@ def _render_svg(series) -> str:
     return out.getvalue()
 
 
-def _parse_instance(text: str, bench: BenchmarkConfig) -> InstanceContext:
+def _parse_instance(text: str, bench: BenchmarkConfig) -> Instance:
     if not bench.has_instances:
         if text:
             raise ConfigError(f"benchmark {bench.kind!r} takes no instance parameters")
-        return InstanceContext()
+        return ()
     if not text:
         raise ConfigError(f"benchmark {bench.kind!r} needs --instance s=S,p=P")
     values: dict[str, float] = {}
@@ -322,10 +323,12 @@ def _parse_instance(text: str, bench: BenchmarkConfig) -> InstanceContext:
         try:
             values[key] = float(val)
         except ValueError:
-            raise ConfigError(f"instance parameter {key}={val!r} is not a number")
+            values[key] = math.nan
+        if not math.isfinite(values[key]):
+            raise ConfigError(f"instance parameter {key}={val!r} is not a finite number")
     if set(values) != {"s", "p"}:
         raise ConfigError(f"instance spec {text!r} must set both s and p")
-    return InstanceContext(instance_id=0, params=(values["s"], values["p"]))
+    return (values["s"], values["p"])
 
 
 def _cmd_replay(args) -> int:

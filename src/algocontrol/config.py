@@ -13,8 +13,8 @@ from dataclasses import fields, replace
 
 from .agents import AgentHyperparams
 from .benchmarks import BenchmarkConfig
-from .core import ContractError
-from .harness import ConfigError, ExperimentConfig
+from .core import ConfigError
+from .harness import ExperimentConfig
 
 _SECTIONS = (
     (BenchmarkConfig, "benchmark"),
@@ -90,17 +90,8 @@ def _convert(section: str, key: str, kind: type, value: str, lineno: int):
 
 def parse_config(text: str) -> ExperimentConfig:
     """Parse and fully validate a config file. A key left out takes its
-    dataclass default, except ``agent.alpha`` (see ``_build_config``)."""
+    default, as ``ExperimentConfig.validated()`` resolves it."""
     sections = _parse_lines(text)
-    try:
-        return _build_config(sections)
-    except ConfigError:
-        raise
-    except ContractError as exc:  # range violations from the dataclasses
-        raise ConfigError(str(exc)) from None
-
-
-def _build_config(sections) -> ExperimentConfig:
     for section, key in _REQUIRED:
         if key not in sections.get(section, {}):
             raise ConfigError(f"missing required key {section}.{key}")
@@ -112,17 +103,8 @@ def _build_config(sections) -> ExperimentConfig:
     benchmark = BenchmarkConfig(**values[BenchmarkConfig])
     # canonicalize so render/parse round-trips exactly
     benchmark = replace(benchmark, horizon=benchmark.resolved_horizon)
-    harness = values[ExperimentConfig]
-    # Learning rate convention: 0.1 when the reward signal is noisy from
-    # the agent's point of view (stochastic rewards or sampled instances),
-    # 1.0 on deterministic benchmarks.
-    mode = harness.get("instance_mode") or (
-        "distribution" if benchmark.has_instances else "none"
-    )
-    noisy = benchmark.stochastic_reward or mode != "none"
-    values[AgentHyperparams].setdefault("alpha", 0.1 if noisy else 1.0)
-    hp = AgentHyperparams(**values[AgentHyperparams])
-    return ExperimentConfig(benchmark=benchmark, hp=hp, **harness).validated()
+    cfg = ExperimentConfig(benchmark=benchmark, **values[ExperimentConfig]).validated()
+    return replace(cfg, hp=replace(cfg.hp, **values[AgentHyperparams]))
 
 
 def apply_overrides(text: str, overrides: list[str]) -> str:

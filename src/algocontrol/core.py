@@ -16,18 +16,25 @@ from dataclasses import dataclass
 import numpy as np
 
 ActionId = int
+# An instance is its context: () for context-free benchmarks, (scale,
+# inflection) for the sigmoid family. It stays fixed for one episode.
+Instance = tuple[float, ...]
 
 
 class ContractError(ValueError):
     """Raised when a caller violates an environment or agent contract."""
 
 
+class ConfigError(ContractError):
+    """Invalid configuration value; raised before any episode runs."""
+
+
 @dataclass(frozen=True)
 class Observation:
     """What the controller sees at one time step.
 
-    ``continuous_features`` carries the instance's parameters (empty
-    for context-free benchmarks). ``action_history`` holds the most
+    ``continuous_features`` is the episode's instance (empty for
+    context-free benchmarks). ``action_history`` holds the most
     recent actions, oldest first, padded with the environment's pad
     value (== action_count, outside the valid action range) until enough
     actions exist.
@@ -36,21 +43,6 @@ class Observation:
     time_step: int
     continuous_features: tuple[float, ...] = ()
     action_history: tuple[int, ...] = ()
-
-
-@dataclass(frozen=True)
-class InstanceContext:
-    """One task out of the instance set; the context of the MDP.
-
-    ``params`` is empty for context-free benchmarks and ``(scale,
-    inflection)`` for the sigmoid family.
-    """
-
-    instance_id: int = 0
-    params: tuple[float, ...] = ()
-
-
-CONTEXT_FREE = InstanceContext(instance_id=0, params=())
 
 
 @dataclass(frozen=True)
@@ -114,7 +106,7 @@ class Environment:
 
     def __init__(self, spec: EnvSpec) -> None:
         self._spec = spec
-        self._instance: InstanceContext | None = None
+        self._instance: Instance | None = None
         self._seed: SeedSpec | None = None
         self._rng: np.random.Generator | None = None
         self._t = 0
@@ -133,7 +125,7 @@ class Environment:
         return self._spec.action_count
 
     @property
-    def instance(self) -> InstanceContext:
+    def instance(self) -> Instance:
         if self._instance is None:
             raise ContractError("environment has not been reset")
         return self._instance
@@ -146,7 +138,7 @@ class Environment:
             self._rng = derive_stream(seed.master_seed, seed.stream_id)
         return self._rng
 
-    def reset(self, instance: InstanceContext = CONTEXT_FREE, seed: SeedSpec | None = None,
+    def reset(self, instance: Instance = (), seed: SeedSpec | None = None,
               record_trace: bool = False) -> Observation:
         """Start an episode on ``instance`` and return its first observation.
 
@@ -156,9 +148,9 @@ class Environment:
         The stream and the order of draws are the same as if it were
         derived here.
         """
-        if len(instance.params) != self._spec.context_dim:
+        if len(instance) != self._spec.context_dim:
             raise ContractError(
-                f"instance has {len(instance.params)} context parameters, "
+                f"instance has {len(instance)} context parameters, "
                 f"environment expects {self._spec.context_dim}"
             )
         self._instance = instance
@@ -203,7 +195,7 @@ class Environment:
     def _observe(self) -> Observation:
         return Observation(
             time_step=self._t,
-            continuous_features=self._instance.params,
+            continuous_features=self._instance,
             action_history=self._history,
         )
 
@@ -214,7 +206,7 @@ class Environment:
         return False
 
 
-def greedy_rollout(policy, env: Environment, instance: InstanceContext,
+def greedy_rollout(policy, env: Environment, instance: Instance,
                    seed: SeedSpec | None, record_trace: bool = False) -> float:
     """Roll out ``policy(obs) -> action`` for one episode; returns the
     total reward.

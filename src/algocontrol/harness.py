@@ -27,10 +27,10 @@ from .benchmarks import (
 )
 from .blackbox import blackbox_optimize
 from .core import (
-    CONTEXT_FREE,
+    ConfigError,
     ContractError,
     Environment,
-    InstanceContext,
+    Instance,
     SeedSpec,
     derive_seed,
     derive_stream,
@@ -56,22 +56,18 @@ EVAL_NOISE_BASE = 1 << 33
 TEST_NOISE_BASE = 1 << 34
 
 
-class ConfigError(ContractError):
-    """Invalid experiment configuration; raised before any episode runs."""
-
-
 @dataclass(frozen=True)
 class ExperimentConfig:
     benchmark: BenchmarkConfig
     agent_kind: str
-    hp: AgentHyperparams = field(default_factory=AgentHyperparams)
+    hp: AgentHyperparams | None = None  # None = defaults, alpha by BenchmarkConfig.noisy
     n_seeds: int = 25
     n_episodes: int = 1000
     master_seed: int = 0
     instance_mode: str = ""  # "" = infer from the benchmark
     n_train_instances: int = 100
     n_test_instances: int = 100
-    eval_runs: int = 0  # 0 = regime default (1 deterministic / 10 stochastic)
+    eval_runs: int = 0  # 0 = regime default; fixed sets allow only n_train_instances
     test_eval_every: int = 500
     train_eval_every: int = 1
     smoothing_window: int = 10
@@ -124,17 +120,19 @@ class ExperimentConfig:
             raise ConfigError("dqn supports only the sigmoid-family benchmarks")
         if cfg.eval_runs < 0:
             raise ConfigError("eval_runs must be >= 0")
-        if cfg.eval_runs == 0:
-            cfg = replace(cfg, eval_runs=self._default_eval_runs(cfg))
-        return cfg
-
-    @staticmethod
-    def _default_eval_runs(cfg: "ExperimentConfig") -> int:
-        if cfg.instance_mode == "none":
-            return 10 if cfg.benchmark.stochastic_reward else 1
-        if cfg.instance_mode == "distribution":
-            return 10
-        return cfg.n_train_instances
+        noisy = cfg.benchmark.noisy
+        if cfg.instance_mode == "fixed":
+            # Fixed sets evaluate once on every training instance.
+            if cfg.eval_runs not in (0, cfg.n_train_instances):
+                raise ConfigError(
+                    f"fixed mode evaluates on all {cfg.n_train_instances} train "
+                    "instances; set eval_runs to 0 or to that number"
+                )
+            eval_runs = cfg.n_train_instances
+        else:
+            eval_runs = cfg.eval_runs or (10 if noisy else 1)
+        hp = cfg.hp or AgentHyperparams(alpha=0.1 if noisy else 1.0)
+        return replace(cfg, eval_runs=eval_runs, hp=hp)
 
 
 @dataclass
@@ -197,7 +195,7 @@ def aggregate(curves: list[SeedCurve]) -> AggregateCurve:
 def run_training_episode(
     agent,
     env: Environment,
-    instance: InstanceContext,
+    instance: Instance,
     seed: SeedSpec,
     explore_rng: np.random.Generator,
     train_rng: np.random.Generator,
@@ -238,7 +236,7 @@ class _EvalSetup:
     """Evaluation instances and paired noise seeds for one seed run."""
 
     def __init__(self, cfg: ExperimentConfig, run_seed: int,
-                 train_set: list[InstanceContext] | None) -> None:
+                 train_set: list[Instance] | None) -> None:
         self.cfg = cfg
         self.run_seed = run_seed
         horizon = cfg.benchmark.resolved_horizon
@@ -249,7 +247,7 @@ class _EvalSetup:
             assert train_set is not None
             self.instances = train_set
         else:
-            self.instances = [CONTEXT_FREE] * cfg.eval_runs
+            self.instances = [()] * cfg.eval_runs
 
     def evaluate(self, agent, env: Environment, episode: int) -> float:
         # Instances stay fixed across checkpoints (variance reduction);
@@ -261,7 +259,7 @@ class _EvalSetup:
 def evaluate_on_test_set(
     agent,
     env: Environment,
-    test_instances: list[InstanceContext],
+    test_instances: list[Instance],
     run_seed: int,
 ) -> float:
     """Greedy episode on each held-out instance; mean total reward."""
@@ -270,7 +268,7 @@ def evaluate_on_test_set(
     return _mean_greedy_return(agent, env, test_instances, run_seed, TEST_NOISE_BASE)
 
 
-def _mean_greedy_return(agent, env: Environment, instances: list[InstanceContext],
+def _mean_greedy_return(agent, env: Environment, instances: list[Instance],
                         run_seed: int, base: int) -> float:
     """Mean greedy return over ``instances``; run r draws noise stream base + r."""
     policy = agent.greedy_action
@@ -282,7 +280,7 @@ def _mean_greedy_return(agent, env: Environment, instances: list[InstanceContext
 
 def _instance_sets(
     cfg: ExperimentConfig,
-) -> tuple[list[InstanceContext] | None, list[InstanceContext] | None]:
+) -> tuple[list[Instance] | None, list[Instance] | None]:
     """Fixed train/test sets, shared by every seed run (disjoint streams)."""
     if cfg.instance_mode != "fixed":
         return None, None
@@ -298,14 +296,13 @@ def _instance_sets(
 
 def _blackbox_curve(cfg: ExperimentConfig, seed_index: int,
                     eval_setup: _EvalSetup) -> SeedCurve:
-    noisy = cfg.instance_mode != "none" or cfg.benchmark.stochastic_reward
     result = blackbox_optimize(
         make_env(cfg.benchmark),
         eval_setup.instances,
         episode_budget=cfg.n_episodes,
         rng=derive_stream(eval_setup.run_seed, BLACKBOX_STREAM),
         neighbor_fraction=cfg.neighbor_fraction,
-        max_runs=10 if noisy else 1,
+        max_runs=10 if cfg.benchmark.noisy else 1,
     )
     episodes = list(range(cfg.train_eval_every, cfg.n_episodes + 1, cfg.train_eval_every))
     return SeedCurve(
@@ -316,7 +313,7 @@ def _blackbox_curve(cfg: ExperimentConfig, seed_index: int,
 
 
 def _training(cfg: ExperimentConfig, run_seed: int, agent,
-              train_set: list[InstanceContext] | None):
+              train_set: list[Instance] | None):
     """Train ``agent`` for one seed run, yielding each episode number
     once that episode is done.
 
@@ -342,22 +339,22 @@ def _training(cfg: ExperimentConfig, run_seed: int, agent,
 def _draw_instance(
     cfg: ExperimentConfig,
     instance_rng: np.random.Generator,
-    train_set: list[InstanceContext] | None,
-) -> InstanceContext:
+    train_set: list[Instance] | None,
+) -> Instance:
     if cfg.instance_mode == "distribution":
         horizon = cfg.benchmark.resolved_horizon
-        return sample_sigmoid_instance(instance_rng, horizon).as_context()
+        return sample_sigmoid_instance(instance_rng, horizon)
     if cfg.instance_mode == "fixed":
         assert train_set is not None
         return train_set[int(instance_rng.integers(len(train_set)))]
-    return CONTEXT_FREE
+    return ()
 
 
 def train_and_evaluate(
     cfg: ExperimentConfig,
     seed_index: int,
-    train_set: list[InstanceContext] | None = None,
-    test_set: list[InstanceContext] | None = None,
+    train_set: list[Instance] | None = None,
+    test_set: list[Instance] | None = None,
 ) -> SeedCurve:
     """One seed repetition of the full protocol.
 

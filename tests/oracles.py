@@ -11,7 +11,7 @@ import numpy as np
 from algocontrol.agents.dqn import Batch, MLPQNet
 from algocontrol.agents.tabular import state_key
 from algocontrol.benchmarks import CountingEnv
-from algocontrol.core import CONTEXT_FREE, SeedSpec
+from algocontrol.core import SeedSpec
 
 
 def luby_sequence_oracle(length: int) -> list[int]:
@@ -34,7 +34,7 @@ def enumerate_counting_mdp(horizon: int) -> dict:
         for prefix in frontier:
             for action in range(horizon):
                 env = CountingEnv(horizon)
-                obs = env.reset(CONTEXT_FREE, SeedSpec(0, 0))
+                obs = env.reset((), SeedSpec(0, 0))
                 for past in prefix:
                     obs, _, _ = env.step(past)
                 next_obs, reward, done = env.step(action)

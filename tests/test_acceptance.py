@@ -24,7 +24,7 @@ from algocontrol.benchmarks import (
     sigmoid_reward,
 )
 from algocontrol.blackbox import blackbox_optimize
-from algocontrol.core import CONTEXT_FREE, SeedSpec, derive_stream
+from algocontrol.core import SeedSpec, derive_stream
 from algocontrol.harness import (
     EXPLORE_STREAM,
     RUN_BASE,
@@ -61,11 +61,11 @@ def episodes_to_reach(bench, agent_kind, max_episodes, target, seed_index):
     train_rng = derive_stream(run_seed, TRAIN_NOISE_BASE)
     for episode in range(1, max_episodes + 1):
         run_training_episode(
-            agent, env, CONTEXT_FREE,
+            agent, env, (),
             SeedSpec(run_seed, TRAIN_NOISE_BASE + episode), explore_rng, train_rng,
         )
         reward = greedy_rollout(
-            agent.greedy_action, eval_env, CONTEXT_FREE, SeedSpec(run_seed, episode)
+            agent.greedy_action, eval_env, (), SeedSpec(run_seed, episode)
         )
         if reward >= target:
             return episode
@@ -187,7 +187,7 @@ def test_criterion_4_sigmoid_ceilings():
     for i in range(n_instances):
         inst = sample_sigmoid_instance(rng, horizon)
         for t in range(horizon):
-            sig[i, t] = sigmoid_reward(t, 1, inst.scale, inst.inflection)
+            sig[i, t] = sigmoid_reward(t, 1, *inst)
 
     oracle_mean = float(np.maximum(sig, 1.0 - sig).sum(axis=1).mean())
 

@@ -21,7 +21,7 @@ from algocontrol.benchmarks import (
     sigmoid_reward,
     sigmoidmva_reward,
 )
-from algocontrol.core import CONTEXT_FREE, ContractError, SeedSpec, derive_stream
+from algocontrol.core import ContractError, SeedSpec, derive_stream
 from oracles import luby_sequence_oracle
 
 
@@ -71,7 +71,7 @@ class TestCounting:
 class TestFuzzy:
     def test_immediate_termination_total_zero(self):
         env = FuzzyEnv(20)
-        env.reset(CONTEXT_FREE, SeedSpec(0, 0))
+        env.reset((), SeedSpec(0, 0))
         _, reward, done = env.step(0)
         assert done and reward == 0.0
 
@@ -82,7 +82,7 @@ class TestFuzzy:
         rewards = []
         episode = 0
         while len(rewards) < 10**5:
-            env.reset(CONTEXT_FREE, SeedSpec(100, episode))
+            env.reset((), SeedSpec(100, episode))
             while not env.done:
                 rewards.append(env.step(1)[1])
             episode += 1
@@ -93,7 +93,7 @@ class TestFuzzy:
         env = FuzzyEnv(20)
         totals = []
         for episode in range(2000):
-            env.reset(CONTEXT_FREE, SeedSpec(200, episode))
+            env.reset((), SeedSpec(200, episode))
             total = 0.0
             while not env.done:
                 total += env.step(1)[1]
@@ -185,7 +185,7 @@ class TestSigmoidMVA:
         env = SigmoidMVAEnv(11, 4)
         rng = derive_stream(401, 0)
         for episode in range(50):
-            inst = sample_sigmoid_instance(rng, 11).as_context()
+            inst = sample_sigmoid_instance(rng, 11)
             env.reset(inst, SeedSpec(401, episode))
             while not env.done:
                 _, r, _ = env.step(int(rng.integers(5)))
@@ -196,20 +196,20 @@ class TestDiscreteRewardRanges:
     def test_counting_rewards_in_zero_one(self):
         env = CountingEnv(5)
         rng = derive_stream(402, 0)
-        env.reset(CONTEXT_FREE, SeedSpec(402, 0))
+        env.reset((), SeedSpec(402, 0))
         while not env.done:
             assert env.step(int(rng.integers(5)))[1] in (0.0, 1.0)
 
     def test_luby_rewards_plus_minus_one(self):
         env = LubyEnv(32)
         rng = derive_stream(403, 0)
-        env.reset(CONTEXT_FREE, SeedSpec(403, 0))
+        env.reset((), SeedSpec(403, 0))
         while not env.done:
             assert env.step(int(rng.integers(6)))[1] in (-1.0, 1.0)
 
     def test_luby_optimal_rollout_scores_horizon(self):
         env = LubyEnv(32)
-        env.reset(CONTEXT_FREE, SeedSpec(404, 0))
+        env.reset((), SeedSpec(404, 0))
         total = 0.0
         t = 0
         while not env.done:
@@ -221,12 +221,12 @@ class TestDiscreteRewardRanges:
 class TestSamplers:
     def test_inflection_mean(self):
         rng = derive_stream(500, 0)
-        ps = [sample_sigmoid_instance(rng, 11).inflection for _ in range(10**5)]
+        ps = [sample_sigmoid_instance(rng, 11)[1] for _ in range(10**5)]
         assert abs(float(np.mean(ps)) - 5.5) <= 0.05
 
     def test_scale_support(self):
         rng = derive_stream(501, 0)
-        ss = [sample_sigmoid_instance(rng, 11).scale for _ in range(10**5)]
+        ss = [sample_sigmoid_instance(rng, 11)[0] for _ in range(10**5)]
         assert all(-100.0 < s < 100.0 for s in ss)
         negative_fraction = sum(s < 0 for s in ss) / len(ss)
         assert abs(negative_fraction - 0.5) <= 0.01
@@ -234,7 +234,7 @@ class TestSamplers:
     def test_instance_set_ids_and_determinism(self):
         first = make_instance_set(derive_stream(502, 0), 11, 100)
         second = make_instance_set(derive_stream(502, 0), 11, 100)
-        assert [inst.instance_id for inst in first] == list(range(100))
+        assert len(first) == 100 and all(len(inst) == 2 for inst in first)
         assert first == second
 
     def test_instance_set_empty_rejected(self):

@@ -8,24 +8,23 @@ import pytest
 from algocontrol.benchmarks import CountingEnv, FuzzyEnv, LubyEnv, SigmoidEnv, luby_exponent
 from algocontrol.blackbox import (
     IncumbentRecord,
-    Schedule,
     ScheduleEvaluator,
     blackbox_optimize,
     mutate_schedule,
     race,
     random_schedule,
 )
-from algocontrol.core import ContractError, InstanceContext, SeedSpec, derive_stream
+from algocontrol.core import ContractError, SeedSpec, derive_stream
 
 
 class TestRandomSchedule:
     def test_single_action_space(self):
         sched = random_schedule(derive_stream(0, 0), 5, 1)
-        assert sched.actions == (0, 0, 0, 0, 0)
+        assert sched == (0, 0, 0, 0, 0)
 
     def test_uniform_entries(self):
         rng = derive_stream(1, 0)
-        draws = [random_schedule(rng, 1, 4).actions[0] for _ in range(10**4)]
+        draws = [random_schedule(rng, 1, 4)[0] for _ in range(10**4)]
         counts = np.bincount(draws, minlength=4)
         assert np.all(np.abs(counts / 10**4 - 0.25) <= 0.02)
 
@@ -46,7 +45,7 @@ class TestMutateSchedule:
         base = random_schedule(rng, 10, 5)
         for _ in range(50):
             mutated = mutate_schedule(rng, base, 5)
-            diffs = [i for i in range(10) if mutated.actions[i] != base.actions[i]]
+            diffs = [i for i in range(10) if mutated[i] != base[i]]
             assert len(diffs) == 1
 
 
@@ -56,48 +55,48 @@ class TestEvaluateSchedule:
         return ScheduleEvaluator(env, None, base_seed=5).run(schedule, 0)
 
     def test_counting_optimum(self):
-        assert self._run(Schedule((0, 1, 2, 3, 4)), CountingEnv(5)) == 5.0
+        assert self._run((0, 1, 2, 3, 4), CountingEnv(5)) == 5.0
 
     def test_counting_constant(self):
-        assert self._run(Schedule((0, 0, 0, 0, 0)), CountingEnv(5)) == 1.0
+        assert self._run((0, 0, 0, 0, 0), CountingEnv(5)) == 1.0
 
     def test_luby_exponent_schedule(self):
-        sched = Schedule(tuple(luby_exponent(t) for t in range(1, 33)))
+        sched = tuple(luby_exponent(t) for t in range(1, 33))
         assert self._run(sched, LubyEnv(32)) == 32.0
 
     def test_length_mismatch(self):
         with pytest.raises(ContractError):
-            self._run(Schedule((0, 1)), CountingEnv(5))
+            self._run((0, 1), CountingEnv(5))
 
     def test_open_loop_ignores_state(self):
         # the same schedule is applied verbatim whatever the instance
         env = SigmoidEnv(11)
         sched = random_schedule(derive_stream(8, 0), 11, 2)
         for params in ((5.0, 3.0), (-50.0, 8.0)):
-            env.reset(InstanceContext(0, params), SeedSpec(8, 1), record_trace=True)
-            for action in sched.actions:
+            env.reset(params, SeedSpec(8, 1), record_trace=True)
+            for action in sched:
                 env.step(action)
             applied = tuple(action for _, action, _ in env.trace)
-            assert applied == sched.actions
+            assert applied == sched
 
 
 class TestRace:
     def test_deterministic_challenger_wins_after_one_run(self):
         env = CountingEnv(5)
         evaluator = ScheduleEvaluator(env, None, base_seed=1)
-        incumbent_sched = Schedule((0, 0, 0, 0, 0))
+        incumbent_sched = (0, 0, 0, 0, 0)
         incumbent = IncumbentRecord(
             incumbent_sched, [evaluator.run(incumbent_sched, 0)]
         )
-        winner, consumed = race(Schedule((0, 1, 2, 3, 4)), incumbent, evaluator, 1)
-        assert winner.schedule.actions == (0, 1, 2, 3, 4)
+        winner, consumed = race((0, 1, 2, 3, 4), incumbent, evaluator, 1)
+        assert winner.schedule == (0, 1, 2, 3, 4)
         assert winner.mean_reward == 5.0
         assert consumed == 1
 
     def test_identical_schedule_keeps_incumbent(self):
         env = FuzzyEnv(20)
         evaluator = ScheduleEvaluator(env, None, base_seed=2)
-        sched = Schedule((1,) * 20)
+        sched = (1,) * 20
         incumbent = IncumbentRecord(sched, [evaluator.run(sched, r) for r in range(5)])
         winner, consumed = race(sched, incumbent, evaluator, 5)
         assert winner is incumbent  # paired seeds: equal means, no strict win
@@ -108,20 +107,20 @@ class TestRace:
         for trial in range(100):
             env = FuzzyEnv(20)
             evaluator = ScheduleEvaluator(env, None, base_seed=100 + trial)
-            early_stop = Schedule((1, 1, 0) + (1,) * 17)
+            early_stop = (1, 1, 0) + (1,) * 17
             incumbent = IncumbentRecord(
                 early_stop, [evaluator.run(early_stop, r) for r in range(50)]
             )
-            winner, _ = race(Schedule((1,) * 20), incumbent, evaluator, 50)
-            wins += winner.schedule.actions == (1,) * 20
+            winner, _ = race((1,) * 20, incumbent, evaluator, 50)
+            wins += winner.schedule == (1,) * 20
         assert wins >= 95
 
     def test_budget_abort_keeps_incumbent(self):
         env = FuzzyEnv(20)
         evaluator = ScheduleEvaluator(env, None, base_seed=3)
-        sched = Schedule((1,) * 20)
+        sched = (1,) * 20
         incumbent = IncumbentRecord(sched, [evaluator.run(sched, r) for r in range(8)])
-        strong = Schedule((1,) * 20)
+        strong = (1,) * 20
         winner, consumed = race(strong, incumbent, evaluator, 8, budget_left=2)
         assert winner is incumbent
         assert consumed <= 2
@@ -149,7 +148,7 @@ class TestBlackboxOptimize:
         env = CountingEnv(5)
         result = blackbox_optimize(env, None, 10**4, derive_stream(10, 0))
         assert result.incumbent.mean_reward == best_value
-        assert result.incumbent.schedule.actions == (0, 1, 2, 3, 4)
+        assert result.incumbent.schedule == (0, 1, 2, 3, 4)
 
     def test_best_so_far_monotone_deterministic(self):
         env = LubyEnv(16)
@@ -179,7 +178,7 @@ class TestBlackboxOptimize:
         # with instances, run r always maps to the same instance
         env = SigmoidEnv(11)
         instances = [
-            InstanceContext(i, (10.0 + i, 5.0)) for i in range(3)
+            (10.0 + i, 5.0) for i in range(3)
         ]
         evaluator = ScheduleEvaluator(env, instances, base_seed=4)
         assert evaluator.instance_for_run(0) == instances[0]

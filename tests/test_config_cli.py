@@ -10,11 +10,11 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from algocontrol.agents import AgentHyperparams, DQNAgent, TabularAgent, save_agent
-from algocontrol.benchmarks import CountingEnv
+from algocontrol.benchmarks import BenchmarkConfig, CountingEnv
 from algocontrol.cli import main
 from algocontrol.config import FIELDS, apply_overrides, parse_config, render_config
-from algocontrol.core import CONTEXT_FREE, SeedSpec, derive_stream
-from algocontrol.harness import ConfigError, run_training_episode
+from algocontrol.core import SeedSpec, derive_stream
+from algocontrol.harness import ConfigError, ExperimentConfig, run_training_episode
 from test_golden import case_path, case_text, valid_cases
 
 WORKLOADS = sorted((Path(__file__).parents[1] / "perfbench" / "workloads").glob("*.ini"))
@@ -42,17 +42,40 @@ kind = qlearn
 episodes = 200
 """
 
+SIGMOID = """\
+[benchmark]
+kind = sigmoid
 
-# One value just outside each range AgentHyperparams checks.
-BAD_HYPERPARAMS = [
+[agent]
+kind = qlearn
+
+[harness]
+episodes = 200
+"""
+
+# One value outside each range AgentHyperparams and BenchmarkConfig check.
+BAD_VALUES = [
     ("dqn_lr", "0"),
     ("dqn_lr", "-1"),
+    ("dqn_lr", "inf"),
     ("target_sync_every", "0"),
     ("buffer_capacity", "0"),
     ("batch_size", "-3"),
     ("eps_decay_fraction", "0"),
     ("eps_decay_fraction", "1.5"),
+    ("fuzzy_spread", "nan"),
+    ("fuzzy_spread", "inf"),
+    ("fuzzy_spread", "-1"),
+    ("fuzzy_mean", "inf"),
+    ("fuzzy_mean", "-inf"),
+    ("fuzzy_mean", "nan"),
 ]
+
+
+def with_value(key: str, value: str) -> str:
+    """FUZZY with one key set in the section that holds it."""
+    section = next(s for s, k in FIELDS if k == key)
+    return apply_overrides(FUZZY, [f"{section}.{key}={value}"])
 
 
 class TestParseConfig:
@@ -70,16 +93,23 @@ class TestParseConfig:
         assert parse_config(MINIMAL).hp.alpha == 1.0
         assert parse_config(FUZZY).hp.alpha == 0.1
 
+    @pytest.mark.parametrize("kind", ["fuzzy", "sigmoid"])
+    def test_library_config_renders_as_its_ini(self, kind):
+        # the library resolves defaults (alpha 0.1 under noise) as the INI does
+        library = ExperimentConfig(BenchmarkConfig(kind), "qlearn", n_episodes=200)
+        text = {"fuzzy": FUZZY, "sigmoid": SIGMOID}[kind]
+        assert render_config(library) == render_config(parse_config(text))
+        assert "alpha = 0.1" in render_config(library)
+
     def test_gamma_out_of_range(self):
         text = MINIMAL.replace("kind = qlearn", "kind = qlearn\ngamma = 1.5")
         with pytest.raises(ConfigError, match="gamma"):
             parse_config(text)
 
-    @pytest.mark.parametrize("key,value", BAD_HYPERPARAMS)
+    @pytest.mark.parametrize("key,value", BAD_VALUES)
     def test_hyperparameter_out_of_range(self, key, value):
-        text = MINIMAL.replace("kind = qlearn", f"kind = qlearn\n{key} = {value}")
         with pytest.raises(ConfigError, match=key):
-            parse_config(text)
+            parse_config(with_value(key, value))
 
     def test_unknown_key_names_line(self):
         text = MINIMAL + "turbo = on\n"
@@ -168,11 +198,9 @@ class TestCliRun:
         assert main(["run", config]) == 2
         assert capsys.readouterr().err.startswith("E-CONFIG:")
 
-    @pytest.mark.parametrize("key,value", BAD_HYPERPARAMS)
+    @pytest.mark.parametrize("key,value", BAD_VALUES)
     def test_bad_hyperparameter_is_one_config_line(self, tmp_path, capsys, key, value):
-        config = self._write(
-            tmp_path, MINIMAL.replace("kind = qlearn", f"kind = qlearn\n{key} = {value}")
-        )
+        config = self._write(tmp_path, with_value(key, value))
         assert main(["run", config]) == 2
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("E-CONFIG:") and key in err[0]
@@ -208,6 +236,30 @@ class TestCliBenchInfo:
         out = capsys.readouterr().out
         assert "action_count: 6" in out
         assert "horizon: 32" in out
+
+
+@pytest.mark.parametrize(
+    "argv,name",
+    [
+        (["report", "{csv}", "--window", "0"], "window"),
+        (["bench-info", "luby", "--horizon", "-1"], "horizon"),
+        (["bench-info", "sigmoidmva", "--levels", "0"], "levels"),
+        (["replay", "{snap}", "--benchmark", "counting", "--horizon", "-1"], "horizon"),
+        (["replay", "{snap}", "--benchmark", "sigmoid", "--instance", "s=nan,p=5"], "s="),
+        (["replay", "{snap}", "--benchmark", "sigmoid", "--instance", "s=1,p=inf"], "p="),
+    ],
+    ids=["report-window", "bench-info-horizon", "bench-info-levels", "replay-horizon",
+         "replay-nan-instance", "replay-inf-instance"],
+)
+def test_bad_command_line_value_is_one_config_line(tmp_path, capsys, argv, name):
+    csv_path = tmp_path / "r.csv"
+    csv_path.write_text(TestCliReport.CSV)
+    snap = tmp_path / "agent.snap"
+    save_agent(TabularAgent("qlearn", 2), str(snap))
+    argv = [arg.format(csv=csv_path, snap=snap) for arg in argv]
+    assert main(argv) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("E-CONFIG:") and name in err[0]
 
 
 class TestCliReport:
@@ -297,7 +349,7 @@ class TestCliReplay:
     def test_counting_oracle_snapshot(self, tmp_path, capsys):
         from algocontrol.agents import AgentHyperparams, TabularAgent, save_agent
         from algocontrol.benchmarks import CountingEnv
-        from algocontrol.core import CONTEXT_FREE, SeedSpec
+        from algocontrol.core import SeedSpec
         from algocontrol.harness import run_training_episode, derive_stream
 
         env = CountingEnv(5)
@@ -305,7 +357,7 @@ class TestCliReplay:
         rng = derive_stream(21, 0)
         for episode in range(3000):
             run_training_episode(
-                agent, env, CONTEXT_FREE, SeedSpec(21, episode), rng, rng
+                agent, env, (), SeedSpec(21, episode), rng, rng
             )
         snap = tmp_path / "counting.snap"
         save_agent(agent, str(snap))
@@ -316,7 +368,7 @@ class TestCliReplay:
     def test_luby_oracle_snapshot(self, tmp_path, capsys):
         from algocontrol.agents import AgentHyperparams, TabularAgent, save_agent
         from algocontrol.benchmarks import LubyEnv, luby_exponent
-        from algocontrol.core import CONTEXT_FREE, SeedSpec
+        from algocontrol.core import SeedSpec
         from algocontrol.harness import run_training_episode, derive_stream
 
         env = LubyEnv(32)
@@ -324,7 +376,7 @@ class TestCliReplay:
         rng = derive_stream(22, 0)
         for episode in range(2000):
             run_training_episode(
-                agent, env, CONTEXT_FREE, SeedSpec(22, episode), rng, rng
+                agent, env, (), SeedSpec(22, episode), rng, rng
             )
         snap = tmp_path / "luby.snap"
         save_agent(agent, str(snap))
@@ -343,11 +395,11 @@ class TestCliReplay:
         from algocontrol.agents import AgentHyperparams, TabularAgent, save_agent
         from algocontrol.agents.tabular import state_key
         from algocontrol.benchmarks import SigmoidEnv, sigmoid_reward
-        from algocontrol.core import InstanceContext, SeedSpec
+        from algocontrol.core import SeedSpec
 
         env = SigmoidEnv(11)
         agent = TabularAgent("qlearn", 2, hp=AgentHyperparams(alpha=1.0))
-        instance = InstanceContext(0, (1.0, 5.0))
+        instance = (1.0, 5.0)
         obs = env.reset(instance, SeedSpec(0, 0))
         while not env.done:
             s = state_key(obs)
@@ -418,7 +470,7 @@ class TestCliReplay:
     def test_dqn_replay_matches_agent_rollout(self, tmp_path, capsys):
         from algocontrol.agents import AgentHyperparams, save_agent
         from algocontrol.benchmarks import BenchmarkConfig, SigmoidEnv
-        from algocontrol.core import InstanceContext, SeedSpec
+        from algocontrol.core import SeedSpec
         from algocontrol.harness import ExperimentConfig, greedy_rollout, train_agent
 
         cfg = ExperimentConfig(
@@ -435,7 +487,7 @@ class TestCliReplay:
         agent = train_agent(cfg, 0)
         snap = tmp_path / "dqn.snap"
         save_agent(agent, str(snap))
-        instance = InstanceContext(0, (12.0, 5.0))
+        instance = (12.0, 5.0)
         expected = greedy_rollout(
             agent.greedy_action, SigmoidEnv(11), instance, SeedSpec(0, 0)
         )
@@ -485,7 +537,7 @@ def valid_inputs(tmp_path_factory):
     tabular = TabularAgent("qlearn", 5, hp=AgentHyperparams(alpha=1.0))
     rng = derive_stream(24, 0)
     for episode in range(30):
-        run_training_episode(tabular, CountingEnv(5), CONTEXT_FREE, SeedSpec(24, episode), rng, rng)
+        run_training_episode(tabular, CountingEnv(5), (), SeedSpec(24, episode), rng, rng)
     dqn = DQNAgent(action_count=2, horizon=11, context_dim=2, total_episodes=10,
                    rng=derive_stream(25, 0))
     for name, agent in (("tabular", tabular), ("dqn", dqn)):

@@ -16,9 +16,7 @@ from algocontrol.benchmarks import (
 )
 from algocontrol import core
 from algocontrol.core import (
-    CONTEXT_FREE,
     ContractError,
-    InstanceContext,
     SeedSpec,
     derive_seed,
     derive_stream,
@@ -68,27 +66,27 @@ class TestEnvSpec:
 class TestResetContract:
     def test_luby_reset_padded_history(self):
         env = LubyEnv(32)
-        obs = env.reset(CONTEXT_FREE, SeedSpec(1, 0))
+        obs = env.reset((), SeedSpec(1, 0))
         assert obs.time_step == 0
         assert obs.action_history == (env.pad_action,) * 5
         assert env.pad_action == 6  # outside the valid range {0..5}
 
     def test_sigmoid_reset_exposes_instance(self):
         env = SigmoidEnv(11)
-        obs = env.reset(InstanceContext(0, (1.0, 5.0)), SeedSpec(1, 0))
+        obs = env.reset((1.0, 5.0), SeedSpec(1, 0))
         assert obs.time_step == 0
         assert obs.continuous_features == (1.0, 5.0)
 
     def test_context_dimension_mismatch(self):
         env = CountingEnv(5)
         with pytest.raises(ContractError):
-            env.reset(InstanceContext(0, (1.0,)), SeedSpec(1, 0))
+            env.reset((1.0,), SeedSpec(1, 0))
 
 
 class TestStepContract:
     def test_counting_matching_action(self):
         env = CountingEnv(5)
-        env.reset(CONTEXT_FREE, SeedSpec(1, 0))
+        env.reset((), SeedSpec(1, 0))
         obs, reward, done = env.step(0)
         assert reward == 1.0
         assert not done
@@ -96,20 +94,20 @@ class TestStepContract:
 
     def test_fuzzy_action_zero_terminates(self):
         env = FuzzyEnv(20)
-        env.reset(CONTEXT_FREE, SeedSpec(1, 0))
+        env.reset((), SeedSpec(1, 0))
         _, reward, done = env.step(0)
         assert done
         assert reward == 0.0
 
     def test_action_out_of_range(self):
         env = LubyEnv(32)
-        env.reset(CONTEXT_FREE, SeedSpec(1, 0))
+        env.reset((), SeedSpec(1, 0))
         with pytest.raises(ContractError):
             env.step(6)
 
     def test_step_after_done(self):
         env = CountingEnv(2)
-        env.reset(CONTEXT_FREE, SeedSpec(1, 0))
+        env.reset((), SeedSpec(1, 0))
         env.step(0)
         env.step(1)
         with pytest.raises(ContractError):
@@ -121,7 +119,7 @@ class TestStepContract:
 
     def test_time_step_increments(self):
         env = CountingEnv(5)
-        obs = env.reset(CONTEXT_FREE, SeedSpec(1, 0))
+        obs = env.reset((), SeedSpec(1, 0))
         for expected_t in range(5):
             assert obs.time_step == expected_t
             obs, _, _ = env.step(0)
@@ -150,7 +148,7 @@ class TestEpisodeTrace:
     def test_fixed_episode_length(self, ctor, args):
         env = ctor(*args)
         instance = (
-            InstanceContext(0, (3.0, 5.0)) if env.spec.context_dim else CONTEXT_FREE
+            (3.0, 5.0) if env.spec.context_dim else ()
         )
         rng = derive_stream(5, 1)
         _, trace = _traced_rollout(
@@ -161,19 +159,19 @@ class TestEpisodeTrace:
     def test_total_reward_is_sum(self):
         env = FuzzyEnv(20)
         rng = derive_stream(6, 1)
-        total, trace = _traced_rollout(env, _random_policy(rng, 2), CONTEXT_FREE, SeedSpec(6, 2))
+        total, trace = _traced_rollout(env, _random_policy(rng, 2), (), SeedSpec(6, 2))
         assert total == pytest.approx(sum(reward for _, _, reward in trace), abs=0)
 
     def test_fuzzy_can_end_early(self):
         env = FuzzyEnv(20)
-        total, trace = _traced_rollout(env, lambda obs: 0, CONTEXT_FREE, SeedSpec(7, 0))
+        total, trace = _traced_rollout(env, lambda obs: 0, (), SeedSpec(7, 0))
         assert len(trace) == 1
         assert total == trace[0][2] == 0.0
 
     def test_trace_holds_each_pre_step_observation(self):
         env = CountingEnv(3)
         actions = iter((0, 2, 2))
-        _, trace = _traced_rollout(env, lambda obs: next(actions), CONTEXT_FREE, SeedSpec(7, 1))
+        _, trace = _traced_rollout(env, lambda obs: next(actions), (), SeedSpec(7, 1))
         assert [(obs.time_step, obs.action_history[-1], a, r) for obs, a, r in trace] == [
             (0, 3, 0, 1.0),
             (1, 0, 2, 0.0),
@@ -192,14 +190,14 @@ class TestEpisodeTrace:
     def _run_fixed(seed, actions):
         env = FuzzyEnv(20)
         it = iter(actions)
-        return _traced_rollout(env, lambda obs: next(it), CONTEXT_FREE, SeedSpec(seed, 0))
+        return _traced_rollout(env, lambda obs: next(it), (), SeedSpec(seed, 0))
 
     @pytest.mark.parametrize("ctor,args", FIXED_LENGTH_ENVS)
     def test_observation_dims_match_spec(self, ctor, args):
         env = ctor(*args)
         spec = env.spec
         instance = (
-            InstanceContext(0, (-2.0, 6.0)) if spec.context_dim else CONTEXT_FREE
+            (-2.0, 6.0) if spec.context_dim else ()
         )
         obs = env.reset(instance, SeedSpec(8, 0))
         while not env.done:
@@ -225,7 +223,7 @@ class TestLazyStreams:
     @pytest.mark.parametrize("ctor,args", FIXED_LENGTH_ENVS)
     def test_deterministic_rewards_derive_no_stream(self, ctor, args, derivations):
         env = ctor(*args)
-        instance = InstanceContext(0, (3.0, 5.0)) if env.spec.context_dim else CONTEXT_FREE
+        instance = (3.0, 5.0) if env.spec.context_dim else ()
         for episode in range(3):
             for seed in (SeedSpec(9, episode), None):
                 env.reset(instance, seed)
@@ -236,7 +234,7 @@ class TestLazyStreams:
     def test_fuzzy_rewards_match_eager_stream(self, derivations):
         env = FuzzyEnv(20)
         for stream in range(3):
-            env.reset(CONTEXT_FREE, SeedSpec(31, stream))
+            env.reset((), SeedSpec(31, stream))
             lazy = [env.step(1)[1] for _ in range(20)]
             eager_rng = derive_stream(31, stream)
             eager = [1.0 + 2.0 * eager_rng.standard_normal() for _ in range(20)]
@@ -245,10 +243,10 @@ class TestLazyStreams:
 
     def test_fuzzy_derives_on_first_draw_only(self, derivations):
         env = FuzzyEnv(20)
-        env.reset(CONTEXT_FREE, SeedSpec(32, 0))
+        env.reset((), SeedSpec(32, 0))
         env.step(0)  # terminates without drawing
         assert derivations == []
-        env.reset(CONTEXT_FREE, None)
+        env.reset((), None)
         _, first, _ = env.step(1)
         assert first == 1.0 + 2.0 * derive_stream(0, 0).standard_normal()
         env.step(1)

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from algocontrol.agents import AgentHyperparams, DQNAgent, TabularAgent, tabular
 from algocontrol.benchmarks import BenchmarkConfig, CountingEnv, LubyEnv, SigmoidEnv, make_env
-from algocontrol.core import CONTEXT_FREE, ContractError, InstanceContext, SeedSpec, derive_stream
+from algocontrol.core import ContractError, SeedSpec, derive_stream
 from algocontrol.harness import (
     CSV_HEADER,
     ConfigError,
@@ -155,20 +155,44 @@ class TestConfigValidation:
         ).validated()
         assert fixed.eval_runs == 17
 
+    @pytest.mark.parametrize("eval_runs", [1, 2, 4, 6, 100])
+    def test_fixed_eval_runs_must_cover_the_train_set(self, eval_runs):
+        # fixed mode always evaluates on the whole train set
+        cfg = ExperimentConfig(BenchmarkConfig("sigmoid"), "qlearn", n_episodes=5,
+                               instance_mode="fixed", n_train_instances=5,
+                               eval_runs=eval_runs)
+        with pytest.raises(ConfigError, match="eval_runs"):
+            cfg.validated()
+
+    @pytest.mark.parametrize(
+        "kind,mode,alpha",
+        [("counting", "", 1.0), ("luby", "", 1.0), ("fuzzy", "", 0.1),
+         ("sigmoid", "distribution", 0.1), ("sigmoid", "fixed", 0.1)],
+    )
+    def test_alpha_default_follows_noise(self, kind, mode, alpha):
+        cfg = ExperimentConfig(BenchmarkConfig(kind), "qlearn", n_episodes=5,
+                               instance_mode=mode).validated()
+        assert cfg.hp == AgentHyperparams(alpha=alpha)
+
+    def test_given_hyperparameters_are_kept(self):
+        hp = AgentHyperparams(epsilon=0.2)
+        cfg = ExperimentConfig(BenchmarkConfig("fuzzy"), "qlearn", hp=hp).validated()
+        assert cfg.hp is hp
+
 
 class TestEvaluation:
     def test_oracle_policy_scores_ceiling(self):
         env = CountingEnv(5)
         reward = greedy_rollout(
-            lambda obs: obs.time_step, env, CONTEXT_FREE, SeedSpec(0, 0)
+            lambda obs: obs.time_step, env, (), SeedSpec(0, 0)
         )
         assert reward == 5.0
 
     def test_untrained_agent_equals_constant_action_zero(self):
         env = CountingEnv(5)
         agent = TabularAgent("urs", 5)
-        fresh = greedy_rollout(agent.greedy_action, env, CONTEXT_FREE, SeedSpec(0, 0))
-        constant = greedy_rollout(lambda obs: 0, env, CONTEXT_FREE, SeedSpec(0, 0))
+        fresh = greedy_rollout(agent.greedy_action, env, (), SeedSpec(0, 0))
+        constant = greedy_rollout(lambda obs: 0, env, (), SeedSpec(0, 0))
         assert fresh == constant == 1.0
 
     def test_test_set_evaluation_needs_instances(self):
@@ -194,7 +218,7 @@ class TestTrainAndEvaluate:
         def optimal_agent(cfg, run_seed):
             agent = TabularAgent("gr", 5, hp=AgentHyperparams(alpha=1.0))
             env = CountingEnv(5)
-            obs = env.reset(CONTEXT_FREE, SeedSpec(0, 0))
+            obs = env.reset((), SeedSpec(0, 0))
             while not env.done:
                 agent.q.set(state_key(obs), obs.time_step, 1.0)
                 obs, _, _ = env.step(obs.time_step)
@@ -247,7 +271,7 @@ class TestOneEncodingPerObservation:
         monkeypatch.setattr(tabular, "state_key", counting)
         agent = TabularAgent("qlearn", 6)
         rng = derive_stream(90, 0)
-        run_training_episode(agent, LubyEnv(32), CONTEXT_FREE, SeedSpec(90, 1), rng, rng)
+        run_training_episode(agent, LubyEnv(32), (), SeedSpec(90, 1), rng, rng)
         assert calls == list(range(33))
 
     def test_sigmoid_dqn_encode_calls(self, monkeypatch):
@@ -262,7 +286,7 @@ class TestOneEncodingPerObservation:
         agent = DQNAgent(action_count=2, horizon=11, context_dim=2, total_episodes=10,
                          rng=derive_stream(91, 0))
         rng = derive_stream(91, 1)
-        instance = InstanceContext(0, (3.0, 5.0))
+        instance = (3.0, 5.0)
         run_training_episode(agent, SigmoidEnv(11), instance, SeedSpec(91, 1), rng, rng)
         assert calls == list(range(12))
 
@@ -288,9 +312,7 @@ class TestFixedInstanceMode:
     def test_sets_are_disjoint_and_sized(self):
         train, test = _instance_sets(self._cfg().validated())
         assert len(train) == 8 and len(test) == 6
-        train_params = {inst.params for inst in train}
-        test_params = {inst.params for inst in test}
-        assert not train_params & test_params
+        assert not set(train) & set(test)
 
     def test_sets_shared_across_seeds(self):
         cfg = self._cfg().validated()

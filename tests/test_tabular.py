@@ -10,17 +10,14 @@ from algocontrol.agents import (
     DQNAgent,
     QTable,
     TabularAgent,
-    TransitionStats,
     load_snapshot,
-    purs_select,
     q_update,
-    record_transition,
     save_agent,
     state_key,
 )
 from algocontrol.benchmarks import CountingEnv, FuzzyEnv
 from algocontrol.cli import main
-from algocontrol.core import CONTEXT_FREE, ContractError, Observation, SeedSpec, derive_stream
+from algocontrol.core import ContractError, Observation, SeedSpec, derive_stream
 from algocontrol.agents.tabular import argmax_with_random_ties
 from algocontrol.harness import run_training_episode
 from oracles import enumerate_counting_mdp, value_iteration_oracle
@@ -171,44 +168,50 @@ class TestGrSelect:
 
 
 class TestPursSelect:
-    def _stats(self, remaining, visits=None):
-        stats = TransitionStats(len(remaining))
-        for a, steps in enumerate(remaining):
-            if visits is None or visits[a] > 0:
-                rec = stats.record("s", a)
-                rec.visit_count = 1 if visits is None else visits[a]
-                rec.mean_remaining_steps = steps
-        return stats
+    def _agent(self, remaining, visits=None):
+        """A PURS agent whose ledger holds one state, "s"."""
+        agent = TabularAgent("purs", len(remaining))
+        agent.visits["s"] = [1] * len(remaining) if visits is None else list(visits)
+        agent.remaining["s"] = list(remaining)
+        return agent
 
     def test_unvisited_action_takes_priority(self):
-        stats = self._stats([10.0, 0.0], visits=[1, 0])
+        agent = self._agent([10.0, 0.0], visits=[1, 0])
         rng = derive_stream(3, 0)
-        assert all(purs_select(rng, stats, "s", 2) == 1 for _ in range(50))
+        assert all(agent.select_action("s", rng) == 1 for _ in range(50))
 
     def test_proportional_to_remaining_steps(self):
-        stats = self._stats([10.0, 30.0])
+        agent = self._agent([10.0, 30.0])
         rng = derive_stream(4, 0)
         draws = np.bincount(
-            [purs_select(rng, stats, "s", 2) for _ in range(10**5)], minlength=2
+            [agent.select_action("s", rng) for _ in range(10**5)], minlength=2
         )
         assert abs(draws[0] / 10**5 - 0.25) <= 0.01
         assert abs(draws[1] / 10**5 - 0.75) <= 0.01
 
     def test_uniform_when_estimates_equal(self):
-        stats = self._stats([7.0, 7.0, 7.0, 7.0, 7.0])
+        agent = self._agent([7.0, 7.0, 7.0, 7.0, 7.0])
         rng = derive_stream(5, 0)
         counts = np.bincount(
-            [purs_select(rng, stats, "s", 5) for _ in range(10**5)], minlength=5
+            [agent.select_action("s", rng) for _ in range(10**5)], minlength=5
         )
         assert chi2_uniform(counts) < CHI2_99[4]
 
     def test_all_zero_falls_back_to_uniform(self):
-        stats = self._stats([0.0, 0.0])
+        agent = self._agent([0.0, 0.0])
         rng = derive_stream(6, 0)
         counts = np.bincount(
-            [purs_select(rng, stats, "s", 2) for _ in range(10**4)], minlength=2
+            [agent.select_action("s", rng) for _ in range(10**4)], minlength=2
         )
         assert chi2_uniform(counts) < CHI2_99[1]
+
+    def test_unseen_state_is_uniform(self):
+        agent = TabularAgent("purs", 5)
+        rng = derive_stream(7, 0)
+        counts = np.bincount(
+            [agent.select_action("unseen", rng) for _ in range(10**5)], minlength=5
+        )
+        assert chi2_uniform(counts) < CHI2_99[4]
 
 
 class TestEpsGreedySelect:
@@ -300,31 +303,39 @@ class TestHyperparamRanges:
         assert hp.eps_decay_fraction == 1.0
 
 
+def _purs_episodes(agent, episodes):
+    """Feed each episode's (state, action) steps to a PURS agent."""
+    rng = derive_stream(0, 0)
+    for steps in episodes:
+        for s, a in steps:
+            agent.observe(s, a, 0.0, "next", False)
+        agent.end_episode(rng)
+
+
 class TestRecordTransition:
     def test_first_visit(self):
-        stats = TransitionStats(2)
-        record_transition(stats, "s", 0, 4)
-        rec = stats.get("s", 0)
-        assert rec.visit_count == 1
-        assert rec.mean_remaining_steps == 4.0
-        assert stats.get("s", 1) is None and stats.visit_count("s", 1) == 0
+        agent = TabularAgent("purs", 2)
+        _purs_episodes(agent, [[("s", 0)] + [("x", 1)] * 4])
+        assert agent.visits["s"] == [1, 0]
+        assert agent.remaining["s"] == [4.0, 0.0]
+        assert agent.visits["x"] == [0, 4]
 
     def test_running_mean(self):
-        stats = TransitionStats(2)
-        record_transition(stats, "s", 0, 3)
-        record_transition(stats, "s", 0, 1)
-        rec = stats.get("s", 0)
-        assert rec.visit_count == 2
-        assert rec.mean_remaining_steps == 2.0
+        agent = TabularAgent("purs", 2)
+        _purs_episodes(agent, [[("s", 0)] + [("x", 1)] * 3, [("s", 0), ("x", 1)]])
+        assert agent.visits["s"][0] == 2
+        assert agent.remaining["s"][0] == 2.0
 
     def test_mean_matches_batch_mean(self):
+        # every step of an episode of length n visits ("s", 0), recording
+        # n-1, n-2, ..., 0 remaining steps
         rng = derive_stream(11, 0)
-        stats = TransitionStats(1)
-        steps = rng.integers(0, 1000, size=10**4)
-        for n in steps:
-            record_transition(stats, "s", 0, int(n))
-        assert stats.visit_count("s", 0) == len(steps)
-        assert abs(stats.get("s", 0).mean_remaining_steps - float(steps.mean())) <= 1e-9
+        lengths = [int(n) for n in rng.integers(1, 200, size=200)]
+        agent = TabularAgent("purs", 1)
+        _purs_episodes(agent, [[("s", 0)] * n for n in lengths])
+        steps = np.concatenate([np.arange(n)[::-1] for n in lengths])
+        assert agent.visits["s"] == [len(steps)]
+        assert abs(agent.remaining["s"][0] - float(steps.mean())) <= 1e-9
 
 
 class TestValueIterationFixedPoint:
@@ -348,7 +359,7 @@ class TestValueIterationFixedPoint:
             for (s, a), (r, s_next, done) in transitions.items():
                 q_update(q, s, a, r, s_next, done, hp)
         env = CountingEnv(3)
-        obs = env.reset(CONTEXT_FREE, SeedSpec(0, 0))
+        obs = env.reset((), SeedSpec(0, 0))
         total = 0.0
         while not env.done:
             obs, reward, _ = env.step(q.argmax(state_key(obs)))
@@ -363,7 +374,7 @@ class TestTabularAgent:
         rng = derive_stream(12, 0)
         for episode in range(episodes):
             run_training_episode(
-                agent, env, CONTEXT_FREE, SeedSpec(12, episode), rng, rng
+                agent, env, (), SeedSpec(12, episode), rng, rng
             )
         return agent
 
@@ -388,7 +399,7 @@ class TestTabularAgent:
         rng = derive_stream(13, 0)
         for episode in range(100):
             run_training_episode(
-                agent, env, CONTEXT_FREE, SeedSpec(13, episode), rng, rng
+                agent, env, (), SeedSpec(13, episode), rng, rng
             )
         assert agent.q.rows != before_rows  # training went on
         assert {s: frozen.argmax(s) for s in probe_states} == before
@@ -405,11 +416,11 @@ class TestTabularAgent:
         rng = derive_stream(14, 0)
         for episode in range(200):
             run_training_episode(
-                agent, env, CONTEXT_FREE, SeedSpec(14, episode), rng, rng
+                agent, env, (), SeedSpec(14, episode), rng, rng
             )
-        start = state_key(env.reset(CONTEXT_FREE, SeedSpec(14, 999)))
+        start = state_key(env.reset((), SeedSpec(14, 999)))
         counts = np.bincount(
-            [purs_select(rng, agent.stats, start, 3) for _ in range(30000)],
+            [agent.select_action(start, rng) for _ in range(30000)],
             minlength=3,
         )
         expected = 10000.0
@@ -423,13 +434,12 @@ class TestTabularAgent:
         rng = derive_stream(15, 0)
         for episode in range(100):
             run_training_episode(
-                agent, env, CONTEXT_FREE, SeedSpec(15, episode), rng, rng
+                agent, env, (), SeedSpec(15, episode), rng, rng
             )
-        start = state_key(env.reset(CONTEXT_FREE, SeedSpec(15, 999)))
-        rec0 = agent.stats.get(start, 0)
-        rec1 = agent.stats.get(start, 1)
-        assert rec0 is not None and rec0.mean_remaining_steps == 0.0
-        assert rec1 is not None and rec1.mean_remaining_steps > 0.0
+        start = state_key(env.reset((), SeedSpec(15, 999)))
+        assert min(agent.visits[start]) > 0
+        assert agent.remaining[start][0] == 0.0
+        assert agent.remaining[start][1] > 0.0
 
 
 class TestSnapshotRoundTrip:
@@ -439,7 +449,7 @@ class TestSnapshotRoundTrip:
         rng = derive_stream(16, 0)
         for episode in range(40):
             run_training_episode(
-                agent, env, CONTEXT_FREE, SeedSpec(16, episode), rng, rng
+                agent, env, (), SeedSpec(16, episode), rng, rng
             )
         path = tmp_path / "agent.snap"
         save_agent(agent, str(path))
