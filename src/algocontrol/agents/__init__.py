@@ -5,10 +5,8 @@ from .dqn import (
     DQNAgent,
     MLPQNet,
     ReplayBuffer,
-    dqn_epsilon,
     dqn_loss_and_grads,
     dqn_train_step,
-    sync_target,
 )
 from .snapshot import load_snapshot, save_agent
 from .tabular import (
@@ -29,12 +27,10 @@ __all__ = [
     "QTable",
     "ReplayBuffer",
     "TabularAgent",
-    "dqn_epsilon",
     "dqn_loss_and_grads",
     "dqn_train_step",
     "load_snapshot",
     "q_update",
     "save_agent",
     "state_key",
-    "sync_target",
 ]

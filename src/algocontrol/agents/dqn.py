@@ -178,25 +178,6 @@ def dqn_train_step(
     return loss
 
 
-def dqn_epsilon(episode: int, total_decay_episodes: int) -> float:
-    """Exploration rate: linear from 1.0 at episode 0 down to 0.02."""
-    if total_decay_episodes < 1:
-        raise ContractError("total_decay_episodes must be >= 1")
-    if episode >= total_decay_episodes:
-        return EPSILON_END
-    frac = episode / total_decay_episodes
-    return EPSILON_START + (EPSILON_END - EPSILON_START) * frac
-
-
-def sync_target(
-    net: MLPQNet, target_net: MLPQNet, episode: int, hp: AgentHyperparams
-) -> MLPQNet:
-    """Copy online parameters into the target every N episodes."""
-    if episode % hp.target_sync_every == 0:
-        target_net.copy_from(net)
-    return target_net
-
-
 class DQNAgent:
     """Double DQN agent over the benchmark observation encoding.
 
@@ -246,7 +227,11 @@ class DQNAgent:
 
     @property
     def epsilon(self) -> float:
-        return dqn_epsilon(self.episodes_trained, self.decay_episodes)
+        """Exploration rate: linear from 1.0 at episode 0 down to 0.02."""
+        if self.episodes_trained >= self.decay_episodes:
+            return EPSILON_END
+        frac = self.episodes_trained / self.decay_episodes
+        return EPSILON_START + (EPSILON_END - EPSILON_START) * frac
 
     def select_action(self, s: np.ndarray, rng: np.random.Generator) -> ActionId:
         if rng.random() < self.epsilon:
@@ -258,8 +243,9 @@ class DQNAgent:
         self.buffer.push(s, action, reward, s_next, done)
 
     def end_episode(self, rng: np.random.Generator) -> None:
-        """One SGD step on a replay sample, then the target sync; a loss
-        or parameter that is not finite raises ContractError."""
+        """One SGD step on a replay sample, then the target sync every
+        ``target_sync_every`` episodes; a loss or parameter that is not
+        finite raises ContractError."""
         episode = self.episodes_trained + 1
         if len(self.buffer) > 0:
             batch = self.buffer.sample(rng, self.batch_size)
@@ -273,7 +259,8 @@ class DQNAgent:
                     "or an updated parameter is not finite"
                 )
         self.episodes_trained = episode
-        sync_target(self.net, self.target_net, self.episodes_trained, self.hp)
+        if episode % self.hp.target_sync_every == 0:
+            self.target_net.copy_from(self.net)
 
     def greedy_action(self, obs: Observation) -> ActionId:
         return int(np.argmax(self.net.forward(self.encode(obs))))

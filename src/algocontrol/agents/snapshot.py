@@ -13,9 +13,7 @@ value that is not finite, raises ContractError naming the line.
 
 from __future__ import annotations
 
-import io
 import math
-from typing import TextIO
 
 import numpy as np
 
@@ -38,13 +36,6 @@ def _decode_state_key(text: str) -> tuple:
     cont = tuple(int(v) for v in cont_part.split(",")) if cont_part else ()
     hist = tuple(int(v) for v in hist_part.split(",")) if hist_part else ()
     return (int(t_part), cont, hist)
-
-
-def _write_header(out: TextIO, agent_kind: str, meta: dict[str, str]) -> None:
-    out.write(f"{FORMAT_TAG} v{FORMAT_VERSION}\n")
-    out.write(f"agent {agent_kind}\n")
-    for key in sorted(meta):
-        out.write(f"{key} {meta[key]}\n")
 
 
 def _read_header(lines: list[str]) -> tuple[str, dict[str, str], int]:
@@ -88,59 +79,41 @@ def _meta_int(meta: dict[str, str], key: str, default: int | None = None) -> int
     return int(text)
 
 
-def save_tabular(agent: TabularAgent, out: TextIO) -> None:
-    _write_header(
-        out,
-        agent.kind,
-        {
+def save_agent(agent, path: str) -> None:
+    """Write a tabular or DQN agent to ``path``; records sort by key."""
+    if isinstance(agent, TabularAgent):
+        meta = {
             "action_count": str(agent.action_count),
             "episodes_trained": str(agent.episodes_trained),
-        },
-    )
-    records = sorted(
-        (f"{_encode_state_key(s)}|{a}", repr(v))
-        for s, row in agent.q.rows.items()
-        for a, v in enumerate(row)
-    )
-    out.write(f"records {len(records)}\n")
-    for key, value in records:
-        out.write(f"{key}\t{value}\n")
-
-
-def save_dqn(agent: DQNAgent, out: TextIO) -> None:
-    _write_header(
-        out,
-        agent.kind,
-        {
+        }
+        records = [
+            (f"{_encode_state_key(s)}|{a}", repr(v))
+            for s, row in agent.q.rows.items()
+            for a, v in enumerate(row)
+        ]
+    elif isinstance(agent, DQNAgent):
+        meta = {
             "action_count": str(agent.action_count),
             "horizon": str(agent.horizon),
             "input_dim": str(agent.input_dim),
             "hidden": str(agent.net.hidden),
             "context_scales": ",".join(repr(float(s)) for s in agent.context_scales),
             "episodes_trained": str(agent.episodes_trained),
-        },
-    )
-    records: list[tuple[str, str]] = []
-    for name, array in zip(("w1", "b1", "w2", "b2"), agent.net.parameters()):
-        flat = array.ravel()
-        for i, v in enumerate(flat):
-            records.append((f"{name}/{i:06d}", repr(float(v))))
-    records.sort()
-    out.write(f"records {len(records)}\n")
-    for key, value in records:
-        out.write(f"{key}\t{value}\n")
-
-
-def save_agent(agent, path: str) -> None:
-    buf = io.StringIO()
-    if isinstance(agent, TabularAgent):
-        save_tabular(agent, buf)
-    elif isinstance(agent, DQNAgent):
-        save_dqn(agent, buf)
+        }
+        records = [
+            (f"{name}/{i:06d}", repr(float(v)))
+            for name, array in zip(("w1", "b1", "w2", "b2"), agent.net.parameters())
+            for i, v in enumerate(array.ravel())
+        ]
     else:
         raise ContractError(f"cannot snapshot agent of type {type(agent).__name__}")
+    records.sort()
+    lines = [f"{FORMAT_TAG} v{FORMAT_VERSION}", f"agent {agent.kind}"]
+    lines += [f"{key} {meta[key]}" for key in sorted(meta)]
+    lines.append(f"records {len(records)}")
+    lines += [f"{key}\t{value}" for key, value in records]
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(buf.getvalue())
+        fh.write("\n".join(lines) + "\n")
 
 
 def load_snapshot(path: str) -> TabularAgent | DQNAgent:

@@ -104,7 +104,6 @@ class CountingEnv(Environment):
                 action_count=horizon,
                 horizon=horizon,
                 context_dim=0,
-                obs_continuous_dim=0,
                 history_len=HISTORY_LEN,
             )
         )
@@ -131,7 +130,6 @@ class FuzzyEnv(Environment):
                 action_count=2,
                 horizon=horizon,
                 context_dim=0,
-                obs_continuous_dim=0,
                 history_len=HISTORY_LEN,
             )
         )
@@ -164,7 +162,6 @@ class LubyEnv(Environment):
                 action_count=int(math.log2(horizon)) + 1,
                 horizon=horizon,
                 context_dim=0,
-                obs_continuous_dim=0,
                 history_len=HISTORY_LEN,
             )
         )
@@ -191,7 +188,6 @@ class SigmoidEnv(Environment):
                 action_count=2,
                 horizon=horizon,
                 context_dim=2,
-                obs_continuous_dim=2,
                 history_len=0,
             )
         )
@@ -218,7 +214,6 @@ class SigmoidMVAEnv(Environment):
                 action_count=levels + 1,
                 horizon=horizon,
                 context_dim=2,
-                obs_continuous_dim=2,
                 history_len=0,
             )
         )

@@ -2,8 +2,9 @@
 
 Subcommands: ``run`` (execute an experiment from a config file),
 ``bench-info`` (print a benchmark's static shape), ``report``
-(summarize result CSVs as a table, plot-ready series, or an SVG chart),
-``replay`` (greedy rollout of a saved agent snapshot).
+(summarize result CSVs as a table or as plot-ready series), ``replay``
+(greedy rollout of a saved agent snapshot). ``run --save-agent``
+snapshots the agent one seed of that run trained.
 
 Exit codes: 0 success, 2 config error, 3 runtime error, 4 I/O error.
 Errors print a single line with a greppable prefix (E-CONFIG, E-RUNTIME,
@@ -15,14 +16,13 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
 import math
 import os
 import sys
 
 import numpy as np
 
-from .agents import DQNAgent, load_snapshot, save_agent
+from .agents import DQNAgent, load_snapshot
 from .benchmarks import BENCHMARK_KINDS, BenchmarkConfig, make_env
 from .config import apply_overrides, parse_config, render_config
 from .core import ConfigError, ContractError, Instance, SeedSpec, greedy_rollout
@@ -32,7 +32,6 @@ from .harness import (
     aggregate,
     run_experiment,
     smooth,
-    train_agent,
     write_csv,
 )
 
@@ -64,13 +63,13 @@ def _build_parser() -> argparse.ArgumentParser:
         "--save-agent",
         default="",
         metavar="PATH",
-        help="after the run, retrain one seed's agent and snapshot it",
+        help="snapshot the agent that seed --agent-seed of this run trained",
     )
     run_p.add_argument(
         "--agent-seed",
         type=int,
         default=0,
-        help="seed index for --save-agent (default 0)",
+        help="seed index in [0, n_seeds) for --save-agent (default 0)",
     )
     run_p.add_argument("-v", "--verbose", action="store_true")
 
@@ -83,7 +82,6 @@ def _build_parser() -> argparse.ArgumentParser:
     report_p.add_argument("csvs", nargs="+", help="result CSV paths")
     report_p.add_argument("--mode", choices=("table", "plotdata"), default="table")
     report_p.add_argument("--window", type=int, default=10)
-    report_p.add_argument("--svg", default="", help="also write an SVG line chart")
 
     replay_p = sub.add_parser("replay", help="greedy rollout of a saved snapshot")
     replay_p.add_argument("snapshot", help="agent snapshot path")
@@ -105,7 +103,7 @@ def _cmd_run(args) -> int:
         with open(args.config, "r", encoding="utf-8") as fh:
             text = fh.read()
     except OSError as exc:
-        return _fail_io(f"cannot read config {args.config}: {exc}")
+        raise OSError(f"cannot read config {args.config}: {exc}") from exc
     overrides = list(args.overrides)
     if args.output:
         overrides.append(f"harness.output={args.output}")
@@ -119,7 +117,9 @@ def _cmd_run(args) -> int:
     cfg = parse_config(apply_overrides(text, overrides))
     if args.verbose:
         print(render_config(cfg), end="")
-    curves = run_experiment(cfg)
+    curves = run_experiment(
+        cfg, save_agent=(args.agent_seed, args.save_agent) if args.save_agent else None
+    )
     agg = aggregate(curves)
     smoothed = smooth(agg.mean, cfg.smoothing_window)
     print(
@@ -131,8 +131,6 @@ def _cmd_run(args) -> int:
         write_csv(cfg.output_path, cfg, curves)
         print(f"wrote {cfg.output_path}")
     if args.save_agent:
-        agent = train_agent(cfg, args.agent_seed)
-        save_agent(agent, args.save_agent)
         print(f"wrote {args.save_agent}")
     return EXIT_OK
 
@@ -145,7 +143,6 @@ def _cmd_bench_info(args) -> int:
     print(f"action_count: {spec.action_count}")
     print(f"horizon: {spec.horizon}")
     print(f"context_dim: {spec.context_dim}")
-    print(f"obs_continuous_dim: {spec.obs_continuous_dim}")
     print(f"history_len: {spec.history_len}")
     print(f"stochastic_reward: {str(bench.stochastic_reward).lower()}")
     print(f"fixed_episode_length: {str(bench.fixed_episode_length).lower()}")
@@ -187,6 +184,7 @@ def _result_row(path: str, lineno: int, row: list[str]) -> dict:
             "episode": int(row[3]),
             "phase": row[4],
             "eval_reward": reward,
+            "line": lineno,
         }
     except ValueError as exc:
         raise ContractError(f"{path} line {lineno}: {exc}") from None
@@ -221,8 +219,17 @@ def _cmd_report(args) -> int:
     if args.window < 1:
         raise ConfigError(f"--window must be >= 1, got {args.window}")
     rows: list[dict] = []
+    seen: set[tuple] = set()
     for path in args.csvs:
-        rows.extend(_read_result_csv(path))
+        for row in _read_result_csv(path):
+            key = (row["agent"], row["seed"], row["episode"], row["phase"])
+            if key in seen:
+                raise ContractError(
+                    f"{path} line {row['line']}: duplicate row for agent {key[0]}, "
+                    f"seed {key[1]}, episode {key[2]}, phase {key[3]}"
+                )
+            seen.add(key)
+            rows.append(row)
     series = _series_by_agent(rows, args.window)
     if not series:
         raise ContractError("no train rows in the given CSVs")
@@ -235,76 +242,7 @@ def _cmd_report(args) -> int:
             print("episode\tsmoothed_mean\tstderr")
             for episode, mean, se in zip(agg.episodes, agg.mean, agg.stderr):
                 print(f"{episode}\t{mean:.6g}\t{se:.6g}")
-    if args.svg:
-        try:
-            with open(args.svg, "w", encoding="utf-8") as fh:
-                fh.write(_render_svg(series))
-        except OSError as exc:
-            return _fail_io(f"cannot write SVG {args.svg}: {exc}")
-        print(f"wrote {args.svg}")
     return EXIT_OK
-
-
-_SVG_COLORS = ("#1b6ca8", "#d1495b", "#3a7d44", "#8d5a97", "#c87d2f", "#4f6d7a")
-
-
-def _render_svg(series) -> str:
-    width, height, margin = 640, 400, 50
-    xs = [e for agg in series.values() for e in agg.episodes]
-    ys = [v for agg in series.values() for v in agg.mean]
-    x_lo, x_hi = min(xs), max(xs)
-    y_lo, y_hi = min(ys), max(ys)
-    if x_hi == x_lo:
-        x_hi = x_lo + 1
-    if y_hi == y_lo:
-        y_hi = y_lo + 1
-
-    def sx(x):
-        return margin + (x - x_lo) / (x_hi - x_lo) * (width - 2 * margin)
-
-    def sy(y):
-        return height - margin - (y - y_lo) / (y_hi - y_lo) * (height - 2 * margin)
-
-    out = io.StringIO()
-    out.write(
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
-        f'viewBox="0 0 {width} {height}">\n'
-    )
-    out.write(f'<rect width="{width}" height="{height}" fill="white"/>\n')
-    out.write(
-        f'<line x1="{margin}" y1="{height - margin}" x2="{width - margin}" '
-        f'y2="{height - margin}" stroke="black"/>\n'
-        f'<line x1="{margin}" y1="{margin}" x2="{margin}" '
-        f'y2="{height - margin}" stroke="black"/>\n'
-    )
-    out.write(
-        f'<text x="{width // 2}" y="{height - 10}" font-size="12" '
-        f'text-anchor="middle">episodes</text>\n'
-        f'<text x="14" y="{height // 2}" font-size="12" text-anchor="middle" '
-        f'transform="rotate(-90 14 {height // 2})">eval reward</text>\n'
-        f'<text x="{margin}" y="{height - margin + 16}" font-size="10">{x_lo:g}</text>\n'
-        f'<text x="{width - margin}" y="{height - margin + 16}" font-size="10" '
-        f'text-anchor="end">{x_hi:g}</text>\n'
-        f'<text x="{margin - 4}" y="{height - margin}" font-size="10" '
-        f'text-anchor="end">{y_lo:.4g}</text>\n'
-        f'<text x="{margin - 4}" y="{margin + 4}" font-size="10" '
-        f'text-anchor="end">{y_hi:.4g}</text>\n'
-    )
-    for i, (agent, agg) in enumerate(series.items()):
-        color = _SVG_COLORS[i % len(_SVG_COLORS)]
-        points = " ".join(
-            f"{sx(e):.1f},{sy(v):.1f}" for e, v in zip(agg.episodes, agg.mean)
-        )
-        out.write(
-            f'<polyline fill="none" stroke="{color}" stroke-width="1.5" '
-            f'points="{points}"/>\n'
-        )
-        out.write(
-            f'<text x="{width - margin + 4}" y="{margin + 14 * i + 10}" '
-            f'font-size="11" fill="{color}">{agent}</text>\n'
-        )
-    out.write("</svg>\n")
-    return out.getvalue()
 
 
 def _parse_instance(text: str, bench: BenchmarkConfig) -> Instance:
@@ -365,11 +303,6 @@ def _cmd_replay(args) -> int:
         print(f"t={obs.time_step:3d} obs=[{features}] action={action} reward={reward:.6g}")
     print(f"total reward: {total:.6g}")
     return EXIT_OK
-
-
-def _fail_io(message: str) -> int:
-    print(f"E-IO: {message}", file=sys.stderr)
-    return EXIT_IO
 
 
 def main(argv: list[str] | None = None) -> int:

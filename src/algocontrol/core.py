@@ -63,8 +63,7 @@ class EnvSpec:
 
     action_count: int
     horizon: int
-    context_dim: int
-    obs_continuous_dim: int
+    context_dim: int  # also the length of every observation's continuous features
     history_len: int
 
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .agents import AgentHyperparams, DQNAgent, TabularAgent, AGENT_KINDS
+from .agents import AgentHyperparams, DQNAgent, TabularAgent, AGENT_KINDS, save_agent
 from .benchmarks import (
     BenchmarkConfig,
     make_env,
@@ -355,6 +355,7 @@ def train_and_evaluate(
     seed_index: int,
     train_set: list[Instance] | None = None,
     test_set: list[Instance] | None = None,
+    save_path: str = "",
 ) -> SeedCurve:
     """One seed repetition of the full protocol.
 
@@ -362,7 +363,8 @@ def train_and_evaluate(
     episode the greedy policy is evaluated per the instance regime
     (1 run deterministic, mean of 10 runs stochastic, once per training
     instance for fixed sets). Fixed mode additionally evaluates the
-    held-out test set every ``test_eval_every`` episodes.
+    held-out test set every ``test_eval_every`` episodes. A non-empty
+    ``save_path`` receives a snapshot of the trained agent.
     """
     cfg = cfg.validated()
     if train_set is None and cfg.instance_mode == "fixed":
@@ -385,42 +387,43 @@ def train_and_evaluate(
                 curve.test_points.append(
                     (episode, evaluate_on_test_set(agent, eval_env, test_set, run_seed))
                 )
+        if save_path:
+            save_agent(agent, save_path)
     if cfg.record_wall_time:
         curve.wall_time_ms = int((time.perf_counter() - started) * 1000)
     return curve
 
 
-def train_agent(cfg: ExperimentConfig, seed_index: int):
-    """Train one seed's agent without evaluation and return it; it is
-    bit-identical to the one inside ``train_and_evaluate`` for the same
-    seed."""
+def run_experiment(
+    cfg: ExperimentConfig, save_agent: tuple[int, str] | None = None
+) -> list[SeedCurve]:
+    """All seed repetitions; deterministic regardless of worker count.
+
+    ``save_agent=(k, path)`` snapshots seed k's agent at ``path`` when
+    that seed run ends, inside the process that trained it.
+    """
     cfg = cfg.validated()
-    if cfg.agent_kind == "blackbox":
-        raise ContractError("blackbox runs produce schedules, not agent snapshots")
-    run_seed = derive_seed(cfg.master_seed, RUN_BASE + seed_index)
-    agent = _make_agent(cfg, run_seed)
-    for _ in _training(cfg, run_seed, agent, _instance_sets(cfg)[0]):
-        pass
-    return agent
-
-
-def _run_one_seed(args: tuple) -> SeedCurve:
-    cfg, seed_index, train_set, test_set = args
-    return train_and_evaluate(cfg, seed_index, train_set, test_set)
-
-
-def run_experiment(cfg: ExperimentConfig) -> list[SeedCurve]:
-    """All seed repetitions; deterministic regardless of worker count."""
-    cfg = cfg.validated()
+    save_seed, save_path = save_agent or (-1, "")
+    if save_agent is not None:
+        if cfg.agent_kind == "blackbox":
+            raise ConfigError("blackbox runs produce schedules, not agent snapshots")
+        if not 0 <= save_seed < cfg.n_seeds:
+            raise ConfigError(
+                f"agent seed {save_seed} is not a seed of this run; "
+                f"expected 0 to {cfg.n_seeds - 1}"
+            )
     train_set, test_set = _instance_sets(cfg)
-    jobs = [(cfg, k, train_set, test_set) for k in range(cfg.n_seeds)]
+    jobs = [
+        (cfg, k, train_set, test_set, save_path if k == save_seed else "")
+        for k in range(cfg.n_seeds)
+    ]
     if cfg.workers > 1:
         import multiprocessing
 
         with multiprocessing.Pool(cfg.workers) as pool:
-            curves = pool.map(_run_one_seed, jobs)
+            curves = pool.starmap(train_and_evaluate, jobs)
     else:
-        curves = [_run_one_seed(job) for job in jobs]
+        curves = [train_and_evaluate(*job) for job in jobs]
     return sorted(curves, key=lambda c: c.seed)
 
 
@@ -428,32 +431,16 @@ def curves_to_csv_rows(
     cfg: ExperimentConfig, curves: list[SeedCurve]
 ) -> list[tuple]:
     """Rows for the result CSV, sorted by (agent, seed, episode, phase)."""
-    rows: list[tuple] = []
-    for curve in curves:
-        for episode, reward in zip(curve.episodes, curve.train_rewards):
-            rows.append(
-                (
-                    cfg.benchmark.kind,
-                    cfg.agent_kind,
-                    curve.seed,
-                    episode,
-                    "train",
-                    reward,
-                    curve.wall_time_ms,
-                )
-            )
-        for episode, reward in curve.test_points:
-            rows.append(
-                (
-                    cfg.benchmark.kind,
-                    cfg.agent_kind,
-                    curve.seed,
-                    episode,
-                    "test",
-                    reward,
-                    curve.wall_time_ms,
-                )
-            )
+    rows = [
+        (cfg.benchmark.kind, cfg.agent_kind, curve.seed, episode, phase, reward,
+         curve.wall_time_ms)
+        for curve in curves
+        for phase, points in (
+            ("train", zip(curve.episodes, curve.train_rewards)),
+            ("test", curve.test_points),
+        )
+        for episode, reward in points
+    ]
     rows.sort(key=lambda r: (r[1], r[2], r[3], r[4]))
     return rows
 

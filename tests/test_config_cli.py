@@ -230,6 +230,117 @@ class TestCliRun:
         assert main(["run", config]) == 2
 
 
+TABULAR_RUN = MINIMAL.replace("episodes = 1000", "episodes = 30\nn_seeds = 2")
+
+DQN_FIXED_RUN = """\
+[benchmark]
+kind = sigmoid
+horizon = 11
+
+[agent]
+kind = dqn
+
+[harness]
+episodes = 40
+n_seeds = 2
+instance_mode = fixed
+train_instances = 5
+test_instances = 3
+test_eval_every = 20
+"""
+
+BLACKBOX_RUN = MINIMAL.replace("kind = qlearn", "kind = blackbox").replace(
+    "episodes = 1000", "episodes = 30\nn_seeds = 2"
+)
+
+
+class TestCliSaveAgent:
+    """``run --save-agent PATH --agent-seed K`` snapshots the agent seed K
+    of that same run trained; nothing is trained a second time."""
+
+    @staticmethod
+    def _run(tmp_path, text, *extra):
+        config = tmp_path / "exp.ini"
+        config.write_text(text)
+        out = tmp_path / "res.csv"
+        code = main(["run", str(config), "--output", str(out), *extra])
+        return code, config, out
+
+    @pytest.fixture
+    def episodes(self, monkeypatch):
+        """Every training episode run in this process."""
+        from algocontrol import harness
+
+        calls = []
+        original = harness.run_training_episode
+
+        def counted(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(harness, "run_training_episode", counted)
+        return calls
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("text", [TABULAR_RUN, DQN_FIXED_RUN], ids=["qlearn", "dqn-fixed"])
+    def test_snapshot_reproduces_the_seeds_last_train_point(self, tmp_path, capsys, text,
+                                                            workers):
+        from algocontrol import harness
+        from algocontrol.agents import load_snapshot
+        from algocontrol.benchmarks import make_env
+        from algocontrol.core import derive_seed
+
+        snap = tmp_path / "agent.snap"
+        code, config, out = self._run(
+            tmp_path, text + f"workers = {workers}\n", "--save-agent", str(snap),
+            "--agent-seed", "1",
+        )
+        assert code == 0
+        cfg = parse_config(config.read_text()).validated()
+        run_seed = derive_seed(cfg.master_seed, harness.RUN_BASE + 1)
+        eval_setup = harness._EvalSetup(cfg, run_seed, harness._instance_sets(cfg)[0])
+        replayed = eval_setup.evaluate(
+            load_snapshot(str(snap)), make_env(cfg.benchmark), cfg.n_episodes
+        )
+        assert replayed == harness.train_and_evaluate(cfg, 1).train_rewards[-1]
+        prefix = f"{cfg.benchmark.kind},{cfg.agent_kind},1,{cfg.n_episodes},train,"
+        assert [line for line in out.read_text().splitlines() if line.startswith(prefix)] == [
+            f"{prefix}{replayed:.6g},0"
+        ]
+
+    def test_trains_each_seed_once(self, tmp_path, capsys, episodes):
+        snap = tmp_path / "agent.snap"
+        code, _, _ = self._run(tmp_path, TABULAR_RUN, "--save-agent", str(snap),
+                               "--agent-seed", "1")
+        assert code == 0 and snap.exists()
+        assert len(episodes) == 2 * 30
+
+    @pytest.mark.parametrize("seed", ["2", "7", "-3"])
+    def test_agent_seed_outside_the_run_is_one_config_line(self, tmp_path, capsys, episodes,
+                                                          seed):
+        snap = tmp_path / "agent.snap"
+        code, _, out = self._run(tmp_path, TABULAR_RUN, "--save-agent", str(snap),
+                                 "--agent-seed", seed)
+        assert code == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("E-CONFIG:") and f"agent seed {seed}" in err[0]
+        assert episodes == [] and not out.exists() and not snap.exists()
+
+    def test_blackbox_is_one_config_line(self, tmp_path, capsys, monkeypatch):
+        from algocontrol import harness
+
+        def no_race(*args, **kwargs):
+            raise AssertionError("the blackbox ran before --save-agent was checked")
+
+        monkeypatch.setattr(harness, "blackbox_optimize", no_race)
+        snap = tmp_path / "agent.snap"
+        code, _, out = self._run(tmp_path, BLACKBOX_RUN, "--save-agent", str(snap))
+        assert code == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("E-CONFIG:") and "blackbox" in err[0]
+        assert not out.exists() and not snap.exists()
+
+
 class TestCliBenchInfo:
     def test_luby_info(self, capsys):
         assert main(["bench-info", "luby", "--horizon", "32"]) == 0
@@ -301,7 +412,7 @@ class TestCliReport:
     def test_test_rows_only_is_one_runtime_line(self, tmp_path, capsys):
         path = tmp_path / "r.csv"
         path.write_text(self.CSV.replace("train", "test"))
-        assert main(["report", str(path), "--svg", str(tmp_path / "chart.svg")]) == 3
+        assert main(["report", str(path)]) == 3
         err = capsys.readouterr().err.splitlines()
         assert err == ["E-RUNTIME: no train rows in the given CSVs"]
 
@@ -336,13 +447,29 @@ class TestCliReport:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith(f"E-RUNTIME: {path}:")
 
-    def test_svg_emission(self, tmp_path, capsys):
-        csv_path = tmp_path / "r.csv"
-        csv_path.write_text(self.CSV)
-        svg_path = tmp_path / "chart.svg"
-        assert main(["report", str(csv_path), "--svg", str(svg_path)]) == 0
-        svg = svg_path.read_text()
-        assert svg.startswith("<svg") and "polyline" in svg
+    def test_repeated_file_is_one_runtime_line(self, tmp_path, capsys):
+        path = tmp_path / "r.csv"
+        path.write_text(self.CSV)
+        assert main(["report", str(path), str(path), "--mode", "plotdata"]) == 3
+        captured = capsys.readouterr()
+        err = captured.err.splitlines()
+        assert captured.out == ""
+        assert err == [
+            f"E-RUNTIME: {path} line 2: duplicate row for agent qlearn, seed 0, episode 1, "
+            "phase train"
+        ]
+
+    def test_repeated_row_is_one_runtime_line(self, tmp_path, capsys):
+        path = tmp_path / "r.csv"
+        path.write_text(self.CSV + "counting,qlearn,1,1,train,4,0\n")
+        assert main(["report", str(path)]) == 3
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"E-RUNTIME: {path} line 6: duplicate row")
+
+    def test_same_episode_in_both_phases_is_kept(self, tmp_path, capsys):
+        path = tmp_path / "r.csv"
+        path.write_text(self.CSV + "counting,qlearn,0,2,test,4,0\n")
+        assert main(["report", str(path)]) == 0
 
 
 class TestCliReplay:
@@ -467,11 +594,12 @@ class TestCliReplay:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith(f"E-RUNTIME: {snap}: a Q-value is not finite")
 
-    def test_dqn_replay_matches_agent_rollout(self, tmp_path, capsys):
-        from algocontrol.agents import AgentHyperparams, save_agent
+    def test_dqn_replay_matches_agent_rollout(self, tmp_path, capsys, monkeypatch):
+        from algocontrol import harness
+        from algocontrol.agents import AgentHyperparams
         from algocontrol.benchmarks import BenchmarkConfig, SigmoidEnv
         from algocontrol.core import SeedSpec
-        from algocontrol.harness import ExperimentConfig, greedy_rollout, train_agent
+        from algocontrol.harness import ExperimentConfig, greedy_rollout, run_experiment
 
         cfg = ExperimentConfig(
             benchmark=BenchmarkConfig("sigmoid", horizon=11),
@@ -484,9 +612,14 @@ class TestCliReplay:
             n_train_instances=10,
             n_test_instances=5,
         )
-        agent = train_agent(cfg, 0)
+        agents = []
+        make_agent = harness._make_agent
+        monkeypatch.setattr(
+            harness, "_make_agent", lambda *args: agents.append(make_agent(*args)) or agents[-1]
+        )
         snap = tmp_path / "dqn.snap"
-        save_agent(agent, str(snap))
+        run_experiment(cfg, save_agent=(0, str(snap)))
+        (agent,) = agents
         instance = (12.0, 5.0)
         expected = greedy_rollout(
             agent.greedy_action, SigmoidEnv(11), instance, SeedSpec(0, 0)
@@ -587,11 +720,9 @@ class TestCorruptedInputs:
         self._run(["replay", str(path)] + self.ARGS[kind])
 
     @FUZZ_SETTINGS
-    @given(data=st.data(), mode=st.sampled_from(("table", "plotdata")), svg=st.booleans())
-    def test_report(self, valid_inputs, tmp_path_factory, data, mode, svg):
+    @given(data=st.data(), mode=st.sampled_from(("table", "plotdata")),
+           copies=st.integers(1, 2))
+    def test_report(self, valid_inputs, tmp_path_factory, data, mode, copies):
         path = tmp_path_factory.getbasetemp() / "fuzz.csv"
         path.write_bytes(data.draw(corrupted(valid_inputs["csv"])))
-        argv = ["report", str(path), "--mode", mode]
-        if svg:
-            argv += ["--svg", str(path.with_suffix(".svg"))]
-        self._run(argv)
+        self._run(["report"] + [str(path)] * copies + ["--mode", mode])

@@ -48,19 +48,19 @@ class TestDeriveStream:
 
 class TestEnvSpec:
     def test_counting_spec(self):
-        assert dataclasses.astuple(CountingEnv(5).spec) == (5, 5, 0, 0, 5)
+        assert dataclasses.astuple(CountingEnv(5).spec) == (5, 5, 0, 5)
 
     def test_luby_spec(self):
-        assert dataclasses.astuple(LubyEnv(32).spec) == (6, 32, 0, 0, 5)
+        assert dataclasses.astuple(LubyEnv(32).spec) == (6, 32, 0, 5)
 
     def test_sigmoidmva_spec(self):
-        assert dataclasses.astuple(SigmoidMVAEnv(11, 4).spec) == (5, 11, 2, 2, 0)
+        assert dataclasses.astuple(SigmoidMVAEnv(11, 4).spec) == (5, 11, 2, 0)
 
     def test_sigmoid_spec(self):
-        assert dataclasses.astuple(SigmoidEnv(11).spec) == (2, 11, 2, 2, 0)
+        assert dataclasses.astuple(SigmoidEnv(11).spec) == (2, 11, 2, 0)
 
     def test_fuzzy_spec(self):
-        assert dataclasses.astuple(FuzzyEnv(20).spec) == (2, 20, 0, 0, 5)
+        assert dataclasses.astuple(FuzzyEnv(20).spec) == (2, 20, 0, 5)
 
 
 class TestResetContract:
@@ -201,7 +201,7 @@ class TestEpisodeTrace:
         )
         obs = env.reset(instance, SeedSpec(8, 0))
         while not env.done:
-            assert len(obs.continuous_features) == spec.obs_continuous_dim
+            assert len(obs.continuous_features) == spec.context_dim
             assert len(obs.action_history) == spec.history_len
             assert obs.time_step <= spec.horizon
             obs, _, _ = env.step(0)

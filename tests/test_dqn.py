@@ -8,12 +8,10 @@ from algocontrol.agents import (
     DQNAgent,
     MLPQNet,
     ReplayBuffer,
-    dqn_epsilon,
     dqn_loss_and_grads,
     dqn_train_step,
     load_snapshot,
     save_agent,
-    sync_target,
 )
 from algocontrol.agents.dqn import Batch
 from algocontrol.core import ContractError, Observation, derive_stream
@@ -136,45 +134,61 @@ class TestGradients:
             dqn_loss_and_grads(net, net.clone(), batch, AgentHyperparams(alpha=1.0))
 
 
+def make_agent(total_episodes=3000, **hp):
+    return DQNAgent(
+        action_count=4,
+        horizon=11,
+        context_dim=2,
+        total_episodes=total_episodes,
+        hp=AgentHyperparams(alpha=1.0, **hp),
+        rng=derive_stream(81, 0),
+    )
+
+
 class TestEpsilonSchedule:
+    def epsilon(self, episode, decay_episodes=3000):
+        agent = make_agent(decay_episodes, eps_decay_fraction=1.0)
+        agent.episodes_trained = episode
+        return agent.epsilon
+
     def test_start(self):
-        assert dqn_epsilon(0, 3000) == 1.0
+        assert self.epsilon(0) == 1.0
 
     def test_end(self):
-        assert dqn_epsilon(3000, 3000) == 0.02
-        assert dqn_epsilon(9999, 3000) == 0.02
+        assert self.epsilon(3000) == 0.02
+        assert self.epsilon(9999) == 0.02
 
     def test_midpoint(self):
-        assert dqn_epsilon(1500, 3000) == pytest.approx(0.51, abs=1e-12)
-
-    def test_invalid_horizon(self):
-        with pytest.raises(ContractError):
-            dqn_epsilon(0, 0)
+        assert self.epsilon(1500) == pytest.approx(0.51, abs=1e-12)
 
 
 class TestSyncTarget:
+    """``end_episode`` syncs the target after every fifth episode; with an
+    empty buffer it takes no SGD step, so only the sync moves the target."""
+
+    def agent_after(self, episodes):
+        agent = make_agent(target_sync_every=5)
+        agent.net, agent.target_net = make_net(seed=1), make_net(seed=2)
+        agent.episodes_trained = episodes - 1
+        before = [p.copy() for p in agent.target_net.parameters()]
+        agent.end_episode(derive_stream(80, 1))
+        return agent, before
+
     def test_copies_on_multiples_of_five(self):
-        hp = AgentHyperparams(alpha=1.0, target_sync_every=5)
-        net, target = make_net(seed=1), make_net(seed=2)
-        sync_target(net, target, 5, hp)
+        agent, _ = self.agent_after(5)
         x = derive_stream(80, 0).normal(size=3)
-        assert np.array_equal(net.forward(x), target.forward(x))
+        assert np.array_equal(agent.net.forward(x), agent.target_net.forward(x))
 
     def test_skips_other_episodes(self):
-        hp = AgentHyperparams(alpha=1.0, target_sync_every=5)
-        net, target = make_net(seed=1), make_net(seed=2)
-        before = [p.copy() for p in target.parameters()]
-        sync_target(net, target, 7, hp)
-        for p, b in zip(target.parameters(), before):
+        agent, before = self.agent_after(7)
+        for p, b in zip(agent.target_net.parameters(), before):
             assert np.array_equal(p, b)
 
     def test_copy_is_detached(self):
-        hp = AgentHyperparams(alpha=1.0, target_sync_every=5)
-        net, target = make_net(seed=1), make_net(seed=2)
-        sync_target(net, target, 5, hp)
-        net.w1 += 1.0
+        agent, _ = self.agent_after(5)
+        agent.net.w1 += 1.0
         x = np.ones(3)
-        assert not np.array_equal(net.forward(x), target.forward(x))
+        assert not np.array_equal(agent.net.forward(x), agent.target_net.forward(x))
 
 
 class TestReplayBuffer:
