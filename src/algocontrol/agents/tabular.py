@@ -22,13 +22,12 @@ from ..core import ActionId, ConfigError, ContractError, Observation
 StateKey = tuple
 
 def state_key(obs: Observation) -> StateKey:
-    """Canonical hashable encoding of an observation for table lookup."""
-    features = obs.continuous_features
-    return (
-        obs.time_step,
-        tuple(int(round(f)) for f in features) if features else (),
-        obs.action_history,
-    )
+    """Canonical hashable encoding of an observation for table lookup;
+    without features, the observation itself (equal to (t, (), history))."""
+    t, features, history = obs
+    if not features:
+        return obs
+    return (t, tuple(int(round(f)) for f in features), history)
 
 
 class QTable:

@@ -41,8 +41,13 @@ EXIT_RUNTIME = 3
 EXIT_IO = 4
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # one E-CONFIG line instead of usage text
+        raise ConfigError(message)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="algocontrol",
         description="Benchmarks and agents for per-timestep algorithm control.",
     )
@@ -174,6 +179,8 @@ def _result_row(path: str, lineno: int, row: list[str]) -> dict:
     try:
         if len(row) != len(_COLUMNS):
             raise ValueError(f"expected {len(_COLUMNS)} fields, got {len(row)}")
+        if not all(field.isprintable() for field in row):  # messages quote fields
+            raise ValueError(f"a field of {row!r} holds an unprintable character")
         reward = float(row[5])
         if not math.isfinite(reward):
             raise ValueError(f"eval_reward {row[5]!r} is not finite")
@@ -222,6 +229,11 @@ def _cmd_report(args) -> int:
     seen: set[tuple] = set()
     for path in args.csvs:
         for row in _read_result_csv(path):
+            if rows and row["benchmark"] != rows[0]["benchmark"]:
+                raise ContractError(
+                    f"{path} line {row['line']}: benchmark {row['benchmark']}, but the "
+                    f"rows before it are {rows[0]['benchmark']}; report one benchmark at a time"
+                )
             key = (row["agent"], row["seed"], row["episode"], row["phase"])
             if key in seen:
                 raise ContractError(
@@ -306,15 +318,10 @@ def _cmd_replay(args) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    handlers = {
-        "run": _cmd_run,
-        "bench-info": _cmd_bench_info,
-        "report": _cmd_report,
-        "replay": _cmd_replay,
-    }
+    handlers = {"run": _cmd_run, "bench-info": _cmd_bench_info, "report": _cmd_report,
+                "replay": _cmd_replay}
     try:
+        args = _build_parser().parse_args(argv)
         return handlers[args.command](args)
     except ConfigError as exc:
         print(f"E-CONFIG: {exc}", file=sys.stderr)

@@ -104,6 +104,8 @@ def parse_config(text: str) -> ExperimentConfig:
     # canonicalize so render/parse round-trips exactly
     benchmark = replace(benchmark, horizon=benchmark.resolved_horizon)
     cfg = ExperimentConfig(benchmark=benchmark, **values[ExperimentConfig]).validated()
+    if cfg.train_eval_every > cfg.n_episodes:  # the run would have no curve to report
+        raise ConfigError("harness.train_eval_every must be <= harness.episodes")
     return replace(cfg, hp=replace(cfg.hp, **values[AgentHyperparams]))
 
 

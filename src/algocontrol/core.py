@@ -12,6 +12,7 @@ bit for bit.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -29,9 +30,9 @@ class ConfigError(ContractError):
     """Invalid configuration value; raised before any episode runs."""
 
 
-@dataclass(frozen=True)
-class Observation:
-    """What the controller sees at one time step.
+class Observation(NamedTuple):
+    """What the controller sees at one time step, as the named tuple
+    ``(time_step, continuous_features, action_history)``.
 
     ``continuous_features`` is the episode's instance (empty for
     context-free benchmarks). ``action_history`` holds the most
@@ -158,31 +159,26 @@ class Environment:
         self._done = False
         self._history = (self.pad_action,) * self._spec.history_len
         self._trace = [] if record_trace else None
-        self._obs = self._observe()
+        self._obs = Observation(0, instance, self._history)
         return self._obs
 
     def step(self, action: ActionId) -> tuple[Observation, float, bool]:
         """Apply ``action``; returns ``(next observation, reward, done)``."""
-        if self._done or self._instance is None:
+        spec, t = self._spec, self._t
+        if self._done:  # also true before the first reset
             raise ContractError("step called on an inactive episode (reset first)")
-        if not 0 <= action < self._spec.action_count:
-            raise ContractError(
-                f"action {action} out of range [0, {self._spec.action_count})"
-            )
-        reward = float(self._reward(self._t, action))
-        terminated = self._terminates(self._t, action)
+        if not 0 <= action < spec.action_count:
+            raise ContractError(f"action {action} out of range [0, {spec.action_count})")
+        reward = float(self._reward(t, action))
+        done = self._done = self._terminates(t, action) or t + 1 >= spec.horizon
         if self._trace is not None:
             self._trace.append((self._obs, action, reward))
-        if self._spec.history_len > 0:
-            self._history = self._history[1:] + (action,)
-        self._t += 1
-        self._done = terminated or self._t >= self._spec.horizon
-        self._obs = self._observe()
-        return self._obs, reward, self._done
-
-    @property
-    def done(self) -> bool:
-        return self._done
+        history = self._history
+        if spec.history_len > 0:
+            history = self._history = history[1:] + (action,)
+        self._t = t + 1
+        obs = self._obs = Observation(t + 1, self._instance, history)
+        return obs, reward, done
 
     @property
     def trace(self) -> list[tuple[Observation, ActionId, float]]:
@@ -190,13 +186,6 @@ class Environment:
         if self._trace is None:
             raise ContractError("episode was not reset with record_trace=True")
         return self._trace
-
-    def _observe(self) -> Observation:
-        return Observation(
-            time_step=self._t,
-            continuous_features=self._instance,
-            action_history=self._history,
-        )
 
     def _reward(self, t: int, action: ActionId) -> float:
         raise NotImplementedError
@@ -215,8 +204,9 @@ def greedy_rollout(policy, env: Environment, instance: Instance,
     ``record_trace`` the episode's steps stay in ``env.trace``.
     """
     obs = env.reset(instance, seed, record_trace)
-    total = 0.0
-    while not env.done:
-        obs, reward, _ = env.step(policy(obs))
+    step = env.step
+    total, done = 0.0, False
+    while not done:
+        obs, reward, done = step(policy(obs))
         total += reward
     return total

@@ -203,8 +203,8 @@ def run_training_episode(
     """One training episode: act, observe, update; returns total reward.
     Each observation is encoded once, by ``agent.encode``."""
     s = agent.encode(env.reset(instance, seed))
-    total = 0.0
-    while not env.done:
+    total, done = 0.0, False
+    while not done:
         action = agent.select_action(s, explore_rng)
         obs, reward, done = env.step(action)
         s_next = agent.encode(obs)
@@ -350,6 +350,11 @@ def _draw_instance(
     return ()
 
 
+def _check_save(cfg: ExperimentConfig, save_path: str) -> None:
+    if save_path and cfg.agent_kind == "blackbox":
+        raise ConfigError("blackbox runs produce schedules, not agent snapshots")
+
+
 def train_and_evaluate(
     cfg: ExperimentConfig,
     seed_index: int,
@@ -367,6 +372,7 @@ def train_and_evaluate(
     ``save_path`` receives a snapshot of the trained agent.
     """
     cfg = cfg.validated()
+    _check_save(cfg, save_path)
     if train_set is None and cfg.instance_mode == "fixed":
         train_set, test_set = _instance_sets(cfg)
     run_seed = derive_seed(cfg.master_seed, RUN_BASE + seed_index)
@@ -404,14 +410,10 @@ def run_experiment(
     """
     cfg = cfg.validated()
     save_seed, save_path = save_agent or (-1, "")
-    if save_agent is not None:
-        if cfg.agent_kind == "blackbox":
-            raise ConfigError("blackbox runs produce schedules, not agent snapshots")
-        if not 0 <= save_seed < cfg.n_seeds:
-            raise ConfigError(
-                f"agent seed {save_seed} is not a seed of this run; "
-                f"expected 0 to {cfg.n_seeds - 1}"
-            )
+    _check_save(cfg, save_path)
+    if save_agent is not None and not 0 <= save_seed < cfg.n_seeds:
+        raise ConfigError(f"agent seed {save_seed} is not a seed of this run; "
+                          f"expected 0 to {cfg.n_seeds - 1}")
     train_set, test_set = _instance_sets(cfg)
     jobs = [
         (cfg, k, train_set, test_set, save_path if k == save_seed else "")

@@ -83,8 +83,10 @@ class TestFuzzy:
         episode = 0
         while len(rewards) < 10**5:
             env.reset((), SeedSpec(100, episode))
-            while not env.done:
-                rewards.append(env.step(1)[1])
+            done = False
+            while not done:
+                _, reward, done = env.step(1)
+                rewards.append(reward)
             episode += 1
         mean = float(np.mean(rewards[: 10**5]))
         assert abs(mean - 1.0) <= 0.02
@@ -94,9 +96,10 @@ class TestFuzzy:
         totals = []
         for episode in range(2000):
             env.reset((), SeedSpec(200, episode))
-            total = 0.0
-            while not env.done:
-                total += env.step(1)[1]
+            total, done = 0.0, False
+            while not done:
+                _, reward, done = env.step(1)
+                total += reward
             totals.append(total)
         # per-episode sd ~ 2*sqrt(20); 3 SEs over 2000 episodes ~ 0.6
         assert abs(float(np.mean(totals)) - 20.0) <= 0.6
@@ -187,8 +190,9 @@ class TestSigmoidMVA:
         for episode in range(50):
             inst = sample_sigmoid_instance(rng, 11)
             env.reset(inst, SeedSpec(401, episode))
-            while not env.done:
-                _, r, _ = env.step(int(rng.integers(5)))
+            done = False
+            while not done:
+                _, r, done = env.step(int(rng.integers(5)))
                 assert 0.0 <= r <= 1.0
 
 
@@ -197,23 +201,27 @@ class TestDiscreteRewardRanges:
         env = CountingEnv(5)
         rng = derive_stream(402, 0)
         env.reset((), SeedSpec(402, 0))
-        while not env.done:
-            assert env.step(int(rng.integers(5)))[1] in (0.0, 1.0)
+        done = False
+        while not done:
+            _, r, done = env.step(int(rng.integers(5)))
+            assert r in (0.0, 1.0)
 
     def test_luby_rewards_plus_minus_one(self):
         env = LubyEnv(32)
         rng = derive_stream(403, 0)
         env.reset((), SeedSpec(403, 0))
-        while not env.done:
-            assert env.step(int(rng.integers(6)))[1] in (-1.0, 1.0)
+        done = False
+        while not done:
+            _, r, done = env.step(int(rng.integers(6)))
+            assert r in (-1.0, 1.0)
 
     def test_luby_optimal_rollout_scores_horizon(self):
         env = LubyEnv(32)
         env.reset((), SeedSpec(404, 0))
-        total = 0.0
-        t = 0
-        while not env.done:
-            total += env.step(luby_exponent(t + 1))[1]
+        total, t, done = 0.0, 0, False
+        while not done:
+            _, reward, done = env.step(luby_exponent(t + 1))
+            total += reward
             t += 1
         assert total == 32.0
 

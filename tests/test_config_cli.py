@@ -2,6 +2,7 @@
 
 import contextlib
 import io
+import string
 import warnings
 from pathlib import Path
 
@@ -9,12 +10,12 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from algocontrol.agents import AgentHyperparams, DQNAgent, TabularAgent, save_agent
-from algocontrol.benchmarks import BenchmarkConfig, CountingEnv
+from algocontrol.agents import AGENT_KINDS, AgentHyperparams, DQNAgent, TabularAgent, save_agent
+from algocontrol.benchmarks import BENCHMARK_KINDS, BenchmarkConfig, CountingEnv
 from algocontrol.cli import main
 from algocontrol.config import FIELDS, apply_overrides, parse_config, render_config
 from algocontrol.core import SeedSpec, derive_stream
-from algocontrol.harness import ConfigError, ExperimentConfig, run_training_episode
+from algocontrol.harness import INSTANCE_MODES, ConfigError, ExperimentConfig, run_training_episode
 from test_golden import case_path, case_text, valid_cases
 
 WORKLOADS = sorted((Path(__file__).parents[1] / "perfbench" / "workloads").glob("*.ini"))
@@ -129,6 +130,10 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match=r"line 1.*cluster"):
             parse_config("[cluster]\nnodes = 4\n" + MINIMAL)
 
+    def test_train_interval_may_span_the_run(self):
+        cfg = parse_config(apply_overrides(MINIMAL, ["harness.train_eval_every=1000"]))
+        assert cfg.train_eval_every == cfg.n_episodes
+
     def test_override_n_seeds(self):
         cfg = parse_config(apply_overrides(MINIMAL, ["harness.n_seeds=3"]))
         assert cfg.n_seeds == 3
@@ -210,6 +215,12 @@ class TestCliRun:
         assert main(["run", config]) == 2
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("E-CONFIG:") and "workers" in err[0]
+
+    def test_train_interval_longer_than_the_run_is_one_config_line(self, tmp_path, capsys):
+        config = self._write(tmp_path, MINIMAL)
+        assert main(["run", config, "--set", "harness.train_eval_every=1001"]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["E-CONFIG: harness.train_eval_every must be <= harness.episodes"]
 
     def test_seed_env_var_changes_results(self, tmp_path, capsys, monkeypatch):
         config = self._write(
@@ -358,9 +369,12 @@ class TestCliBenchInfo:
         (["replay", "{snap}", "--benchmark", "counting", "--horizon", "-1"], "horizon"),
         (["replay", "{snap}", "--benchmark", "sigmoid", "--instance", "s=nan,p=5"], "s="),
         (["replay", "{snap}", "--benchmark", "sigmoid", "--instance", "s=1,p=inf"], "p="),
+        (["run", "{csv}", "--set", "-x"], "--set"),
+        (["bench-info", "nope"], "nope"),
     ],
     ids=["report-window", "bench-info-horizon", "bench-info-levels", "replay-horizon",
-         "replay-nan-instance", "replay-inf-instance"],
+         "replay-nan-instance", "replay-inf-instance", "run-set-without-value",
+         "bench-info-unknown-kind"],
 )
 def test_bad_command_line_value_is_one_config_line(tmp_path, capsys, argv, name):
     csv_path = tmp_path / "r.csv"
@@ -430,6 +444,7 @@ class TestCliReport:
             ("counting,qlearn,0,1,train,five,0", "'five'"),
             ("counting,qlearn,0,1,train,nan,0", "'nan' is not finite"),
             ("counting,qlearn,0,1,train,-inf,0", "'-inf' is not finite"),
+            ("counting,qlearn\x1d,0,1,train,5,0", "unprintable character"),
         ],
     )
     def test_bad_row_is_one_runtime_line(self, tmp_path, capsys, row, reason):
@@ -465,6 +480,23 @@ class TestCliReport:
         assert main(["report", str(path)]) == 3
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith(f"E-RUNTIME: {path} line 6: duplicate row")
+
+    def test_two_benchmarks_is_one_runtime_line(self, capsys):
+        luby, counting = (str(case_path(b, "qlearn", "none")) for b in ("luby", "counting"))
+        assert main(["report", luby, counting]) == 3
+        assert capsys.readouterr().err.splitlines() == [
+            f"E-RUNTIME: {counting} line 2: benchmark counting, but the rows before it are "
+            "luby; report one benchmark at a time"
+        ]
+
+    def test_two_benchmarks_on_disjoint_seeds_are_refused(self, tmp_path, capsys):
+        header, *rows = self.CSV.splitlines()
+        luby, counting = tmp_path / "luby.csv", tmp_path / "counting.csv"
+        luby.write_text("\n".join([header] + [r.replace("counting", "luby") for r in rows[:2]]))
+        counting.write_text("\n".join([header] + rows[2:]))
+        assert main(["report", str(luby), str(counting)]) == 3
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"E-RUNTIME: {counting} line 2: benchmark")
 
     def test_same_episode_in_both_phases_is_kept(self, tmp_path, capsys):
         path = tmp_path / "r.csv"
@@ -527,12 +559,12 @@ class TestCliReplay:
         env = SigmoidEnv(11)
         agent = TabularAgent("qlearn", 2, hp=AgentHyperparams(alpha=1.0))
         instance = (1.0, 5.0)
-        obs = env.reset(instance, SeedSpec(0, 0))
-        while not env.done:
+        obs, done = env.reset(instance, SeedSpec(0, 0)), False
+        while not done:
             s = state_key(obs)
             for a in (0, 1):
                 agent.q.set(s, a, sigmoid_reward(obs.time_step, a, 1.0, 5.0))
-            obs, _, _ = env.step(0)
+            obs, _, done = env.step(0)
         snap = tmp_path / "sig.snap"
         save_agent(agent, str(snap))
         assert (
@@ -687,6 +719,23 @@ FUZZ_SETTINGS = settings(
 )
 
 
+def run_cli(argv, codes=(0, 3, 4)):
+    """Run the CLI and check that it ends in one of ``codes`` and in no
+    stderr (exit 0) or exactly one ``E-`` line, never a traceback."""
+    err = io.StringIO()
+    # A warning would reach the terminal as more stderr lines.
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err), \
+            warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(argv)
+    assert code in codes
+    lines = err.getvalue().splitlines()
+    if code == 0:
+        assert lines == []
+    else:
+        assert len(lines) == 1 and lines[0].startswith("E-"), lines
+
+
 class TestCorruptedInputs:
     """A corrupted snapshot or result CSV ends in exit 0, 3 or 4, and in
     no stderr or exactly one ``E-`` line, never a traceback."""
@@ -696,28 +745,13 @@ class TestCorruptedInputs:
         "dqn": ["--benchmark", "sigmoid", "--horizon", "11", "--instance", "s=1,p=5"],
     }
 
-    @staticmethod
-    def _run(argv):
-        err = io.StringIO()
-        # A warning would reach the terminal as more stderr lines.
-        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err), \
-                warnings.catch_warnings():
-            warnings.simplefilter("error")
-            code = main(argv)
-        assert code in (0, 3, 4)
-        lines = err.getvalue().splitlines()
-        if code == 0:
-            assert lines == []
-        else:
-            assert len(lines) == 1 and lines[0].startswith("E-"), lines
-
     @pytest.mark.parametrize("kind", ["tabular", "dqn"])
     @FUZZ_SETTINGS
     @given(data=st.data())
     def test_replay(self, kind, valid_inputs, tmp_path_factory, data):
         path = tmp_path_factory.getbasetemp() / f"fuzz-{kind}.snap"
         path.write_bytes(data.draw(corrupted(valid_inputs[kind])))
-        self._run(["replay", str(path)] + self.ARGS[kind])
+        run_cli(["replay", str(path)] + self.ARGS[kind])
 
     @FUZZ_SETTINGS
     @given(data=st.data(), mode=st.sampled_from(("table", "plotdata")),
@@ -725,4 +759,117 @@ class TestCorruptedInputs:
     def test_report(self, valid_inputs, tmp_path_factory, data, mode, copies):
         path = tmp_path_factory.getbasetemp() / "fuzz.csv"
         path.write_bytes(data.draw(corrupted(valid_inputs["csv"])))
-        self._run(["report"] + [str(path)] * copies + ["--mode", mode])
+        run_cli(["report"] + [str(path)] * copies + ["--mode", mode])
+
+
+TINY = """\
+[benchmark]
+kind = counting
+horizon = 3
+
+[agent]
+kind = qlearn
+
+[harness]
+episodes = 2
+n_seeds = 1
+"""
+# Keys that size a run take values <= 3 or text that is no number, and
+# workers never asks for more than two processes, so every example is small.
+SIZING_KEYS = ("episodes", "n_seeds", "train_instances", "test_instances", "eval_runs",
+               "horizon")
+# Text with no digit: no int() or float() reading of it can size a run.
+NOT_A_NUMBER = st.text(alphabet=string.ascii_letters + " .,-+_=#;[]", max_size=8)
+
+SECTION_NAMES = st.sampled_from(("benchmark", "agent", "harness")) | NOT_A_NUMBER
+CHOICES = {
+    ("benchmark", "kind"): BENCHMARK_KINDS,
+    ("agent", "kind"): AGENT_KINDS,
+    ("harness", "instance_mode"): ("",) + INSTANCE_MODES,
+}
+
+
+def one_in(n: int):
+    """True about once in ``n`` draws (hypothesis favours small integers)."""
+    return st.sampled_from([False] * (n - 1) + [True])
+
+
+@st.composite
+def config_value(draw, section: str, key: str, output_paths: tuple[str, ...]) -> str:
+    """A value for ``key``: mostly of its type, in or out of range; one in
+    ten is text that is no number."""
+    if key == "output":  # a path the test owns, or one in a missing directory
+        return draw(st.sampled_from(output_paths))
+    if draw(one_in(10)):
+        return draw(NOT_A_NUMBER)
+    if key in SIZING_KEYS:
+        return str(draw(st.integers(-2, 3)))
+    if key == "workers":
+        return str(draw(st.integers(max_value=0) | st.sampled_from((1, 2))))
+    if (section, key) in CHOICES:
+        return draw(st.sampled_from(CHOICES[section, key]))
+    kind = FIELDS[section, key][1].type if (section, key) in FIELDS else "str"
+    if kind == "int":
+        return str(draw(st.integers() if key == "seed" else st.integers(-2, 50)))
+    if kind == "float":
+        if draw(one_in(4)):
+            return repr(draw(st.floats() | st.sampled_from((1e400, -0.0))))
+        return repr(draw(st.floats(0, 1)))
+    if kind == "bool":
+        return draw(st.sampled_from(("true", "false", "yes", "off", "2")))
+    return draw(NOT_A_NUMBER)
+
+
+@st.composite
+def key_and_value(draw, output_paths):
+    """A key of the config table (seven in eight) or made-up section and key."""
+    if draw(one_in(8)):
+        section, key = draw(SECTION_NAMES), draw(NOT_A_NUMBER)
+    else:
+        section, key = draw(st.sampled_from(sorted(FIELDS)))
+    return section, key, draw(config_value(section, key, output_paths))
+
+
+@st.composite
+def mutated_config(draw, output_paths):
+    """TINY with up to three edits (a key line, mostly under its own section;
+    a section header; a line dropped; a line of text), and up to three
+    ``--set`` overrides, one in sixteen of them malformed."""
+    lines = TINY.splitlines()
+    for _ in range(draw(st.integers(0, 3))):
+        edit = draw(st.sampled_from(("key", "key", "key", "section", "drop", "text")))
+        at = draw(st.integers(0, len(lines)))
+        if edit == "key":
+            section, key, value = draw(key_and_value(output_paths))
+            if f"[{section}]" in lines and not draw(one_in(8)):
+                at = lines.index(f"[{section}]") + 1
+            lines.insert(at, f"{key} = {value}")
+        elif edit == "section":
+            lines.insert(at, f"[{draw(SECTION_NAMES)}]")
+        elif edit == "drop" and at < len(lines):
+            del lines[at]
+        else:
+            lines.insert(at, draw(NOT_A_NUMBER))
+    overrides = []
+    for _ in range(draw(st.integers(0, 3))):
+        section, key, value = draw(key_and_value(output_paths))
+        override = draw(NOT_A_NUMBER) if draw(one_in(16)) else f"{section}.{key}={value}"
+        overrides += ["--set", override]
+    return "\n".join(lines) + "\n", overrides
+
+
+@FUZZ_SETTINGS
+@given(data=st.data())
+def test_mutated_config_is_one_error_line(tmp_path_factory, data):
+    """A mutated config or ``--set`` override ends in exit 0, 2, 3 or 4,
+    and in no stderr or exactly one ``E-`` line, never a traceback."""
+    tmp = tmp_path_factory.getbasetemp() / "fuzz-config"
+    tmp.mkdir(exist_ok=True)
+    outputs = ("", str(tmp / "out.csv"), str(tmp / "missing" / "out.csv"))
+    text, overrides = data.draw(mutated_config(outputs))
+    path = tmp / "fuzz.ini"
+    path.write_text(text, encoding="utf-8")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.delenv("DACBENCH_SEED", raising=False)
+        mp.chdir(tmp)  # a stray relative output path lands here
+        run_cli(["run", str(path)] + overrides, codes=(0, 2, 3, 4))

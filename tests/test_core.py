@@ -17,6 +17,7 @@ from algocontrol.benchmarks import (
 from algocontrol import core
 from algocontrol.core import (
     ContractError,
+    Observation,
     SeedSpec,
     derive_seed,
     derive_stream,
@@ -124,6 +125,19 @@ class TestStepContract:
             assert obs.time_step == expected_t
             obs, _, _ = env.step(0)
 
+    def test_observation_keeps_its_defaults(self):
+        obs = Observation(time_step=3)
+        assert obs == (3, (), ()) and obs.continuous_features == () == obs.action_history
+
+    @pytest.mark.parametrize("ctor,args", [(LubyEnv, (32,)), (SigmoidEnv, (11,))])
+    def test_step_builds_one_observation(self, ctor, args):
+        """The observation ``step`` returns is the one the trace keeps for
+        the next step: one object per step, built once."""
+        env = ctor(*args)
+        env.reset((3.0, 5.0) if env.spec.context_dim else (), SeedSpec(2, 0), record_trace=True)
+        returned = [env.step(0)[0] for _ in range(env.spec.horizon)]
+        assert all(obs is env.trace[i + 1][0] for i, obs in enumerate(returned[:-1]))
+
 
 def _random_policy(rng, action_count):
     return lambda obs: int(rng.integers(action_count))
@@ -199,12 +213,12 @@ class TestEpisodeTrace:
         instance = (
             (-2.0, 6.0) if spec.context_dim else ()
         )
-        obs = env.reset(instance, SeedSpec(8, 0))
-        while not env.done:
+        obs, done = env.reset(instance, SeedSpec(8, 0)), False
+        while not done:
             assert len(obs.continuous_features) == spec.context_dim
             assert len(obs.action_history) == spec.history_len
             assert obs.time_step <= spec.horizon
-            obs, _, _ = env.step(0)
+            obs, _, done = env.step(0)
 
 
 class TestLazyStreams:
@@ -227,8 +241,9 @@ class TestLazyStreams:
         for episode in range(3):
             for seed in (SeedSpec(9, episode), None):
                 env.reset(instance, seed)
-                while not env.done:
-                    env.step(episode % env.spec.action_count)
+                done = False
+                while not done:
+                    done = env.step(episode % env.spec.action_count)[2]
         assert derivations == []
 
     def test_fuzzy_rewards_match_eager_stream(self, derivations):

@@ -218,10 +218,10 @@ class TestTrainAndEvaluate:
         def optimal_agent(cfg, run_seed):
             agent = TabularAgent("gr", 5, hp=AgentHyperparams(alpha=1.0))
             env = CountingEnv(5)
-            obs = env.reset((), SeedSpec(0, 0))
-            while not env.done:
+            obs, done = env.reset((), SeedSpec(0, 0)), False
+            while not done:
                 agent.q.set(state_key(obs), obs.time_step, 1.0)
-                obs, _, _ = env.step(obs.time_step)
+                obs, _, done = env.step(obs.time_step)
             return agent
 
         monkeypatch.setattr(harness_module, "_make_agent", optimal_agent)
@@ -255,6 +255,13 @@ class TestTrainAndEvaluate:
         curve = train_and_evaluate(cfg, 0)
         assert curve.episodes == list(range(1, 31))
         assert all(a <= b for a, b in zip(curve.train_rewards, curve.train_rewards[1:]))
+
+    def test_blackbox_save_path_is_a_config_error(self, tmp_path):
+        snap = tmp_path / "agent.snap"
+        with pytest.raises(ConfigError, match="blackbox"):
+            train_and_evaluate(counting_cfg(agent_kind="blackbox", n_episodes=5), 0,
+                               save_path=str(snap))
+        assert not snap.exists()
 
 
 class TestOneEncodingPerObservation:

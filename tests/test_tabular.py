@@ -15,7 +15,7 @@ from algocontrol.agents import (
     save_agent,
     state_key,
 )
-from algocontrol.benchmarks import CountingEnv, FuzzyEnv
+from algocontrol.benchmarks import CountingEnv, FuzzyEnv, LubyEnv
 from algocontrol.cli import main
 from algocontrol.core import ContractError, Observation, SeedSpec, derive_stream
 from algocontrol.agents.tabular import argmax_with_random_ties
@@ -360,9 +360,9 @@ class TestValueIterationFixedPoint:
                 q_update(q, s, a, r, s_next, done, hp)
         env = CountingEnv(3)
         obs = env.reset((), SeedSpec(0, 0))
-        total = 0.0
-        while not env.done:
-            obs, reward, _ = env.step(q.argmax(state_key(obs)))
+        total, done = 0.0, False
+        while not done:
+            obs, reward, done = env.step(q.argmax(state_key(obs)))
             total += reward
         assert total == 3.0
 
@@ -404,6 +404,28 @@ class TestTabularAgent:
         assert agent.q.rows != before_rows  # training went on
         assert {s: frozen.argmax(s) for s in probe_states} == before
         assert {s: list(frozen.row(s)) for s in frozen.rows} == before_rows
+
+    def test_context_free_key_is_the_plain_tuple(self):
+        obs = Observation(4, (), (1, 2, 3, 0, 2))
+        assert state_key(obs) == (4, (), (1, 2, 3, 0, 2))
+        assert hash(state_key(obs)) == hash((4, (), (1, 2, 3, 0, 2)))
+
+    def test_observation_keys_snapshot_like_plain_tuples(self, tmp_path):
+        """Rows keyed by observations save to the bytes of the same rows
+        keyed by plain tuples, and load back equal."""
+        env = LubyEnv(32)
+        agent = TabularAgent("qlearn", env.spec.action_count, hp=AgentHyperparams(alpha=1.0))
+        rng = derive_stream(15, 0)
+        for episode in range(20):
+            run_training_episode(agent, env, (), SeedSpec(15, episode), rng, rng)
+        assert all(type(s) is Observation for s in agent.q.rows)
+        plain = TabularAgent("qlearn", env.spec.action_count)
+        plain.episodes_trained = agent.episodes_trained
+        plain.q.rows = {tuple(s): row for s, row in agent.q.rows.items()}
+        save_agent(agent, str(tmp_path / "obs.snap"))
+        save_agent(plain, str(tmp_path / "tuple.snap"))
+        assert (tmp_path / "obs.snap").read_bytes() == (tmp_path / "tuple.snap").read_bytes()
+        assert load_snapshot(str(tmp_path / "obs.snap")).q.rows == agent.q.rows
 
     def test_untrained_policy_plays_action_zero(self):
         assert TabularAgent("qlearn", 5).greedy_action(OBS) == 0
