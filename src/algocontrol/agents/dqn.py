@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..core import ActionId, ContractError, Observation
+from ..core import ActionId, ContractError, Instance, Observation
 from .tabular import AgentHyperparams
 
 HIDDEN_UNITS = 50
@@ -58,14 +58,21 @@ class MLPQNet:
         return clone
 
     def forward(self, obs: np.ndarray) -> np.ndarray:
-        """Q-values for a single observation vector or a batch of rows."""
+        """Q-values for one observation vector, a 2-D batch of rows, or a
+        stack of rows shaped ``(N, 1, input_dim)``.
+
+        A 2-D batch goes through one matrix-matrix product, which may
+        round differently from the same rows passed one at a time. A
+        ``(N, 1, input_dim)`` stack runs the single-row product once per
+        row, so its Q-values equal the single-row ones bit for bit.
+        """
         x = np.asarray(obs, dtype=float)
         single = x.ndim == 1
         if single:
             x = x[None, :]
-        if x.shape[1] != self.input_dim:
+        if x.shape[-1] != self.input_dim:
             raise ContractError(
-                f"observation dim {x.shape[1]} != network input dim {self.input_dim}"
+                f"observation dim {x.shape[-1]} != network input dim {self.input_dim}"
             )
         h = np.maximum(x @ self.w1 + self.b1, 0.0)
         q = h @ self.w2 + self.b2
@@ -96,22 +103,24 @@ class ReplayBuffer:
         self._next = 0
         self._size = 0
 
-    def push(
-        self,
-        obs: np.ndarray,
-        action: ActionId,
-        reward: float,
-        next_obs: np.ndarray,
-        done: bool,
-    ) -> None:
-        i = self._next
-        self.obs[i] = obs
-        self.actions[i] = action
-        self.rewards[i] = reward
-        self.next_obs[i] = next_obs
-        self.dones[i] = done
-        self._next = (i + 1) % self.capacity
-        self._size = min(self._size + 1, self.capacity)
+    def extend(self, obs, actions, rewards, next_obs, dones) -> None:
+        """Write transitions in order, as one ring write per transition
+        would: of more than ``capacity`` transitions, the last
+        ``capacity`` stay."""
+        n = len(actions)
+        keep = min(n, self.capacity)
+        start = (self._next + n - keep) % self.capacity
+        if start + keep <= self.capacity:
+            idx = slice(start, start + keep)
+        else:
+            idx = (start + np.arange(keep)) % self.capacity
+        self.obs[idx] = obs[n - keep:]
+        self.actions[idx] = actions[n - keep:]
+        self.rewards[idx] = rewards[n - keep:]
+        self.next_obs[idx] = next_obs[n - keep:]
+        self.dones[idx] = dones[n - keep:]
+        self._next = (self._next + n) % self.capacity
+        self._size = min(self._size + n, self.capacity)
 
     def sample(self, rng: np.random.Generator, batch_size: int) -> Batch:
         """Uniform sample with replacement from the stored transitions."""
@@ -186,6 +195,12 @@ class DQNAgent:
     benchmarks, the intended users of this agent, expose none). Feature
     scales bring the inputs to unit order; raw scale values near +-100
     blow up plain SGD.
+
+    The encoding depends only on (t, instance), and the network changes
+    only in ``end_episode``. So the inputs of all T + 1 time steps of an
+    instance are built at once, and its T greedy actions come from one
+    stacked forward; both are kept until the next SGD step. An episode's
+    transitions reach the replay ring in one write, in ``end_episode``.
     """
 
     kind = "dqn"
@@ -217,13 +232,33 @@ class DQNAgent:
         self.decay_episodes = max(1, int(round(total_episodes * self.hp.eps_decay_fraction)))
         self.episodes_trained = 0
         self.last_loss = 0.0
+        self._rows: dict[Instance, np.ndarray] = {}
+        self._greedy: dict[Instance, list[ActionId]] = {}
+        self._episode: list[tuple] = []
 
-    def encode(self, obs: Observation) -> np.ndarray:
-        out = np.empty(self.input_dim)
-        out[0] = obs.time_step / self.horizon
-        if self.input_dim > 1:
-            out[1:] = np.asarray(obs.continuous_features) * self.context_scales
-        return out
+    def encode(self, obs: Observation) -> Observation:
+        """The observation itself; ``input_rows`` holds its network input."""
+        return obs
+
+    def input_rows(self, instance: Instance) -> np.ndarray:
+        """Network inputs of time steps 0..T on ``instance``, one row each."""
+        rows = self._rows.get(instance)
+        if rows is None:
+            rows = np.empty((self.horizon + 1, self.input_dim))
+            rows[:, 0] = np.arange(self.horizon + 1) / self.horizon
+            rows[:, 1:] = np.asarray(instance) * self.context_scales
+            rows.flags.writeable = False  # shared by every caller until the next update
+            self._rows[instance] = rows
+        return rows
+
+    def _greedy_actions(self, instance: Instance) -> list[ActionId]:
+        """Greedy action of each time step 0..T-1 on ``instance``."""
+        actions = self._greedy.get(instance)
+        if actions is None:
+            rows = self.input_rows(instance)[: self.horizon, None, :]
+            q = self.net.forward(rows)[:, 0, :]
+            actions = self._greedy[instance] = np.argmax(q, axis=1).tolist()
+        return actions
 
     @property
     def epsilon(self) -> float:
@@ -233,23 +268,38 @@ class DQNAgent:
         frac = self.episodes_trained / self.decay_episodes
         return EPSILON_START + (EPSILON_END - EPSILON_START) * frac
 
-    def select_action(self, s: np.ndarray, rng: np.random.Generator) -> ActionId:
+    def select_action(self, s: Observation, rng: np.random.Generator) -> ActionId:
         if rng.random() < self.epsilon:
             return int(rng.integers(self.action_count))
-        return int(np.argmax(self.net.forward(s)))
+        return self._greedy_actions(s.continuous_features)[s.time_step]
 
-    def observe(self, s: np.ndarray, action: ActionId, reward: float,
-                s_next: np.ndarray, done: bool) -> None:
-        self.buffer.push(s, action, reward, s_next, done)
+    def observe(self, s: Observation, action: ActionId, reward: float,
+                s_next: Observation, done: bool) -> None:
+        """Keep one transition of the current episode; all of them share
+        the episode's instance."""
+        self._episode.append((s, action, reward, s_next, done))
+
+    def _inputs(self, observations: tuple[Observation, ...]) -> np.ndarray:
+        instance = observations[0].continuous_features
+        if any(o.continuous_features != instance for o in observations):
+            raise ContractError("the transitions of one episode must share one instance")
+        return self.input_rows(instance)[[o.time_step for o in observations]]
 
     def end_episode(self, rng: np.random.Generator) -> None:
-        """One SGD step on a replay sample, then the target sync every
+        """Write the episode's transitions to the replay ring, take one
+        SGD step on a replay sample, then sync the target every
         ``target_sync_every`` episodes; a loss or parameter that is not
         finite raises ContractError."""
         episode = self.episodes_trained + 1
+        if self._episode:
+            s, actions, rewards, s_next, dones = zip(*self._episode)
+            self._episode = []
+            self.buffer.extend(self._inputs(s), actions, rewards, self._inputs(s_next), dones)
         if len(self.buffer) > 0:
             batch = self.buffer.sample(rng, self.batch_size)
             self.last_loss = dqn_train_step(self.net, self.target_net, batch, self.hp)
+            self._rows.clear()
+            self._greedy.clear()
             if not (
                 math.isfinite(self.last_loss)
                 and all(np.isfinite(p).all() for p in self.net.parameters())
@@ -263,4 +313,4 @@ class DQNAgent:
             self.target_net.copy_from(self.net)
 
     def greedy_action(self, obs: Observation) -> ActionId:
-        return int(np.argmax(self.net.forward(self.encode(obs))))
+        return self._greedy_actions(obs.continuous_features)[obs.time_step]

@@ -103,6 +103,16 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_output_path(path: str) -> None:
+    """Refuse, before any training, a path that cannot be written for want
+    of its directory; creates and truncates nothing."""
+    directory = os.path.dirname(path) or "."
+    if not os.path.isdir(directory):
+        raise OSError(f"cannot write {path}: directory {directory} does not exist")
+    if os.path.isdir(path):
+        raise OSError(f"cannot write {path}: it is a directory")
+
+
 def _cmd_run(args) -> int:
     try:
         with open(args.config, "r", encoding="utf-8") as fh:
@@ -120,6 +130,9 @@ def _cmd_run(args) -> int:
             raise ConfigError(f"DACBENCH_SEED must be an integer, got {env_seed!r}")
         overrides.append(f"harness.seed={env_seed}")
     cfg = parse_config(apply_overrides(text, overrides))
+    for path in (cfg.output_path, args.save_agent):
+        if path:
+            _check_output_path(path)
     if args.verbose:
         print(render_config(cfg), end="")
     curves = run_experiment(

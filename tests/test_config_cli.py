@@ -216,6 +216,34 @@ class TestCliRun:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("E-CONFIG:") and "workers" in err[0]
 
+    @pytest.mark.parametrize("flag", ["--output", "--save-agent"])
+    @pytest.mark.parametrize("where", ["missing-dir", "directory"])
+    def test_unwritable_path_fails_before_training(self, tmp_path, capsys, monkeypatch,
+                                                   flag, where):
+        from algocontrol import cli
+
+        def no_training(*args, **kwargs):
+            raise AssertionError(f"training started before {flag} was checked")
+
+        monkeypatch.setattr(cli, "run_experiment", no_training)
+        config = self._write(tmp_path, TABULAR_RUN)
+        path = tmp_path / "missing" / "out" if where == "missing-dir" else tmp_path
+        before = sorted(p.name for p in tmp_path.iterdir())
+        assert main(["run", config, flag, str(path)]) == 4
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"E-IO: cannot write {path}:")
+        assert sorted(p.name for p in tmp_path.iterdir()) == before
+
+    def test_unwritable_config_output_fails_before_training(self, tmp_path, capsys,
+                                                            monkeypatch):
+        from algocontrol import cli
+
+        monkeypatch.setattr(cli, "run_experiment", lambda *a, **k: pytest.fail("trained"))
+        config = self._write(tmp_path, TABULAR_RUN + f"output = {tmp_path}/no/r.csv\n")
+        assert main(["run", config]) == 4
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("E-IO: cannot write")
+
     def test_train_interval_longer_than_the_run_is_one_config_line(self, tmp_path, capsys):
         config = self._write(tmp_path, MINIMAL)
         assert main(["run", config, "--set", "harness.train_eval_every=1001"]) == 2

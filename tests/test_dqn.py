@@ -14,7 +14,9 @@ from algocontrol.agents import (
     save_agent,
 )
 from algocontrol.agents.dqn import Batch
-from algocontrol.core import ContractError, Observation, derive_stream
+from algocontrol.benchmarks import SigmoidEnv, make_instance_set
+from algocontrol.core import ContractError, Observation, SeedSpec, derive_stream
+from algocontrol.harness import run_training_episode
 from oracles import random_gradcheck_case
 
 
@@ -195,15 +197,14 @@ class TestReplayBuffer:
     def test_capacity_bound_and_eviction(self):
         buf = ReplayBuffer(capacity=10, obs_dim=1)
         for i in range(25):
-            buf.push(np.array([float(i)]), 0, float(i), np.array([0.0]), False)
+            buf.extend(np.array([[float(i)]]), [0], [float(i)], np.array([[0.0]]), [False])
         assert len(buf) == 10
         stored = set(buf.obs[:, 0])
         assert stored == set(float(i) for i in range(15, 25))
 
     def test_uniform_sampling_with_replacement(self):
         buf = ReplayBuffer(capacity=4, obs_dim=1)
-        for i in range(4):
-            buf.push(np.array([float(i)]), i, 0.0, np.array([0.0]), False)
+        buf.extend(np.arange(4.0)[:, None], [0, 1, 2, 3], [0.0] * 4, np.zeros((4, 1)), [False] * 4)
         rng = derive_stream(81, 0)
         batch = buf.sample(rng, 10**4)
         counts = np.bincount(batch.actions, minlength=4)
@@ -212,6 +213,62 @@ class TestReplayBuffer:
     def test_sample_empty_rejected(self):
         with pytest.raises(ContractError):
             ReplayBuffer(4, 1).sample(derive_stream(82, 0), 2)
+
+
+def transitions(first, n):
+    """``n`` distinct transitions (obs, action, reward, next_obs, done)."""
+    return [
+        (np.array([float(i), -float(i)]), i % 3, 0.5 * i, np.array([i + 0.25, 1.0]), i % 2 == 0)
+        for i in range(first, first + n)
+    ]
+
+
+class TestRingWrite:
+    """One ``extend`` of an episode leaves the ring exactly as writing its
+    transitions one at a time, oldest first, would."""
+
+    CAPACITY = 10
+
+    @staticmethod
+    def sequential(capacity, written):
+        slots, nxt = [None] * capacity, 0
+        for transition in written:
+            slots[nxt] = transition
+            nxt = (nxt + 1) % capacity
+        return slots, min(len(written), capacity)
+
+    @pytest.mark.parametrize(
+        "before, episode",
+        [(0, 4), (7, 3), (7, 4), (7, 6), (10, 10), (3, 25), (0, 10)],
+        ids=["no-wrap", "ends-at-capacity", "wrap-by-one", "wrap", "full-then-full",
+             "longer-than-capacity", "exactly-capacity"],
+    )
+    def test_matches_sequential_writes(self, before, episode):
+        buf = ReplayBuffer(self.CAPACITY, obs_dim=2)
+        old, new = transitions(0, before), transitions(100, episode)
+        for chunk in (old, new):
+            if chunk:
+                obs, actions, rewards, next_obs, dones = zip(*chunk)
+                buf.extend(np.array(obs), actions, rewards, np.array(next_obs), dones)
+        slots, size = self.sequential(self.CAPACITY, old + new)
+        assert len(buf) == size
+        for i, (obs, action, reward, next_obs, done) in enumerate(slots[:size]):
+            assert np.array_equal(buf.obs[i], obs) and np.array_equal(buf.next_obs[i], next_obs)
+            assert (buf.actions[i], buf.rewards[i], buf.dones[i]) == (action, reward, done)
+        batch = buf.sample(derive_stream(88, 0), 50)
+        idx = derive_stream(88, 0).integers(size, size=50)
+        assert np.array_equal(batch.obs, np.array([slots[i][0] for i in idx]))
+        assert np.array_equal(batch.actions, [slots[i][1] for i in idx])
+        assert np.array_equal(batch.rewards, [slots[i][2] for i in idx])
+
+    def test_following_write_continues_after_the_episode(self):
+        buf = ReplayBuffer(self.CAPACITY, obs_dim=2)
+        for chunk in (transitions(0, 13), transitions(50, 4)):
+            obs, actions, rewards, next_obs, dones = zip(*chunk)
+            buf.extend(np.array(obs), actions, rewards, np.array(next_obs), dones)
+        slots, _ = self.sequential(self.CAPACITY, transitions(0, 13) + transitions(50, 4))
+        assert [int(a) for a in buf.actions] == [s[1] for s in slots]
+        assert list(buf.rewards) == [s[2] for s in slots]
 
 
 class TestDQNAgent:
@@ -224,8 +281,7 @@ class TestDQNAgent:
             rng=derive_stream(83, 0),
             context_scales=(0.01, 1 / 11),
         )
-        obs = Observation(time_step=5, continuous_features=(50.0, 5.5))
-        encoded = agent.encode(obs)
+        encoded = agent.input_rows((50.0, 5.5))[5]
         assert np.allclose(encoded, [5 / 11, 0.5, 0.5])
 
     def test_non_finite_update_names_episode(self):
@@ -257,9 +313,10 @@ class TestDQNAgent:
         save_agent(agent, str(path))
         frozen = load_snapshot(str(path))
         obs = Observation(time_step=3, continuous_features=(7.0, 4.0))
-        before = frozen.net.forward(agent.encode(obs))
+        x = agent.input_rows(obs.continuous_features)[obs.time_step]
+        before = frozen.net.forward(x)
         agent.net.w2 += 100.0  # training drift must not leak into snapshots
-        assert np.array_equal(frozen.net.forward(agent.encode(obs)), before)
+        assert np.array_equal(frozen.net.forward(x), before)
 
     def test_snapshot_roundtrip(self, tmp_path):
         agent = DQNAgent(
@@ -277,3 +334,152 @@ class TestDQNAgent:
         assert np.allclose(loaded.net.forward(x), agent.net.forward(x), atol=0)
         obs = Observation(time_step=4, continuous_features=(-30.0, 6.0))
         assert loaded.greedy_action(obs) == agent.greedy_action(obs)
+
+
+def per_step_encoding(agent, t, features):
+    """Input vector of one step, built the way a per-step encoder builds it."""
+    out = np.empty(agent.input_dim)
+    out[0] = t / agent.horizon
+    if agent.input_dim > 1:
+        out[1:] = np.asarray(features) * agent.context_scales
+    return out
+
+
+def single_row_greedy(agent, instance):
+    rows = agent.input_rows(instance)
+    return [int(np.argmax(agent.net.forward(rows[t]))) for t in range(agent.horizon)]
+
+
+def stacked_equals_single_rows(agent, instance):
+    rows = agent.input_rows(instance)
+    stacked = agent.net.forward(rows[: agent.horizon, None, :])[:, 0, :]
+    single = np.array([agent.net.forward(rows[t]) for t in range(agent.horizon)])
+    return np.array_equal(stacked, single, equal_nan=True)
+
+
+class TestStackedGreedy:
+    """Greedy actions come from one stacked forward per instance; they
+    equal a single-row forward per step, bit for bit."""
+
+    @staticmethod
+    def agent(input_dim, actions, horizon, seed):
+        scales = tuple(0.5 + 0.25 * k for k in range(input_dim - 1))
+        return DQNAgent(action_count=actions, horizon=horizon, context_dim=input_dim - 1,
+                        total_episodes=10, rng=derive_stream(seed, 0), context_scales=scales)
+
+    @staticmethod
+    def instances(agent, seed, n=3):
+        rng = derive_stream(seed, 1)
+        return [tuple(float(v) for v in rng.normal(0.0, 5.0, agent.input_dim - 1))
+                for _ in range(n)]
+
+    @pytest.mark.parametrize("input_dim", [1, 2, 3, 4])
+    def test_matches_single_row_forward(self, input_dim):
+        for actions in range(2, 7):
+            for horizon in range(1, 41):
+                seed = 1000 * input_dim + 100 * actions + horizon
+                agent = self.agent(input_dim, actions, horizon, seed)
+                for instance in self.instances(agent, seed):
+                    assert stacked_equals_single_rows(agent, instance)
+                    greedy = [agent.greedy_action(Observation(t, instance))
+                              for t in range(horizon)]
+                    assert greedy == single_row_greedy(agent, instance)
+
+    def test_input_rows_equal_per_step_encoding(self):
+        for input_dim in (1, 2, 3, 4):
+            for horizon in (1, 7, 11, 40):
+                agent = self.agent(input_dim, 3, horizon, input_dim + horizon)
+                for instance in self.instances(agent, horizon):
+                    rows = agent.input_rows(instance)
+                    assert rows.shape == (horizon + 1, input_dim)
+                    for t in range(horizon + 1):
+                        assert np.array_equal(rows[t], per_step_encoding(agent, t, instance))
+
+    def test_ties_go_to_the_lowest_index(self):
+        agent = self.agent(3, 5, 11, 7)
+        for p in agent.net.parameters():
+            p[:] = 0.0
+        instance = (1.0, 2.0)
+        assert [agent.greedy_action(Observation(t, instance)) for t in range(11)] == [0] * 11
+        agent = self.agent(3, 5, 11, 7)
+        agent.net.w2[:] = 0.0
+        agent.net.b2[:] = [0.0, 1.0, 0.0, 1.0, 0.5]
+        assert [agent.greedy_action(Observation(t, instance)) for t in range(11)] == [1] * 11
+        assert single_row_greedy(agent, instance) == [1] * 11
+
+    @pytest.mark.parametrize("where", ["w1", "w2", "b2"])
+    def test_nan_weight(self, where):
+        agent = self.agent(3, 4, 11, 8)
+        param = getattr(agent.net, where)
+        param[..., 2] = np.nan
+        instance = (1.5, -2.0)
+        assert stacked_equals_single_rows(agent, instance)
+        greedy = [agent.greedy_action(Observation(t, instance)) for t in range(11)]
+        assert greedy == single_row_greedy(agent, instance)
+
+    def test_one_forward_per_instance(self, monkeypatch):
+        agent = self.agent(3, 4, 11, 9)
+        calls = []
+        forward = agent.net.forward
+        monkeypatch.setattr(agent.net, "forward", lambda x: calls.append(x.shape) or forward(x))
+        for instance in self.instances(agent, 9, n=2):
+            for t in range(11):
+                agent.greedy_action(Observation(t, instance))
+        assert calls == [(11, 1, 3), (11, 1, 3)]
+
+
+class TestMemoLifetime:
+    """Every network update drops the memo: greedy actions always follow
+    the current network."""
+
+    def test_greedy_follows_every_update(self, tmp_path):
+        horizon = 11
+        agent = DQNAgent(action_count=2, horizon=horizon, context_dim=2, total_episodes=60,
+                         hp=AgentHyperparams(alpha=0.1, dqn_lr=0.05, eps_decay_fraction=0.5),
+                         rng=derive_stream(92, 0), context_scales=(0.01, 1 / horizon))
+        instances = make_instance_set(derive_stream(92, 1), horizon, 4)
+        explore, train = derive_stream(92, 2), derive_stream(92, 3)
+        env, seen, loaded = SigmoidEnv(horizon), set(), None
+        for episode in range(60):
+            for instance in instances:  # fill the memo before the update
+                agent.greedy_action(Observation(0, instance))
+            run_training_episode(agent, env, instances[episode % 4], SeedSpec(92, episode),
+                                 explore, train)
+            for instance in instances:
+                greedy = [agent.greedy_action(Observation(t, instance)) for t in range(horizon)]
+                assert greedy == single_row_greedy(agent, instance)
+                seen.add(tuple(greedy))
+            if episode == 30:
+                path = tmp_path / "mid.snap"
+                save_agent(agent, str(path))
+                loaded = load_snapshot(str(path))
+                frozen = {inst: single_row_greedy(agent, inst) for inst in instances}
+        assert len(seen) > 1  # the updates changed the policy
+        for instance in instances:
+            greedy = [loaded.greedy_action(Observation(t, instance)) for t in range(horizon)]
+            assert greedy == frozen[instance] == single_row_greedy(loaded, instance)
+
+    def test_episode_reaches_the_ring_as_per_step_rows(self):
+        agent = DQNAgent(action_count=2, horizon=11, context_dim=2, total_episodes=10,
+                         rng=derive_stream(93, 2), context_scales=(0.01, 1 / 11))
+        instance = (3.0, 5.0)
+        rng = derive_stream(93, 0)
+        run_training_episode(agent, SigmoidEnv(11), instance, SeedSpec(93, 1), rng, rng)
+        assert len(agent.buffer) == 11
+        for t in range(11):
+            assert np.array_equal(agent.buffer.obs[t], per_step_encoding(agent, t, instance))
+            assert np.array_equal(agent.buffer.next_obs[t],
+                                  per_step_encoding(agent, t + 1, instance))
+        assert list(agent.buffer.dones[:11]) == [False] * 10 + [True]
+
+    def test_one_episode_spans_one_instance(self):
+        agent = make_agent()
+        for t, instance in enumerate([(1.0, 2.0), (3.0, 2.0)]):
+            agent.observe(Observation(t, instance), 0, 0.0, Observation(t + 1, instance), t == 1)
+        with pytest.raises(ContractError, match="one instance"):
+            agent.end_episode(derive_stream(94, 0))
+
+    def test_input_rows_are_read_only(self):
+        rows = make_agent().input_rows((1.0, 2.0))
+        with pytest.raises(ValueError):
+            rows[0, 0] = 5.0
