@@ -121,6 +121,7 @@ class FuzzyEnv(Environment):
     """
 
     kind = "fuzzy"
+    fixed_rewards = False
 
     def __init__(self, horizon: int = 20, mean: float = 1.0, spread: float = 2.0) -> None:
         if horizon < 1:

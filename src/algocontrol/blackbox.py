@@ -6,6 +6,10 @@ Candidates are either fresh random schedules or single-position
 mutations of the incumbent, compared by aggressive racing on paired
 evaluation streams. Every environment episode counts against the
 budget, re-evaluations included.
+
+On benchmarks with ``fixed_rewards`` the rollout loop fills each
+instance's T x A reward table once; a schedule scored from it gets the
+rollout's total bit for bit and still counts as one episode.
 """
 
 from __future__ import annotations
@@ -36,12 +40,14 @@ def random_schedule(rng: np.random.Generator, horizon: int,
     """Uniform actions, one per time step."""
     if horizon < 1:
         raise ContractError("horizon must be >= 1")
-    return tuple(int(a) for a in rng.integers(action_count, size=horizon))
+    return tuple(rng.integers(action_count, size=horizon).tolist())
 
 
 def mutate_schedule(rng: np.random.Generator, schedule: tuple[int, ...],
                     action_count: int) -> tuple[int, ...]:
     """Flip one uniformly chosen position to a different uniform value."""
+    if not schedule:
+        raise ContractError("cannot mutate an empty schedule")
     actions = list(schedule)
     pos = int(rng.integers(len(actions)))
     if action_count > 1:
@@ -60,10 +66,13 @@ class ScheduleEvaluator:
 
     def __init__(self, env: Environment, instances: list[Instance] | None,
                  base_seed: int) -> None:
+        if instances is not None and not instances:
+            raise ContractError("instances must be None or non-empty")
         self.env = env
         self.instances = instances
         self.base_seed = base_seed
         self.episodes_consumed = 0
+        self._tables: dict[Instance, list[tuple[float, ...]]] = {}
 
     def instance_for_run(self, run: int) -> Instance:
         if self.instances is None:
@@ -71,17 +80,28 @@ class ScheduleEvaluator:
         return self.instances[run % len(self.instances)]
 
     def run(self, schedule: tuple[int, ...], run: int) -> float:
-        if len(schedule) != self.env.spec.horizon:
+        env, instance = self.env, self.instance_for_run(run)
+        if len(schedule) != env.spec.horizon:
             raise ContractError(
-                f"schedule length {len(schedule)} != horizon {self.env.spec.horizon}"
+                f"schedule length {len(schedule)} != horizon {env.spec.horizon}"
             )
         self.episodes_consumed += 1
-        return greedy_rollout(
-            lambda obs: schedule[obs.time_step],
-            self.env,
-            self.instance_for_run(run),
-            SeedSpec(self.base_seed, run),
-        )
+        if not env.fixed_rewards:
+            return greedy_rollout(lambda obs: schedule[obs.time_step], env, instance,
+                                  SeedSpec(self.base_seed, run))
+        if not 0 <= min(schedule) <= max(schedule) < env.spec.action_count:
+            raise ContractError(f"schedule action out of range [0, {env.spec.action_count})")
+        table = self._tables.get(instance)
+        if table is None:  # row t: each action's reward at step t, as step returns it
+            columns = []
+            for action in range(env.spec.action_count):
+                greedy_rollout(lambda obs: action, env, instance, None, record_trace=True)
+                columns.append([reward for _, _, reward in env.trace])
+            table = self._tables[instance] = list(zip(*columns))
+        total = 0.0  # added left to right from 0.0, as greedy_rollout does
+        for row, action in zip(table, schedule):
+            total += row[action]
+        return total
 
 
 def race(
@@ -99,8 +119,8 @@ def race(
     it completes the incumbent's run count with a strictly greater
     mean. Returns the winner and the episodes consumed.
     """
-    if max_runs < 1:
-        raise ContractError("max_runs must be >= 1")
+    if max_runs < 1 or incumbent.n_runs < 1:
+        raise ContractError("max_runs and the incumbent's evaluation runs must be >= 1")
     target_runs = min(max_runs, incumbent.n_runs)
     rewards: list[float] = []
     consumed = 0
@@ -147,8 +167,8 @@ def blackbox_optimize(
     search early once the incumbent mean reaches the given value (the
     curve stays defined: best-so-far is monotone by construction).
     """
-    if episode_budget < 1 or max_runs < 1:
-        raise ContractError("episode_budget and max_runs must be >= 1")
+    if episode_budget < 1 or max_runs < 1 or not 0.0 <= neighbor_fraction <= 1.0:
+        raise ContractError("need episode_budget, max_runs >= 1 and neighbor_fraction in [0, 1]")
     spec = env.spec
     evaluator = ScheduleEvaluator(env, instances, base_seed=int(rng.integers(2**63)))
 

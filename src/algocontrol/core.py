@@ -101,8 +101,11 @@ class Environment:
     Subclasses implement ``_reward(t, action)`` and may override
     ``_terminates(t, action)`` for benchmarks with early termination.
     A single instance is single-threaded; independent instances may run
-    concurrently.
+    concurrently. With ``fixed_rewards`` the reward at step t depends only
+    on (t, action, instance), with no random draw and no early termination.
     """
+
+    fixed_rewards = True
 
     def __init__(self, spec: EnvSpec) -> None:
         self._spec = spec

@@ -1,11 +1,21 @@
 """Schedule search: random schedules, racing, and the optimizer loop."""
 
 import itertools
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from algocontrol.benchmarks import CountingEnv, FuzzyEnv, LubyEnv, SigmoidEnv, luby_exponent
+from algocontrol.benchmarks import (
+    CountingEnv,
+    FuzzyEnv,
+    LubyEnv,
+    SigmoidEnv,
+    SigmoidMVAEnv,
+    luby_exponent,
+)
 from algocontrol.blackbox import (
     IncumbentRecord,
     ScheduleEvaluator,
@@ -14,7 +24,7 @@ from algocontrol.blackbox import (
     race,
     random_schedule,
 )
-from algocontrol.core import ContractError, SeedSpec, derive_stream
+from algocontrol.core import ContractError, SeedSpec, derive_stream, greedy_rollout
 
 
 class TestRandomSchedule:
@@ -38,6 +48,12 @@ class TestRandomSchedule:
         with pytest.raises(ContractError):
             random_schedule(derive_stream(3, 0), 0, 2)
 
+    def test_python_ints_from_the_same_draws(self):
+        sched = random_schedule(derive_stream(5, 0), 30, 6)
+        mirror = derive_stream(5, 0).integers(6, size=30)
+        assert sched == tuple(int(a) for a in mirror)
+        assert all(type(a) is int for a in sched)
+
 
 class TestMutateSchedule:
     def test_changes_exactly_one_position(self):
@@ -47,6 +63,10 @@ class TestMutateSchedule:
             mutated = mutate_schedule(rng, base, 5)
             diffs = [i for i in range(10) if mutated[i] != base[i]]
             assert len(diffs) == 1
+
+    def test_empty_schedule_rejected(self):
+        with pytest.raises(ContractError):
+            mutate_schedule(derive_stream(4, 1), (), 3)
 
 
 class TestEvaluateSchedule:
@@ -125,6 +145,12 @@ class TestRace:
         assert winner is incumbent
         assert consumed <= 2
 
+    def test_incumbent_without_runs_rejected(self):
+        evaluator = ScheduleEvaluator(CountingEnv(5), None, base_seed=1)
+        with pytest.raises(ContractError):
+            race((0, 1, 2, 3, 4), IncumbentRecord((0, 0, 0, 0, 0)), evaluator, 1)
+        assert evaluator.episodes_consumed == 0
+
 
 class TestBlackboxOptimize:
     def test_budget_one_returns_first_random_schedule(self):
@@ -168,6 +194,18 @@ class TestBlackboxOptimize:
         with pytest.raises(ContractError):
             blackbox_optimize(CountingEnv(5), None, 10, derive_stream(14, 0), max_runs=0)
 
+    @pytest.mark.parametrize("fraction", [-0.1, 1.5, math.nan, math.inf])
+    def test_neighbor_fraction_range(self, fraction):
+        with pytest.raises(ContractError):
+            blackbox_optimize(CountingEnv(5), None, 10, derive_stream(14, 1),
+                              neighbor_fraction=fraction)
+
+    def test_empty_instance_list_rejected(self):
+        with pytest.raises(ContractError):
+            blackbox_optimize(SigmoidEnv(11), [], 10, derive_stream(14, 2))
+        with pytest.raises(ContractError):
+            ScheduleEvaluator(SigmoidEnv(11), [], base_seed=0)
+
     def test_stop_at_halts_early(self):
         env = CountingEnv(5)
         result = blackbox_optimize(env, None, 10**4, derive_stream(13, 0), stop_at=5.0)
@@ -183,3 +221,115 @@ class TestBlackboxOptimize:
         evaluator = ScheduleEvaluator(env, instances, base_seed=4)
         assert evaluator.instance_for_run(0) == instances[0]
         assert evaluator.instance_for_run(4) == instances[1]
+
+
+def _rolled_out(env):
+    """The same benchmark with its reward table switched off, so the
+    evaluator rolls every schedule out: the reference for the table."""
+    env.fixed_rewards = False
+    return env
+
+
+SIGMOID_INSTANCE = st.tuples(st.floats(-100.0, 100.0), st.floats(-1e3, 1e3))
+
+
+@st.composite
+def noise_free_cases(draw):
+    """A noise-free benchmark, its evaluation instances (None when
+    context-free) and a strategy for its schedules."""
+    kind = draw(st.sampled_from(("counting", "luby", "sigmoid", "sigmoidmva")))
+    horizon = draw(st.integers(1, 40))
+    if kind == "counting":
+        env = CountingEnv(horizon)
+    elif kind == "luby":
+        env = LubyEnv(horizon)
+    elif kind == "sigmoid":
+        env = SigmoidEnv(horizon)
+    else:
+        env = SigmoidMVAEnv(horizon, levels=draw(st.integers(1, 8)))
+    instances = None
+    if env.spec.context_dim:
+        instances = draw(st.lists(SIGMOID_INSTANCE, min_size=1, max_size=3))
+    schedules = st.lists(st.integers(0, env.spec.action_count - 1),
+                         min_size=horizon, max_size=horizon).map(tuple)
+    return env, instances, schedules
+
+
+class TestRewardTable:
+    def test_fixed_rewards_declared_by_benchmark(self):
+        assert not FuzzyEnv(5).fixed_rewards
+        for env in (CountingEnv(5), LubyEnv(8), SigmoidEnv(5), SigmoidMVAEnv(5)):
+            assert env.fixed_rewards
+
+    @given(case=noise_free_cases(), data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_noise_free_scores_equal_rollouts(self, case, data):
+        env, instances, schedules = case
+        evaluator = ScheduleEvaluator(env, instances, base_seed=7)
+        for run in range(data.draw(st.integers(1, 6))):
+            sched = data.draw(schedules)
+            expected = greedy_rollout(lambda obs: sched[obs.time_step], env,
+                                      evaluator.instance_for_run(run), SeedSpec(7, run))
+            assert evaluator.run(sched, run) == expected
+
+    @given(horizon=st.integers(1, 25), mean=st.floats(-5.0, 5.0),
+           spread=st.floats(0.0, 5.0), data=st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_fuzzy_scores_equal_rollouts(self, horizon, mean, spread, data):
+        env = FuzzyEnv(horizon, mean=mean, spread=spread)
+        evaluator = ScheduleEvaluator(env, None, base_seed=11)
+        schedules = st.lists(st.integers(0, 1), min_size=horizon, max_size=horizon)
+        for run in range(data.draw(st.integers(1, 4))):
+            sched = tuple(data.draw(schedules))
+            expected = greedy_rollout(lambda obs: sched[obs.time_step], env, (),
+                                      SeedSpec(11, run))
+            assert evaluator.run(sched, run) == expected
+
+    @pytest.mark.parametrize("make_env, instances, max_runs", [
+        (lambda: CountingEnv(5), None, 1),
+        (lambda: LubyEnv(16), None, 1),
+        (lambda: SigmoidEnv(11), [(30.0, 4.0), (-60.0, 7.5), (2.0, 5.0)], 10),
+        (lambda: SigmoidMVAEnv(11, levels=4), [(10.0, 5.0), (-5.0, 2.0)], 10),
+    ])
+    def test_optimizer_matches_rollout_path(self, make_env, instances, max_runs):
+        table = blackbox_optimize(make_env(), instances, 600, derive_stream(20, 0),
+                                  max_runs=max_runs)
+        rolled = blackbox_optimize(_rolled_out(make_env()), instances, 600,
+                                   derive_stream(20, 0), max_runs=max_runs)
+        assert table == rolled
+
+    def test_one_constant_action_rollout_per_action_and_instance(self):
+        class StepCounter(SigmoidMVAEnv):
+            steps = 0
+
+            def step(self, action):
+                self.steps += 1
+                return super().step(action)
+
+        env = StepCounter(11, levels=4)
+        instances = [(30.0, 4.0), (-60.0, 7.5)]
+        evaluator = ScheduleEvaluator(env, instances, base_seed=0)
+        sched = random_schedule(derive_stream(21, 0), 11, 5)
+        for run in range(10):
+            evaluator.run(sched, run)
+        assert env.steps == len(instances) * 5 * 11
+
+
+class TestTablePathContracts:
+    @pytest.mark.parametrize("warm", [False, True])
+    @pytest.mark.parametrize("bad", [(0, 1), (0, 1, 2, 3, 4, 0), (0, 1, -1, 3, 4),
+                                     (0, 1, 2, 3, 5)])
+    def test_bad_schedule_rejected(self, bad, warm):
+        evaluator = ScheduleEvaluator(CountingEnv(5), None, base_seed=0)
+        if warm:
+            evaluator.run((0, 1, 2, 3, 4), 0)
+        with pytest.raises(ContractError):
+            evaluator.run(bad, 1)
+
+    @pytest.mark.parametrize("make_env", [lambda: LubyEnv(16), lambda: FuzzyEnv(16)])
+    def test_one_episode_per_score_cached_or_not(self, make_env):
+        evaluator = ScheduleEvaluator(make_env(), None, base_seed=0)
+        sched = (1,) * 16
+        for k in range(1, 8):
+            evaluator.run(sched, k)
+            assert evaluator.episodes_consumed == k
