@@ -95,10 +95,9 @@ class CountingEnv(Environment):
     """
 
     kind = "counting"
+    default_horizon = 5
 
-    def __init__(self, horizon: int = 5) -> None:
-        if horizon < 1:
-            raise ContractError("horizon must be >= 1")
+    def __init__(self, horizon: int = default_horizon) -> None:
         super().__init__(
             EnvSpec(
                 action_count=horizon,
@@ -121,11 +120,11 @@ class FuzzyEnv(Environment):
     """
 
     kind = "fuzzy"
+    default_horizon = 20
     fixed_rewards = False
 
-    def __init__(self, horizon: int = 20, mean: float = 1.0, spread: float = 2.0) -> None:
-        if horizon < 1:
-            raise ContractError("horizon must be >= 1")
+    def __init__(self, horizon: int = default_horizon, mean: float = 1.0,
+                 spread: float = 2.0) -> None:
         super().__init__(
             EnvSpec(
                 action_count=2,
@@ -154,13 +153,12 @@ class LubyEnv(Environment):
     """
 
     kind = "luby"
+    default_horizon = 32
 
-    def __init__(self, horizon: int = 32) -> None:
-        if horizon < 1:
-            raise ContractError("horizon must be >= 1")
+    def __init__(self, horizon: int = default_horizon) -> None:
         super().__init__(
             EnvSpec(
-                action_count=int(math.log2(horizon)) + 1,
+                action_count=horizon.bit_length(),  # floor(log2 T) + 1 for T >= 1
                 horizon=horizon,
                 context_dim=0,
                 history_len=HISTORY_LEN,
@@ -180,10 +178,9 @@ class SigmoidEnv(Environment):
     """
 
     kind = "sigmoid"
+    default_horizon = 11
 
-    def __init__(self, horizon: int = 11) -> None:
-        if horizon < 1:
-            raise ContractError("horizon must be >= 1")
+    def __init__(self, horizon: int = default_horizon) -> None:
         super().__init__(
             EnvSpec(
                 action_count=2,
@@ -206,10 +203,11 @@ class SigmoidMVAEnv(Environment):
     """
 
     kind = "sigmoidmva"
+    default_horizon = 11
 
-    def __init__(self, horizon: int = 11, levels: int = 4) -> None:
-        if horizon < 1 or levels < 1:
-            raise ContractError("horizon and levels must be >= 1")
+    def __init__(self, horizon: int = default_horizon, levels: int = 4) -> None:
+        if levels < 1:
+            raise ContractError("levels must be >= 1")
         super().__init__(
             EnvSpec(
                 action_count=levels + 1,
@@ -225,15 +223,9 @@ class SigmoidMVAEnv(Environment):
         return sigmoidmva_reward(t, action, scale, inflection, self.levels)
 
 
-BENCHMARK_KINDS = ("counting", "fuzzy", "luby", "sigmoid", "sigmoidmva")
-
-DEFAULT_HORIZONS = {
-    "counting": 5,
-    "fuzzy": 20,
-    "luby": 32,
-    "sigmoid": 11,
-    "sigmoidmva": 11,
-}
+ENVIRONMENTS = {env.kind: env for env in (CountingEnv, FuzzyEnv, LubyEnv, SigmoidEnv,
+                                          SigmoidMVAEnv)}
+BENCHMARK_KINDS = tuple(ENVIRONMENTS)
 
 
 @dataclass(frozen=True)
@@ -247,7 +239,7 @@ class BenchmarkConfig:
     fuzzy_spread: float = 2.0
 
     def __post_init__(self) -> None:
-        if self.kind not in BENCHMARK_KINDS:
+        if self.kind not in ENVIRONMENTS:
             raise ConfigError(
                 f"unknown benchmark kind {self.kind!r}; expected one of {BENCHMARK_KINDS}"
             )
@@ -260,38 +252,26 @@ class BenchmarkConfig:
 
     @property
     def resolved_horizon(self) -> int:
-        return self.horizon if self.horizon > 0 else DEFAULT_HORIZONS[self.kind]
+        return self.horizon or ENVIRONMENTS[self.kind].default_horizon
 
     @property
     def has_instances(self) -> bool:
         return self.kind in ("sigmoid", "sigmoidmva")
 
     @property
-    def stochastic_reward(self) -> bool:
-        return self.kind == "fuzzy"
-
-    @property
     def noisy(self) -> bool:
-        """Whether one policy's return varies between episodes: stochastic
-        rewards or sampled instances. It sets the experiment defaults:
-        alpha 0.1 (else 1.0), and 10 runs (else 1) per evaluation outside
-        fixed sets and per blackbox race."""
-        return self.stochastic_reward or self.has_instances
-
-    @property
-    def fixed_episode_length(self) -> bool:
-        return self.kind != "fuzzy"
+        """Whether one policy's return varies between episodes: rewards
+        that are not ``fixed_rewards`` or sampled instances. It sets the
+        experiment defaults: alpha 0.1 (else 1.0), and 10 runs (else 1)
+        per evaluation outside fixed sets and per blackbox race."""
+        return not ENVIRONMENTS[self.kind].fixed_rewards or self.has_instances
 
 
 def make_env(config: BenchmarkConfig) -> Environment:
     """Instantiate the environment described by ``config``."""
     horizon = config.resolved_horizon
-    if config.kind == "counting":
-        return CountingEnv(horizon)
     if config.kind == "fuzzy":
         return FuzzyEnv(horizon, mean=config.fuzzy_mean, spread=config.fuzzy_spread)
-    if config.kind == "luby":
-        return LubyEnv(horizon)
-    if config.kind == "sigmoid":
-        return SigmoidEnv(horizon)
-    return SigmoidMVAEnv(horizon, levels=config.levels)
+    if config.kind == "sigmoidmva":
+        return SigmoidMVAEnv(horizon, levels=config.levels)
+    return ENVIRONMENTS[config.kind](horizon)

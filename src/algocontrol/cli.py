@@ -24,7 +24,7 @@ import numpy as np
 
 from .agents import DQNAgent, load_snapshot
 from .benchmarks import BENCHMARK_KINDS, BenchmarkConfig, make_env
-from .config import apply_overrides, parse_config, render_config
+from .config import parse_config, render_config
 from .core import ConfigError, ContractError, Instance, SeedSpec, greedy_rollout
 from .harness import (
     CSV_HEADER,
@@ -81,7 +81,7 @@ def _build_parser() -> argparse.ArgumentParser:
     info_p = sub.add_parser("bench-info", help="print a benchmark's static shape")
     info_p.add_argument("benchmark", choices=BENCHMARK_KINDS)
     info_p.add_argument("--horizon", type=int, default=0)
-    info_p.add_argument("--levels", type=int, default=4)
+    info_p.add_argument("--levels", type=int, default=BenchmarkConfig.levels)
 
     report_p = sub.add_parser("report", help="summarize result CSVs")
     report_p.add_argument("csvs", nargs="+", help="result CSV paths")
@@ -92,7 +92,7 @@ def _build_parser() -> argparse.ArgumentParser:
     replay_p.add_argument("snapshot", help="agent snapshot path")
     replay_p.add_argument("--benchmark", required=True, choices=BENCHMARK_KINDS)
     replay_p.add_argument("--horizon", type=int, default=0)
-    replay_p.add_argument("--levels", type=int, default=4)
+    replay_p.add_argument("--levels", type=int, default=BenchmarkConfig.levels)
     replay_p.add_argument(
         "--instance",
         default="",
@@ -129,7 +129,7 @@ def _cmd_run(args) -> int:
         except ValueError:
             raise ConfigError(f"DACBENCH_SEED must be an integer, got {env_seed!r}")
         overrides.append(f"harness.seed={env_seed}")
-    cfg = parse_config(apply_overrides(text, overrides))
+    cfg = parse_config(text, overrides)
     for path in (cfg.output_path, args.save_agent):
         if path:
             _check_output_path(path)
@@ -162,8 +162,9 @@ def _cmd_bench_info(args) -> int:
     print(f"horizon: {spec.horizon}")
     print(f"context_dim: {spec.context_dim}")
     print(f"history_len: {spec.history_len}")
-    print(f"stochastic_reward: {str(bench.stochastic_reward).lower()}")
-    print(f"fixed_episode_length: {str(bench.fixed_episode_length).lower()}")
+    # fuzzy alone draws random rewards and ends episodes early
+    print(f"stochastic_reward: {str(not env.fixed_rewards).lower()}")
+    print(f"fixed_episode_length: {str(env.fixed_rewards).lower()}")
     return EXIT_OK
 
 

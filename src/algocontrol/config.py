@@ -2,13 +2,15 @@
 
 Three sections — [benchmark], [agent], [harness] — of ``key = value``
 lines. ``#`` and ``;`` start comments. Unknown sections or keys are
-rejected with the offending line number, as are type and range errors.
+rejected with the offending line number, as are type and range errors
+and a key set twice in one section, even in two blocks of it.
 Each key names one field of ``BenchmarkConfig``, ``AgentHyperparams`` or
 ``ExperimentConfig`` (``FIELDS``), so every default lives in its dataclass.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import fields, replace
 
 from .agents import AgentHyperparams
@@ -31,7 +33,7 @@ _RENAMED = {
     "output_path": ("harness", "output"),
 }
 # (section, key) -> (dataclass, field): the one table that parsing,
-# --set overrides and rendering read.
+# overrides and rendering read.
 FIELDS = {
     _RENAMED.get(f.name, (section, f.name)): (owner, f)
     for owner, section in _SECTIONS
@@ -45,8 +47,9 @@ _KIND_ONLY = {"levels": "sigmoidmva", "fuzzy_mean": "fuzzy", "fuzzy_spread": "fu
 _TYPES = {"int": int, "float": float, "bool": bool, "str": str}
 
 
-def _parse_lines(text: str) -> dict[str, dict[str, tuple[str, int]]]:
-    sections: dict[str, dict[str, tuple[str, int]]] = {}
+def _parse_lines(text: str, overrides: Iterable[str]) -> dict[tuple[str, str], tuple[str, str]]:
+    """``(section, key) -> (value, where)`` of ``text``, then of each override."""
+    table: dict[tuple[str, str], tuple[str, str]] = {}
     current: str | None = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].split(";", 1)[0].strip()
@@ -56,21 +59,32 @@ def _parse_lines(text: str) -> dict[str, dict[str, tuple[str, int]]]:
             current = line[1:-1].strip().lower()
             if current not in _SECTION_NAMES:
                 raise ConfigError(f"line {lineno}: unknown section [{current}]")
-            sections.setdefault(current, {})
             continue
         if "=" not in line:
             raise ConfigError(f"line {lineno}: expected 'key = value', got {line!r}")
         if current is None:
             raise ConfigError(f"line {lineno}: key outside any section")
         key, _, value = line.partition("=")
-        key = key.strip().lower()
+        key, where = key.strip().lower(), f"line {lineno}"
         if (current, key) not in FIELDS:
-            raise ConfigError(f"line {lineno}: unknown key {key!r} in [{current}]")
-        sections[current][key] = (value.strip(), lineno)
-    return sections
+            raise ConfigError(f"{where}: unknown key {key!r} in [{current}]")
+        if (current, key) in table:
+            first = table[current, key][1]
+            raise ConfigError(f"{where}: {current}.{key} is already set on {first}")
+        table[current, key] = (value.strip(), where)
+    for item in overrides:
+        target, sep, value = item.partition("=")
+        entry = tuple(part.strip().lower() for part in target.split(".", 1))
+        if not sep or len(entry) != 2:
+            raise ConfigError(f"--set {item!r} must look like section.key=value")
+        where = "--set " + ".".join(entry)
+        if entry not in FIELDS:
+            raise ConfigError(f"{where}: unknown key")
+        table[entry] = (value.strip(), where)
+    return table
 
 
-def _convert(section: str, key: str, kind: type, value: str, lineno: int):
+def _convert(section: str, key: str, kind: type, value: str, where: str):
     try:
         if kind is bool:
             lowered = value.lower()
@@ -84,81 +98,34 @@ def _convert(section: str, key: str, kind: type, value: str, lineno: int):
         return kind(value)
     except ValueError:
         raise ConfigError(
-            f"line {lineno}: key {section}.{key} expects {kind.__name__}, got {value!r}"
+            f"{where}: key {section}.{key} expects {kind.__name__}, got {value!r}"
         ) from None
 
 
-def parse_config(text: str) -> ExperimentConfig:
-    """Parse and fully validate a config file. A key left out takes its
-    default, as ``ExperimentConfig.validated()`` resolves it."""
-    sections = _parse_lines(text)
+def parse_config(text: str, overrides: Iterable[str] = ()) -> ExperimentConfig:
+    """Parse and fully validate a config file, then set each
+    ``section.key=value`` override on it in turn; an override's value is
+    verbatim but for surrounding whitespace, ``#`` and ``;`` included. A key
+    left out takes its default, as ``ExperimentConfig.validated()`` resolves it."""
+    table = _parse_lines(text, overrides)
     for section, key in _REQUIRED:
-        if key not in sections.get(section, {}):
+        if (section, key) not in table:
             raise ConfigError(f"missing required key {section}.{key}")
     values: dict[type, dict] = {owner: {} for owner, _ in _SECTIONS}
-    for (section, key), (owner, f) in FIELDS.items():
-        entry = sections.get(section, {}).get(key)
-        if entry is not None:
-            values[owner][f.name] = _convert(section, key, _TYPES[f.type], *entry)
+    for (section, key), (value, where) in table.items():
+        owner, f = FIELDS[section, key]
+        values[owner][f.name] = _convert(section, key, _TYPES[f.type], value, where)
     benchmark = BenchmarkConfig(**values[BenchmarkConfig])
-    # canonicalize so render/parse round-trips exactly
-    benchmark = replace(benchmark, horizon=benchmark.resolved_horizon)
     cfg = ExperimentConfig(benchmark=benchmark, **values[ExperimentConfig]).validated()
     if cfg.train_eval_every > cfg.n_episodes:  # the run would have no curve to report
         raise ConfigError("harness.train_eval_every must be <= harness.episodes")
     return replace(cfg, hp=replace(cfg.hp, **values[AgentHyperparams]))
 
 
-def apply_overrides(text: str, overrides: list[str]) -> str:
-    """Apply ``section.key=value`` overrides on top of config text."""
-    lines = text.splitlines()
-    for item in overrides:
-        target, sep, value = item.partition("=")
-        if not sep or "." not in target:
-            raise ConfigError(f"override {item!r} must look like section.key=value")
-        section, _, key = target.partition(".")
-        section = section.strip().lower()
-        key = key.strip().lower()
-        if section not in _SECTION_NAMES:
-            raise ConfigError(f"override names unknown section {section!r}")
-        if (section, key) not in FIELDS:
-            raise ConfigError(f"override names unknown key {key!r} in [{section}]")
-        lines = _set_key(lines, section, key, value.strip())
-    return "\n".join(lines) + "\n"
-
-
-def _set_key(lines: list[str], section: str, key: str, value: str) -> list[str]:
-    out: list[str] = []
-    in_section = False
-    placed = False
-    for line in lines:
-        stripped = line.split("#", 1)[0].split(";", 1)[0].strip()
-        if stripped.startswith("[") and stripped.endswith("]"):
-            if in_section and not placed:
-                out.append(f"{key} = {value}")
-                placed = True
-            in_section = stripped[1:-1].strip().lower() == section
-            out.append(line)
-            continue
-        if in_section and stripped and "=" in stripped:
-            existing = stripped.partition("=")[0].strip().lower()
-            if existing == key:
-                out.append(f"{key} = {value}")
-                placed = True
-                continue
-        out.append(line)
-    if not placed:
-        if not in_section:
-            out.append(f"[{section}]")
-        out.append(f"{key} = {value}")
-    return out
-
-
 def render_config(cfg: ExperimentConfig) -> str:
     """Canonical text for a config; parse_config round-trips it."""
     cfg = cfg.validated()
-    bench = replace(cfg.benchmark, horizon=cfg.benchmark.resolved_horizon)
-    objects = {BenchmarkConfig: bench, AgentHyperparams: cfg.hp, ExperimentConfig: cfg}
+    objects = {BenchmarkConfig: cfg.benchmark, AgentHyperparams: cfg.hp, ExperimentConfig: cfg}
     blocks = []
     for section in _SECTION_NAMES:
         block = [f"[{section}]"]
@@ -166,7 +133,7 @@ def render_config(cfg: ExperimentConfig) -> str:
         for key in keys:
             owner, f = FIELDS[section, key]
             value = getattr(objects[owner], f.name)
-            if key in _KIND_ONLY and _KIND_ONLY[key] != bench.kind or value == "":
+            if key in _KIND_ONLY and _KIND_ONLY[key] != cfg.benchmark.kind or value == "":
                 continue
             block.append(f"{key} = {str(value).lower() if isinstance(value, bool) else value}")
         blocks.append("\n".join(block))

@@ -101,13 +101,16 @@ class Environment:
     Subclasses implement ``_reward(t, action)`` and may override
     ``_terminates(t, action)`` for benchmarks with early termination.
     A single instance is single-threaded; independent instances may run
-    concurrently. With ``fixed_rewards`` the reward at step t depends only
-    on (t, action, instance), with no random draw and no early termination.
+    concurrently. Each benchmark class states its ``kind``, ``default_horizon``
+    and ``fixed_rewards``: with it the reward at step t depends only on
+    (t, action, instance), with no random draw and no early termination.
     """
 
     fixed_rewards = True
 
     def __init__(self, spec: EnvSpec) -> None:
+        if spec.horizon < 1:
+            raise ContractError("horizon must be >= 1")
         self._spec = spec
         self._instance: Instance | None = None
         self._seed: SeedSpec | None = None

@@ -132,7 +132,8 @@ class ExperimentConfig:
         else:
             eval_runs = cfg.eval_runs or (10 if noisy else 1)
         hp = cfg.hp or AgentHyperparams(alpha=0.1 if noisy else 1.0)
-        return replace(cfg, eval_runs=eval_runs, hp=hp)
+        bench = replace(cfg.benchmark, horizon=cfg.benchmark.resolved_horizon)  # canonical
+        return replace(cfg, benchmark=bench, eval_runs=eval_runs, hp=hp)
 
 
 @dataclass
@@ -239,10 +240,9 @@ class _EvalSetup:
                  train_set: list[Instance] | None) -> None:
         self.cfg = cfg
         self.run_seed = run_seed
-        horizon = cfg.benchmark.resolved_horizon
         if cfg.instance_mode == "distribution":
             rng = derive_stream(run_seed, EVAL_INSTANCE_STREAM)
-            self.instances = make_instance_set(rng, horizon, cfg.eval_runs)
+            self.instances = make_instance_set(rng, cfg.benchmark.horizon, cfg.eval_runs)
         elif cfg.instance_mode == "fixed":
             assert train_set is not None
             self.instances = train_set
@@ -284,7 +284,7 @@ def _instance_sets(
     """Fixed train/test sets, shared by every seed run (disjoint streams)."""
     if cfg.instance_mode != "fixed":
         return None, None
-    horizon = cfg.benchmark.resolved_horizon
+    horizon = cfg.benchmark.horizon
     train = make_instance_set(
         derive_stream(cfg.master_seed, TRAIN_SET_STREAM), horizon, cfg.n_train_instances
     )
@@ -342,8 +342,7 @@ def _draw_instance(
     train_set: list[Instance] | None,
 ) -> Instance:
     if cfg.instance_mode == "distribution":
-        horizon = cfg.benchmark.resolved_horizon
-        return sample_sigmoid_instance(instance_rng, horizon)
+        return sample_sigmoid_instance(instance_rng, cfg.benchmark.horizon)
     if cfg.instance_mode == "fixed":
         assert train_set is not None
         return train_set[int(instance_rng.integers(len(train_set)))]

@@ -12,7 +12,7 @@ import time
 
 import numpy as np
 
-from algocontrol.agents import AgentHyperparams, TabularAgent, q_update
+from algocontrol.agents import AgentHyperparams, q_update
 from algocontrol.agents.dqn import dqn_loss_and_grads
 from algocontrol.agents.tabular import QTable
 from algocontrol.benchmarks import (
@@ -24,18 +24,18 @@ from algocontrol.benchmarks import (
     sigmoid_reward,
 )
 from algocontrol.blackbox import blackbox_optimize
-from algocontrol.core import SeedSpec, derive_stream
+from algocontrol.core import derive_stream
 from algocontrol.harness import (
-    EXPLORE_STREAM,
+    BLACKBOX_STREAM,
     RUN_BASE,
-    TRAIN_NOISE_BASE,
     ExperimentConfig,
+    _EvalSetup,
+    _make_agent,
+    _training,
     curves_to_csv_rows,
     derive_seed,
     format_csv,
-    greedy_rollout,
     run_experiment,
-    run_training_episode,
     smooth,
 )
 from oracles import (
@@ -50,24 +50,17 @@ LUBY_TARGET_60PCT = 0.6 * 32 - 0.4 * 32  # 6.4 on the +-1 reward scale
 
 
 def episodes_to_reach(bench, agent_kind, max_episodes, target, seed_index):
-    """Train one seed with per-episode greedy evaluation; first episode
-    whose evaluation reward reaches the target, or None."""
-    run_seed = derive_seed(MASTER_SEED, RUN_BASE + seed_index)
-    env = make_env(bench)
-    eval_env = make_env(bench)
-    agent = TabularAgent(agent_kind, env.spec.action_count,
-                         hp=AgentHyperparams(alpha=1.0))
-    explore_rng = derive_stream(run_seed, EXPLORE_STREAM)
-    train_rng = derive_stream(run_seed, TRAIN_NOISE_BASE)
-    for episode in range(1, max_episodes + 1):
-        run_training_episode(
-            agent, env, (),
-            SeedSpec(run_seed, TRAIN_NOISE_BASE + episode), explore_rng, train_rng,
-        )
-        reward = greedy_rollout(
-            agent.greedy_action, eval_env, (), SeedSpec(run_seed, episode)
-        )
-        if reward >= target:
+    """Train seed ``seed_index`` of the protocol with greedy evaluation after
+    every episode, through the harness's own training loop, evaluation and
+    streams; first episode whose evaluation reward reaches the target, or None."""
+    cfg = ExperimentConfig(bench, agent_kind, hp=AgentHyperparams(alpha=1.0),
+                           n_episodes=max_episodes, master_seed=MASTER_SEED).validated()
+    run_seed = derive_seed(cfg.master_seed, RUN_BASE + seed_index)
+    agent = _make_agent(cfg, run_seed)
+    eval_setup = _EvalSetup(cfg, run_seed, None)
+    eval_env = make_env(cfg.benchmark)
+    for episode in _training(cfg, run_seed, agent, None):
+        if eval_setup.evaluate(agent, eval_env, episode) >= target:
             return episode
     return None
 
@@ -95,7 +88,7 @@ def test_criterion_1_counting_optimum():
     blackbox_ok = 0
     for k in range(25):
         env = CountingEnv(5)
-        rng = derive_stream(derive_seed(MASTER_SEED, k), 5)
+        rng = derive_stream(derive_seed(MASTER_SEED, RUN_BASE + k), BLACKBOX_STREAM)
         result = blackbox_optimize(env, None, 3500, rng, stop_at=oracle_best)
         blackbox_ok += result.incumbent.mean_reward >= oracle_best
 
@@ -134,7 +127,7 @@ def test_criterion_2_luby_optimum():
     blackbox_ok = 0
     for k in range(25):
         env = LubyEnv(32)
-        rng = derive_stream(derive_seed(MASTER_SEED, k), 5)
+        rng = derive_stream(derive_seed(MASTER_SEED, RUN_BASE + k), BLACKBOX_STREAM)
         result = blackbox_optimize(
             env, None, 100_000, rng, stop_at=LUBY_TARGET_60PCT
         )

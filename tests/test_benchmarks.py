@@ -8,6 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from algocontrol.benchmarks import (
+    BENCHMARK_KINDS,
+    ENVIRONMENTS,
+    BenchmarkConfig,
     CountingEnv,
     FuzzyEnv,
     LubyEnv,
@@ -15,6 +18,7 @@ from algocontrol.benchmarks import (
     counting_reward,
     luby_exponent,
     luby_value,
+    make_env,
     make_instance_set,
     sample_sigmoid_instance,
     sigmoid,
@@ -23,6 +27,23 @@ from algocontrol.benchmarks import (
 )
 from algocontrol.core import ContractError, SeedSpec, derive_stream
 from oracles import luby_sequence_oracle
+
+
+class TestBenchmarkFacts:
+    @pytest.mark.parametrize("kind", BENCHMARK_KINDS)
+    def test_config_builds_the_class_defaults(self, kind):
+        assert make_env(BenchmarkConfig(kind)).spec == ENVIRONMENTS[kind]().spec
+        assert ENVIRONMENTS[kind]().spec.horizon == ENVIRONMENTS[kind].default_horizon
+
+    @pytest.mark.parametrize("horizon", [0, -1])
+    @pytest.mark.parametrize("kind", BENCHMARK_KINDS)
+    def test_horizon_below_one_rejected(self, kind, horizon):
+        with pytest.raises(ContractError, match="horizon must be >= 1"):
+            ENVIRONMENTS[kind](horizon)
+
+    def test_noise_follows_fixed_rewards_and_instances(self):
+        noisy = {kind for kind in BENCHMARK_KINDS if BenchmarkConfig(kind).noisy}
+        assert noisy == {"fuzzy", "sigmoid", "sigmoidmva"}
 
 
 class TestLuby:

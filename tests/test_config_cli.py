@@ -13,9 +13,15 @@ from hypothesis import strategies as st
 from algocontrol.agents import AGENT_KINDS, AgentHyperparams, DQNAgent, TabularAgent, save_agent
 from algocontrol.benchmarks import BENCHMARK_KINDS, BenchmarkConfig, CountingEnv
 from algocontrol.cli import main
-from algocontrol.config import FIELDS, apply_overrides, parse_config, render_config
+from algocontrol.config import FIELDS, parse_config, render_config
 from algocontrol.core import SeedSpec, derive_stream
-from algocontrol.harness import INSTANCE_MODES, ConfigError, ExperimentConfig, run_training_episode
+from algocontrol.harness import (
+    CSV_HEADER,
+    INSTANCE_MODES,
+    ConfigError,
+    ExperimentConfig,
+    run_training_episode,
+)
 from test_golden import case_path, case_text, valid_cases
 
 WORKLOADS = sorted((Path(__file__).parents[1] / "perfbench" / "workloads").glob("*.ini"))
@@ -54,6 +60,41 @@ kind = qlearn
 episodes = 200
 """
 
+# Every key at a value other than its default, the sigmoidmva-only levels too.
+VARIANT = """\
+[benchmark]
+kind = sigmoidmva
+horizon = 7
+levels = 3
+
+[agent]
+kind = dqn
+gamma = 0.9
+epsilon = 0.2
+alpha = 0.5
+dqn_lr = 0.001
+target_sync_every = 3
+batch_size = 4
+buffer_capacity = 100
+eps_decay_fraction = 0.3
+
+[harness]
+episodes = 50
+n_seeds = 3
+seed = 9
+instance_mode = fixed
+train_instances = 4
+test_instances = 2
+eval_runs = 4
+test_eval_every = 10
+train_eval_every = 2
+smoothing_window = 5
+neighbor_fraction = 0.25
+record_wall_time = true
+workers = 2
+output = variant.csv
+"""
+
 # One value outside each range AgentHyperparams and BenchmarkConfig check.
 BAD_VALUES = [
     ("dqn_lr", "0"),
@@ -76,7 +117,31 @@ BAD_VALUES = [
 def with_value(key: str, value: str) -> str:
     """FUZZY with one key set in the section that holds it."""
     section = next(s for s, k in FIELDS if k == key)
-    return apply_overrides(FUZZY, [f"{section}.{key}={value}"])
+    return FUZZY.replace(f"[{section}]\n", f"[{section}]\n{key} = {value}\n")
+
+
+def set_line(text: str, section: str, key: str, value: str) -> str:
+    """``text`` with ``key = value`` in ``[section]``: the key's line edited,
+    or a line added under the section header."""
+    lines = text.splitlines()
+    start = lines.index(f"[{section}]")
+    end = next((i for i in range(start + 1, len(lines)) if lines[i].startswith("[")),
+               len(lines))
+    at = next((i for i in range(start + 1, end)
+               if lines[i].partition("=")[0].strip() == key), None)
+    if at is None:
+        lines.insert(start + 1, f"{key} = {value}")
+    else:
+        lines[at] = f"{key} = {value}"
+    return "\n".join(lines) + "\n"
+
+
+def outcome(text: str, overrides=()):
+    """The parsed config, or the message of the ConfigError it raises."""
+    try:
+        return parse_config(text, overrides)
+    except ConfigError as exc:
+        return str(exc)
 
 
 class TestParseConfig:
@@ -100,6 +165,7 @@ class TestParseConfig:
         library = ExperimentConfig(BenchmarkConfig(kind), "qlearn", n_episodes=200)
         text = {"fuzzy": FUZZY, "sigmoid": SIGMOID}[kind]
         assert render_config(library) == render_config(parse_config(text))
+        assert library.validated() == parse_config(text)  # horizon resolved too
         assert "alpha = 0.1" in render_config(library)
 
     def test_gamma_out_of_range(self):
@@ -131,16 +197,46 @@ class TestParseConfig:
             parse_config("[cluster]\nnodes = 4\n" + MINIMAL)
 
     def test_train_interval_may_span_the_run(self):
-        cfg = parse_config(apply_overrides(MINIMAL, ["harness.train_eval_every=1000"]))
+        cfg = parse_config(MINIMAL, ["harness.train_eval_every=1000"])
         assert cfg.train_eval_every == cfg.n_episodes
 
     def test_override_n_seeds(self):
-        cfg = parse_config(apply_overrides(MINIMAL, ["harness.n_seeds=3"]))
+        cfg = parse_config(MINIMAL, ["harness.n_seeds=3"])
         assert cfg.n_seeds == 3
 
     def test_override_unknown_key_rejected(self):
-        with pytest.raises(ConfigError):
-            apply_overrides(MINIMAL, ["harness.nodes=4"])
+        for target in ("harness.nodes", "cluster.nodes"):
+            with pytest.raises(ConfigError, match=rf"^--set {target}: unknown key$"):
+                parse_config(MINIMAL, [f"{target}=4"])
+
+    @pytest.mark.parametrize("override", ["harness.n_seeds", "n_seeds=3", "=3"])
+    def test_malformed_override_rejected(self, override):
+        with pytest.raises(ConfigError, match="must look like section.key=value"):
+            parse_config(MINIMAL, [override])
+
+    def test_overrides_apply_in_order_after_the_file(self):
+        # a key set in the file and again by an override is no duplicate
+        text = MINIMAL + "n_seeds = 4\n"
+        assert parse_config(text).n_seeds == 4
+        assert parse_config(text, ["harness.n_seeds=2"]).n_seeds == 2
+        assert parse_config(text, ["harness.n_seeds=2", "harness.n_seeds=3"]).n_seeds == 3
+
+    @pytest.mark.parametrize("value", ["2 ; x", "2 # x", "5\nseed=7"])
+    def test_override_text_after_the_value_is_refused(self, value):
+        with pytest.raises(ConfigError, match=r"^--set harness.n_seeds: .*expects int"):
+            parse_config(MINIMAL, [f"harness.n_seeds={value}"])
+
+    @pytest.mark.parametrize("extra,lineno", [("episodes = 30\n", 9),
+                                              ("\n[harness]\nepisodes = 30\n", 11)],
+                             ids=["one-block", "split-blocks"])
+    def test_duplicate_key_names_both_lines(self, extra, lineno):
+        with pytest.raises(ConfigError) as exc:
+            parse_config(MINIMAL + extra)
+        assert str(exc.value) == f"line {lineno}: harness.episodes is already set on line 8"
+
+    def test_split_sections_merge(self):
+        cfg = parse_config(MINIMAL + "\n[agent]\nepsilon = 0.2\n[harness]\nseed = 7\n")
+        assert (cfg.hp.epsilon, cfg.master_seed, cfg.n_episodes) == (0.2, 7, 1000)
 
     def test_roundtrip(self):
         for text in (MINIMAL, FUZZY):
@@ -148,9 +244,7 @@ class TestParseConfig:
             assert parse_config(render_config(cfg)) == cfg
 
     def test_roundtrip_with_overrides(self):
-        cfg = parse_config(
-            apply_overrides(MINIMAL, ["harness.n_seeds=7", "agent.epsilon=0.2"])
-        )
+        cfg = parse_config(MINIMAL, ["harness.n_seeds=7", "agent.epsilon=0.2"])
         assert parse_config(render_config(cfg)) == cfg
 
     @pytest.mark.parametrize("case", valid_cases(), ids="-".join)
@@ -165,10 +259,26 @@ class TestParseConfig:
             assert parse_config(render_config(cfg)) == cfg, path.name
 
     def test_override_accepts_every_table_key(self):
-        cfg = parse_config(MINIMAL)
         for section, key in FIELDS:
-            text = apply_overrides(render_config(cfg), [f"{section}.{key}=x"])
-            assert f"{key} = x" in text.split(f"[{section}]")[1].split("[")[0]
+            try:
+                parse_config(MINIMAL, [f"{section}.{key}=x"])
+            except ConfigError as exc:
+                assert "unknown key" not in str(exc), (section, key)
+
+    @pytest.mark.parametrize("section,key", sorted(FIELDS))
+    def test_override_equals_the_edited_line(self, section, key):
+        rendered = [render_config(parse_config(FUZZY, ["harness.output=fuzzy.csv"])),
+                    render_config(parse_config(VARIANT))]
+        values = [line.partition(" = ")[2]
+                  for text in rendered
+                  for line in text.split(f"[{section}]\n")[1].split("\n[")[0].splitlines()
+                  if line.partition(" = ")[0] == key]
+        assert values, "no fixture renders this key"
+        for base in rendered:
+            for value in values:
+                assert outcome(base, [f"{section}.{key}={value}"]) == outcome(
+                    set_line(base, section, key, value)
+                ), (value, base)
 
     @pytest.mark.parametrize("value", ["0", "-5"])
     def test_workers_out_of_range(self, value):
@@ -249,6 +359,27 @@ class TestCliRun:
         assert main(["run", config, "--set", "harness.train_eval_every=1001"]) == 2
         err = capsys.readouterr().err.splitlines()
         assert err == ["E-CONFIG: harness.train_eval_every must be <= harness.episodes"]
+
+    def test_output_path_is_verbatim(self, tmp_path, capsys):
+        out = tmp_path / "res#1.csv"
+        config = self._write(tmp_path, TABULAR_RUN)
+        assert main(["run", config, "--output", str(out)]) == 0
+        assert out.read_text().startswith(CSV_HEADER)
+        assert not (tmp_path / "res").exists()
+
+    @pytest.mark.parametrize("key,override", [("n_seeds", "harness.n_seeds=2 ; x"),
+                                              ("episodes", "harness.episodes=5\nseed=7")])
+    def test_text_after_an_override_value_is_one_config_line(self, tmp_path, capsys,
+                                                             monkeypatch, key, override):
+        from algocontrol import cli
+
+        monkeypatch.setattr(cli, "run_experiment", lambda *a, **k: pytest.fail("trained"))
+        config = self._write(tmp_path, MINIMAL)
+        assert main(["run", config, "--set", override, "-v"]) == 2
+        captured = capsys.readouterr()
+        err = captured.err.splitlines()
+        assert captured.out == ""  # -v prints nothing: no config, with no seed, was made
+        assert len(err) == 1 and err[0].startswith(f"E-CONFIG: --set harness.{key}: ")
 
     def test_seed_env_var_changes_results(self, tmp_path, capsys, monkeypatch):
         config = self._write(
@@ -386,6 +517,25 @@ class TestCliBenchInfo:
         out = capsys.readouterr().out
         assert "action_count: 6" in out
         assert "horizon: 32" in out
+
+    # at each benchmark's default horizon and levels
+    INFO = {
+        "counting": "benchmark: counting\naction_count: 5\nhorizon: 5\ncontext_dim: 0\n"
+                    "history_len: 5\nstochastic_reward: false\nfixed_episode_length: true\n",
+        "fuzzy": "benchmark: fuzzy\naction_count: 2\nhorizon: 20\ncontext_dim: 0\n"
+                 "history_len: 5\nstochastic_reward: true\nfixed_episode_length: false\n",
+        "luby": "benchmark: luby\naction_count: 6\nhorizon: 32\ncontext_dim: 0\n"
+                "history_len: 5\nstochastic_reward: false\nfixed_episode_length: true\n",
+        "sigmoid": "benchmark: sigmoid\naction_count: 2\nhorizon: 11\ncontext_dim: 2\n"
+                   "history_len: 0\nstochastic_reward: false\nfixed_episode_length: true\n",
+        "sigmoidmva": "benchmark: sigmoidmva\naction_count: 5\nhorizon: 11\ncontext_dim: 2\n"
+                      "history_len: 0\nstochastic_reward: false\nfixed_episode_length: true\n",
+    }
+
+    @pytest.mark.parametrize("kind", BENCHMARK_KINDS)
+    def test_default_info_text(self, capsys, kind):
+        assert main(["bench-info", kind]) == 0
+        assert capsys.readouterr().out == self.INFO[kind]
 
 
 @pytest.mark.parametrize(
