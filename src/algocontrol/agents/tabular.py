@@ -67,11 +67,6 @@ class QTable:
         row = self.row(s)
         return row.index(max(row))
 
-    def copy(self) -> "QTable":
-        clone = QTable(self.action_count)
-        clone.rows = {s: row[:] for s, row in self.rows.items()}
-        return clone
-
     def __len__(self) -> int:
         """Number of states with a stored row."""
         return len(self.rows)

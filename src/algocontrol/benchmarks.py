@@ -14,9 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ActionId, ConfigError, ContractError, Environment, EnvSpec, Instance
+from .core import ActionId, ConfigError, ContractError, Environment, Instance
 
-HISTORY_LEN = 5
 EXP_CLAMP = 500.0
 
 
@@ -98,14 +97,7 @@ class CountingEnv(Environment):
     default_horizon = 5
 
     def __init__(self, horizon: int = default_horizon) -> None:
-        super().__init__(
-            EnvSpec(
-                action_count=horizon,
-                horizon=horizon,
-                context_dim=0,
-                history_len=HISTORY_LEN,
-            )
-        )
+        super().__init__(horizon, action_count=horizon)
 
     def _reward(self, t: int, action: ActionId) -> float:
         return counting_reward(t, action)
@@ -122,17 +114,13 @@ class FuzzyEnv(Environment):
     kind = "fuzzy"
     default_horizon = 20
     fixed_rewards = False
+    params = ("fuzzy_mean", "fuzzy_spread")
+    mean = 1.0
+    spread = 2.0
 
-    def __init__(self, horizon: int = default_horizon, mean: float = 1.0,
-                 spread: float = 2.0) -> None:
-        super().__init__(
-            EnvSpec(
-                action_count=2,
-                horizon=horizon,
-                context_dim=0,
-                history_len=HISTORY_LEN,
-            )
-        )
+    def __init__(self, horizon: int = default_horizon, mean: float = mean,
+                 spread: float = spread) -> None:
+        super().__init__(horizon, action_count=2)
         self.mean = mean
         self.spread = spread
 
@@ -156,14 +144,7 @@ class LubyEnv(Environment):
     default_horizon = 32
 
     def __init__(self, horizon: int = default_horizon) -> None:
-        super().__init__(
-            EnvSpec(
-                action_count=horizon.bit_length(),  # floor(log2 T) + 1 for T >= 1
-                horizon=horizon,
-                context_dim=0,
-                history_len=HISTORY_LEN,
-            )
-        )
+        super().__init__(horizon, action_count=horizon.bit_length())  # floor(log2 T) + 1
         self._targets = tuple(luby_exponent(t + 1) for t in range(horizon))
 
     def _reward(self, t: int, action: ActionId) -> float:
@@ -179,16 +160,11 @@ class SigmoidEnv(Environment):
 
     kind = "sigmoid"
     default_horizon = 11
+    context_dim = 2
+    history_len = 0
 
     def __init__(self, horizon: int = default_horizon) -> None:
-        super().__init__(
-            EnvSpec(
-                action_count=2,
-                horizon=horizon,
-                context_dim=2,
-                history_len=0,
-            )
-        )
+        super().__init__(horizon, action_count=2)
 
     def _reward(self, t: int, action: ActionId) -> float:
         scale, inflection = self.instance
@@ -204,18 +180,15 @@ class SigmoidMVAEnv(Environment):
 
     kind = "sigmoidmva"
     default_horizon = 11
+    context_dim = 2
+    history_len = 0
+    params = ("levels",)
+    levels = 4
 
-    def __init__(self, horizon: int = default_horizon, levels: int = 4) -> None:
+    def __init__(self, horizon: int = default_horizon, levels: int = levels) -> None:
         if levels < 1:
             raise ContractError("levels must be >= 1")
-        super().__init__(
-            EnvSpec(
-                action_count=levels + 1,
-                horizon=horizon,
-                context_dim=2,
-                history_len=0,
-            )
-        )
+        super().__init__(horizon, action_count=levels + 1)
         self.levels = levels
 
     def _reward(self, t: int, action: ActionId) -> float:
@@ -234,9 +207,9 @@ class BenchmarkConfig:
 
     kind: str
     horizon: int = 0  # 0 = use the benchmark's default
-    levels: int = 4
-    fuzzy_mean: float = 1.0
-    fuzzy_spread: float = 2.0
+    levels: int = SigmoidMVAEnv.levels
+    fuzzy_mean: float = FuzzyEnv.mean
+    fuzzy_spread: float = FuzzyEnv.spread
 
     def __post_init__(self) -> None:
         if self.kind not in ENVIRONMENTS:
@@ -256,22 +229,22 @@ class BenchmarkConfig:
 
     @property
     def has_instances(self) -> bool:
-        return self.kind in ("sigmoid", "sigmoidmva")
+        return ENVIRONMENTS[self.kind].context_dim > 0
 
     @property
     def noisy(self) -> bool:
         """Whether one policy's return varies between episodes: rewards
         that are not ``fixed_rewards`` or sampled instances. It sets the
-        experiment defaults: alpha 0.1 (else 1.0), and 10 runs (else 1)
-        per evaluation outside fixed sets and per blackbox race."""
+        default alpha, 0.1 (else 1.0), and ``runs``."""
         return not ENVIRONMENTS[self.kind].fixed_rewards or self.has_instances
+
+    @property
+    def runs(self) -> int:
+        """Episodes per evaluation outside fixed sets and per blackbox race."""
+        return 10 if self.noisy else 1
 
 
 def make_env(config: BenchmarkConfig) -> Environment:
     """Instantiate the environment described by ``config``."""
-    horizon = config.resolved_horizon
-    if config.kind == "fuzzy":
-        return FuzzyEnv(horizon, mean=config.fuzzy_mean, spread=config.fuzzy_spread)
-    if config.kind == "sigmoidmva":
-        return SigmoidMVAEnv(horizon, levels=config.levels)
-    return ENVIRONMENTS[config.kind](horizon)
+    cls = ENVIRONMENTS[config.kind]
+    return cls(config.resolved_horizon, *(getattr(config, p) for p in cls.params))

@@ -95,8 +95,9 @@ class ScheduleEvaluator:
         if table is None:  # row t: each action's reward at step t, as step returns it
             columns = []
             for action in range(env.spec.action_count):
-                greedy_rollout(lambda obs: action, env, instance, None, record_trace=True)
-                columns.append([reward for _, _, reward in env.trace])
+                trace = []
+                greedy_rollout(lambda obs: action, env, instance, None, trace)
+                columns.append([reward for _, _, reward in trace])
             table = self._tables[instance] = list(zip(*columns))
         total = 0.0  # added left to right from 0.0, as greedy_rollout does
         for row, action in zip(table, schedule):

@@ -284,6 +284,8 @@ def _parse_instance(text: str, bench: BenchmarkConfig) -> Instance:
         key = key.strip().lower()
         if not sep or key not in ("s", "p"):
             raise ConfigError(f"bad instance spec {text!r}; expected s=S,p=P")
+        if key in values:
+            raise ConfigError(f"instance spec {text!r} sets {key} twice")
         try:
             values[key] = float(val)
         except ValueError:
@@ -315,16 +317,16 @@ def _cmd_replay(args) -> int:
             raise ContractError(
                 f"snapshot horizon {agent.horizon} but {bench.kind} expects {spec.horizon}"
             )
-    instance = _parse_instance(args.instance, bench)
+    instance, trace = _parse_instance(args.instance, bench), []
     try:
         with np.errstate(over="raise", invalid="raise"):
             total = greedy_rollout(
-                agent.greedy_action, env, instance, SeedSpec(args.seed, 0), record_trace=True
+                agent.greedy_action, env, instance, SeedSpec(args.seed, 0), trace
             )
     except FloatingPointError as exc:
         raise ContractError(f"{args.snapshot}: a Q-value is not finite ({exc})") from None
     print(f"replay {agent.kind} on {bench.kind} (T={spec.horizon})")
-    for obs, action, reward in env.trace:
+    for obs, action, reward in trace:
         features = ",".join(f"{v:g}" for v in obs.continuous_features)
         print(f"t={obs.time_step:3d} obs=[{features}] action={action} reward={reward:.6g}")
     print(f"total reward: {total:.6g}")

@@ -1,20 +1,22 @@
 """Experiment configuration files: a flat INI-like format.
 
 Three sections — [benchmark], [agent], [harness] — of ``key = value``
-lines. ``#`` and ``;`` start comments. Unknown sections or keys are
-rejected with the offending line number, as are type and range errors
-and a key set twice in one section, even in two blocks of it.
+lines. ``#`` and ``;`` start a comment at the start of a line or after
+whitespace, so ``output = res#1.csv`` keeps its ``#``. Unknown sections
+or keys are rejected with the offending line number, as are type and
+range errors and a key set twice in one section, even in two blocks of it.
 Each key names one field of ``BenchmarkConfig``, ``AgentHyperparams`` or
 ``ExperimentConfig`` (``FIELDS``), so every default lives in its dataclass.
 """
 
 from __future__ import annotations
 
+import re
 from collections.abc import Iterable
 from dataclasses import fields, replace
 
 from .agents import AgentHyperparams
-from .benchmarks import BenchmarkConfig
+from .benchmarks import ENVIRONMENTS, BenchmarkConfig
 from .core import ConfigError
 from .harness import ExperimentConfig
 
@@ -43,7 +45,8 @@ FIELDS = {
 _SECTION_NAMES = tuple(section for _, section in _SECTIONS)
 _REQUIRED = (("benchmark", "kind"), ("agent", "kind"), ("harness", "episodes"))
 # Benchmark keys that one benchmark kind alone reads; rendered for it only.
-_KIND_ONLY = {"levels": "sigmoidmva", "fuzzy_mean": "fuzzy", "fuzzy_spread": "fuzzy"}
+_KIND_ONLY = {key: kind for kind, env in ENVIRONMENTS.items() for key in env.params}
+_COMMENT = re.compile(r"(?:^|\s)[#;]")
 _TYPES = {"int": int, "float": float, "bool": bool, "str": str}
 
 
@@ -52,7 +55,7 @@ def _parse_lines(text: str, overrides: Iterable[str]) -> dict[tuple[str, str], t
     table: dict[tuple[str, str], tuple[str, str]] = {}
     current: str | None = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].split(";", 1)[0].strip()
+        line = _COMMENT.split(raw, 1)[0].strip()
         if not line:
             continue
         if line.startswith("[") and line.endswith("]"):
@@ -135,6 +138,10 @@ def render_config(cfg: ExperimentConfig) -> str:
             value = getattr(objects[owner], f.name)
             if key in _KIND_ONLY and _KIND_ONLY[key] != cfg.benchmark.kind or value == "":
                 continue
-            block.append(f"{key} = {str(value).lower() if isinstance(value, bool) else value}")
+            text = str(value).lower() if isinstance(value, bool) else str(value)
+            line = f"{key} = {text}"
+            if line.splitlines() != [_COMMENT.split(line, 1)[0]] or text != text.strip():
+                raise ConfigError(f"{section}.{key} = {text!r} would not read back from a config")
+            block.append(line)
         blocks.append("\n".join(block))
     return "\n\n".join(blocks) + "\n"

@@ -101,25 +101,29 @@ class Environment:
     Subclasses implement ``_reward(t, action)`` and may override
     ``_terminates(t, action)`` for benchmarks with early termination.
     A single instance is single-threaded; independent instances may run
-    concurrently. Each benchmark class states its ``kind``, ``default_horizon``
-    and ``fixed_rewards``: with it the reward at step t depends only on
-    (t, action, instance), with no random draw and no early termination.
+    concurrently. Each benchmark class states its benchmark: ``kind``,
+    ``default_horizon``, ``context_dim``, ``history_len``, ``fixed_rewards``
+    (with it the reward at step t depends only on (t, action, instance), with
+    no random draw and no early termination) and ``params``, the
+    ``BenchmarkConfig`` fields its constructor takes after the horizon, in
+    order, whose defaults are class attributes.
     """
 
     fixed_rewards = True
+    context_dim = 0
+    history_len = 5
+    params: tuple[str, ...] = ()
 
-    def __init__(self, spec: EnvSpec) -> None:
-        if spec.horizon < 1:
+    def __init__(self, horizon: int, action_count: int) -> None:
+        if horizon < 1:
             raise ContractError("horizon must be >= 1")
-        self._spec = spec
+        self._spec = EnvSpec(action_count, horizon, self.context_dim, self.history_len)
         self._instance: Instance | None = None
         self._seed: SeedSpec | None = None
         self._rng: np.random.Generator | None = None
         self._t = 0
         self._done = True
         self._history: tuple[int, ...] = ()
-        self._obs: Observation | None = None
-        self._trace: list[tuple[Observation, ActionId, float]] | None = None
 
     @property
     def spec(self) -> EnvSpec:
@@ -144,8 +148,7 @@ class Environment:
             self._rng = derive_stream(seed.master_seed, seed.stream_id)
         return self._rng
 
-    def reset(self, instance: Instance = (), seed: SeedSpec | None = None,
-              record_trace: bool = False) -> Observation:
+    def reset(self, instance: Instance = (), seed: SeedSpec | None = None) -> Observation:
         """Start an episode on ``instance`` and return its first observation.
 
         ``seed`` addresses the episode's random stream; None means stream
@@ -164,9 +167,7 @@ class Environment:
         self._t = 0
         self._done = False
         self._history = (self.pad_action,) * self._spec.history_len
-        self._trace = [] if record_trace else None
-        self._obs = Observation(0, instance, self._history)
-        return self._obs
+        return Observation(0, instance, self._history)
 
     def step(self, action: ActionId) -> tuple[Observation, float, bool]:
         """Apply ``action``; returns ``(next observation, reward, done)``."""
@@ -177,21 +178,11 @@ class Environment:
             raise ContractError(f"action {action} out of range [0, {spec.action_count})")
         reward = float(self._reward(t, action))
         done = self._done = self._terminates(t, action) or t + 1 >= spec.horizon
-        if self._trace is not None:
-            self._trace.append((self._obs, action, reward))
         history = self._history
         if spec.history_len > 0:
             history = self._history = history[1:] + (action,)
         self._t = t + 1
-        obs = self._obs = Observation(t + 1, self._instance, history)
-        return obs, reward, done
-
-    @property
-    def trace(self) -> list[tuple[Observation, ActionId, float]]:
-        """The episode's ``(observation, action, reward)`` steps, in order."""
-        if self._trace is None:
-            raise ContractError("episode was not reset with record_trace=True")
-        return self._trace
+        return Observation(t + 1, self._instance, history), reward, done
 
     def _reward(self, t: int, action: ActionId) -> float:
         raise NotImplementedError
@@ -200,19 +191,24 @@ class Environment:
         return False
 
 
-def greedy_rollout(policy, env: Environment, instance: Instance,
-                   seed: SeedSpec | None, record_trace: bool = False) -> float:
+def greedy_rollout(policy, env: Environment, instance: Instance, seed: SeedSpec | None,
+                   trace: list[tuple[Observation, ActionId, float]] | None = None) -> float:
     """Roll out ``policy(obs) -> action`` for one episode; returns the
     total reward.
 
     This is the one loop that runs a fixed policy: greedy evaluation,
-    open-loop schedules and snapshot replay all go through it. With
-    ``record_trace`` the episode's steps stay in ``env.trace``.
+    open-loop schedules and snapshot replay all go through it. A ``trace``
+    list gets one ``(obs, action, reward)`` item per step, ``obs`` being
+    the observation the action was chosen on.
     """
-    obs = env.reset(instance, seed, record_trace)
+    obs = env.reset(instance, seed)
     step = env.step
     total, done = 0.0, False
     while not done:
-        obs, reward, done = step(policy(obs))
+        action = policy(obs)
+        next_obs, reward, done = step(action)
+        if trace is not None:
+            trace.append((obs, action, reward))
+        obs = next_obs
         total += reward
     return total

@@ -120,7 +120,6 @@ class ExperimentConfig:
             raise ConfigError("dqn supports only the sigmoid-family benchmarks")
         if cfg.eval_runs < 0:
             raise ConfigError("eval_runs must be >= 0")
-        noisy = cfg.benchmark.noisy
         if cfg.instance_mode == "fixed":
             # Fixed sets evaluate once on every training instance.
             if cfg.eval_runs not in (0, cfg.n_train_instances):
@@ -130,8 +129,8 @@ class ExperimentConfig:
                 )
             eval_runs = cfg.n_train_instances
         else:
-            eval_runs = cfg.eval_runs or (10 if noisy else 1)
-        hp = cfg.hp or AgentHyperparams(alpha=0.1 if noisy else 1.0)
+            eval_runs = cfg.eval_runs or cfg.benchmark.runs
+        hp = cfg.hp or AgentHyperparams(alpha=0.1 if cfg.benchmark.noisy else 1.0)
         bench = replace(cfg.benchmark, horizon=cfg.benchmark.resolved_horizon)  # canonical
         return replace(cfg, benchmark=bench, eval_runs=eval_runs, hp=hp)
 
@@ -302,7 +301,7 @@ def _blackbox_curve(cfg: ExperimentConfig, seed_index: int,
         episode_budget=cfg.n_episodes,
         rng=derive_stream(eval_setup.run_seed, BLACKBOX_STREAM),
         neighbor_fraction=cfg.neighbor_fraction,
-        max_runs=10 if cfg.benchmark.noisy else 1,
+        max_runs=cfg.benchmark.runs,
     )
     episodes = list(range(cfg.train_eval_every, cfg.n_episodes + 1, cfg.train_eval_every))
     return SeedCurve(

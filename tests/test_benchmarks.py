@@ -1,5 +1,7 @@
 """Benchmark reward functions, samplers, and their oracles."""
 
+import dataclasses
+import inspect
 import math
 
 import numpy as np
@@ -44,6 +46,38 @@ class TestBenchmarkFacts:
     def test_noise_follows_fixed_rewards_and_instances(self):
         noisy = {kind for kind in BENCHMARK_KINDS if BenchmarkConfig(kind).noisy}
         assert noisy == {"fuzzy", "sigmoid", "sigmoidmva"}
+        assert {BenchmarkConfig(kind).runs for kind in noisy} == {10}
+        assert {BenchmarkConfig(kind).runs for kind in ("counting", "luby")} == {1}
+
+    @pytest.mark.parametrize("kind", BENCHMARK_KINDS)
+    def test_instances_follow_the_context_dim(self, kind):
+        assert BenchmarkConfig(kind).has_instances == (ENVIRONMENTS[kind]().spec.context_dim > 0)
+
+    def test_each_parameter_has_one_class_and_its_default(self):
+        """Every kind-specific config field is a constructor parameter of
+        exactly one class, after the horizon and in order, and the config's
+        default is that class's attribute of the parameter's name."""
+        owners = {}
+        for env in ENVIRONMENTS.values():
+            names = list(inspect.signature(env).parameters)
+            assert names[0] == "horizon"
+            for field, name in zip(env.params, names[1:], strict=True):
+                assert field not in owners
+                owners[field] = (env, name)
+        config_fields = dataclasses.fields(BenchmarkConfig)
+        assert set(owners) == {f.name for f in config_fields} - {"kind", "horizon"}
+        for f in config_fields:
+            if f.name in owners:
+                env, name = owners[f.name]
+                assert f.default == getattr(env, name)
+
+    def test_make_env_passes_the_parameters_through(self):
+        mva = make_env(BenchmarkConfig("sigmoidmva", levels=7))
+        assert (mva.levels, mva.spec.action_count) == (7, 8)
+        fuzzy = make_env(BenchmarkConfig("fuzzy", horizon=3, fuzzy_mean=-2.5, fuzzy_spread=0.0))
+        fuzzy.reset()
+        assert (fuzzy.mean, fuzzy.spread, fuzzy.spec.horizon) == (-2.5, 0.0, 3)
+        assert fuzzy.step(1)[1] == -2.5
 
 
 class TestLuby:

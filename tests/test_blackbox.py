@@ -93,10 +93,9 @@ class TestEvaluateSchedule:
         env = SigmoidEnv(11)
         sched = random_schedule(derive_stream(8, 0), 11, 2)
         for params in ((5.0, 3.0), (-50.0, 8.0)):
-            env.reset(params, SeedSpec(8, 1), record_trace=True)
-            for action in sched:
-                env.step(action)
-            applied = tuple(action for _, action, _ in env.trace)
+            trace = []
+            greedy_rollout(lambda obs: sched[obs.time_step], env, params, SeedSpec(8, 1), trace)
+            applied = tuple(action for _, action, _ in trace)
             assert applied == sched
 
 

@@ -1,6 +1,7 @@
 """Config parsing, rendering round-trips, and the CLI surface."""
 
 import contextlib
+import dataclasses
 import io
 import string
 import warnings
@@ -243,6 +244,22 @@ class TestParseConfig:
             cfg = parse_config(text)
             assert parse_config(render_config(cfg)) == cfg
 
+    @pytest.mark.parametrize("output", ["res#1.csv", "a;b.csv", "x;#y#"])
+    def test_roundtrip_keeps_comment_characters_inside_a_value(self, output):
+        cfg = parse_config(MINIMAL, [f"harness.output={output}"])
+        assert cfg.output_path == output
+        assert parse_config(render_config(cfg)) == cfg
+
+    def test_comment_after_whitespace_or_at_line_start(self):
+        text = "# head\n; head\n" + MINIMAL.replace("= counting", "= counting # c\t;d")
+        assert parse_config(text) == parse_config(MINIMAL)
+
+    @pytest.mark.parametrize("output", ["a #b.csv", "a\t;b.csv", " a.csv", "a.csv\n"])
+    def test_render_refuses_an_output_that_would_not_read_back(self, output):
+        cfg = dataclasses.replace(parse_config(MINIMAL), output_path=output)
+        with pytest.raises(ConfigError, match="harness.output .* would not read back"):
+            render_config(cfg)
+
     def test_roundtrip_with_overrides(self):
         cfg = parse_config(MINIMAL, ["harness.n_seeds=7", "agent.epsilon=0.2"])
         assert parse_config(render_config(cfg)) == cfg
@@ -366,6 +383,18 @@ class TestCliRun:
         assert main(["run", config, "--output", str(out)]) == 0
         assert out.read_text().startswith(CSV_HEADER)
         assert not (tmp_path / "res").exists()
+
+    def test_verbose_run_refuses_an_output_that_would_not_read_back(self, tmp_path, capsys,
+                                                                   monkeypatch):
+        from algocontrol import cli
+
+        monkeypatch.setattr(cli, "run_experiment", lambda *a, **k: pytest.fail("trained"))
+        config = self._write(tmp_path, TABULAR_RUN)
+        assert main(["run", config, "--output", str(tmp_path / "a #b.csv"), "-v"]) == 2
+        captured = capsys.readouterr()
+        err = captured.err.splitlines()
+        assert captured.out == "" and len(err) == 1
+        assert err[0].startswith("E-CONFIG: harness.output = ") and "read back" in err[0]
 
     @pytest.mark.parametrize("key,override", [("n_seeds", "harness.n_seeds=2 ; x"),
                                               ("episodes", "harness.episodes=5\nseed=7")])
@@ -547,11 +576,14 @@ class TestCliBenchInfo:
         (["replay", "{snap}", "--benchmark", "counting", "--horizon", "-1"], "horizon"),
         (["replay", "{snap}", "--benchmark", "sigmoid", "--instance", "s=nan,p=5"], "s="),
         (["replay", "{snap}", "--benchmark", "sigmoid", "--instance", "s=1,p=inf"], "p="),
+        (["replay", "{snap}", "--benchmark", "sigmoid", "--instance", "s=1,s=50,p=3"],
+         "sets s twice"),
         (["run", "{csv}", "--set", "-x"], "--set"),
         (["bench-info", "nope"], "nope"),
     ],
     ids=["report-window", "bench-info-horizon", "bench-info-levels", "replay-horizon",
-         "replay-nan-instance", "replay-inf-instance", "run-set-without-value",
+         "replay-nan-instance", "replay-inf-instance", "replay-repeated-instance-key",
+         "run-set-without-value",
          "bench-info-unknown-kind"],
 )
 def test_bad_command_line_value_is_one_config_line(tmp_path, capsys, argv, name):

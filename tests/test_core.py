@@ -131,12 +131,13 @@ class TestStepContract:
 
     @pytest.mark.parametrize("ctor,args", [(LubyEnv, (32,)), (SigmoidEnv, (11,))])
     def test_step_builds_one_observation(self, ctor, args):
-        """The observation ``step`` returns is the one the trace keeps for
-        the next step: one object per step, built once."""
-        env = ctor(*args)
-        env.reset((3.0, 5.0) if env.spec.context_dim else (), SeedSpec(2, 0), record_trace=True)
-        returned = [env.step(0)[0] for _ in range(env.spec.horizon)]
-        assert all(obs is env.trace[i + 1][0] for i, obs in enumerate(returned[:-1]))
+        """The observation the policy chose each action on is the object the
+        trace keeps for that step: one object per step, built once."""
+        env, seen, trace = ctor(*args), [], []
+        instance = (3.0, 5.0) if env.spec.context_dim else ()
+        greedy_rollout(lambda obs: seen.append(obs) or 0, env, instance, SeedSpec(2, 0), trace)
+        assert len(trace) == len(seen) == env.spec.horizon
+        assert all(obs is step[0] for obs, step in zip(seen, trace))
 
 
 def _random_policy(rng, action_count):
@@ -145,8 +146,8 @@ def _random_policy(rng, action_count):
 
 def _traced_rollout(env, policy, instance, seed):
     """Total reward and trace of one greedy_rollout with a trace."""
-    total = greedy_rollout(policy, env, instance, seed, record_trace=True)
-    return total, env.trace
+    trace = []
+    return greedy_rollout(policy, env, instance, seed, trace), trace
 
 
 FIXED_LENGTH_ENVS = [

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from algocontrol.agents import AgentHyperparams, DQNAgent, TabularAgent, tabular
+from algocontrol import harness
 from algocontrol.benchmarks import BenchmarkConfig, CountingEnv, LubyEnv, SigmoidEnv, make_env
 from algocontrol.core import ContractError, SeedSpec, derive_stream
 from algocontrol.harness import (
@@ -255,6 +256,20 @@ class TestTrainAndEvaluate:
         curve = train_and_evaluate(cfg, 0)
         assert curve.episodes == list(range(1, 31))
         assert all(a <= b for a, b in zip(curve.train_rewards, curve.train_rewards[1:]))
+
+    @pytest.mark.parametrize("bench", [BenchmarkConfig("counting", horizon=5),
+                                       BenchmarkConfig("fuzzy", horizon=5)])
+    def test_blackbox_races_over_the_benchmarks_runs(self, bench, monkeypatch):
+        seen = []
+        real = harness.blackbox_optimize
+
+        def spy(*args, **kwargs):
+            seen.append(kwargs["max_runs"])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "blackbox_optimize", spy)
+        train_and_evaluate(counting_cfg(benchmark=bench, agent_kind="blackbox", n_episodes=5), 0)
+        assert seen == [bench.runs]
 
     def test_blackbox_save_path_is_a_config_error(self, tmp_path):
         snap = tmp_path / "agent.snap"

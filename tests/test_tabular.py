@@ -1,5 +1,7 @@
 """Tabular learners: selection rules, updates, and the VI oracle."""
 
+import copy
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -90,11 +92,6 @@ class ReferenceTable:
             return tied[0]
         return tied[int(rng.integers(len(tied)))]
 
-    def copy(self):
-        clone = ReferenceTable(self.action_count)
-        clone.values = dict(self.values)
-        return clone
-
 
 _STATES = ["s0", "s1", (0, (), (1, 2))]
 _VALUES = st.one_of(
@@ -119,8 +116,8 @@ class TestQTableMatchesPairTable:
         frozen = []  # (table, reference) pairs left behind by copy
         for op in ops:
             if op[0] == "copy":
-                frozen.append((q, ref.copy()))
-                q, ref = q.copy(), ref.copy()
+                frozen.append((q, copy.deepcopy(ref)))
+                q, ref = copy.deepcopy(q), copy.deepcopy(ref)
                 continue
             name, s, a = op[0], op[1], op[2] % action_count
             if name == "set":
@@ -390,7 +387,7 @@ class TestTabularAgent:
 
     def test_snapshot_immune_to_training(self):
         agent = self._train("qlearn", episodes=30)
-        frozen = agent.q.copy()
+        frozen = copy.deepcopy(agent.q)
         probe_states = list(agent.q.rows)
         assert probe_states
         before = {s: frozen.argmax(s) for s in probe_states}
