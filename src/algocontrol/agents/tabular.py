@@ -45,10 +45,6 @@ class QTable:
         self.rows: dict[StateKey, list[float]] = {}
         self._zeros = (0.0,) * action_count
 
-    def get(self, s: StateKey, a: ActionId) -> float:
-        row = self.rows.get(s)
-        return 0.0 if row is None else row[a]
-
     def set(self, s: StateKey, a: ActionId, value: float) -> None:
         row = self.rows.get(s)
         if row is None:
@@ -58,9 +54,6 @@ class QTable:
     def row(self, s: StateKey) -> Sequence[float]:
         """The action values of ``s``: the stored row itself, read only."""
         return self.rows.get(s, self._zeros)
-
-    def max(self, s: StateKey) -> float:
-        return max(self.row(s))
 
     def argmax(self, s: StateKey) -> ActionId:
         """Greedy action; ties go to the lowest action index."""
@@ -83,9 +76,9 @@ def argmax_with_random_ties(
     """
     row = q.row(s)
     best = max(row)
+    if row.count(best) == 1:  # a unique maximum draws nothing
+        return row.index(best)
     tied = [a for a in range(action_count) if row[a] == best]
-    if len(tied) == 1:
-        return tied[0]
     return tied[int(rng.integers(len(tied)))]
 
 
@@ -131,12 +124,13 @@ def q_update(
     hp: AgentHyperparams,
 ) -> QTable:
     """One-step Q-learning update (in place; the table is returned)."""
-    bootstrap = 0.0 if done else q.max(s_next)
-    q.set(
-        s,
-        a,
-        (1.0 - hp.alpha) * q.get(s, a) + hp.alpha * (reward + hp.gamma * bootstrap),
-    )
+    rows = q.rows
+    next_row = None if done else rows.get(s_next)
+    bootstrap = 0.0 if next_row is None else max(next_row)
+    row = rows.get(s)
+    if row is None:
+        row = rows[s] = [0.0] * q.action_count
+    row[a] = (1.0 - hp.alpha) * row[a] + hp.alpha * (reward + hp.gamma * bootstrap)
     return q
 
 
@@ -233,3 +227,8 @@ class TabularAgent:
 
     def greedy_action(self, obs: Observation) -> ActionId:
         return self.q.argmax(state_key(obs))
+
+    def greedy_path_holds(self, path: list[tuple[StateKey, ActionId]]) -> bool:
+        """Whether ``greedy_action`` takes each action of a (state key, action) path."""
+        argmax = self.q.argmax
+        return all(argmax(s) == a for s, a in path)

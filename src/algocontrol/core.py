@@ -83,9 +83,10 @@ def splitmix64(x: int) -> int:
 def derive_seed(master_seed: int, stream_id: int) -> int:
     """Mix (master_seed, stream_id) into a 64-bit child seed.
 
-    The mapping is fixed: splitmix64 applied to ``master_seed XOR
-    stream_id``. Seeds and ids may be any Python ints; they are reduced
-    mod 2^64 first.
+    It is splitmix64 of ``master_seed XOR stream_id``, so (m, k) and
+    (m', k') share a seed whenever m ^ k == m' ^ k': at n_seeds = 2,
+    masters 2j and 2j + 1 run the same two seed runs (ROADMAP item 2).
+    Seeds and ids may be any Python ints; they are reduced mod 2^64 first.
     """
     return splitmix64((master_seed & _MASK64) ^ (stream_id & _MASK64))
 

@@ -247,12 +247,16 @@ class _EvalSetup:
             self.instances = train_set
         else:
             self.instances = [()] * cfg.eval_runs
+        # Per instance: the greedy path of its last rollout and its return.
+        self.memo: list[tuple[list, float] | None] = [None] * len(self.instances)
 
     def evaluate(self, agent, env: Environment, episode: int) -> float:
         # Instances stay fixed across checkpoints (variance reduction);
         # reward noise is fresh per checkpoint so smoothing averages it.
+        # A tabular greedy return on a noise-free benchmark is memoised.
         base = EVAL_NOISE_BASE + episode * len(self.instances)
-        return _mean_greedy_return(agent, env, self.instances, self.run_seed, base)
+        memo = self.memo if env.fixed_rewards and isinstance(agent, TabularAgent) else None
+        return _mean_greedy_return(agent, env, self.instances, self.run_seed, base, memo)
 
 
 def evaluate_on_test_set(
@@ -268,12 +272,22 @@ def evaluate_on_test_set(
 
 
 def _mean_greedy_return(agent, env: Environment, instances: list[Instance],
-                        run_seed: int, base: int) -> float:
-    """Mean greedy return over ``instances``; run r draws noise stream base + r."""
+                        run_seed: int, base: int, memo: list | None = None) -> float:
+    """Mean greedy return over ``instances``; run r draws noise stream base + r.
+    A ``memo[r] = (path, return)`` is reused while ``greedy_path_holds(path)``;
+    otherwise run r rolls out and stores its (state key, action) path there."""
     policy = agent.greedy_action
     total = 0.0
     for r, instance in enumerate(instances):
-        total += greedy_rollout(policy, env, instance, SeedSpec(run_seed, base + r))
+        seed = SeedSpec(run_seed, base + r)
+        if memo is None:
+            total += greedy_rollout(policy, env, instance, seed)
+            continue
+        if memo[r] is None or not agent.greedy_path_holds(memo[r][0]):
+            trace: list = []
+            value = greedy_rollout(policy, env, instance, seed, trace)
+            memo[r] = [(agent.encode(obs), action) for obs, action, _ in trace], value
+        total += memo[r][1]
     return total / len(instances)
 
 

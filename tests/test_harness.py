@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 from algocontrol.agents import AgentHyperparams, DQNAgent, TabularAgent, tabular
 from algocontrol import harness
 from algocontrol.benchmarks import BenchmarkConfig, CountingEnv, LubyEnv, SigmoidEnv, make_env
-from algocontrol.core import ContractError, SeedSpec, derive_stream
+from algocontrol.config import parse_config
+from algocontrol.core import ContractError, SeedSpec, derive_seed, derive_stream
 from algocontrol.harness import (
     CSV_HEADER,
     ConfigError,
@@ -25,6 +26,7 @@ from algocontrol.harness import (
     smooth,
     train_and_evaluate,
 )
+from test_golden import case_text, valid_cases
 
 
 def counting_cfg(**kwargs):
@@ -311,6 +313,82 @@ class TestOneEncodingPerObservation:
         instance = (3.0, 5.0)
         run_training_episode(agent, SigmoidEnv(11), instance, SeedSpec(91, 1), rng, rng)
         assert calls == list(range(12))
+
+
+def count_rollouts(monkeypatch) -> list[int]:
+    """Count the rollouts that go through ``harness.greedy_rollout``."""
+    calls = [0]
+    real = harness.greedy_rollout
+
+    def counting(*args, **kwargs):
+        calls[0] += 1
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "greedy_rollout", counting)
+    return calls
+
+
+def fresh_value(setup, agent, env, episode: int) -> float:
+    """A checkpoint's value rolled out in full, without the memo."""
+    base = harness.EVAL_NOISE_BASE + episode * len(setup.instances)
+    return harness._mean_greedy_return(agent, env, setup.instances, setup.run_seed, base)
+
+
+class TestCheckpointMemo:
+    """A tabular checkpoint on a noise-free benchmark reuses the stored
+    return of each evaluation run whose greedy path still holds."""
+
+    @pytest.mark.parametrize(
+        "case", [c for c in valid_cases() if c[1] in TabularAgent.KINDS and c[0] != "fuzzy"],
+        ids="-".join,
+    )
+    def test_every_golden_checkpoint_equals_a_fresh_evaluation(self, case, monkeypatch):
+        rollouts = count_rollouts(monkeypatch)
+        runs = [0]
+        real = harness._EvalSetup.evaluate
+
+        def checked(setup, agent, env, episode):
+            value = real(setup, agent, env, episode)
+            fresh = fresh_value(setup, agent, env, episode)
+            runs[0] += len(setup.instances)
+            rollouts[0] -= len(setup.instances)  # uncount the fresh evaluation
+            assert repr(value) == repr(fresh)
+            return value
+
+        monkeypatch.setattr(harness._EvalSetup, "evaluate", checked)
+        run_experiment(parse_config(case_text(*case)))
+        assert 0 < rollouts[0] < runs[0]
+
+    def test_flipped_argmax_on_the_path_forces_a_rollout(self, monkeypatch):
+        cfg = counting_cfg(n_episodes=30).validated()
+        run_seed = derive_seed(cfg.master_seed, harness.RUN_BASE)
+        agent = TabularAgent("qlearn", 5, hp=cfg.hp)
+        for _ in harness._training(cfg, run_seed, agent, None):
+            pass
+        setup, env = harness._EvalSetup(cfg, run_seed, None), make_env(cfg.benchmark)
+        rollouts = count_rollouts(monkeypatch)
+        first = setup.evaluate(agent, env, 1)
+        assert setup.evaluate(agent, env, 2) == first and rollouts == [1]
+        agent.q.set("off the path", 0, 100.0)
+        assert setup.evaluate(agent, env, 3) == first and rollouts == [1]
+
+        path, _ = setup.memo[0]
+        s, a = path[2]
+        agent.q.set(s, (a + 1) % 5, max(agent.q.row(s)) + 1.0)
+        value = setup.evaluate(agent, env, 4)
+        assert rollouts == [2]
+        assert repr(value) == repr(fresh_value(setup, agent, env, 4))
+        assert setup.memo[0][0][2] == (s, (a + 1) % 5)
+
+    @pytest.mark.parametrize("cfg", [
+        counting_cfg(benchmark=BenchmarkConfig("fuzzy", horizon=5), n_seeds=1, n_episodes=6),
+        ExperimentConfig(BenchmarkConfig("sigmoid", horizon=11), "dqn", n_seeds=1,
+                         n_episodes=6, master_seed=3),
+    ], ids=["fuzzy-qlearn", "sigmoid-dqn"])
+    def test_fuzzy_and_dqn_roll_out_every_run(self, cfg, monkeypatch):
+        rollouts = count_rollouts(monkeypatch)
+        curve = train_and_evaluate(cfg, 0)
+        assert rollouts == [len(curve.episodes) * cfg.validated().eval_runs]
 
 
 class TestFixedInstanceMode:

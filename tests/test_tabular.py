@@ -92,6 +92,12 @@ class ReferenceTable:
             return tied[0]
         return tied[int(rng.integers(len(tied)))]
 
+    def q_update(self, s, a, reward, s_next, done, hp):
+        """The update as three table calls: max of the next row, get, set."""
+        bootstrap = 0.0 if done else max(self.row(s_next))
+        self.set(s, a, (1.0 - hp.alpha) * self.get(s, a)
+                 + hp.alpha * (reward + hp.gamma * bootstrap))
+
 
 _STATES = ["s0", "s1", (0, (), (1, 2))]
 _VALUES = st.one_of(
@@ -103,6 +109,10 @@ _OPS = st.one_of(
     st.tuples(st.sampled_from(["get", "row", "max", "argmax", "ties"]),
               st.sampled_from(_STATES), st.integers(0, 5)),
     st.tuples(st.just("copy")),
+    st.tuples(st.just("update"), st.sampled_from(_STATES), st.integers(0, 5), _VALUES,
+              st.sampled_from(_STATES), st.booleans(),
+              st.sampled_from([1.0, 0.1]) | st.floats(1e-3, 1.0),
+              st.sampled_from([0.99, 0.0, 1.0]) | st.floats(0.0, 1.0)),
 )
 
 
@@ -123,22 +133,31 @@ class TestQTableMatchesPairTable:
             if name == "set":
                 q.set(s, a, op[3])
                 ref.set(s, a, op[3])
+            elif name == "update":
+                reward, s_next, done, alpha, gamma = op[3:]
+                hp = AgentHyperparams(alpha=alpha, gamma=gamma)
+                assert q_update(q, s, a, reward, s_next, done, hp) is q
+                ref.q_update(s, a, reward, s_next, done, hp)
+                assert [repr(v) for v in q.row(s)] == [repr(v) for v in ref.row(s)]
             elif name == "get":
-                assert repr(q.get(s, a)) == repr(ref.get(s, a))
+                assert repr(q.row(s)[a]) == repr(ref.get(s, a))
             elif name == "row":
                 assert [repr(v) for v in q.row(s)] == [repr(v) for v in ref.row(s)]
             elif name == "max":
-                assert repr(q.max(s)) == repr(max(ref.row(s)))
+                assert repr(max(q.row(s))) == repr(max(ref.row(s)))
             elif name == "argmax":
                 assert q.argmax(s) == ref.argmax(s)
             else:
+                before = rng.bit_generator.state
                 picked = argmax_with_random_ties(rng, q, s, action_count)
                 assert picked == ref.argmax_with_random_ties(ref_rng, s)
                 assert rng.bit_generator.state == ref_rng.bit_generator.state
+                if ref.row(s).count(max(ref.row(s))) == 1:  # a unique maximum draws nothing
+                    assert rng.bit_generator.state == before
         frozen.append((q, ref))
         for table, reference in frozen:  # copies share no row with later tables
             for s in _STATES:
-                assert [repr(table.get(s, a)) for a in range(action_count)] == [
+                assert [repr(table.row(s)[a]) for a in range(action_count)] == [
                     repr(v) for v in reference.row(s)
                 ]
                 assert [repr(v) for v in table.row(s)] == [repr(v) for v in reference.row(s)]
@@ -245,14 +264,14 @@ class TestQUpdate:
         q = QTable(2)
         hp = AgentHyperparams(alpha=1.0)
         q_update(q, "s", 0, 1.0, "s2", True, hp)
-        assert q.get("s", 0) == 1.0
+        assert q.row("s")[0] == 1.0
 
     def test_direct_formula(self):
         q = QTable(2)
         hp = AgentHyperparams(alpha=1.0, gamma=0.99)
         q.set("s2", 1, 1.0)
         q_update(q, "s", 0, 1.0, "s2", False, hp)
-        assert q.get("s", 0) == pytest.approx(1.99, abs=0)
+        assert q.row("s")[0] == pytest.approx(1.99, abs=0)
 
     def test_two_step_chain_converges_to_value_iteration(self):
         # chain: s0 -a-> s1 -a-> terminal; rewards 1 then 2 for action 0,
@@ -270,8 +289,8 @@ class TestQUpdate:
             for s, nxt, done in (("s0", "s1", False), ("s1", "t", True)):
                 for a in (0, 1):
                     q_update(q, s, a, rewards[(s, a)], nxt, done, hp)
-        for key, value in expected.items():
-            assert q.get(*key) == value
+        for (s, a), value in expected.items():
+            assert q.row(s)[a] == value
 
 
 class TestHyperparamRanges:
@@ -345,8 +364,8 @@ class TestValueIterationFixedPoint:
         for _ in range(200):
             for (s, a), (r, s_next, done) in transitions.items():
                 q_update(q, s, a, r, s_next, done, hp)
-        for key, expected in q_star.items():
-            assert q.get(*key) == expected
+        for (s, a), expected in q_star.items():
+            assert q.row(s)[a] == expected
 
     def test_greedy_policy_is_oracle_optimal(self):
         transitions = enumerate_counting_mdp(3)
