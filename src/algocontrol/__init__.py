@@ -30,7 +30,6 @@ from .core import (
     ConfigError,
     ContractError,
     Environment,
-    EnvSpec,
     Instance,
     Observation,
     SeedSpec,

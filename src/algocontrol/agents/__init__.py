@@ -11,7 +11,6 @@ from .dqn import (
 from .snapshot import load_snapshot, save_agent
 from .tabular import (
     AgentHyperparams,
-    QTable,
     TabularAgent,
     q_update,
     state_key,
@@ -24,7 +23,6 @@ __all__ = [
     "AgentHyperparams",
     "DQNAgent",
     "MLPQNet",
-    "QTable",
     "ReplayBuffer",
     "TabularAgent",
     "dqn_loss_and_grads",

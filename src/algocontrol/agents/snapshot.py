@@ -5,10 +5,11 @@ lines, a ``records N`` line, then N tab-separated key/value records in
 sorted key order. Q-tables store one record per action of every stored
 state row, keyed ``state|action``; a reader also accepts files that
 store only some actions of a state (the others read as 0). Networks
-store one record per parameter element. Floats round-trip exactly via
-repr. Loading rebuilds the agent itself, so a replay acts through the
-same ``greedy_action`` as training. A malformed snapshot, including a
-value that is not finite, raises ContractError naming the line.
+store one record per parameter element, each required. Floats round-trip
+exactly via repr. Loading rebuilds the agent itself, so a replay acts
+through the same ``greedy_action`` as training. A malformed snapshot (a
+value that is not finite, a repeated record) raises ContractError naming
+the line; a missing network element raises it naming the element.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import numpy as np
 
 from ..core import ContractError
 from .dqn import HIDDEN_UNITS, DQNAgent, MLPQNet
-from .tabular import QTable, TabularAgent
+from .tabular import TabularAgent
 
 FORMAT_TAG = "algocontrol-snapshot"
 FORMAT_VERSION = 1
@@ -88,7 +89,7 @@ def save_agent(agent, path: str) -> None:
         }
         records = [
             (f"{_encode_state_key(s)}|{a}", repr(v))
-            for s, row in agent.q.rows.items()
+            for s, row in agent.q.items()
             for a, v in enumerate(row)
         ]
     elif isinstance(agent, DQNAgent):
@@ -137,19 +138,22 @@ def load_snapshot(path: str) -> TabularAgent | DQNAgent:
         )
     if kind in TabularAgent.KINDS:
         agent = TabularAgent(kind, _meta_int(meta, "action_count"))
-        _read_records(body, start + 2, lambda key, value: _set_q(agent.q, key, value))
+        _read_records(body, start + 2, lambda key, value: _set_q(agent, key, value))
         return agent
     if kind == "dqn":
         input_dim = _meta_int(meta, "input_dim")
         action_count = _meta_int(meta, "action_count")
         hidden = _meta_int(meta, "hidden", HIDDEN_UNITS)
-        arrays = {
-            "w1": np.zeros(input_dim * hidden),
-            "b1": np.zeros(hidden),
-            "w2": np.zeros(hidden * action_count),
-            "b2": np.zeros(action_count),
+        arrays = {  # NaN marks an element no record has set
+            "w1": np.full(input_dim * hidden, np.nan),
+            "b1": np.full(hidden, np.nan),
+            "w2": np.full(hidden * action_count, np.nan),
+            "b2": np.full(action_count, np.nan),
         }
         _read_records(body, start + 2, lambda key, value: _set_param(arrays, key, value))
+        unset = [f"{n}/{i:06d}" for n, a in arrays.items() for i in np.flatnonzero(np.isnan(a))]
+        if unset:
+            raise ContractError(f"snapshot has no record for {unset[0]}")
         scales_text = meta.get("context_scales", "")
         try:
             scales = tuple(_finite(s) for s in scales_text.split(",")) if scales_text else None
@@ -176,28 +180,34 @@ def load_snapshot(path: str) -> TabularAgent | DQNAgent:
 
 
 def _read_records(body: list[str], first_lineno: int, store) -> None:
-    """Pass each ``key<TAB>value`` record to ``store(key, value)``; a
-    record that does not parse raises ContractError naming its line."""
+    """Pass each ``key<TAB>value`` record to ``store(key, value)``, which returns
+    the slot it set; a bad or repeated record raises ContractError naming its line."""
+    seen = set()
     for lineno, line in enumerate(body, start=first_lineno):
         key_text, _, value_text = line.partition("\t")
         try:
-            store(key_text, _finite(value_text))
+            slot = store(key_text, _finite(value_text))
         except (ValueError, KeyError, IndexError):
             raise ContractError(f"snapshot line {lineno}: malformed record {line!r}") from None
+        if slot in seen:
+            raise ContractError(f"snapshot line {lineno}: repeated record {line!r}")
+        seen.add(slot)
 
 
-def _set_q(q: QTable, key_text: str, value: float) -> None:
+def _set_q(agent: TabularAgent, key_text: str, value: float) -> tuple:
     state_text, _, action_text = key_text.rpartition("|")
-    action = int(action_text)
-    if not 0 <= action < q.action_count:
+    state, action = _decode_state_key(state_text), int(action_text)
+    if not 0 <= action < agent.action_count:
         raise IndexError(action)
-    q.set(_decode_state_key(state_text), action, value)
+    agent.q.setdefault(state, [0.0] * agent.action_count)[action] = value
+    return state, action
 
 
-def _set_param(arrays: dict[str, np.ndarray], key_text: str, value: float) -> None:
+def _set_param(arrays: dict[str, np.ndarray], key_text: str, value: float) -> tuple:
     name, _, index_text = key_text.partition("/")
     array = arrays[name]
     index = int(index_text)
     if not 0 <= index < len(array):
         raise IndexError(index)
     array[index] = value
+    return name, index

@@ -12,7 +12,6 @@ training.
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,6 +19,7 @@ import numpy as np
 from ..core import ActionId, ConfigError, ContractError, Observation
 
 StateKey = tuple
+QRows = dict[StateKey, list[float]]
 
 def state_key(obs: Observation) -> StateKey:
     """Canonical hashable encoding of an observation for table lookup;
@@ -30,43 +30,15 @@ def state_key(obs: Observation) -> StateKey:
     return (t, tuple(int(round(f)) for f in features), history)
 
 
-class QTable:
-    """Action-value table: one row of ``action_count`` values per state.
-
-    A state's row is created, all zeros, on the first write to it;
-    unseen states read as all zeros. Actions index rows, so they must
-    lie in [0, action_count).
-    """
-
-    def __init__(self, action_count: int) -> None:
-        if action_count < 1:
-            raise ContractError("action_count must be >= 1")
-        self.action_count = action_count
-        self.rows: dict[StateKey, list[float]] = {}
-        self._zeros = (0.0,) * action_count
-
-    def set(self, s: StateKey, a: ActionId, value: float) -> None:
-        row = self.rows.get(s)
-        if row is None:
-            row = self.rows[s] = [0.0] * self.action_count
-        row[a] = value
-
-    def row(self, s: StateKey) -> Sequence[float]:
-        """The action values of ``s``: the stored row itself, read only."""
-        return self.rows.get(s, self._zeros)
-
-    def argmax(self, s: StateKey) -> ActionId:
-        """Greedy action; ties go to the lowest action index."""
-        row = self.row(s)
-        return row.index(max(row))
-
-    def __len__(self) -> int:
-        """Number of states with a stored row."""
-        return len(self.rows)
+def greedy(q: QRows, s: StateKey) -> ActionId:
+    """Greedy action of ``s``: ties go to the lowest action index, and a
+    state with no row gives 0."""
+    row = q.get(s)
+    return 0 if row is None else row.index(max(row))
 
 
 def argmax_with_random_ties(
-    rng: np.random.Generator, q: QTable, s: StateKey, action_count: int
+    rng: np.random.Generator, q: QRows, s: StateKey, action_count: int
 ) -> ActionId:
     """Greedy selection breaking exact ties uniformly at random.
 
@@ -74,7 +46,7 @@ def argmax_with_random_ties(
     taking the lowest tied index starves states reached off the greedy
     path, which visibly fattens the time-to-optimum tail.
     """
-    row = q.row(s)
+    row = q.get(s) or (0.0,) * action_count  # a state with no row reads as zeros
     best = max(row)
     if row.count(best) == 1:  # a unique maximum draws nothing
         return row.index(best)
@@ -115,21 +87,22 @@ class AgentHyperparams:
 
 
 def q_update(
-    q: QTable,
+    q: QRows,
     s: StateKey,
     a: ActionId,
     reward: float,
     s_next: StateKey,
     done: bool,
     hp: AgentHyperparams,
-) -> QTable:
-    """One-step Q-learning update (in place; the table is returned)."""
-    rows = q.rows
-    next_row = None if done else rows.get(s_next)
+    action_count: int,
+) -> QRows:
+    """One-step Q-learning update (in place; the table is returned). The row
+    of ``s`` is created here, ``action_count`` zeros, on its first update."""
+    next_row = None if done else q.get(s_next)
     bootstrap = 0.0 if next_row is None else max(next_row)
-    row = rows.get(s)
+    row = q.get(s)
     if row is None:
-        row = rows[s] = [0.0] * q.action_count
+        row = q[s] = [0.0] * action_count
     row[a] = (1.0 - hp.alpha) * row[a] + hp.alpha * (reward + hp.gamma * bootstrap)
     return q
 
@@ -152,6 +125,8 @@ class TabularAgent:
     ) -> None:
         if kind not in self.KINDS:
             raise ContractError(f"unknown tabular agent kind {kind!r}")
+        if action_count < 1:
+            raise ContractError("action_count must be >= 1")
         self.kind = kind
         self.action_count = action_count
         self.hp = hp or AgentHyperparams()
@@ -161,7 +136,7 @@ class TabularAgent:
             self.epsilon = 0.0
         else:
             self.epsilon = self.hp.epsilon
-        self.q = QTable(action_count)
+        self.q: QRows = {}  # state key -> its action_count values (see q_update)
         # PURS ledger, one row per state like the Q rows: visit counts and
         # the running mean of the episode steps left after each action.
         self.visits: dict[StateKey, list[int]] = {}
@@ -182,7 +157,7 @@ class TabularAgent:
 
     def observe(self, s: StateKey, action: ActionId, reward: float,
                 s_next: StateKey, done: bool) -> None:
-        q_update(self.q, s, action, reward, s_next, done, self.hp)
+        q_update(self.q, s, action, reward, s_next, done, self.hp, self.action_count)
         if self.kind == "purs":
             self._episode.append((s, action))
 
@@ -226,9 +201,8 @@ class TabularAgent:
         self.episodes_trained += 1
 
     def greedy_action(self, obs: Observation) -> ActionId:
-        return self.q.argmax(state_key(obs))
+        return greedy(self.q, state_key(obs))
 
     def greedy_path_holds(self, path: list[tuple[StateKey, ActionId]]) -> bool:
         """Whether ``greedy_action`` takes each action of a (state key, action) path."""
-        argmax = self.q.argmax
-        return all(argmax(s) == a for s, a in path)
+        return all(greedy(self.q, s) == a for s, a in path)

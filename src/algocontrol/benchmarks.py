@@ -167,7 +167,7 @@ class SigmoidEnv(Environment):
         super().__init__(horizon, action_count=2)
 
     def _reward(self, t: int, action: ActionId) -> float:
-        scale, inflection = self.instance
+        scale, inflection = self._instance
         return sigmoid_reward(t, action, scale, inflection)
 
 
@@ -192,7 +192,7 @@ class SigmoidMVAEnv(Environment):
         self.levels = levels
 
     def _reward(self, t: int, action: ActionId) -> float:
-        scale, inflection = self.instance
+        scale, inflection = self._instance
         return sigmoidmva_reward(t, action, scale, inflection, self.levels)
 
 

@@ -81,20 +81,20 @@ class ScheduleEvaluator:
 
     def run(self, schedule: tuple[int, ...], run: int) -> float:
         env, instance = self.env, self.instance_for_run(run)
-        if len(schedule) != env.spec.horizon:
+        if len(schedule) != env.horizon:
             raise ContractError(
-                f"schedule length {len(schedule)} != horizon {env.spec.horizon}"
+                f"schedule length {len(schedule)} != horizon {env.horizon}"
             )
         self.episodes_consumed += 1
         if not env.fixed_rewards:
             return greedy_rollout(lambda obs: schedule[obs.time_step], env, instance,
                                   SeedSpec(self.base_seed, run))
-        if not 0 <= min(schedule) <= max(schedule) < env.spec.action_count:
-            raise ContractError(f"schedule action out of range [0, {env.spec.action_count})")
+        if not 0 <= min(schedule) <= max(schedule) < env.action_count:
+            raise ContractError(f"schedule action out of range [0, {env.action_count})")
         table = self._tables.get(instance)
         if table is None:  # row t: each action's reward at step t, as step returns it
             columns = []
-            for action in range(env.spec.action_count):
+            for action in range(env.action_count):
                 trace = []
                 greedy_rollout(lambda obs: action, env, instance, None, trace)
                 columns.append([reward for _, _, reward in trace])
@@ -170,10 +170,9 @@ def blackbox_optimize(
     """
     if episode_budget < 1 or max_runs < 1 or not 0.0 <= neighbor_fraction <= 1.0:
         raise ContractError("need episode_budget, max_runs >= 1 and neighbor_fraction in [0, 1]")
-    spec = env.spec
     evaluator = ScheduleEvaluator(env, instances, base_seed=int(rng.integers(2**63)))
 
-    first = random_schedule(rng, spec.horizon, spec.action_count)
+    first = random_schedule(rng, env.horizon, env.action_count)
     rewards = [evaluator.run(first, run) for run in range(min(max_runs, episode_budget))]
     incumbent = IncumbentRecord(first, rewards)
     # The first incumbent's mean backfills its own evaluation episodes.
@@ -183,9 +182,9 @@ def blackbox_optimize(
         if stop_at is not None and incumbent.mean_reward >= stop_at:
             break
         if rng.random() < neighbor_fraction:
-            challenger = mutate_schedule(rng, incumbent.schedule, spec.action_count)
+            challenger = mutate_schedule(rng, incumbent.schedule, env.action_count)
         else:
-            challenger = random_schedule(rng, spec.horizon, spec.action_count)
+            challenger = random_schedule(rng, env.horizon, env.action_count)
         budget_left = episode_budget - evaluator.episodes_consumed
         previous_mean = incumbent.mean_reward
         incumbent, consumed = race(challenger, incumbent, evaluator, max_runs, budget_left)

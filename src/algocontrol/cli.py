@@ -156,12 +156,11 @@ def _cmd_run(args) -> int:
 def _cmd_bench_info(args) -> int:
     bench = BenchmarkConfig(kind=args.benchmark, horizon=args.horizon, levels=args.levels)
     env = make_env(bench)
-    spec = env.spec
     print(f"benchmark: {bench.kind}")
-    print(f"action_count: {spec.action_count}")
-    print(f"horizon: {spec.horizon}")
-    print(f"context_dim: {spec.context_dim}")
-    print(f"history_len: {spec.history_len}")
+    print(f"action_count: {env.action_count}")
+    print(f"horizon: {env.horizon}")
+    print(f"context_dim: {env.context_dim}")
+    print(f"history_len: {env.history_len}")
     # fuzzy alone draws random rewards and ends episodes early
     print(f"stochastic_reward: {str(not env.fixed_rewards).lower()}")
     print(f"fixed_episode_length: {str(env.fixed_rewards).lower()}")
@@ -198,6 +197,10 @@ def _result_row(path: str, lineno: int, row: list[str]) -> dict:
         reward = float(row[5])
         if not math.isfinite(reward):
             raise ValueError(f"eval_reward {row[5]!r} is not finite")
+        if row[4] not in ("train", "test"):
+            raise ValueError(f"phase {row[4]!r} is not train or test")
+        if not (row[6].isascii() and row[6].isdigit()):
+            raise ValueError(f"wall_time_ms {row[6]!r} is not a non-negative integer")
         return {
             "benchmark": row[0],
             "agent": row[1],
@@ -301,21 +304,20 @@ def _cmd_replay(args) -> int:
     agent = load_snapshot(args.snapshot)
     bench = BenchmarkConfig(kind=args.benchmark, horizon=args.horizon, levels=args.levels)
     env = make_env(bench)
-    spec = env.spec
-    if agent.action_count != spec.action_count:
+    if agent.action_count != env.action_count:
         raise ContractError(
             f"snapshot has {agent.action_count} actions but {bench.kind} expects "
-            f"{spec.action_count}"
+            f"{env.action_count}"
         )
     if isinstance(agent, DQNAgent):
-        expected = 1 + spec.context_dim
+        expected = 1 + env.context_dim
         if agent.input_dim != expected:
             raise ContractError(
                 f"snapshot input dim {agent.input_dim} != benchmark obs dim {expected}"
             )
-        if agent.horizon != spec.horizon:
+        if agent.horizon != env.horizon:
             raise ContractError(
-                f"snapshot horizon {agent.horizon} but {bench.kind} expects {spec.horizon}"
+                f"snapshot horizon {agent.horizon} but {bench.kind} expects {env.horizon}"
             )
     instance, trace = _parse_instance(args.instance, bench), []
     try:
@@ -325,7 +327,7 @@ def _cmd_replay(args) -> int:
             )
     except FloatingPointError as exc:
         raise ContractError(f"{args.snapshot}: a Q-value is not finite ({exc})") from None
-    print(f"replay {agent.kind} on {bench.kind} (T={spec.horizon})")
+    print(f"replay {agent.kind} on {bench.kind} (T={env.horizon})")
     for obs, action, reward in trace:
         features = ",".join(f"{v:g}" for v in obs.continuous_features)
         print(f"t={obs.time_step:3d} obs=[{features}] action={action} reward={reward:.6g}")

@@ -58,16 +58,6 @@ class SeedSpec:
     stream_id: int = 0
 
 
-@dataclass(frozen=True)
-class EnvSpec:
-    """Static shape of an environment, constant over its lifetime."""
-
-    action_count: int
-    horizon: int
-    context_dim: int  # also the length of every observation's continuous features
-    history_len: int
-
-
 _SPLITMIX_GAMMA = 0x9E3779B97F4A7C15
 _MASK64 = (1 << 64) - 1
 
@@ -102,8 +92,9 @@ class Environment:
     Subclasses implement ``_reward(t, action)`` and may override
     ``_terminates(t, action)`` for benchmarks with early termination.
     A single instance is single-threaded; independent instances may run
-    concurrently. Each benchmark class states its benchmark: ``kind``,
-    ``default_horizon``, ``context_dim``, ``history_len``, ``fixed_rewards``
+    concurrently. Each environment has a ``horizon`` and an ``action_count``;
+    its class states ``kind``, ``default_horizon``, ``context_dim`` (the length
+    of every observation's features), ``history_len``, ``fixed_rewards``
     (with it the reward at step t depends only on (t, action, instance), with
     no random draw and no early termination) and ``params``, the
     ``BenchmarkConfig`` fields its constructor takes after the horizon, in
@@ -118,8 +109,9 @@ class Environment:
     def __init__(self, horizon: int, action_count: int) -> None:
         if horizon < 1:
             raise ContractError("horizon must be >= 1")
-        self._spec = EnvSpec(action_count, horizon, self.context_dim, self.history_len)
-        self._instance: Instance | None = None
+        self.horizon = horizon
+        self.action_count = action_count
+        self._instance: Instance = ()
         self._seed: SeedSpec | None = None
         self._rng: np.random.Generator | None = None
         self._t = 0
@@ -127,19 +119,9 @@ class Environment:
         self._history: tuple[int, ...] = ()
 
     @property
-    def spec(self) -> EnvSpec:
-        return self._spec
-
-    @property
     def pad_action(self) -> int:
         """History filler for steps before enough actions exist."""
-        return self._spec.action_count
-
-    @property
-    def instance(self) -> Instance:
-        if self._instance is None:
-            raise ContractError("environment has not been reset")
-        return self._instance
+        return self.action_count
 
     @property
     def rng(self) -> np.random.Generator:
@@ -158,29 +140,29 @@ class Environment:
         The stream and the order of draws are the same as if it were
         derived here.
         """
-        if len(instance) != self._spec.context_dim:
+        if len(instance) != self.context_dim:
             raise ContractError(
                 f"instance has {len(instance)} context parameters, "
-                f"environment expects {self._spec.context_dim}"
+                f"environment expects {self.context_dim}"
             )
         self._instance = instance
         self._seed, self._rng = seed, None
         self._t = 0
         self._done = False
-        self._history = (self.pad_action,) * self._spec.history_len
+        self._history = (self.pad_action,) * self.history_len
         return Observation(0, instance, self._history)
 
     def step(self, action: ActionId) -> tuple[Observation, float, bool]:
         """Apply ``action``; returns ``(next observation, reward, done)``."""
-        spec, t = self._spec, self._t
+        t = self._t
         if self._done:  # also true before the first reset
             raise ContractError("step called on an inactive episode (reset first)")
-        if not 0 <= action < spec.action_count:
-            raise ContractError(f"action {action} out of range [0, {spec.action_count})")
+        if not 0 <= action < self.action_count:
+            raise ContractError(f"action {action} out of range [0, {self.action_count})")
         reward = float(self._reward(t, action))
-        done = self._done = self._terminates(t, action) or t + 1 >= spec.horizon
+        done = self._done = self._terminates(t, action) or t + 1 >= self.horizon
         history = self._history
-        if spec.history_len > 0:
+        if self.history_len > 0:
             history = self._history = history[1:] + (action,)
         self._t = t + 1
         return Observation(t + 1, self._instance, history), reward, done

@@ -216,20 +216,20 @@ def run_training_episode(
 
 
 def _make_agent(cfg: ExperimentConfig, run_seed: int):
-    spec = make_env(cfg.benchmark).spec
+    env = make_env(cfg.benchmark)
     if cfg.agent_kind == "dqn":
         # sigmoid-family context is (scale in +-100, inflection near T/2)
-        scales = (0.01, 1.0 / spec.horizon)
+        scales = (0.01, 1.0 / env.horizon)
         return DQNAgent(
-            action_count=spec.action_count,
-            horizon=spec.horizon,
-            context_dim=spec.context_dim,
+            action_count=env.action_count,
+            horizon=env.horizon,
+            context_dim=env.context_dim,
             total_episodes=cfg.n_episodes,
             hp=cfg.hp,
             rng=derive_stream(run_seed, AGENT_INIT_STREAM),
             context_scales=scales,
         )
-    return TabularAgent(cfg.agent_kind, spec.action_count, hp=cfg.hp)
+    return TabularAgent(cfg.agent_kind, env.action_count, hp=cfg.hp)
 
 
 class _EvalSetup:

@@ -14,7 +14,6 @@ import numpy as np
 
 from algocontrol.agents import AgentHyperparams, q_update
 from algocontrol.agents.dqn import dqn_loss_and_grads
-from algocontrol.agents.tabular import QTable
 from algocontrol.benchmarks import (
     BenchmarkConfig,
     CountingEnv,
@@ -272,12 +271,12 @@ class TestCriterion6PropertySuites:
     def test_6b_q_learning_equals_value_iteration(self):
         transitions = enumerate_counting_mdp(3)
         q_star, _ = value_iteration_oracle(transitions, 0.99)
-        q = QTable(3)
+        q = {}
         hp = AgentHyperparams(alpha=1.0, gamma=0.99)
         for _ in range(200):
             for (s, a), (r, s_next, done) in transitions.items():
-                q_update(q, s, a, r, s_next, done, hp)
-        assert all(q.row(s)[a] == value for (s, a), value in q_star.items())
+                q_update(q, s, a, r, s_next, done, hp, 3)
+        assert all(q[s][a] == value for (s, a), value in q_star.items())
         print("[PASS] criterion 6b: Q-learning sweeps == value iteration (exact)")
 
     def test_6c_gradients_match_finite_differences(self):

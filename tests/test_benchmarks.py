@@ -34,8 +34,10 @@ from oracles import luby_sequence_oracle
 class TestBenchmarkFacts:
     @pytest.mark.parametrize("kind", BENCHMARK_KINDS)
     def test_config_builds_the_class_defaults(self, kind):
-        assert make_env(BenchmarkConfig(kind)).spec == ENVIRONMENTS[kind]().spec
-        assert ENVIRONMENTS[kind]().spec.horizon == ENVIRONMENTS[kind].default_horizon
+        def shape(env):
+            return (env.action_count, env.horizon, env.context_dim, env.history_len)
+        assert shape(make_env(BenchmarkConfig(kind))) == shape(ENVIRONMENTS[kind]())
+        assert ENVIRONMENTS[kind]().horizon == ENVIRONMENTS[kind].default_horizon
 
     @pytest.mark.parametrize("horizon", [0, -1])
     @pytest.mark.parametrize("kind", BENCHMARK_KINDS)
@@ -51,7 +53,7 @@ class TestBenchmarkFacts:
 
     @pytest.mark.parametrize("kind", BENCHMARK_KINDS)
     def test_instances_follow_the_context_dim(self, kind):
-        assert BenchmarkConfig(kind).has_instances == (ENVIRONMENTS[kind]().spec.context_dim > 0)
+        assert BenchmarkConfig(kind).has_instances == (ENVIRONMENTS[kind]().context_dim > 0)
 
     def test_each_parameter_has_one_class_and_its_default(self):
         """Every kind-specific config field is a constructor parameter of
@@ -73,10 +75,10 @@ class TestBenchmarkFacts:
 
     def test_make_env_passes_the_parameters_through(self):
         mva = make_env(BenchmarkConfig("sigmoidmva", levels=7))
-        assert (mva.levels, mva.spec.action_count) == (7, 8)
+        assert (mva.levels, mva.action_count) == (7, 8)
         fuzzy = make_env(BenchmarkConfig("fuzzy", horizon=3, fuzzy_mean=-2.5, fuzzy_spread=0.0))
         fuzzy.reset()
-        assert (fuzzy.mean, fuzzy.spread, fuzzy.spec.horizon) == (-2.5, 0.0, 3)
+        assert (fuzzy.mean, fuzzy.spread, fuzzy.horizon) == (-2.5, 0.0, 3)
         assert fuzzy.step(1)[1] == -2.5
 
 

@@ -247,9 +247,9 @@ def noise_free_cases(draw):
     else:
         env = SigmoidMVAEnv(horizon, levels=draw(st.integers(1, 8)))
     instances = None
-    if env.spec.context_dim:
+    if env.context_dim:
         instances = draw(st.lists(SIGMOID_INSTANCE, min_size=1, max_size=3))
-    schedules = st.lists(st.integers(0, env.spec.action_count - 1),
+    schedules = st.lists(st.integers(0, env.action_count - 1),
                          min_size=horizon, max_size=horizon).map(tuple)
     return env, instances, schedules
 

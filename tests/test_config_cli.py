@@ -655,6 +655,10 @@ class TestCliReport:
             ("counting,qlearn,0,1,train,nan,0", "'nan' is not finite"),
             ("counting,qlearn,0,1,train,-inf,0", "'-inf' is not finite"),
             ("counting,qlearn\x1d,0,1,train,5,0", "unprintable character"),
+            ("counting,qlearn,0,3,tset,5,0", "phase 'tset' is not train or test"),
+            ("counting,qlearn,0,3,train,5,abc", "wall_time_ms 'abc' is not a non-negative"),
+            ("counting,qlearn,0,3,train,5,-1", "wall_time_ms '-1' is not a non-negative"),
+            ("counting,qlearn,0,3,train,5,1.5", "wall_time_ms '1.5' is not a non-negative"),
         ],
     )
     def test_bad_row_is_one_runtime_line(self, tmp_path, capsys, row, reason):
@@ -712,6 +716,12 @@ class TestCliReport:
         path = tmp_path / "r.csv"
         path.write_text(self.CSV + "counting,qlearn,0,2,test,4,0\n")
         assert main(["report", str(path)]) == 0
+
+    def test_every_golden_file_reads(self, capsys):
+        paths = sorted(case_path(*valid_cases()[0]).parent.glob("*.csv"))
+        assert paths
+        for path in paths:
+            assert main(["report", str(path)]) == 0, path
 
 
 class TestCliReplay:
@@ -772,8 +782,7 @@ class TestCliReplay:
         obs, done = env.reset(instance, SeedSpec(0, 0)), False
         while not done:
             s = state_key(obs)
-            for a in (0, 1):
-                agent.q.set(s, a, sigmoid_reward(obs.time_step, a, 1.0, 5.0))
+            agent.q[s] = [sigmoid_reward(obs.time_step, a, 1.0, 5.0) for a in (0, 1)]
             obs, _, done = env.step(0)
         snap = tmp_path / "sig.snap"
         save_agent(agent, str(snap))

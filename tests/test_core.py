@@ -1,7 +1,5 @@
 """Environment contract, seeding, and episode bookkeeping."""
 
-import dataclasses
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -47,21 +45,26 @@ class TestDeriveStream:
         assert 0 <= derive_seed(123456789, 987654321) < 2**64
 
 
+def shape(env):
+    """(action_count, horizon, context_dim, history_len) of ``env``."""
+    return (env.action_count, env.horizon, env.context_dim, env.history_len)
+
+
 class TestEnvSpec:
     def test_counting_spec(self):
-        assert dataclasses.astuple(CountingEnv(5).spec) == (5, 5, 0, 5)
+        assert shape(CountingEnv(5)) == (5, 5, 0, 5)
 
     def test_luby_spec(self):
-        assert dataclasses.astuple(LubyEnv(32).spec) == (6, 32, 0, 5)
+        assert shape(LubyEnv(32)) == (6, 32, 0, 5)
 
     def test_sigmoidmva_spec(self):
-        assert dataclasses.astuple(SigmoidMVAEnv(11, 4).spec) == (5, 11, 2, 0)
+        assert shape(SigmoidMVAEnv(11, 4)) == (5, 11, 2, 0)
 
     def test_sigmoid_spec(self):
-        assert dataclasses.astuple(SigmoidEnv(11).spec) == (2, 11, 2, 0)
+        assert shape(SigmoidEnv(11)) == (2, 11, 2, 0)
 
     def test_fuzzy_spec(self):
-        assert dataclasses.astuple(FuzzyEnv(20).spec) == (2, 20, 0, 5)
+        assert shape(FuzzyEnv(20)) == (2, 20, 0, 5)
 
 
 class TestResetContract:
@@ -134,9 +137,9 @@ class TestStepContract:
         """The observation the policy chose each action on is the object the
         trace keeps for that step: one object per step, built once."""
         env, seen, trace = ctor(*args), [], []
-        instance = (3.0, 5.0) if env.spec.context_dim else ()
+        instance = (3.0, 5.0) if env.context_dim else ()
         greedy_rollout(lambda obs: seen.append(obs) or 0, env, instance, SeedSpec(2, 0), trace)
-        assert len(trace) == len(seen) == env.spec.horizon
+        assert len(trace) == len(seen) == env.horizon
         assert all(obs is step[0] for obs, step in zip(seen, trace))
 
 
@@ -163,13 +166,13 @@ class TestEpisodeTrace:
     def test_fixed_episode_length(self, ctor, args):
         env = ctor(*args)
         instance = (
-            (3.0, 5.0) if env.spec.context_dim else ()
+            (3.0, 5.0) if env.context_dim else ()
         )
         rng = derive_stream(5, 1)
         _, trace = _traced_rollout(
-            env, _random_policy(rng, env.spec.action_count), instance, SeedSpec(5, 2)
+            env, _random_policy(rng, env.action_count), instance, SeedSpec(5, 2)
         )
-        assert len(trace) == env.spec.horizon
+        assert len(trace) == env.horizon
 
     def test_total_reward_is_sum(self):
         env = FuzzyEnv(20)
@@ -210,15 +213,14 @@ class TestEpisodeTrace:
     @pytest.mark.parametrize("ctor,args", FIXED_LENGTH_ENVS)
     def test_observation_dims_match_spec(self, ctor, args):
         env = ctor(*args)
-        spec = env.spec
         instance = (
-            (-2.0, 6.0) if spec.context_dim else ()
+            (-2.0, 6.0) if env.context_dim else ()
         )
         obs, done = env.reset(instance, SeedSpec(8, 0)), False
         while not done:
-            assert len(obs.continuous_features) == spec.context_dim
-            assert len(obs.action_history) == spec.history_len
-            assert obs.time_step <= spec.horizon
+            assert len(obs.continuous_features) == env.context_dim
+            assert len(obs.action_history) == env.history_len
+            assert obs.time_step <= env.horizon
             obs, _, done = env.step(0)
 
 
@@ -238,13 +240,13 @@ class TestLazyStreams:
     @pytest.mark.parametrize("ctor,args", FIXED_LENGTH_ENVS)
     def test_deterministic_rewards_derive_no_stream(self, ctor, args, derivations):
         env = ctor(*args)
-        instance = (3.0, 5.0) if env.spec.context_dim else ()
+        instance = (3.0, 5.0) if env.context_dim else ()
         for episode in range(3):
             for seed in (SeedSpec(9, episode), None):
                 env.reset(instance, seed)
                 done = False
                 while not done:
-                    done = env.step(episode % env.spec.action_count)[2]
+                    done = env.step(episode % env.action_count)[2]
         assert derivations == []
 
     def test_fuzzy_rewards_match_eager_stream(self, derivations):

@@ -15,6 +15,7 @@ from algocontrol.agents import (
 )
 from algocontrol.agents.dqn import Batch
 from algocontrol.benchmarks import SigmoidEnv, make_instance_set
+from algocontrol.cli import main
 from algocontrol.core import ContractError, Observation, SeedSpec, derive_stream
 from algocontrol.harness import run_training_episode
 from oracles import random_gradcheck_case
@@ -334,6 +335,41 @@ class TestDQNAgent:
         assert np.allclose(loaded.net.forward(x), agent.net.forward(x), atol=0)
         obs = Observation(time_step=4, continuous_features=(-30.0, 6.0))
         assert loaded.greedy_action(obs) == agent.greedy_action(obs)
+
+
+class TestSnapshotRecords:
+    """Every network element must be stored exactly once."""
+
+    @pytest.fixture
+    def lines(self, tmp_path):
+        agent = DQNAgent(action_count=2, horizon=11, context_dim=2, total_episodes=10,
+                         rng=derive_stream(87, 0))
+        save_agent(agent, str(tmp_path / "net.snap"))
+        return (tmp_path / "net.snap").read_text().splitlines()
+
+    @staticmethod
+    def _replay_refuses(path, capsys, message):
+        with pytest.raises(ContractError, match=message):
+            load_snapshot(str(path))
+        argv = ["replay", str(path), "--benchmark", "sigmoid", "--instance", "s=1,p=5"]
+        assert main(argv) == 3
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("E-RUNTIME:") and message in err[0]
+
+    def test_missing_element_names_the_parameter(self, tmp_path, capsys, lines):
+        start = next(i for i, line in enumerate(lines) if line.startswith("records "))
+        lines.remove(next(line for line in lines if line.startswith("w1/000003\t")))
+        lines[start] = f"records {len(lines) - start - 1}"
+        path = tmp_path / "missing.snap"
+        path.write_text("\n".join(lines) + "\n")
+        self._replay_refuses(path, capsys, "snapshot has no record for w1/000003")
+
+    def test_repeated_record_names_the_line(self, tmp_path, capsys, lines):
+        i = lines.index(next(line for line in lines if line.startswith("b1/000001\t")))
+        lines[i] = "b1/000000\t0.25"
+        path = tmp_path / "repeated.snap"
+        path.write_text("\n".join(lines) + "\n")
+        self._replay_refuses(path, capsys, f"snapshot line {i + 1}: repeated record")
 
 
 def per_step_encoding(agent, t, features):

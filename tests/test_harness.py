@@ -223,7 +223,8 @@ class TestTrainAndEvaluate:
             env = CountingEnv(5)
             obs, done = env.reset((), SeedSpec(0, 0)), False
             while not done:
-                agent.q.set(state_key(obs), obs.time_step, 1.0)
+                row = agent.q[state_key(obs)] = [0.0] * 5
+                row[obs.time_step] = 1.0
                 obs, _, done = env.step(obs.time_step)
             return agent
 
@@ -369,12 +370,13 @@ class TestCheckpointMemo:
         rollouts = count_rollouts(monkeypatch)
         first = setup.evaluate(agent, env, 1)
         assert setup.evaluate(agent, env, 2) == first and rollouts == [1]
-        agent.q.set("off the path", 0, 100.0)
+        agent.q["off the path"] = [100.0, 0.0, 0.0, 0.0, 0.0]
         assert setup.evaluate(agent, env, 3) == first and rollouts == [1]
 
         path, _ = setup.memo[0]
         s, a = path[2]
-        agent.q.set(s, (a + 1) % 5, max(agent.q.row(s)) + 1.0)
+        row = agent.q.setdefault(s, [0.0] * 5)
+        row[(a + 1) % 5] = max(row) + 1.0
         value = setup.evaluate(agent, env, 4)
         assert rollouts == [2]
         assert repr(value) == repr(fresh_value(setup, agent, env, 4))

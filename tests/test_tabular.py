@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from algocontrol.agents import (
     AgentHyperparams,
     DQNAgent,
-    QTable,
     TabularAgent,
     load_snapshot,
     q_update,
@@ -20,7 +19,7 @@ from algocontrol.agents import (
 from algocontrol.benchmarks import CountingEnv, FuzzyEnv, LubyEnv
 from algocontrol.cli import main
 from algocontrol.core import ContractError, Observation, SeedSpec, derive_stream
-from algocontrol.agents.tabular import argmax_with_random_ties
+from algocontrol.agents.tabular import argmax_with_random_ties, greedy
 from algocontrol.harness import run_training_episode
 from oracles import enumerate_counting_mdp, value_iteration_oracle
 
@@ -37,6 +36,16 @@ def chi2_uniform(counts):
 # An observation and its table key, for selection-rule tests.
 OBS = Observation(time_step=0, action_history=(5,) * 5)
 S = state_key(OBS)
+
+
+def row_of(q, s, action_count):
+    """The values of ``s`` in the Q rows ``q``; a state with no row reads as zeros."""
+    return q.get(s, [0.0] * action_count)
+
+
+def put(q, s, a, value, action_count):
+    """Set one value of ``s``, creating its row of zeros if it has none."""
+    q.setdefault(s, [0.0] * action_count)[a] = value
 
 
 def draws(agent, rng, n):
@@ -121,7 +130,7 @@ class TestQTableMatchesPairTable:
            seed=st.integers(0, 2**32 - 1))
     @settings(max_examples=200, deadline=None)
     def test_random_sequences(self, action_count, ops, seed):
-        q, ref = QTable(action_count), ReferenceTable(action_count)
+        q, ref = {}, ReferenceTable(action_count)
         rng, ref_rng = derive_stream(seed, 0), derive_stream(seed, 0)
         frozen = []  # (table, reference) pairs left behind by copy
         for op in ops:
@@ -131,22 +140,24 @@ class TestQTableMatchesPairTable:
                 continue
             name, s, a = op[0], op[1], op[2] % action_count
             if name == "set":
-                q.set(s, a, op[3])
+                put(q, s, a, op[3], action_count)
                 ref.set(s, a, op[3])
             elif name == "update":
                 reward, s_next, done, alpha, gamma = op[3:]
                 hp = AgentHyperparams(alpha=alpha, gamma=gamma)
-                assert q_update(q, s, a, reward, s_next, done, hp) is q
+                assert q_update(q, s, a, reward, s_next, done, hp, action_count) is q
                 ref.q_update(s, a, reward, s_next, done, hp)
-                assert [repr(v) for v in q.row(s)] == [repr(v) for v in ref.row(s)]
+                assert [repr(v) for v in q[s]] == [repr(v) for v in ref.row(s)]
             elif name == "get":
-                assert repr(q.row(s)[a]) == repr(ref.get(s, a))
+                assert repr(row_of(q, s, action_count)[a]) == repr(ref.get(s, a))
             elif name == "row":
-                assert [repr(v) for v in q.row(s)] == [repr(v) for v in ref.row(s)]
+                assert [repr(v) for v in row_of(q, s, action_count)] == [
+                    repr(v) for v in ref.row(s)
+                ]
             elif name == "max":
-                assert repr(max(q.row(s))) == repr(max(ref.row(s)))
+                assert repr(max(row_of(q, s, action_count))) == repr(max(ref.row(s)))
             elif name == "argmax":
-                assert q.argmax(s) == ref.argmax(s)
+                assert greedy(q, s) == ref.argmax(s)
             else:
                 before = rng.bit_generator.state
                 picked = argmax_with_random_ties(rng, q, s, action_count)
@@ -156,30 +167,27 @@ class TestQTableMatchesPairTable:
                     assert rng.bit_generator.state == before
         frozen.append((q, ref))
         for table, reference in frozen:  # copies share no row with later tables
+            assert all(len(row) == action_count for row in table.values())
             for s in _STATES:
-                assert [repr(table.row(s)[a]) for a in range(action_count)] == [
+                row = row_of(table, s, action_count)
+                assert [repr(row[a]) for a in range(action_count)] == [
                     repr(v) for v in reference.row(s)
                 ]
-                assert [repr(v) for v in table.row(s)] == [repr(v) for v in reference.row(s)]
+                assert [repr(v) for v in row] == [repr(v) for v in reference.row(s)]
 
 
 class TestGrSelect:
-    def _table(self, row):
-        q = QTable(len(row))
-        for a, v in enumerate(row):
-            q.set("s", a, v)
-        return q
-
     def test_argmax(self):
-        assert self._table([0.5, 0.9]).argmax("s") == 1
+        assert greedy({"s": [0.5, 0.9]}, "s") == 1
 
     def test_all_zero_tie_break(self):
-        assert QTable(4).argmax("s") == 0
+        assert greedy({}, "s") == 0
+        assert greedy({"s": [0.0] * 4}, "s") == 0
 
     def test_scale_invariance(self):
         row = [0.2, 0.7, 0.4]
-        base = self._table(row).argmax("s")
-        scaled = self._table([10 * v for v in row]).argmax("s")
+        base = greedy({"s": row}, "s")
+        scaled = greedy({"s": [10 * v for v in row]}, "s")
         assert base == scaled == 1
 
 
@@ -236,20 +244,19 @@ class TestEpsGreedySelect:
         value_rng = derive_stream(7, 1)
         for _ in range(100):
             agent = TabularAgent("gr", 4)
-            for a in range(4):
-                agent.q.set(S, a, float(value_rng.normal()))
-            assert agent.select_action(agent.encode(OBS), rng) == agent.q.argmax(S)
+            agent.q[S] = [float(value_rng.normal()) for _ in range(4)]
+            assert agent.select_action(agent.encode(OBS), rng) == greedy(agent.q, S)
 
     def test_epsilon_one_uniform_chi_squared(self):
         agent = TabularAgent("urs", 5)
-        agent.q.set(S, 2, 10.0)  # a clear argmax that must be ignored
+        put(agent.q, S, 2, 10.0, 5)  # a clear argmax that must be ignored
         rng = derive_stream(8, 0)
         counts = np.bincount(draws(agent, rng, 10**5), minlength=5)
         assert chi2_uniform(counts) < CHI2_99[4]
 
     def test_argmax_frequency(self):
         agent = TabularAgent("qlearn", 5, hp=AgentHyperparams(epsilon=0.1))
-        agent.q.set(S, 3, 1.0)
+        put(agent.q, S, 3, 1.0, 5)
         rng = derive_stream(9, 0)
         frequency = sum(a == 3 for a in draws(agent, rng, 10**5)) / 10**5
         assert abs(frequency - (0.9 + 0.1 / 5)) <= 0.01
@@ -261,17 +268,16 @@ class TestEpsGreedySelect:
 
 class TestQUpdate:
     def test_terminal_bootstrap(self):
-        q = QTable(2)
+        q = {}
         hp = AgentHyperparams(alpha=1.0)
-        q_update(q, "s", 0, 1.0, "s2", True, hp)
-        assert q.row("s")[0] == 1.0
+        q_update(q, "s", 0, 1.0, "s2", True, hp, 2)
+        assert q == {"s": [1.0, 0.0]}
 
     def test_direct_formula(self):
-        q = QTable(2)
+        q = {"s2": [0.0, 1.0]}
         hp = AgentHyperparams(alpha=1.0, gamma=0.99)
-        q.set("s2", 1, 1.0)
-        q_update(q, "s", 0, 1.0, "s2", False, hp)
-        assert q.row("s")[0] == pytest.approx(1.99, abs=0)
+        q_update(q, "s", 0, 1.0, "s2", False, hp, 2)
+        assert q["s"][0] == pytest.approx(1.99, abs=0)
 
     def test_two_step_chain_converges_to_value_iteration(self):
         # chain: s0 -a-> s1 -a-> terminal; rewards 1 then 2 for action 0,
@@ -283,14 +289,14 @@ class TestQUpdate:
         expected = {
             ("s1", a): rewards[("s1", a)] for a in (0, 1)
         } | {("s0", a): rewards[("s0", a)] + gamma * v1 for a in (0, 1)}
-        q = QTable(2)
+        q = {}
         hp = AgentHyperparams(alpha=1.0, gamma=gamma)
         for _ in range(200):
             for s, nxt, done in (("s0", "s1", False), ("s1", "t", True)):
                 for a in (0, 1):
-                    q_update(q, s, a, rewards[(s, a)], nxt, done, hp)
+                    q_update(q, s, a, rewards[(s, a)], nxt, done, hp, 2)
         for (s, a), value in expected.items():
-            assert q.row(s)[a] == value
+            assert q[s][a] == value
 
 
 class TestHyperparamRanges:
@@ -359,26 +365,26 @@ class TestValueIterationFixedPoint:
         transitions = enumerate_counting_mdp(3)
         gamma = 0.99
         q_star, _ = value_iteration_oracle(transitions, gamma)
-        q = QTable(3)
+        q = {}
         hp = AgentHyperparams(alpha=1.0, gamma=gamma)
         for _ in range(200):
             for (s, a), (r, s_next, done) in transitions.items():
-                q_update(q, s, a, r, s_next, done, hp)
+                q_update(q, s, a, r, s_next, done, hp, 3)
         for (s, a), expected in q_star.items():
-            assert q.row(s)[a] == expected
+            assert q[s][a] == expected
 
     def test_greedy_policy_is_oracle_optimal(self):
         transitions = enumerate_counting_mdp(3)
-        q = QTable(3)
+        q = {}
         hp = AgentHyperparams(alpha=1.0, gamma=0.99)
         for _ in range(200):
             for (s, a), (r, s_next, done) in transitions.items():
-                q_update(q, s, a, r, s_next, done, hp)
+                q_update(q, s, a, r, s_next, done, hp, 3)
         env = CountingEnv(3)
         obs = env.reset((), SeedSpec(0, 0))
         total, done = 0.0, False
         while not done:
-            obs, reward, done = env.step(q.argmax(state_key(obs)))
+            obs, reward, done = env.step(greedy(q, state_key(obs)))
             total += reward
         assert total == 3.0
 
@@ -407,19 +413,19 @@ class TestTabularAgent:
     def test_snapshot_immune_to_training(self):
         agent = self._train("qlearn", episodes=30)
         frozen = copy.deepcopy(agent.q)
-        probe_states = list(agent.q.rows)
+        probe_states = list(agent.q)
         assert probe_states
-        before = {s: frozen.argmax(s) for s in probe_states}
-        before_rows = {s: list(frozen.row(s)) for s in probe_states}
+        before = {s: greedy(frozen, s) for s in probe_states}
+        before_rows = {s: list(frozen[s]) for s in probe_states}
         env = CountingEnv(3)
         rng = derive_stream(13, 0)
         for episode in range(100):
             run_training_episode(
                 agent, env, (), SeedSpec(13, episode), rng, rng
             )
-        assert agent.q.rows != before_rows  # training went on
-        assert {s: frozen.argmax(s) for s in probe_states} == before
-        assert {s: list(frozen.row(s)) for s in frozen.rows} == before_rows
+        assert agent.q != before_rows  # training went on
+        assert {s: greedy(frozen, s) for s in probe_states} == before
+        assert {s: list(frozen[s]) for s in frozen} == before_rows
 
     def test_context_free_key_is_the_plain_tuple(self):
         obs = Observation(4, (), (1, 2, 3, 0, 2))
@@ -430,18 +436,18 @@ class TestTabularAgent:
         """Rows keyed by observations save to the bytes of the same rows
         keyed by plain tuples, and load back equal."""
         env = LubyEnv(32)
-        agent = TabularAgent("qlearn", env.spec.action_count, hp=AgentHyperparams(alpha=1.0))
+        agent = TabularAgent("qlearn", env.action_count, hp=AgentHyperparams(alpha=1.0))
         rng = derive_stream(15, 0)
         for episode in range(20):
             run_training_episode(agent, env, (), SeedSpec(15, episode), rng, rng)
-        assert all(type(s) is Observation for s in agent.q.rows)
-        plain = TabularAgent("qlearn", env.spec.action_count)
+        assert all(type(s) is Observation for s in agent.q)
+        plain = TabularAgent("qlearn", env.action_count)
         plain.episodes_trained = agent.episodes_trained
-        plain.q.rows = {tuple(s): row for s, row in agent.q.rows.items()}
+        plain.q = {tuple(s): row for s, row in agent.q.items()}
         save_agent(agent, str(tmp_path / "obs.snap"))
         save_agent(plain, str(tmp_path / "tuple.snap"))
         assert (tmp_path / "obs.snap").read_bytes() == (tmp_path / "tuple.snap").read_bytes()
-        assert load_snapshot(str(tmp_path / "obs.snap")).q.rows == agent.q.rows
+        assert load_snapshot(str(tmp_path / "obs.snap")).q == agent.q
 
     def test_untrained_policy_plays_action_zero(self):
         assert TabularAgent("qlearn", 5).greedy_action(OBS) == 0
@@ -493,7 +499,7 @@ class TestSnapshotRoundTrip:
         save_agent(agent, str(path))
         loaded = load_snapshot(str(path))
         assert isinstance(loaded, TabularAgent) and loaded.kind == "qlearn"
-        assert loaded.q.rows == agent.q.rows
+        assert loaded.q == agent.q
         assert len(agent.q) > 0
         records = path.read_text().split("records ")[1].splitlines()
         assert int(records[0]) == len(agent.q) * 3 == len(records) - 1
@@ -514,8 +520,8 @@ class TestSnapshotRoundTrip:
         path = tmp_path / "old.snap"
         path.write_text(self.PAIR_SNAPSHOT)
         q = load_snapshot(str(path)).q
-        assert q.rows == {(0, (), (3, 3)): [0.0, 0.5, 0.0], (1, (), (3, 1)): [0.0, 0.0, -2.0]}
-        assert q.argmax((1, (), (3, 1))) == 0
+        assert q == {(0, (), (3, 3)): [0.0, 0.5, 0.0], (1, (), (3, 1)): [0.0, 0.0, -2.0]}
+        assert greedy(q, (1, (), (3, 1))) == 0
 
     def _rejects(self, tmp_path, text, match):
         path = tmp_path / "bad.snap"
@@ -549,6 +555,15 @@ class TestSnapshotRoundTrip:
     def test_malformed_tabular_record_names_line(self, tmp_path, record):
         text = self.PAIR_SNAPSHOT.replace("1||3,1|2\t-2.0", record)
         self._rejects(tmp_path, text, "line 7: malformed record")
+
+    @pytest.mark.parametrize("record", ["0||3,3|1\t0.7", "0||3,3|01\t0.5"])
+    def test_repeated_tabular_record_names_line(self, tmp_path, capsys, record):
+        text = self.PAIR_SNAPSHOT.replace("records 2", "records 3") + record + "\n"
+        self._rejects(tmp_path, text, "line 8: repeated record")
+        path = tmp_path / "bad.snap"
+        assert main(["replay", str(path), "--benchmark", "counting", "--horizon", "3"]) == 3
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("E-RUNTIME: snapshot line 8: repeated")
 
     def test_non_utf8_snapshot_is_one_runtime_line(self, tmp_path, capsys):
         path = tmp_path / "bad.snap"
