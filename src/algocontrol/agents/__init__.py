@@ -16,7 +16,7 @@ from .tabular import (
     state_key,
 )
 
-AGENT_KINDS = ("qlearn", "urs", "gr", "purs", "dqn", "blackbox")
+AGENT_KINDS = TabularAgent.KINDS + ("dqn", "blackbox")
 
 __all__ = [
     "AGENT_KINDS",

@@ -9,8 +9,8 @@ episode length.
 
 from __future__ import annotations
 
+import copy
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,7 +32,6 @@ class MLPQNet:
         if input_dim < 1 or action_count < 1:
             raise ContractError("input_dim and action_count must be >= 1")
         self.input_dim = input_dim
-        self.action_count = action_count
         self.hidden = hidden
         # He initialization for the ReLU layer, Xavier-ish for the head.
         self.w1 = rng.normal(0.0, np.sqrt(2.0 / input_dim), (input_dim, hidden))
@@ -42,20 +41,6 @@ class MLPQNet:
 
     def parameters(self) -> list[np.ndarray]:
         return [self.w1, self.b1, self.w2, self.b2]
-
-    def copy_from(self, other: "MLPQNet") -> None:
-        self.w1 = other.w1.copy()
-        self.b1 = other.b1.copy()
-        self.w2 = other.w2.copy()
-        self.b2 = other.b2.copy()
-
-    def clone(self) -> "MLPQNet":
-        clone = object.__new__(MLPQNet)
-        clone.input_dim = self.input_dim
-        clone.action_count = self.action_count
-        clone.hidden = self.hidden
-        clone.copy_from(self)
-        return clone
 
     def forward(self, obs: np.ndarray) -> np.ndarray:
         """Q-values for one observation vector, a 2-D batch of rows, or a
@@ -79,27 +64,17 @@ class MLPQNet:
         return q[0] if single else q
 
 
-@dataclass
-class Batch:
-    obs: np.ndarray
-    actions: np.ndarray
-    rewards: np.ndarray
-    next_obs: np.ndarray
-    dones: np.ndarray
-
-
 class ReplayBuffer:
-    """Fixed-capacity ring of transitions with uniform sampling."""
+    """Fixed-capacity ring of transitions with uniform sampling, one row
+    of ``rows`` per transition: obs | action | reward | next_obs | done."""
 
     def __init__(self, capacity: int, obs_dim: int) -> None:
         if capacity < 1:
             raise ContractError("capacity must be >= 1")
         self.capacity = capacity
-        self.obs = np.zeros((capacity, obs_dim))
-        self.actions = np.zeros(capacity, dtype=np.int64)
-        self.rewards = np.zeros(capacity)
-        self.next_obs = np.zeros((capacity, obs_dim))
-        self.dones = np.zeros(capacity, dtype=bool)
+        self.obs_dim = obs_dim
+        # Uninitialised: ``sample`` reads only rows below ``len``, all written.
+        self.rows = np.empty((capacity, 2 * obs_dim + 3))
         self._next = 0
         self._size = 0
 
@@ -114,71 +89,70 @@ class ReplayBuffer:
             idx = slice(start, start + keep)
         else:
             idx = (start + np.arange(keep)) % self.capacity
-        self.obs[idx] = obs[n - keep:]
-        self.actions[idx] = actions[n - keep:]
-        self.rewards[idx] = rewards[n - keep:]
-        self.next_obs[idx] = next_obs[n - keep:]
-        self.dones[idx] = dones[n - keep:]
+        d, rows = self.obs_dim, self.rows
+        rows[idx, :d] = obs[n - keep:]
+        rows[idx, d] = actions[n - keep:]
+        rows[idx, d + 1] = rewards[n - keep:]
+        rows[idx, d + 2 : 2 * d + 2] = next_obs[n - keep:]
+        rows[idx, 2 * d + 2] = dones[n - keep:]
         self._next = (self._next + n) % self.capacity
         self._size = min(self._size + n, self.capacity)
 
-    def sample(self, rng: np.random.Generator, batch_size: int) -> Batch:
-        """Uniform sample with replacement from the stored transitions."""
+    def sample(self, rng: np.random.Generator, batch_size: int) -> tuple:
+        """Uniform sample with replacement, as column views (obs, actions,
+        rewards, next_obs, dones) of one gather; actions come as int64."""
         if self._size == 0:
             raise ContractError("cannot sample from an empty replay buffer")
-        idx = rng.integers(self._size, size=batch_size)
-        return Batch(
-            obs=self.obs[idx],
-            actions=self.actions[idx],
-            rewards=self.rewards[idx],
-            next_obs=self.next_obs[idx],
-            dones=self.dones[idx],
-        )
+        batch, d = self.rows[rng.integers(self._size, size=batch_size)], self.obs_dim
+        return (batch[:, :d], batch[:, d].astype(np.int64), batch[:, d + 1],
+                batch[:, d + 2 : 2 * d + 2], batch[:, 2 * d + 2])
 
     def __len__(self) -> int:
         return self._size
 
 
 def dqn_loss_and_grads(
-    net: MLPQNet, target_net: MLPQNet, batch: Batch, hp: AgentHyperparams
+    net: MLPQNet, target_net: MLPQNet, batch: tuple, hp: AgentHyperparams
 ) -> tuple[float, list[np.ndarray]]:
-    """Mean squared TD error with the double-DQN target and its gradient.
+    """Mean squared TD error with the double-DQN target and its gradient
+    on a ``ReplayBuffer.sample`` batch.
 
     Target: r + gamma * Q_target(s', argmax_a Q_online(s', a)), masked on
     terminal transitions.
     """
-    n = batch.obs.shape[0]
+    x, actions, rewards, next_obs, dones = batch
+    n = x.shape[0]
     if n == 0:
         raise ContractError("batch must be non-empty")
 
-    next_online = net.forward(batch.next_obs)
+    next_online = net.forward(next_obs)
     next_actions = np.argmax(next_online, axis=1)
-    next_target = target_net.forward(batch.next_obs)
+    next_target = target_net.forward(next_obs)
     bootstrap = next_target[np.arange(n), next_actions]
-    targets = batch.rewards + hp.gamma * bootstrap * (~batch.dones)
+    targets = rewards + hp.gamma * bootstrap * (1.0 - dones)
 
-    x = batch.obs
     z1 = x @ net.w1 + net.b1
     h = np.maximum(z1, 0.0)
     q = h @ net.w2 + net.b2
-    chosen = q[np.arange(n), batch.actions]
+    chosen = q[np.arange(n), actions]
 
     diff = chosen - targets
     loss = float(np.mean(diff**2))
 
     dq = np.zeros_like(q)
-    dq[np.arange(n), batch.actions] = 2.0 * diff / n
+    dq[np.arange(n), actions] = 2.0 * diff / n
     dw2 = h.T @ dq
     db2 = dq.sum(axis=0)
     dh = dq @ net.w2.T
     dh[z1 <= 0.0] = 0.0
-    dw1 = x.T @ dh
+    # Contiguous: numpy's vector path (input_dim or hidden 1) rounds strided x.T differently.
+    dw1 = np.ascontiguousarray(x).T @ dh
     db1 = dh.sum(axis=0)
     return loss, [dw1, db1, dw2, db2]
 
 
 def dqn_train_step(
-    net: MLPQNet, target_net: MLPQNet, batch: Batch, hp: AgentHyperparams
+    net: MLPQNet, target_net: MLPQNet, batch: tuple, hp: AgentHyperparams
 ) -> float:
     """One SGD step on the double-DQN TD loss; returns the loss."""
     loss, grads = dqn_loss_and_grads(net, target_net, batch, hp)
@@ -226,7 +200,7 @@ class DQNAgent:
         self.context_scales = np.array(context_scales, dtype=float)
         init_rng = rng if rng is not None else np.random.default_rng(0)
         self.net = MLPQNet(self.input_dim, action_count, init_rng)
-        self.target_net = self.net.clone()
+        self.target_net = copy.deepcopy(self.net)
         self.buffer = ReplayBuffer(self.hp.buffer_capacity, self.input_dim)
         self.batch_size = self.hp.batch_size if self.hp.batch_size > 0 else horizon
         self.decay_episodes = max(1, int(round(total_episodes * self.hp.eps_decay_fraction)))
@@ -310,7 +284,7 @@ class DQNAgent:
                 )
         self.episodes_trained = episode
         if episode % self.hp.target_sync_every == 0:
-            self.target_net.copy_from(self.net)
+            self.target_net = copy.deepcopy(self.net)
 
     def greedy_action(self, obs: Observation) -> ActionId:
         return self._greedy_actions(obs.continuous_features)[obs.time_step]

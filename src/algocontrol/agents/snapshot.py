@@ -9,11 +9,13 @@ store one record per parameter element, each required. Floats round-trip
 exactly via repr. Loading rebuilds the agent itself, so a replay acts
 through the same ``greedy_action`` as training. A malformed snapshot (a
 value that is not finite, a repeated record) raises ContractError naming
-the line; a missing network element raises it naming the element.
+the line, as does a line after the last record; a missing network
+element raises it naming the element.
 """
 
 from __future__ import annotations
 
+import copy
 import math
 
 import numpy as np
@@ -131,11 +133,14 @@ def load_snapshot(path: str) -> TabularAgent | DQNAgent:
             f"snapshot line {start + 1}: record count {count_text!r} is not an integer"
         )
     n_records = int(count_text)
-    body = lines[start + 1 : start + 1 + n_records]
+    end = start + 1 + n_records
+    body = lines[start + 1 : end]
     if len(body) != n_records:
         raise ContractError(
             f"snapshot truncated: expected {n_records} records, found {len(body)}"
         )
+    if end < len(lines):
+        raise ContractError(f"snapshot line {end + 1}: {lines[end]!r} follows the last record")
     if kind in TabularAgent.KINDS:
         agent = TabularAgent(kind, _meta_int(meta, "action_count"))
         _read_records(body, start + 2, lambda key, value: _set_q(agent, key, value))
@@ -170,11 +175,9 @@ def load_snapshot(path: str) -> TabularAgent | DQNAgent:
             context_scales=scales,
         )
         net = MLPQNet(input_dim, action_count, np.random.default_rng(0), hidden=hidden)
-        net.w1 = arrays["w1"].reshape(input_dim, hidden)
-        net.b1 = arrays["b1"]
-        net.w2 = arrays["w2"].reshape(hidden, action_count)
-        net.b2 = arrays["b2"]
-        agent.net, agent.target_net = net, net.clone()
+        for param, values in zip(net.parameters(), arrays.values()):
+            param[...] = values.reshape(param.shape)
+        agent.net, agent.target_net = net, copy.deepcopy(net)
         return agent
     raise ContractError(f"snapshot for unknown agent kind {kind!r}")
 

@@ -59,15 +59,15 @@ def mutate_schedule(rng: np.random.Generator, schedule: tuple[int, ...],
 class ScheduleEvaluator:
     """Executes schedules with paired per-run instance and noise streams.
 
-    Run index r always maps to the same instance and the same noise
+    Run index r always maps to the same instance, ``instances[r % len]``
+    (``[()]`` on a benchmark without instances), and the same noise
     stream, so two schedules compared on the same run indices see
     identical conditions.
     """
 
-    def __init__(self, env: Environment, instances: list[Instance] | None,
-                 base_seed: int) -> None:
-        if instances is not None and not instances:
-            raise ContractError("instances must be None or non-empty")
+    def __init__(self, env: Environment, instances: list[Instance], base_seed: int) -> None:
+        if not instances:
+            raise ContractError("instances must be non-empty")
         self.env = env
         self.instances = instances
         self.base_seed = base_seed
@@ -75,8 +75,6 @@ class ScheduleEvaluator:
         self._tables: dict[Instance, list[tuple[float, ...]]] = {}
 
     def instance_for_run(self, run: int) -> Instance:
-        if self.instances is None:
-            return ()
         return self.instances[run % len(self.instances)]
 
     def run(self, schedule: tuple[int, ...], run: int) -> float:
@@ -110,7 +108,7 @@ def race(
     incumbent: IncumbentRecord,
     evaluator: ScheduleEvaluator,
     max_runs: int,
-    budget_left: int | None = None,
+    budget_left: int,
 ) -> tuple[IncumbentRecord, int]:
     """Race a challenger against the incumbent on shared run indices.
 
@@ -128,7 +126,7 @@ def race(
     block = 1
     while len(rewards) < target_runs:
         n_new = min(block, target_runs - len(rewards))
-        if budget_left is not None and consumed + n_new > budget_left:
+        if consumed + n_new > budget_left:
             return incumbent, consumed  # budget exhausted mid-race
         for _ in range(n_new):
             rewards.append(evaluator.run(challenger, len(rewards)))
@@ -151,7 +149,7 @@ class BlackboxResult:
 
 def blackbox_optimize(
     env: Environment,
-    instances: list[Instance] | None,
+    instances: list[Instance],
     episode_budget: int,
     rng: np.random.Generator,
     neighbor_fraction: float = 0.5,

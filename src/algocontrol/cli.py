@@ -28,8 +28,11 @@ from .config import parse_config, render_config
 from .core import ConfigError, ContractError, Instance, SeedSpec, greedy_rollout
 from .harness import (
     CSV_HEADER,
+    ExperimentConfig,
     SeedCurve,
     aggregate,
+    curves_to_csv_rows,
+    format_csv,
     run_experiment,
     smooth,
     write_csv,
@@ -86,7 +89,7 @@ def _build_parser() -> argparse.ArgumentParser:
     report_p = sub.add_parser("report", help="summarize result CSVs")
     report_p.add_argument("csvs", nargs="+", help="result CSV paths")
     report_p.add_argument("--mode", choices=("table", "plotdata"), default="table")
-    report_p.add_argument("--window", type=int, default=10)
+    report_p.add_argument("--window", type=int, default=ExperimentConfig.smoothing_window)
 
     replay_p = sub.add_parser("replay", help="greedy rollout of a saved snapshot")
     replay_p.add_argument("snapshot", help="agent snapshot path")
@@ -138,11 +141,12 @@ def _cmd_run(args) -> int:
     curves = run_experiment(
         cfg, save_agent=(args.agent_seed, args.save_agent) if args.save_agent else None
     )
-    agg = aggregate(curves)
-    smoothed = smooth(agg.mean, cfg.smoothing_window)
+    # Summarised from the rows the CSV holds, the way ``report`` reads them.
+    rows = _result_rows("results", format_csv(curves_to_csv_rows(cfg, curves)).splitlines())
+    agg = _series_by_agent(rows, cfg.smoothing_window)[cfg.agent_kind]
     print(
         f"{cfg.benchmark.kind}/{cfg.agent_kind}: episodes={cfg.n_episodes} "
-        f"seeds={cfg.n_seeds} final_smoothed_mean={smoothed[-1]:.6g} "
+        f"seeds={cfg.n_seeds} final_smoothed_mean={agg.mean[-1]:.6g} "
         f"se={agg.stderr[-1]:.6g}"
     )
     if cfg.output_path:
@@ -170,20 +174,16 @@ def _cmd_bench_info(args) -> int:
 _COLUMNS = CSV_HEADER.split(",")
 
 
-def _read_result_csv(path: str) -> list[dict]:
+def _result_rows(path: str, lines) -> list[dict]:
+    """The data rows of result CSV text ``lines`` read from ``path``."""
     try:
-        with open(path, "r", encoding="utf-8", newline="") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
-            if header != _COLUMNS:
-                raise ContractError(
-                    f"{path}: unexpected CSV columns {header}; expected {CSV_HEADER}"
-                )
-            return [_result_row(path, reader.line_num, row) for row in reader]
+        reader = csv.reader(lines)
+        header = next(reader, None)
+        if header != _COLUMNS:
+            raise ContractError(f"{path}: unexpected CSV columns {header}; expected {CSV_HEADER}")
+        return [_result_row(path, reader.line_num, row) for row in reader]
     except (csv.Error, UnicodeDecodeError) as exc:
         raise ContractError(f"{path}: {exc}") from None
-    except OSError as exc:
-        raise OSError(f"cannot read {path}: {exc}") from exc
 
 
 def _result_row(path: str, lineno: int, row: list[str]) -> dict:
@@ -216,26 +216,20 @@ def _result_row(path: str, lineno: int, row: list[str]) -> dict:
 
 def _series_by_agent(rows: list[dict], window: int):
     """Per-agent aggregated train curves: smooth per seed, then mean/SE."""
-    agents: dict[str, dict[int, list[tuple[int, float]]]] = {}
-    for row in rows:
-        if row["phase"] != "train":
-            continue
-        agents.setdefault(row["agent"], {}).setdefault(row["seed"], []).append(
-            (row["episode"], row["eval_reward"])
-        )
+    agents: dict[str, dict[int, list[dict]]] = {}
+    for row in sorted(rows, key=lambda r: (r["agent"], r["seed"], r["episode"])):
+        if row["phase"] == "train":
+            agents.setdefault(row["agent"], {}).setdefault(row["seed"], []).append(row)
     result = {}
-    for agent, by_seed in sorted(agents.items()):
-        curves = []
-        for seed, points in sorted(by_seed.items()):
-            points.sort()
-            curves.append(
-                SeedCurve(
-                    seed=seed,
-                    episodes=[e for e, _ in points],
-                    train_rewards=smooth([v for _, v in points], window),
-                )
-            )
-        result[agent] = aggregate(curves)
+    for agent, by_seed in agents.items():
+        if len({len(seed_rows) for seed_rows in by_seed.values()}) > 1:
+            counts = ", ".join(f"seed {seed} has {len(r)}" for seed, r in by_seed.items())
+            raise ContractError(f"agent {agent}: seeds differ in train rows: {counts}")
+        result[agent] = aggregate([
+            SeedCurve(seed, [r["episode"] for r in seed_rows],
+                      smooth([r["eval_reward"] for r in seed_rows], window))
+            for seed, seed_rows in by_seed.items()
+        ])
     return result
 
 
@@ -245,7 +239,12 @@ def _cmd_report(args) -> int:
     rows: list[dict] = []
     seen: set[tuple] = set()
     for path in args.csvs:
-        for row in _read_result_csv(path):
+        try:
+            with open(path, "r", encoding="utf-8", newline="") as fh:
+                file_rows = _result_rows(path, fh)
+        except OSError as exc:
+            raise OSError(f"cannot read {path}: {exc}") from exc
+        for row in file_rows:
             if rows and row["benchmark"] != rows[0]["benchmark"]:
                 raise ContractError(
                     f"{path} line {row['line']}: benchmark {row['benchmark']}, but the "

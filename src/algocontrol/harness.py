@@ -153,7 +153,7 @@ class AggregateCurve:
     stderr: list[float]
 
 
-def smooth(values: list[float], window: int = 10) -> list[float]:
+def smooth(values: list[float], window: int) -> list[float]:
     """Trailing moving average; the first window-1 points average over
     the available prefix so curves start at the first episode."""
     if window < 1:

@@ -8,7 +8,7 @@ finite differences.
 
 import numpy as np
 
-from algocontrol.agents.dqn import Batch, MLPQNet
+from algocontrol.agents.dqn import MLPQNet
 from algocontrol.agents.tabular import state_key
 from algocontrol.benchmarks import CountingEnv
 from algocontrol.core import SeedSpec
@@ -62,22 +62,23 @@ def value_iteration_oracle(transitions: dict, gamma: float) -> tuple[dict, dict]
 
 
 def random_gradcheck_case(rng: np.random.Generator, hidden: int = 5):
-    """(net, target, batch) with ReLU preactivations and next-state
-    argmax gaps bounded away from zero, so central finite differences
-    never cross a non-differentiable point."""
+    """(net, target, batch), the batch an (obs, actions, rewards,
+    next_obs, dones) tuple as ``ReplayBuffer.sample`` returns, with ReLU
+    preactivations and next-state argmax gaps bounded away from zero, so
+    central finite differences never cross a non-differentiable point."""
     d, actions, batch_size = 3, 4, 6
     while True:
         net = MLPQNet(d, actions, rng, hidden=hidden)
         target = MLPQNet(d, actions, rng, hidden=hidden)
-        batch = Batch(
-            obs=rng.uniform(-2, 2, (batch_size, d)),
-            actions=rng.integers(actions, size=batch_size),
-            rewards=rng.normal(size=batch_size),
-            next_obs=rng.uniform(-2, 2, (batch_size, d)),
-            dones=rng.random(batch_size) < 0.3,
+        batch = (
+            rng.uniform(-2, 2, (batch_size, d)),  # obs
+            rng.integers(actions, size=batch_size),  # actions
+            rng.normal(size=batch_size),  # rewards
+            rng.uniform(-2, 2, (batch_size, d)),  # next_obs
+            (rng.random(batch_size) < 0.3).astype(float),  # dones
         )
-        z1 = batch.obs @ net.w1 + net.b1
-        next_q = net.forward(batch.next_obs)
+        z1 = batch[0] @ net.w1 + net.b1
+        next_q = net.forward(batch[3])
         top_two = np.sort(next_q, axis=1)[:, -2:]
         if np.min(np.abs(z1)) > 1e-3 and np.min(top_two[:, 1] - top_two[:, 0]) > 1e-3:
             return net, target, batch

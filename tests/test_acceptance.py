@@ -88,7 +88,7 @@ def test_criterion_1_counting_optimum():
     for k in range(25):
         env = CountingEnv(5)
         rng = derive_stream(derive_seed(MASTER_SEED, RUN_BASE + k), BLACKBOX_STREAM)
-        result = blackbox_optimize(env, None, 3500, rng, stop_at=oracle_best)
+        result = blackbox_optimize(env, [()], 3500, rng, stop_at=oracle_best)
         blackbox_ok += result.incumbent.mean_reward >= oracle_best
 
     elapsed = time.perf_counter() - started
@@ -128,7 +128,7 @@ def test_criterion_2_luby_optimum():
         env = LubyEnv(32)
         rng = derive_stream(derive_seed(MASTER_SEED, RUN_BASE + k), BLACKBOX_STREAM)
         result = blackbox_optimize(
-            env, None, 100_000, rng, stop_at=LUBY_TARGET_60PCT
+            env, [()], 100_000, rng, stop_at=LUBY_TARGET_60PCT
         )
         blackbox_ok += result.incumbent.mean_reward >= LUBY_TARGET_60PCT
 
@@ -322,7 +322,7 @@ class TestCriterion6PropertySuites:
                                         (BenchmarkConfig("fuzzy", horizon=10), 500, 10)):
             env = make_env(bench)
             result = blackbox_optimize(
-                env, None, budget, derive_stream(MASTER_SEED, 9300), max_runs=max_runs
+                env, [()], budget, derive_stream(MASTER_SEED, 9300), max_runs=max_runs
             )
             curve = result.best_so_far
             assert all(a <= b + 1e-12 for a, b in zip(curve, curve[1:]))

@@ -72,7 +72,7 @@ class TestMutateSchedule:
 class TestEvaluateSchedule:
     @staticmethod
     def _run(schedule, env):
-        return ScheduleEvaluator(env, None, base_seed=5).run(schedule, 0)
+        return ScheduleEvaluator(env, [()], base_seed=5).run(schedule, 0)
 
     def test_counting_optimum(self):
         assert self._run((0, 1, 2, 3, 4), CountingEnv(5)) == 5.0
@@ -102,22 +102,22 @@ class TestEvaluateSchedule:
 class TestRace:
     def test_deterministic_challenger_wins_after_one_run(self):
         env = CountingEnv(5)
-        evaluator = ScheduleEvaluator(env, None, base_seed=1)
+        evaluator = ScheduleEvaluator(env, [()], base_seed=1)
         incumbent_sched = (0, 0, 0, 0, 0)
         incumbent = IncumbentRecord(
             incumbent_sched, [evaluator.run(incumbent_sched, 0)]
         )
-        winner, consumed = race((0, 1, 2, 3, 4), incumbent, evaluator, 1)
+        winner, consumed = race((0, 1, 2, 3, 4), incumbent, evaluator, 1, budget_left=1)
         assert winner.schedule == (0, 1, 2, 3, 4)
         assert winner.mean_reward == 5.0
         assert consumed == 1
 
     def test_identical_schedule_keeps_incumbent(self):
         env = FuzzyEnv(20)
-        evaluator = ScheduleEvaluator(env, None, base_seed=2)
+        evaluator = ScheduleEvaluator(env, [()], base_seed=2)
         sched = (1,) * 20
         incumbent = IncumbentRecord(sched, [evaluator.run(sched, r) for r in range(5)])
-        winner, consumed = race(sched, incumbent, evaluator, 5)
+        winner, consumed = race(sched, incumbent, evaluator, 5, budget_left=5)
         assert winner is incumbent  # paired seeds: equal means, no strict win
         assert consumed == 1
 
@@ -125,18 +125,18 @@ class TestRace:
         wins = 0
         for trial in range(100):
             env = FuzzyEnv(20)
-            evaluator = ScheduleEvaluator(env, None, base_seed=100 + trial)
+            evaluator = ScheduleEvaluator(env, [()], base_seed=100 + trial)
             early_stop = (1, 1, 0) + (1,) * 17
             incumbent = IncumbentRecord(
                 early_stop, [evaluator.run(early_stop, r) for r in range(50)]
             )
-            winner, _ = race((1,) * 20, incumbent, evaluator, 50)
+            winner, _ = race((1,) * 20, incumbent, evaluator, 50, budget_left=50)
             wins += winner.schedule == (1,) * 20
         assert wins >= 95
 
     def test_budget_abort_keeps_incumbent(self):
         env = FuzzyEnv(20)
-        evaluator = ScheduleEvaluator(env, None, base_seed=3)
+        evaluator = ScheduleEvaluator(env, [()], base_seed=3)
         sched = (1,) * 20
         incumbent = IncumbentRecord(sched, [evaluator.run(sched, r) for r in range(8)])
         strong = (1,) * 20
@@ -145,9 +145,9 @@ class TestRace:
         assert consumed <= 2
 
     def test_incumbent_without_runs_rejected(self):
-        evaluator = ScheduleEvaluator(CountingEnv(5), None, base_seed=1)
+        evaluator = ScheduleEvaluator(CountingEnv(5), [()], base_seed=1)
         with pytest.raises(ContractError):
-            race((0, 1, 2, 3, 4), IncumbentRecord((0, 0, 0, 0, 0)), evaluator, 1)
+            race((0, 1, 2, 3, 4), IncumbentRecord((0, 0, 0, 0, 0)), evaluator, 1, 1)
         assert evaluator.episodes_consumed == 0
 
 
@@ -158,7 +158,7 @@ class TestBlackboxOptimize:
         mirror = derive_stream(9, 0)
         mirror.integers(2**63)
         probe = random_schedule(mirror, 5, 5)
-        result = blackbox_optimize(env, None, 1, derive_stream(9, 0))
+        result = blackbox_optimize(env, [()], 1, derive_stream(9, 0))
         assert result.incumbent.schedule == probe
         assert result.episodes_consumed == 1
         assert len(result.best_so_far) == 1
@@ -171,32 +171,32 @@ class TestBlackboxOptimize:
         )
         assert best_value == 5.0
         env = CountingEnv(5)
-        result = blackbox_optimize(env, None, 10**4, derive_stream(10, 0))
+        result = blackbox_optimize(env, [()], 10**4, derive_stream(10, 0))
         assert result.incumbent.mean_reward == best_value
         assert result.incumbent.schedule == (0, 1, 2, 3, 4)
 
     def test_best_so_far_monotone_deterministic(self):
         env = LubyEnv(16)
-        result = blackbox_optimize(env, None, 2000, derive_stream(11, 0))
+        result = blackbox_optimize(env, [()], 2000, derive_stream(11, 0))
         curve = result.best_so_far
         assert len(curve) == 2000
         assert all(a <= b for a, b in zip(curve, curve[1:]))
 
     def test_best_so_far_monotone_stochastic(self):
         env = FuzzyEnv(10)
-        result = blackbox_optimize(env, None, 500, derive_stream(12, 0), max_runs=10)
+        result = blackbox_optimize(env, [()], 500, derive_stream(12, 0), max_runs=10)
         curve = result.best_so_far
         assert len(curve) == 500
         assert all(a <= b + 1e-12 for a, b in zip(curve, curve[1:]))
 
     def test_max_runs_must_be_positive(self):
         with pytest.raises(ContractError):
-            blackbox_optimize(CountingEnv(5), None, 10, derive_stream(14, 0), max_runs=0)
+            blackbox_optimize(CountingEnv(5), [()], 10, derive_stream(14, 0), max_runs=0)
 
     @pytest.mark.parametrize("fraction", [-0.1, 1.5, math.nan, math.inf])
     def test_neighbor_fraction_range(self, fraction):
         with pytest.raises(ContractError):
-            blackbox_optimize(CountingEnv(5), None, 10, derive_stream(14, 1),
+            blackbox_optimize(CountingEnv(5), [()], 10, derive_stream(14, 1),
                               neighbor_fraction=fraction)
 
     def test_empty_instance_list_rejected(self):
@@ -204,10 +204,12 @@ class TestBlackboxOptimize:
             blackbox_optimize(SigmoidEnv(11), [], 10, derive_stream(14, 2))
         with pytest.raises(ContractError):
             ScheduleEvaluator(SigmoidEnv(11), [], base_seed=0)
+        with pytest.raises(ContractError):  # a context-free benchmark passes [()]
+            ScheduleEvaluator(CountingEnv(5), None, base_seed=0)
 
     def test_stop_at_halts_early(self):
         env = CountingEnv(5)
-        result = blackbox_optimize(env, None, 10**4, derive_stream(13, 0), stop_at=5.0)
+        result = blackbox_optimize(env, [()], 10**4, derive_stream(13, 0), stop_at=5.0)
         assert result.incumbent.mean_reward == 5.0
         assert result.episodes_consumed < 10**4
 
@@ -234,7 +236,7 @@ SIGMOID_INSTANCE = st.tuples(st.floats(-100.0, 100.0), st.floats(-1e3, 1e3))
 
 @st.composite
 def noise_free_cases(draw):
-    """A noise-free benchmark, its evaluation instances (None when
+    """A noise-free benchmark, its evaluation instances ([()] when
     context-free) and a strategy for its schedules."""
     kind = draw(st.sampled_from(("counting", "luby", "sigmoid", "sigmoidmva")))
     horizon = draw(st.integers(1, 40))
@@ -246,7 +248,7 @@ def noise_free_cases(draw):
         env = SigmoidEnv(horizon)
     else:
         env = SigmoidMVAEnv(horizon, levels=draw(st.integers(1, 8)))
-    instances = None
+    instances = [()]
     if env.context_dim:
         instances = draw(st.lists(SIGMOID_INSTANCE, min_size=1, max_size=3))
     schedules = st.lists(st.integers(0, env.action_count - 1),
@@ -276,7 +278,7 @@ class TestRewardTable:
     @settings(max_examples=100, deadline=None)
     def test_fuzzy_scores_equal_rollouts(self, horizon, mean, spread, data):
         env = FuzzyEnv(horizon, mean=mean, spread=spread)
-        evaluator = ScheduleEvaluator(env, None, base_seed=11)
+        evaluator = ScheduleEvaluator(env, [()], base_seed=11)
         schedules = st.lists(st.integers(0, 1), min_size=horizon, max_size=horizon)
         for run in range(data.draw(st.integers(1, 4))):
             sched = tuple(data.draw(schedules))
@@ -285,8 +287,8 @@ class TestRewardTable:
             assert evaluator.run(sched, run) == expected
 
     @pytest.mark.parametrize("make_env, instances, max_runs", [
-        (lambda: CountingEnv(5), None, 1),
-        (lambda: LubyEnv(16), None, 1),
+        (lambda: CountingEnv(5), [()], 1),
+        (lambda: LubyEnv(16), [()], 1),
         (lambda: SigmoidEnv(11), [(30.0, 4.0), (-60.0, 7.5), (2.0, 5.0)], 10),
         (lambda: SigmoidMVAEnv(11, levels=4), [(10.0, 5.0), (-5.0, 2.0)], 10),
     ])
@@ -319,7 +321,7 @@ class TestTablePathContracts:
     @pytest.mark.parametrize("bad", [(0, 1), (0, 1, 2, 3, 4, 0), (0, 1, -1, 3, 4),
                                      (0, 1, 2, 3, 5)])
     def test_bad_schedule_rejected(self, bad, warm):
-        evaluator = ScheduleEvaluator(CountingEnv(5), None, base_seed=0)
+        evaluator = ScheduleEvaluator(CountingEnv(5), [()], base_seed=0)
         if warm:
             evaluator.run((0, 1, 2, 3, 4), 0)
         with pytest.raises(ContractError):
@@ -327,7 +329,7 @@ class TestTablePathContracts:
 
     @pytest.mark.parametrize("make_env", [lambda: LubyEnv(16), lambda: FuzzyEnv(16)])
     def test_one_episode_per_score_cached_or_not(self, make_env):
-        evaluator = ScheduleEvaluator(make_env(), None, base_seed=0)
+        evaluator = ScheduleEvaluator(make_env(), [()], base_seed=0)
         sched = (1,) * 16
         for k in range(1, 8):
             evaluator.run(sched, k)

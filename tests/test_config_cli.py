@@ -712,6 +712,34 @@ class TestCliReport:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith(f"E-RUNTIME: {counting} line 2: benchmark")
 
+    @pytest.fixture
+    def luby_run(self, tmp_path, capsys):
+        """A luby qlearn run of 3 seeds x 60 episodes: its result line and CSV."""
+        config, out = tmp_path / "luby.ini", tmp_path / "luby.csv"
+        config.write_text(MINIMAL.replace("kind = counting", "kind = luby").replace(
+            "episodes = 1000", "episodes = 60\nn_seeds = 3"))
+        assert main(["run", str(config), "--output", str(out)]) == 0
+        return capsys.readouterr().out.splitlines()[0], out
+
+    def test_run_and_report_print_the_same_mean_and_se(self, luby_run, capsys):
+        line, out = luby_run
+        mean, se = (field.split("=")[1] for field in line.split()[-2:])
+        window = str(ExperimentConfig.smoothing_window)
+        assert main(["report", str(out), "--mode", "plotdata", "--window", window]) == 0
+        assert capsys.readouterr().out.splitlines()[-1] == f"60\t{mean}\t{se}"
+        assert main(["report", str(out)]) == 0  # the default window is smoothing_window
+        assert capsys.readouterr().out == f"qlearn: {float(mean):.3f} ± {float(se):.3f}\n"
+
+    def test_ragged_seeds_are_named_with_their_row_counts(self, luby_run, capsys):
+        _, out = luby_run
+        lines = out.read_text().splitlines(keepends=True)
+        out.write_text("".join(r for r in lines if not r.startswith("luby,qlearn,1,60,train,")))
+        assert main(["report", str(out)]) == 3
+        assert capsys.readouterr().err.splitlines() == [
+            "E-RUNTIME: agent qlearn: seeds differ in train rows: seed 0 has 60, "
+            "seed 1 has 59, seed 2 has 60"
+        ]
+
     def test_same_episode_in_both_phases_is_kept(self, tmp_path, capsys):
         path = tmp_path / "r.csv"
         path.write_text(self.CSV + "counting,qlearn,0,2,test,4,0\n")

@@ -1,5 +1,7 @@
 """Network forward/backward, replay buffer, schedules, target sync."""
 
+import copy
+
 import numpy as np
 import pytest
 
@@ -13,7 +15,6 @@ from algocontrol.agents import (
     load_snapshot,
     save_agent,
 )
-from algocontrol.agents.dqn import Batch
 from algocontrol.benchmarks import SigmoidEnv, make_instance_set
 from algocontrol.cli import main
 from algocontrol.core import ContractError, Observation, SeedSpec, derive_stream
@@ -91,7 +92,7 @@ class TestGradients:
         rng = derive_stream(78, 0)
         hp = AgentHyperparams(alpha=1.0)
         net, target_a, batch = random_gradcheck_case(rng)
-        batch.dones[:] = True
+        batch[4][:] = 1.0
         target_b = make_net(seed=999)
         loss_a = dqn_loss_and_grads(net, target_a, batch, hp)[0]
         loss_b = dqn_loss_and_grads(net, target_b, batch, hp)[0]
@@ -102,14 +103,9 @@ class TestGradients:
         net = make_net()
         for p in net.parameters():
             p[:] = 0.0
-        target = net.clone()
-        batch = Batch(
-            obs=np.ones((4, 3)),
-            actions=np.zeros(4, dtype=np.int64),
-            rewards=np.zeros(4),
-            next_obs=np.ones((4, 3)),
-            dones=np.ones(4, dtype=bool),
-        )
+        target = copy.deepcopy(net)
+        batch = (np.ones((4, 3)), np.zeros(4, dtype=np.int64), np.zeros(4), np.ones((4, 3)),
+                 np.ones(4))
         hp = AgentHyperparams(alpha=1.0)
         loss = dqn_train_step(net, target, batch, hp)
         assert loss == 0.0
@@ -126,15 +122,10 @@ class TestGradients:
 
     def test_empty_batch_rejected(self):
         net = make_net()
-        batch = Batch(
-            obs=np.zeros((0, 3)),
-            actions=np.zeros(0, dtype=np.int64),
-            rewards=np.zeros(0),
-            next_obs=np.zeros((0, 3)),
-            dones=np.zeros(0, dtype=bool),
-        )
+        batch = (np.zeros((0, 3)), np.zeros(0, dtype=np.int64), np.zeros(0), np.zeros((0, 3)),
+                 np.zeros(0))
         with pytest.raises(ContractError):
-            dqn_loss_and_grads(net, net.clone(), batch, AgentHyperparams(alpha=1.0))
+            dqn_loss_and_grads(net, copy.deepcopy(net), batch, AgentHyperparams(alpha=1.0))
 
 
 def make_agent(total_episodes=3000, **hp):
@@ -194,22 +185,39 @@ class TestSyncTarget:
         assert not np.array_equal(agent.net.forward(x), agent.target_net.forward(x))
 
 
+def packed_row(obs, action, reward, next_obs, done):
+    """One ring row, laid out obs | action | reward | next_obs | done."""
+    return np.concatenate([obs, [action, reward], next_obs, [done]])
+
+
 class TestReplayBuffer:
     def test_capacity_bound_and_eviction(self):
         buf = ReplayBuffer(capacity=10, obs_dim=1)
         for i in range(25):
             buf.extend(np.array([[float(i)]]), [0], [float(i)], np.array([[0.0]]), [False])
-        assert len(buf) == 10
-        stored = set(buf.obs[:, 0])
+        assert len(buf) == 10 and buf.rows.shape == (10, 5)
+        stored = set(buf.rows[: len(buf), 0])
         assert stored == set(float(i) for i in range(15, 25))
 
     def test_uniform_sampling_with_replacement(self):
         buf = ReplayBuffer(capacity=4, obs_dim=1)
         buf.extend(np.arange(4.0)[:, None], [0, 1, 2, 3], [0.0] * 4, np.zeros((4, 1)), [False] * 4)
         rng = derive_stream(81, 0)
-        batch = buf.sample(rng, 10**4)
-        counts = np.bincount(batch.actions, minlength=4)
+        actions = buf.sample(rng, 10**4)[1]
+        counts = np.bincount(actions, minlength=4)
         assert np.all(np.abs(counts / 10**4 - 0.25) <= 0.02)
+
+    def test_sample_is_column_views_of_one_gather(self):
+        buf = ReplayBuffer(capacity=8, obs_dim=2)
+        obs, actions, rewards, next_obs, dones = zip(*transitions(0, 6))
+        buf.extend(np.array(obs), actions, rewards, np.array(next_obs), dones)
+        batch = buf.sample(derive_stream(89, 0), 5)
+        gathered = batch[0].base
+        assert gathered.shape == (5, 7) and not np.shares_memory(gathered, buf.rows)
+        for column in (batch[0], batch[2], batch[3], batch[4]):
+            assert column.base is gathered
+        assert batch[1].dtype == np.int64 and np.array_equal(batch[1], gathered[:, 2])
+        assert set(batch[4]) <= {0.0, 1.0}
 
     def test_sample_empty_rejected(self):
         with pytest.raises(ContractError):
@@ -253,14 +261,12 @@ class TestRingWrite:
                 buf.extend(np.array(obs), actions, rewards, np.array(next_obs), dones)
         slots, size = self.sequential(self.CAPACITY, old + new)
         assert len(buf) == size
-        for i, (obs, action, reward, next_obs, done) in enumerate(slots[:size]):
-            assert np.array_equal(buf.obs[i], obs) and np.array_equal(buf.next_obs[i], next_obs)
-            assert (buf.actions[i], buf.rewards[i], buf.dones[i]) == (action, reward, done)
+        for i, transition in enumerate(slots[:size]):
+            assert np.array_equal(buf.rows[i], packed_row(*transition))
         batch = buf.sample(derive_stream(88, 0), 50)
         idx = derive_stream(88, 0).integers(size, size=50)
-        assert np.array_equal(batch.obs, np.array([slots[i][0] for i in idx]))
-        assert np.array_equal(batch.actions, [slots[i][1] for i in idx])
-        assert np.array_equal(batch.rewards, [slots[i][2] for i in idx])
+        for got, want in zip(batch, zip(*(slots[i] for i in idx))):
+            assert np.array_equal(got, np.array(want))
 
     def test_following_write_continues_after_the_episode(self):
         buf = ReplayBuffer(self.CAPACITY, obs_dim=2)
@@ -268,8 +274,43 @@ class TestRingWrite:
             obs, actions, rewards, next_obs, dones = zip(*chunk)
             buf.extend(np.array(obs), actions, rewards, np.array(next_obs), dones)
         slots, _ = self.sequential(self.CAPACITY, transitions(0, 13) + transitions(50, 4))
-        assert [int(a) for a in buf.actions] == [s[1] for s in slots]
-        assert list(buf.rewards) == [s[2] for s in slots]
+        assert [int(a) for a in buf.rows[:, 2]] == [s[1] for s in slots]
+        assert list(buf.rows[:, 3]) == [s[2] for s in slots]
+        assert np.array_equal(buf.rows, [packed_row(*s) for s in slots])
+
+
+class TestStridedBatch:
+    """A sampled batch is strided views into one gathered array; the loss,
+    gradients and SGD step on it equal, bit for bit, those on contiguous
+    copies of the same rows."""
+
+    @pytest.mark.parametrize("obs_dim, actions, hidden, batch_size",
+                             [(3, 2, 50, 11), (1, 3, 50, 2), (1, 2, 5, 11), (3, 2, 1, 11),
+                              (2, 5, 7, 32), (4, 4, 50, 64)])
+    def test_views_equal_contiguous_copies(self, obs_dim, actions, hidden, batch_size):
+        rng = derive_stream(95, obs_dim * 100 + batch_size)
+        buf = ReplayBuffer(capacity=40, obs_dim=obs_dim)
+        n = 30
+        buf.extend(rng.normal(size=(n, obs_dim)), rng.integers(actions, size=n).tolist(),
+                   rng.normal(size=n).tolist(), rng.normal(size=(n, obs_dim)),
+                   (rng.random(n) < 0.3).tolist())
+        hp = AgentHyperparams(alpha=1.0)
+        for trial in range(5):
+            net = MLPQNet(obs_dim, actions, rng, hidden=hidden)
+            target = MLPQNet(obs_dim, actions, rng, hidden=hidden)
+            views = buf.sample(rng, batch_size)
+            assert not views[0].flags.c_contiguous and not views[3].flags.c_contiguous
+            copies = tuple(np.ascontiguousarray(column) for column in views)
+            loss, grads = dqn_loss_and_grads(net, target, views, hp)
+            loss_c, grads_c = dqn_loss_and_grads(net, target, copies, hp)
+            assert loss == loss_c
+            for g, g_c in zip(grads, grads_c):
+                assert np.array_equal(g, g_c)
+            stepped, stepped_c = copy.deepcopy(net), copy.deepcopy(net)
+            assert dqn_train_step(stepped, target, views, hp) == dqn_train_step(
+                stepped_c, target, copies, hp)
+            for p, p_c in zip(stepped.parameters(), stepped_c.parameters()):
+                assert np.array_equal(p, p_c)
 
 
 class TestDQNAgent:
@@ -502,11 +543,11 @@ class TestMemoLifetime:
         rng = derive_stream(93, 0)
         run_training_episode(agent, SigmoidEnv(11), instance, SeedSpec(93, 1), rng, rng)
         assert len(agent.buffer) == 11
+        rows = agent.buffer.rows  # obs 0:3 | action 3 | reward 4 | next_obs 5:8 | done 8
         for t in range(11):
-            assert np.array_equal(agent.buffer.obs[t], per_step_encoding(agent, t, instance))
-            assert np.array_equal(agent.buffer.next_obs[t],
-                                  per_step_encoding(agent, t + 1, instance))
-        assert list(agent.buffer.dones[:11]) == [False] * 10 + [True]
+            assert np.array_equal(rows[t, :3], per_step_encoding(agent, t, instance))
+            assert np.array_equal(rows[t, 5:8], per_step_encoding(agent, t + 1, instance))
+        assert list(rows[:11, 8]) == [0.0] * 10 + [1.0]
 
     def test_one_episode_spans_one_instance(self):
         agent = make_agent()

@@ -1,6 +1,7 @@
 """Tabular learners: selection rules, updates, and the VI oracle."""
 
 import copy
+import re
 
 import numpy as np
 import pytest
@@ -564,6 +565,17 @@ class TestSnapshotRoundTrip:
         assert main(["replay", str(path), "--benchmark", "counting", "--horizon", "3"]) == 3
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("E-RUNTIME: snapshot line 8: repeated")
+
+    @pytest.mark.parametrize("surplus", [["0||3,3|1\t0.5", "garbage line"], ["garbage line"],
+                                         [""]], ids=["repeated-record", "garbage", "blank"])
+    def test_line_after_the_records_names_line(self, tmp_path, capsys, surplus):
+        text = self.PAIR_SNAPSHOT + "".join(line + "\n" for line in surplus)
+        message = f"snapshot line 8: {surplus[0]!r} follows the last record"
+        self._rejects(tmp_path, text, re.escape(message))
+        path = tmp_path / "bad.snap"
+        assert main(["replay", str(path), "--benchmark", "counting", "--horizon", "3"]) == 3
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"E-RUNTIME: {message}"]
 
     def test_non_utf8_snapshot_is_one_runtime_line(self, tmp_path, capsys):
         path = tmp_path / "bad.snap"
