@@ -9,7 +9,6 @@ episode length.
 
 from __future__ import annotations
 
-import copy
 import math
 
 import numpy as np
@@ -23,21 +22,23 @@ EPSILON_END = 0.02
 
 
 class MLPQNet:
-    """input_dim -> 50 ReLU -> action_count, float64 parameters."""
+    """input_dim -> 50 ReLU -> action_count; ``w1, b1, w2, b2`` are views of one
+    float64 vector ``theta``, all NaN for a caller to fill when built without ``rng``."""
 
     def __init__(
-        self, input_dim: int, action_count: int, rng: np.random.Generator,
+        self, input_dim: int, action_count: int, rng: np.random.Generator | None = None,
         hidden: int = HIDDEN_UNITS,
     ) -> None:
         if input_dim < 1 or action_count < 1:
             raise ContractError("input_dim and action_count must be >= 1")
-        self.input_dim = input_dim
-        self.hidden = hidden
-        # He initialization for the ReLU layer, Xavier-ish for the head.
-        self.w1 = rng.normal(0.0, np.sqrt(2.0 / input_dim), (input_dim, hidden))
-        self.b1 = np.zeros(hidden)
-        self.w2 = rng.normal(0.0, np.sqrt(1.0 / hidden), (hidden, action_count))
-        self.b2 = np.zeros(action_count)
+        self.input_dim, self.action_count, self.hidden = input_dim, action_count, hidden
+        sizes = [input_dim * hidden, hidden, hidden * action_count, action_count]
+        self.theta = np.full(sum(sizes), np.nan if rng is None else 0.0)
+        w1, self.b1, w2, self.b2 = np.split(self.theta, np.cumsum(sizes[:-1]))
+        self.w1, self.w2 = w1.reshape(input_dim, hidden), w2.reshape(hidden, action_count)
+        if rng is not None:  # He initialization for the ReLU layer, Xavier-ish for the head
+            self.w1[...] = rng.normal(0.0, np.sqrt(2.0 / input_dim), self.w1.shape)
+            self.w2[...] = rng.normal(0.0, np.sqrt(1.0 / hidden), self.w2.shape)
 
     def parameters(self) -> list[np.ndarray]:
         return [self.w1, self.b1, self.w2, self.b2]
@@ -156,8 +157,7 @@ def dqn_train_step(
 ) -> float:
     """One SGD step on the double-DQN TD loss; returns the loss."""
     loss, grads = dqn_loss_and_grads(net, target_net, batch, hp)
-    for param, grad in zip(net.parameters(), grads):
-        param -= hp.dqn_lr * grad
+    net.theta -= hp.dqn_lr * np.concatenate(grads, axis=None)
     return loss
 
 
@@ -188,6 +188,7 @@ class DQNAgent:
         hp: AgentHyperparams | None = None,
         rng: np.random.Generator | None = None,
         context_scales: tuple[float, ...] | None = None,
+        net: MLPQNet | None = None,
     ) -> None:
         self.hp = hp or AgentHyperparams()
         self.action_count = action_count
@@ -198,9 +199,9 @@ class DQNAgent:
         if len(context_scales) != context_dim:
             raise ContractError("context_scales length must equal context_dim")
         self.context_scales = np.array(context_scales, dtype=float)
-        init_rng = rng if rng is not None else np.random.default_rng(0)
-        self.net = MLPQNet(self.input_dim, action_count, init_rng)
-        self.target_net = copy.deepcopy(self.net)
+        self.net = net or MLPQNet(self.input_dim, action_count, rng or np.random.default_rng(0))
+        self.target_net = MLPQNet(self.input_dim, action_count, hidden=self.net.hidden)
+        self.target_net.theta[...] = self.net.theta
         self.buffer = ReplayBuffer(self.hp.buffer_capacity, self.input_dim)
         self.batch_size = self.hp.batch_size if self.hp.batch_size > 0 else horizon
         self.decay_episodes = max(1, int(round(total_episodes * self.hp.eps_decay_fraction)))
@@ -274,17 +275,14 @@ class DQNAgent:
             self.last_loss = dqn_train_step(self.net, self.target_net, batch, self.hp)
             self._rows.clear()
             self._greedy.clear()
-            if not (
-                math.isfinite(self.last_loss)
-                and all(np.isfinite(p).all() for p in self.net.parameters())
-            ):
+            if not (math.isfinite(self.last_loss) and np.isfinite(self.net.theta).all()):
                 raise ContractError(
                     f"DQN training diverged in episode {episode}: loss {self.last_loss!r} "
                     "or an updated parameter is not finite"
                 )
         self.episodes_trained = episode
         if episode % self.hp.target_sync_every == 0:
-            self.target_net = copy.deepcopy(self.net)
+            self.target_net.theta[...] = self.net.theta
 
     def greedy_action(self, obs: Observation) -> ActionId:
         return self._greedy_actions(obs.continuous_features)[obs.time_step]

@@ -15,7 +15,6 @@ element raises it naming the element.
 
 from __future__ import annotations
 
-import copy
 import math
 
 import numpy as np
@@ -149,12 +148,8 @@ def load_snapshot(path: str) -> TabularAgent | DQNAgent:
         input_dim = _meta_int(meta, "input_dim")
         action_count = _meta_int(meta, "action_count")
         hidden = _meta_int(meta, "hidden", HIDDEN_UNITS)
-        arrays = {  # NaN marks an element no record has set
-            "w1": np.full(input_dim * hidden, np.nan),
-            "b1": np.full(hidden, np.nan),
-            "w2": np.full(hidden * action_count, np.nan),
-            "b2": np.full(action_count, np.nan),
-        }
+        net = MLPQNet(input_dim, action_count, hidden=hidden)  # NaN: no record has set it
+        arrays = dict(zip(("w1", "b1", "w2", "b2"), (p.reshape(-1) for p in net.parameters())))
         _read_records(body, start + 2, lambda key, value: _set_param(arrays, key, value))
         unset = [f"{n}/{i:06d}" for n, a in arrays.items() for i in np.flatnonzero(np.isnan(a))]
         if unset:
@@ -167,18 +162,14 @@ def load_snapshot(path: str) -> TabularAgent | DQNAgent:
                 f"snapshot header line 'context_scales': {scales_text!r} is not a list of "
                 "finite numbers"
             ) from None
-        agent = DQNAgent(
+        return DQNAgent(
             action_count=action_count,
             horizon=_meta_int(meta, "horizon"),
             context_dim=input_dim - 1,
             total_episodes=1,
             context_scales=scales,
+            net=net,
         )
-        net = MLPQNet(input_dim, action_count, np.random.default_rng(0), hidden=hidden)
-        for param, values in zip(net.parameters(), arrays.values()):
-            param[...] = values.reshape(param.shape)
-        agent.net, agent.target_net = net, copy.deepcopy(net)
-        return agent
     raise ContractError(f"snapshot for unknown agent kind {kind!r}")
 
 

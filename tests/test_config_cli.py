@@ -740,6 +740,20 @@ class TestCliReport:
             "seed 1 has 59, seed 2 has 60"
         ]
 
+    def test_different_episode_grids_name_agent_seeds_and_episode(self, tmp_path, capsys):
+        path = tmp_path / "r.csv"
+        path.write_text(
+            "benchmark,agent,seed,episode,phase,eval_reward,wall_time_ms\n"
+            "luby,qlearn,0,1,train,5,0\n"
+            "luby,qlearn,0,2,train,5,0\n"
+            "luby,qlearn,1,1,train,5,0\n"
+            "luby,qlearn,1,3,train,5,0\n"
+        )
+        assert main(["report", str(path)]) == 3
+        assert capsys.readouterr().err.splitlines() == [
+            "E-RUNTIME: agent qlearn: seed 0 has train episode 2 where seed 1 has 3"
+        ]
+
     def test_same_episode_in_both_phases_is_kept(self, tmp_path, capsys):
         path = tmp_path / "r.csv"
         path.write_text(self.CSV + "counting,qlearn,0,2,test,4,0\n")

@@ -1,7 +1,5 @@
 """Network forward/backward, replay buffer, schedules, target sync."""
 
-import copy
-
 import numpy as np
 import pytest
 
@@ -26,6 +24,18 @@ def make_net(input_dim=3, actions=4, hidden=5, seed=0):
     return MLPQNet(input_dim, actions, derive_stream(seed, 0), hidden=hidden)
 
 
+def twin(net):
+    """A separate net holding a copy of ``net``'s parameters."""
+    other = MLPQNet(net.input_dim, net.action_count, hidden=net.hidden)
+    other.theta[...] = net.theta
+    return other
+
+
+def shares_theta(net):
+    """Whether every parameter block of ``net`` is a view of ``net.theta``."""
+    return all(np.shares_memory(p, net.theta) for p in net.parameters())
+
+
 class TestForward:
     def test_zero_weights_zero_output(self):
         net = make_net()
@@ -35,10 +45,10 @@ class TestForward:
 
     def test_hand_computed_2_2_2(self):
         net = MLPQNet(2, 2, derive_stream(1, 0), hidden=2)
-        net.w1 = np.array([[1.0, 0.0], [0.0, 1.0]])
-        net.b1 = np.array([0.5, 0.5])
-        net.w2 = np.array([[2.0, -1.0], [1.0, 3.0]])
-        net.b2 = np.array([0.1, -0.2])
+        net.w1[...] = [[1.0, 0.0], [0.0, 1.0]]
+        net.b1[...] = [0.5, 0.5]
+        net.w2[...] = [[2.0, -1.0], [1.0, 3.0]]
+        net.b2[...] = [0.1, -0.2]
         x = np.array([1.0, 2.0])
         # hidden = relu([1.5, 2.5]) = [1.5, 2.5] (positive region)
         # out = [1.5*2 + 2.5*1 + 0.1, 1.5*-1 + 2.5*3 - 0.2] = [5.6, 5.8]
@@ -50,7 +60,7 @@ class TestForward:
         net.b2[:] = 0.0
         x = np.abs(derive_stream(2, 0).normal(size=3)) + 0.1
         # guarantee positive preactivations so ReLU is linear
-        net.w1 = np.abs(net.w1)
+        np.abs(net.w1, out=net.w1)
         assert np.allclose(net.forward(3.0 * x), 3.0 * net.forward(x), atol=1e-9)
 
     def test_dimension_mismatch(self):
@@ -103,7 +113,7 @@ class TestGradients:
         net = make_net()
         for p in net.parameters():
             p[:] = 0.0
-        target = copy.deepcopy(net)
+        target = twin(net)
         batch = (np.ones((4, 3)), np.zeros(4, dtype=np.int64), np.zeros(4), np.ones((4, 3)),
                  np.ones(4))
         hp = AgentHyperparams(alpha=1.0)
@@ -125,7 +135,7 @@ class TestGradients:
         batch = (np.zeros((0, 3)), np.zeros(0, dtype=np.int64), np.zeros(0), np.zeros((0, 3)),
                  np.zeros(0))
         with pytest.raises(ContractError):
-            dqn_loss_and_grads(net, copy.deepcopy(net), batch, AgentHyperparams(alpha=1.0))
+            dqn_loss_and_grads(net, twin(net), batch, AgentHyperparams(alpha=1.0))
 
 
 def make_agent(total_episodes=3000, **hp):
@@ -180,9 +190,55 @@ class TestSyncTarget:
 
     def test_copy_is_detached(self):
         agent, _ = self.agent_after(5)
+        target_before = agent.target_net.theta.copy()
         agent.net.w1 += 1.0
         x = np.ones(3)
         assert not np.array_equal(agent.net.forward(x), agent.target_net.forward(x))
+        agent.net.theta[:] = 0.0
+        assert np.array_equal(agent.net.forward(x), np.zeros(4))
+        assert np.array_equal(agent.target_net.theta, target_before)
+        assert not np.array_equal(agent.target_net.forward(x), np.zeros(4))
+
+
+class TestParameterViews:
+    """``w1, b1, w2, b2`` stay views of ``theta`` through every operation
+    on a whole network, and the target never shares the online vector."""
+
+    @staticmethod
+    def check(agent):
+        assert shares_theta(agent.net) and shares_theta(agent.target_net)
+        assert not np.shares_memory(agent.net.theta, agent.target_net.theta)
+
+    def test_init_train_step_sync_and_load(self, tmp_path):
+        agent = make_agent(target_sync_every=2)
+        self.check(agent)
+        rng = derive_stream(96, 0)
+        instance = (1.0, 5.0)
+        for t in range(3):
+            agent.observe(Observation(t, instance), t % 4, 0.5, Observation(t + 1, instance),
+                          t == 2)
+        agent.end_episode(rng)  # one SGD step, no sync
+        self.check(agent)
+        assert not np.array_equal(agent.net.theta, agent.target_net.theta)
+        agent.end_episode(rng)  # another step, then a sync
+        self.check(agent)
+        assert np.array_equal(agent.net.theta, agent.target_net.theta)
+        save_agent(agent, str(tmp_path / "net.snap"))
+        loaded = load_snapshot(str(tmp_path / "net.snap"))
+        self.check(loaded)
+        assert np.array_equal(loaded.net.theta, agent.net.theta)
+        assert np.array_equal(loaded.target_net.theta, agent.net.theta)
+
+    def test_train_step_updates_through_the_views(self):
+        rng = derive_stream(97, 0)
+        hp = AgentHyperparams(alpha=1.0)
+        net, target, batch = random_gradcheck_case(rng)
+        before = [p.copy() for p in net.parameters()]
+        _, grads = dqn_loss_and_grads(net, target, batch, hp)
+        dqn_train_step(net, target, batch, hp)
+        assert shares_theta(net)
+        for p, b, g in zip(net.parameters(), before, grads):
+            assert np.array_equal(p, b - hp.dqn_lr * g)
 
 
 def packed_row(obs, action, reward, next_obs, done):
@@ -306,7 +362,7 @@ class TestStridedBatch:
             assert loss == loss_c
             for g, g_c in zip(grads, grads_c):
                 assert np.array_equal(g, g_c)
-            stepped, stepped_c = copy.deepcopy(net), copy.deepcopy(net)
+            stepped, stepped_c = twin(net), twin(net)
             assert dqn_train_step(stepped, target, views, hp) == dqn_train_step(
                 stepped_c, target, copies, hp)
             for p, p_c in zip(stepped.parameters(), stepped_c.parameters()):
@@ -326,7 +382,9 @@ class TestDQNAgent:
         encoded = agent.input_rows((50.0, 5.5))[5]
         assert np.allclose(encoded, [5 / 11, 0.5, 0.5])
 
-    def test_non_finite_update_names_episode(self):
+    @pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
+    @pytest.mark.parametrize("where", ["w1", "b1", "w2", "b2"])
+    def test_non_finite_update_names_episode(self, where, value):
         agent = DQNAgent(
             action_count=2,
             horizon=11,
@@ -338,8 +396,8 @@ class TestDQNAgent:
         s = agent.encode(Observation(time_step=0, continuous_features=(1.0, 5.0)))
         agent.observe(s, 1, 0.5, s, True)
         agent.end_episode(rng)
-        agent.net.w1[0, 0] = np.nan
-        with np.errstate(invalid="ignore"), pytest.raises(ContractError, match="episode 2"):
+        getattr(agent.net, where).flat[0] = value
+        with np.errstate(all="ignore"), pytest.raises(ContractError, match="episode 2"):
             agent.end_episode(rng)
         assert agent.episodes_trained == 1
 
@@ -376,6 +434,41 @@ class TestDQNAgent:
         assert np.allclose(loaded.net.forward(x), agent.net.forward(x), atol=0)
         obs = Observation(time_step=4, continuous_features=(-30.0, 6.0))
         assert loaded.greedy_action(obs) == agent.greedy_action(obs)
+
+
+class TestSnapshotWidth:
+    """A network whose hidden width is not the default saves, loads,
+    replays and keeps training at its own width."""
+
+    INSTANCES = [(1.0, 5.0), (-40.0, 3.0), (75.0, 8.0)]
+
+    def test_hidden_7_round_trip(self, tmp_path, capsys):
+        agent = DQNAgent(action_count=2, horizon=11, context_dim=2, total_episodes=10,
+                         hp=AgentHyperparams(target_sync_every=5),
+                         context_scales=(0.01, 1 / 11),
+                         net=MLPQNet(3, 2, derive_stream(99, 0), hidden=7))
+        path = tmp_path / "narrow.snap"
+        save_agent(agent, str(path))
+        assert "hidden 7" in path.read_text().splitlines()
+        loaded = load_snapshot(str(path))
+        assert loaded.net.hidden == loaded.target_net.hidden == 7
+        greedy = {inst: [agent.greedy_action(Observation(t, inst)) for t in range(11)]
+                  for inst in self.INSTANCES}
+        assert len(set(greedy[(1.0, 5.0)])) == 2  # the replay below checks both actions
+        for inst, actions in greedy.items():
+            assert [loaded.greedy_action(Observation(t, inst)) for t in range(11)] == actions
+        argv = ["replay", str(path), "--benchmark", "sigmoid", "--instance", "s=1,p=5"]
+        assert main(argv) == 0
+        out = capsys.readouterr().out.splitlines()
+        replayed = [int(line.split("action=")[1].split()[0]) for line in out if "action=" in line]
+        assert replayed == greedy[(1.0, 5.0)]
+        rng, env = derive_stream(98, 1), SigmoidEnv(11)
+        for episode in range(loaded.hp.target_sync_every):
+            run_training_episode(loaded, env, self.INSTANCES[episode % 3],
+                                 SeedSpec(98, episode), rng, rng)
+        assert not np.array_equal(loaded.net.theta, agent.net.theta)
+        x = derive_stream(98, 2).normal(size=(4, 3))
+        assert np.array_equal(loaded.target_net.forward(x), loaded.net.forward(x))
 
 
 class TestSnapshotRecords:
