@@ -2,15 +2,16 @@
 
 Snapshots are plain text: a versioned header of ``key value`` metadata
 lines, a ``records N`` line, then N tab-separated key/value records in
-sorted key order. Q-tables store one record per action of every stored
-state row, keyed ``state|action``; a reader also accepts files that
-store only some actions of a state (the others read as 0). Networks
-store one record per parameter element, each required. Floats round-trip
-exactly via repr. Loading rebuilds the agent itself, so a replay acts
-through the same ``greedy_action`` as training. A malformed snapshot (a
-value that is not finite, a repeated record) raises ContractError naming
-the line, as does a line after the last record; a missing network
-element raises it naming the element.
+sorted key order. A reader skips header lines it does not use, such as
+the ``episodes_trained`` line of older files. Q-tables store one record
+per action of every stored state row, keyed ``state|action``; a reader
+also accepts files that store only some actions of a state (the others
+read as 0). Networks store one record per parameter element, each
+required. Floats round-trip exactly via repr. Loading rebuilds the agent
+itself, so a replay acts through the same ``greedy_action`` as training.
+A malformed snapshot (a value that is not finite, a repeated record)
+raises ContractError naming the line, as does a line after the last
+record; a missing network element raises it naming the element.
 """
 
 from __future__ import annotations
@@ -84,10 +85,7 @@ def _meta_int(meta: dict[str, str], key: str, default: int | None = None) -> int
 def save_agent(agent, path: str) -> None:
     """Write a tabular or DQN agent to ``path``; records sort by key."""
     if isinstance(agent, TabularAgent):
-        meta = {
-            "action_count": str(agent.action_count),
-            "episodes_trained": str(agent.episodes_trained),
-        }
+        meta = {"action_count": str(agent.action_count)}
         records = [
             (f"{_encode_state_key(s)}|{a}", repr(v))
             for s, row in agent.q.items()
@@ -100,7 +98,6 @@ def save_agent(agent, path: str) -> None:
             "input_dim": str(agent.input_dim),
             "hidden": str(agent.net.hidden),
             "context_scales": ",".join(repr(float(s)) for s in agent.context_scales),
-            "episodes_trained": str(agent.episodes_trained),
         }
         records = [
             (f"{name}/{i:06d}", repr(float(v)))

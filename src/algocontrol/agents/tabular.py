@@ -141,7 +141,6 @@ class TabularAgent:
         # the running mean of the episode steps left after each action.
         self.visits: dict[StateKey, list[int]] = {}
         self.remaining: dict[StateKey, list[float]] = {}
-        self.episodes_trained = 0
         # (state, action) of each step this episode; only PURS keeps them.
         self._episode: list[tuple[StateKey, ActionId]] = []
 
@@ -198,7 +197,6 @@ class TabularAgent:
             counts[a] += 1
             means[a] += (length - 1 - i - means[a]) / counts[a]
         self._episode = []
-        self.episodes_trained += 1
 
     def greedy_action(self, obs: Observation) -> ActionId:
         return greedy(self.q, state_key(obs))

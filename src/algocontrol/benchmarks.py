@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import core
 from .core import ActionId, ConfigError, ContractError, Environment, Instance
 
 EXP_CLAMP = 500.0
@@ -131,6 +132,17 @@ class FuzzyEnv(Environment):
 
     def _terminates(self, t: int, action: ActionId) -> bool:
         return action == 0
+
+    def path_return(self, actions, instance: Instance, master_seed: int,
+                    stream_id: int) -> float:
+        """Actions before the first 0 pay the stream's normals, drawn as one vector
+        (the values and IEEE operations of ``_reward``); a final 0 adds 0.0: a no-op."""
+        n = actions.index(0) if 0 in actions else len(actions)
+        z = core.derive_stream(master_seed, stream_id).standard_normal(n)
+        total = 0.0
+        for reward in (self.mean + self.spread * z).tolist():
+            total += reward
+        return total
 
 
 class LubyEnv(Environment):

@@ -7,9 +7,8 @@ mutations of the incumbent, compared by aggressive racing on paired
 evaluation streams. Every environment episode counts against the
 budget, re-evaluations included.
 
-On benchmarks with ``fixed_rewards`` the rollout loop fills each
-instance's T x A reward table once; a schedule scored from it gets the
-rollout's total bit for bit and still counts as one episode.
+Schedules are scored by ``Environment.path_return`` (bit for bit a
+rollout's total), and each score counts as one episode.
 """
 
 from __future__ import annotations
@@ -18,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import ContractError, Environment, Instance, SeedSpec, greedy_rollout
+from .core import ContractError, Environment, Instance
 
 
 @dataclass
@@ -72,35 +71,18 @@ class ScheduleEvaluator:
         self.instances = instances
         self.base_seed = base_seed
         self.episodes_consumed = 0
-        self._tables: dict[Instance, list[tuple[float, ...]]] = {}
 
     def instance_for_run(self, run: int) -> Instance:
         return self.instances[run % len(self.instances)]
 
     def run(self, schedule: tuple[int, ...], run: int) -> float:
-        env, instance = self.env, self.instance_for_run(run)
+        env = self.env
         if len(schedule) != env.horizon:
-            raise ContractError(
-                f"schedule length {len(schedule)} != horizon {env.horizon}"
-            )
-        self.episodes_consumed += 1
-        if not env.fixed_rewards:
-            return greedy_rollout(lambda obs: schedule[obs.time_step], env, instance,
-                                  SeedSpec(self.base_seed, run))
+            raise ContractError(f"schedule length {len(schedule)} != horizon {env.horizon}")
         if not 0 <= min(schedule) <= max(schedule) < env.action_count:
             raise ContractError(f"schedule action out of range [0, {env.action_count})")
-        table = self._tables.get(instance)
-        if table is None:  # row t: each action's reward at step t, as step returns it
-            columns = []
-            for action in range(env.action_count):
-                trace = []
-                greedy_rollout(lambda obs: action, env, instance, None, trace)
-                columns.append([reward for _, _, reward in trace])
-            table = self._tables[instance] = list(zip(*columns))
-        total = 0.0  # added left to right from 0.0, as greedy_rollout does
-        for row, action in zip(table, schedule):
-            total += row[action]
-        return total
+        self.episodes_consumed += 1
+        return env.path_return(schedule, self.instance_for_run(run), self.base_seed, run)
 
 
 def race(

@@ -11,7 +11,6 @@ bit for bit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -46,13 +45,10 @@ class Observation(NamedTuple):
     action_history: tuple[int, ...] = ()
 
 
-@dataclass(frozen=True)
-class SeedSpec:
-    """Addressable random stream: (master seed, stream id).
-
-    Identical pairs always yield identical streams within one
-    implementation; distinct stream ids yield independent streams.
-    """
+class SeedSpec(NamedTuple):
+    """Addressable random stream, the named tuple (master seed, stream id):
+    identical pairs always yield identical streams within one
+    implementation; distinct stream ids yield independent streams."""
 
     master_seed: int
     stream_id: int = 0
@@ -117,6 +113,7 @@ class Environment:
         self._t = 0
         self._done = True
         self._history: tuple[int, ...] = ()
+        self._tables: dict[Instance, list[tuple[float, ...]]] = {}
 
     @property
     def pad_action(self) -> int:
@@ -167,6 +164,23 @@ class Environment:
         self._t = t + 1
         return Observation(t + 1, self._instance, history), reward, done
 
+    def path_return(self, actions, instance: Instance, master_seed: int,
+                    stream_id: int) -> float:
+        """The total ``greedy_rollout`` returns for the open-loop ``actions`` on
+        ``instance`` with seed (master_seed, stream_id), bit for bit: here the
+        path's entries of the instance's reward table, added left to right from
+        0.0. A benchmark whose rewards are not fixed overrides it."""
+        table = self._tables.get(instance)
+        if table is None:  # row t: each action's reward at step t, as step returns it
+            traces = [[] for _ in range(self.action_count)]
+            for action, trace in enumerate(traces):
+                greedy_rollout(lambda obs: action, self, instance, None, trace)
+            table = self._tables[instance] = [tuple(r for _, _, r in row) for row in zip(*traces)]
+        total = 0.0
+        for row, action in zip(table, actions):
+            total += row[action]
+        return total
+
     def _reward(self, t: int, action: ActionId) -> float:
         raise NotImplementedError
 
@@ -180,7 +194,7 @@ def greedy_rollout(policy, env: Environment, instance: Instance, seed: SeedSpec 
     total reward.
 
     This is the one loop that runs a fixed policy: greedy evaluation,
-    open-loop schedules and snapshot replay all go through it. A ``trace``
+    reward tables and snapshot replay all go through it. A ``trace``
     list gets one ``(obs, action, reward)`` item per step, ``obs`` being
     the observation the action was chosen on.
     """

@@ -237,7 +237,6 @@ class _EvalSetup:
 
     def __init__(self, cfg: ExperimentConfig, run_seed: int,
                  train_set: list[Instance] | None) -> None:
-        self.cfg = cfg
         self.run_seed = run_seed
         if cfg.instance_mode == "distribution":
             rng = derive_stream(run_seed, EVAL_INSTANCE_STREAM)
@@ -247,16 +246,15 @@ class _EvalSetup:
             self.instances = train_set
         else:
             self.instances = [()] * cfg.eval_runs
-        # Per instance: the greedy path of its last rollout and its return.
-        self.memo: list[tuple[list, float] | None] = [None] * len(self.instances)
+        # Per distinct instance: its last greedy (state key, action) path, and its actions.
+        self.paths: dict[Instance, tuple[list, list]] = {}
 
     def evaluate(self, agent, env: Environment, episode: int) -> float:
         # Instances stay fixed across checkpoints (variance reduction);
         # reward noise is fresh per checkpoint so smoothing averages it.
-        # A tabular greedy return on a noise-free benchmark is memoised.
         base = EVAL_NOISE_BASE + episode * len(self.instances)
-        memo = self.memo if env.fixed_rewards and isinstance(agent, TabularAgent) else None
-        return _mean_greedy_return(agent, env, self.instances, self.run_seed, base, memo)
+        paths = self.paths if isinstance(agent, TabularAgent) else None
+        return _mean_greedy_return(agent, env, self.instances, self.run_seed, base, paths)
 
 
 def evaluate_on_test_set(
@@ -272,22 +270,27 @@ def evaluate_on_test_set(
 
 
 def _mean_greedy_return(agent, env: Environment, instances: list[Instance],
-                        run_seed: int, base: int, memo: list | None = None) -> float:
+                        run_seed: int, base: int, paths: dict | None = None) -> float:
     """Mean greedy return over ``instances``; run r draws noise stream base + r.
-    A ``memo[r] = (path, return)`` is reused while ``greedy_path_holds(path)``;
-    otherwise run r rolls out and stores its (state key, action) path there."""
+    With ``paths``, a stored path that ``greedy_path_holds`` (checked once per
+    instance) is scored by ``env.path_return``, as an observation holds no
+    reward; otherwise the run rolls out and stores its path."""
     policy = agent.greedy_action
     total = 0.0
+    checked = set()
     for r, instance in enumerate(instances):
-        seed = SeedSpec(run_seed, base + r)
-        if memo is None:
-            total += greedy_rollout(policy, env, instance, seed)
+        if paths is None:
+            total += greedy_rollout(policy, env, instance, SeedSpec(run_seed, base + r))
             continue
-        if memo[r] is None or not agent.greedy_path_holds(memo[r][0]):
+        held = paths.get(instance)
+        if held is not None and (instance in checked or agent.greedy_path_holds(held[0])):
+            total += env.path_return(held[1], instance, run_seed, base + r)
+        else:
             trace: list = []
-            value = greedy_rollout(policy, env, instance, seed, trace)
-            memo[r] = [(agent.encode(obs), action) for obs, action, _ in trace], value
-        total += memo[r][1]
+            total += greedy_rollout(policy, env, instance, SeedSpec(run_seed, base + r), trace)
+            paths[instance] = ([(agent.encode(obs), a) for obs, a, _ in trace],
+                               [a for _, a, _ in trace])
+        checked.add(instance)
     return total / len(instances)
 
 

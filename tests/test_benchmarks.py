@@ -27,7 +27,7 @@ from algocontrol.benchmarks import (
     sigmoid_reward,
     sigmoidmva_reward,
 )
-from algocontrol.core import ContractError, SeedSpec, derive_stream
+from algocontrol.core import ContractError, SeedSpec, derive_stream, greedy_rollout
 from oracles import luby_sequence_oracle
 
 
@@ -305,3 +305,38 @@ class TestSamplers:
     def test_instance_set_empty_rejected(self):
         with pytest.raises(ContractError):
             make_instance_set(derive_stream(503, 0), 11, 0)
+
+
+def _drawn_env(data, kind):
+    horizon = data.draw(st.integers(1, 40))
+    if kind == "fuzzy":
+        return FuzzyEnv(horizon, data.draw(st.floats(-5.0, 5.0)), data.draw(st.floats(0.0, 5.0)))
+    if kind == "sigmoidmva":
+        return SigmoidMVAEnv(horizon, data.draw(st.integers(1, 8)))
+    return ENVIRONMENTS[kind](horizon)
+
+
+class TestPathReturn:
+    @pytest.mark.parametrize("kind", BENCHMARK_KINDS)
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_equals_the_rollout(self, kind, data):
+        """``path_return`` gives the open-loop rollout's total bit for bit,
+        also on an instance whose reward table is already filled; a fuzzy
+        list may end at its first 0, as a rollout's actions do."""
+        env = _drawn_env(data, kind)
+        instances = [()]
+        if env.context_dim:
+            instance = st.tuples(st.floats(-100.0, 100.0), st.floats(-50.0, 50.0))
+            instances = data.draw(st.lists(instance, min_size=1, max_size=2))
+        seeds = st.integers(0, 2**64 - 1)
+        for _ in range(data.draw(st.integers(1, 4))):
+            instance = data.draw(st.sampled_from(instances))
+            actions = data.draw(st.lists(st.integers(0, env.action_count - 1),
+                                         min_size=env.horizon, max_size=env.horizon))
+            if kind == "fuzzy" and 0 in actions and data.draw(st.booleans()):
+                actions = actions[:actions.index(0) + 1]
+            master, stream = data.draw(seeds), data.draw(seeds)
+            expected = greedy_rollout(lambda obs: actions[obs.time_step], env, instance,
+                                      SeedSpec(master, stream))
+            assert repr(env.path_return(actions, instance, master, stream)) == repr(expected)

@@ -224,11 +224,16 @@ class TestBlackboxOptimize:
         assert evaluator.instance_for_run(4) == instances[1]
 
 
-def _rolled_out(env):
-    """The same benchmark with its reward table switched off, so the
-    evaluator rolls every schedule out: the reference for the table."""
-    env.fixed_rewards = False
-    return env
+def _rolled_out(env_class):
+    """The same benchmark scoring every schedule by a rollout: the
+    reference for ``path_return``."""
+
+    class RolledOut(env_class):
+        def path_return(self, actions, instance, master_seed, stream_id):
+            return greedy_rollout(lambda obs: actions[obs.time_step], self, instance,
+                                  SeedSpec(master_seed, stream_id))
+
+    return RolledOut
 
 
 SIGMOID_INSTANCE = st.tuples(st.floats(-100.0, 100.0), st.floats(-1e3, 1e3))
@@ -286,18 +291,19 @@ class TestRewardTable:
                                       SeedSpec(11, run))
             assert evaluator.run(sched, run) == expected
 
-    @pytest.mark.parametrize("make_env, instances, max_runs", [
-        (lambda: CountingEnv(5), [()], 1),
-        (lambda: LubyEnv(16), [()], 1),
-        (lambda: SigmoidEnv(11), [(30.0, 4.0), (-60.0, 7.5), (2.0, 5.0)], 10),
-        (lambda: SigmoidMVAEnv(11, levels=4), [(10.0, 5.0), (-5.0, 2.0)], 10),
-    ])
-    def test_optimizer_matches_rollout_path(self, make_env, instances, max_runs):
-        table = blackbox_optimize(make_env(), instances, 600, derive_stream(20, 0),
-                                  max_runs=max_runs)
-        rolled = blackbox_optimize(_rolled_out(make_env()), instances, 600,
+    @pytest.mark.parametrize("env_class, args, instances, max_runs", [
+        (CountingEnv, (5,), [()], 1),
+        (LubyEnv, (16,), [()], 1),
+        (SigmoidEnv, (11,), [(30.0, 4.0), (-60.0, 7.5), (2.0, 5.0)], 10),
+        (SigmoidMVAEnv, (11, 4), [(10.0, 5.0), (-5.0, 2.0)], 10),
+        (FuzzyEnv, (8, 0.5, 1.5), [()], 10),
+    ], ids=["counting", "luby", "sigmoid", "sigmoidmva", "fuzzy"])
+    def test_optimizer_matches_rollout_path(self, env_class, args, instances, max_runs):
+        scored = blackbox_optimize(env_class(*args), instances, 600, derive_stream(20, 0),
+                                   max_runs=max_runs)
+        rolled = blackbox_optimize(_rolled_out(env_class)(*args), instances, 600,
                                    derive_stream(20, 0), max_runs=max_runs)
-        assert table == rolled
+        assert scored == rolled
 
     def test_one_constant_action_rollout_per_action_and_instance(self):
         class StepCounter(SigmoidMVAEnv):
@@ -318,14 +324,23 @@ class TestRewardTable:
 
 class TestTablePathContracts:
     @pytest.mark.parametrize("warm", [False, True])
-    @pytest.mark.parametrize("bad", [(0, 1), (0, 1, 2, 3, 4, 0), (0, 1, -1, 3, 4),
-                                     (0, 1, 2, 3, 5)])
-    def test_bad_schedule_rejected(self, bad, warm):
-        evaluator = ScheduleEvaluator(CountingEnv(5), [()], base_seed=0)
+    @pytest.mark.parametrize("env_class, bad", [
+        (CountingEnv, (0, 1)),
+        (CountingEnv, (0, 1, 2, 3, 4, 0)),
+        (CountingEnv, (0, 1, -1, 3, 4)),
+        (CountingEnv, (0, 1, 2, 3, 5)),
+        (FuzzyEnv, (1, 0)),
+        (FuzzyEnv, (1, 0, 2, 1, 1)),  # a rollout would end at the 0 before the 2
+        (FuzzyEnv, (1, 1, 1, 1, -1)),
+        (FuzzyEnv, (0, 1, 1, 1, 2)),
+    ])
+    def test_bad_schedule_rejected(self, env_class, bad, warm):
+        evaluator = ScheduleEvaluator(env_class(5), [()], base_seed=0)
         if warm:
-            evaluator.run((0, 1, 2, 3, 4), 0)
+            evaluator.run((1, 1, 1, 1, 1), 0)
         with pytest.raises(ContractError):
             evaluator.run(bad, 1)
+        assert evaluator.episodes_consumed == warm
 
     @pytest.mark.parametrize("make_env", [lambda: LubyEnv(16), lambda: FuzzyEnv(16)])
     def test_one_episode_per_score_cached_or_not(self, make_env):

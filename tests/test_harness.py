@@ -330,18 +330,18 @@ def count_rollouts(monkeypatch) -> list[int]:
 
 
 def fresh_value(setup, agent, env, episode: int) -> float:
-    """A checkpoint's value rolled out in full, without the memo."""
+    """A checkpoint's value rolled out in full, without stored paths."""
     base = harness.EVAL_NOISE_BASE + episode * len(setup.instances)
     return harness._mean_greedy_return(agent, env, setup.instances, setup.run_seed, base)
 
 
 class TestCheckpointMemo:
-    """A tabular checkpoint on a noise-free benchmark reuses the stored
-    return of each evaluation run whose greedy path still holds."""
+    """A tabular checkpoint scores each instance's stored greedy path with
+    ``path_return`` while the path still holds, so it rolls out at most
+    once per distinct instance."""
 
     @pytest.mark.parametrize(
-        "case", [c for c in valid_cases() if c[1] in TabularAgent.KINDS and c[0] != "fuzzy"],
-        ids="-".join,
+        "case", [c for c in valid_cases() if c[1] in TabularAgent.KINDS], ids="-".join,
     )
     def test_every_golden_checkpoint_equals_a_fresh_evaluation(self, case, monkeypatch):
         rollouts = count_rollouts(monkeypatch)
@@ -349,7 +349,9 @@ class TestCheckpointMemo:
         real = harness._EvalSetup.evaluate
 
         def checked(setup, agent, env, episode):
+            before = rollouts[0]
             value = real(setup, agent, env, episode)
+            assert rollouts[0] - before <= len(set(setup.instances))  # fuzzy: one path
             fresh = fresh_value(setup, agent, env, episode)
             runs[0] += len(setup.instances)
             rollouts[0] -= len(setup.instances)  # uncount the fresh evaluation
@@ -373,21 +375,18 @@ class TestCheckpointMemo:
         agent.q["off the path"] = [100.0, 0.0, 0.0, 0.0, 0.0]
         assert setup.evaluate(agent, env, 3) == first and rollouts == [1]
 
-        path, _ = setup.memo[0]
+        path, _ = setup.paths[()]
         s, a = path[2]
         row = agent.q.setdefault(s, [0.0] * 5)
         row[(a + 1) % 5] = max(row) + 1.0
         value = setup.evaluate(agent, env, 4)
         assert rollouts == [2]
         assert repr(value) == repr(fresh_value(setup, agent, env, 4))
-        assert setup.memo[0][0][2] == (s, (a + 1) % 5)
+        assert setup.paths[()][0][2] == (s, (a + 1) % 5)
 
-    @pytest.mark.parametrize("cfg", [
-        counting_cfg(benchmark=BenchmarkConfig("fuzzy", horizon=5), n_seeds=1, n_episodes=6),
-        ExperimentConfig(BenchmarkConfig("sigmoid", horizon=11), "dqn", n_seeds=1,
-                         n_episodes=6, master_seed=3),
-    ], ids=["fuzzy-qlearn", "sigmoid-dqn"])
-    def test_fuzzy_and_dqn_roll_out_every_run(self, cfg, monkeypatch):
+    def test_dqn_rolls_out_every_run(self, monkeypatch):
+        cfg = ExperimentConfig(BenchmarkConfig("sigmoid", horizon=11), "dqn", n_seeds=1,
+                               n_episodes=6, master_seed=3)
         rollouts = count_rollouts(monkeypatch)
         curve = train_and_evaluate(cfg, 0)
         assert rollouts == [len(curve.episodes) * cfg.validated().eval_runs]

@@ -443,7 +443,6 @@ class TestTabularAgent:
             run_training_episode(agent, env, (), SeedSpec(15, episode), rng, rng)
         assert all(type(s) is Observation for s in agent.q)
         plain = TabularAgent("qlearn", env.action_count)
-        plain.episodes_trained = agent.episodes_trained
         plain.q = {tuple(s): row for s, row in agent.q.items()}
         save_agent(agent, str(tmp_path / "obs.snap"))
         save_agent(plain, str(tmp_path / "tuple.snap"))
@@ -505,8 +504,21 @@ class TestSnapshotRoundTrip:
         records = path.read_text().split("records ")[1].splitlines()
         assert int(records[0]) == len(agent.q) * 3 == len(records) - 1
 
+    def test_header_holds_no_episode_count(self, tmp_path):
+        """No loader reads a training-episode count, so no snapshot holds one."""
+        dqn = DQNAgent(action_count=2, horizon=11, context_dim=2, total_episodes=10,
+                       rng=derive_stream(17, 0))
+        dqn.episodes_trained = 7
+        for agent in (TabularAgent("qlearn", 3), dqn):
+            path = tmp_path / f"{agent.kind}.snap"
+            save_agent(agent, str(path))
+            keys = [line.split()[0] for line in path.read_text().splitlines()
+                    if not line.startswith(("algocontrol-snapshot", "records "))
+                    and "\t" not in line]
+            assert "action_count" in keys and "episodes_trained" not in keys
+
     # A v1 file that stores only some actions of a state, as files
-    # written before state rows did.
+    # written before state rows did. Its episodes_trained line is skipped.
     PAIR_SNAPSHOT = (
         "algocontrol-snapshot v1\n"
         "agent qlearn\n"
