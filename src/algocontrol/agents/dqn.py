@@ -9,6 +9,7 @@ episode length.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -19,11 +20,15 @@ from .tabular import AgentHyperparams
 HIDDEN_UNITS = 50
 EPSILON_START = 1.0
 EPSILON_END = 0.02
+# Instances whose input rows a DQN agent keeps: the 100 training plus 100
+# test instances of a fixed-set run fit; with more, the memo starts over.
+INPUT_ROWS_KEPT = 256
 
 
 class MLPQNet:
     """input_dim -> 50 ReLU -> action_count; ``w1, b1, w2, b2`` are views of one
-    float64 vector ``theta``, all NaN for a caller to fill when built without ``rng``."""
+    float64 vector ``theta``, all NaN for a caller to fill when built without ``rng``.
+    ``grad`` is laid out like ``theta``: the SGD step writes its gradient there."""
 
     def __init__(
         self, input_dim: int, action_count: int, rng: np.random.Generator | None = None,
@@ -32,16 +37,29 @@ class MLPQNet:
         if input_dim < 1 or action_count < 1:
             raise ContractError("input_dim and action_count must be >= 1")
         self.input_dim, self.action_count, self.hidden = input_dim, action_count, hidden
-        sizes = [input_dim * hidden, hidden, hidden * action_count, action_count]
-        self.theta = np.full(sum(sizes), np.nan if rng is None else 0.0)
-        w1, self.b1, w2, self.b2 = np.split(self.theta, np.cumsum(sizes[:-1]))
-        self.w1, self.w2 = w1.reshape(input_dim, hidden), w2.reshape(hidden, action_count)
+        size = (input_dim + 1) * hidden + (hidden + 1) * action_count
+        self.theta = np.full(size, np.nan if rng is None else 0.0)
+        self.w1, self.b1, self.w2, self.b2 = self._blocks(self.theta)
+        self.grad = np.zeros(size)
+        self._grad_blocks = self._blocks(self.grad)
         if rng is not None:  # He initialization for the ReLU layer, Xavier-ish for the head
             self.w1[...] = rng.normal(0.0, np.sqrt(2.0 / input_dim), self.w1.shape)
             self.w2[...] = rng.normal(0.0, np.sqrt(1.0 / hidden), self.w2.shape)
 
+    def _blocks(self, vector: np.ndarray) -> tuple[np.ndarray, ...]:
+        """``vector`` split into w1, b1, w2, b2 (in that order) as shaped views."""
+        d, h, a = self.input_dim, self.hidden, self.action_count
+        w1, b1, w2, b2 = np.split(vector, np.cumsum([d * h, h, h * a]))
+        return w1.reshape(d, h), b1, w2.reshape(h, a), b2
+
     def parameters(self) -> list[np.ndarray]:
         return [self.w1, self.b1, self.w2, self.b2]
+
+    def _layers(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Pre-activations, hidden activations and Q-values of float64 rows ``x``."""
+        z1 = x @ self.w1 + self.b1
+        h = np.maximum(z1, 0.0)
+        return z1, h, h @ self.w2 + self.b2
 
     def forward(self, obs: np.ndarray) -> np.ndarray:
         """Q-values for one observation vector, a 2-D batch of rows, or a
@@ -60,8 +78,7 @@ class MLPQNet:
             raise ContractError(
                 f"observation dim {x.shape[-1]} != network input dim {self.input_dim}"
             )
-        h = np.maximum(x @ self.w1 + self.b1, 0.0)
-        q = h @ self.w2 + self.b2
+        q = self._layers(x)[2]
         return q[0] if single else q
 
 
@@ -112,11 +129,19 @@ class ReplayBuffer:
         return self._size
 
 
-def dqn_loss_and_grads(
+@functools.lru_cache(maxsize=16)
+def _batch_rows(n: int) -> np.ndarray:
+    """``np.arange(n)``, read-only, shared by every step on a batch of ``n``."""
+    rows = np.arange(n)
+    rows.flags.writeable = False
+    return rows
+
+
+def _loss_into_grad(
     net: MLPQNet, target_net: MLPQNet, batch: tuple, hp: AgentHyperparams
-) -> tuple[float, list[np.ndarray]]:
-    """Mean squared TD error with the double-DQN target and its gradient
-    on a ``ReplayBuffer.sample`` batch.
+) -> float:
+    """Mean squared TD error with the double-DQN target on a
+    ``ReplayBuffer.sample`` batch; its gradient overwrites ``net.grad``.
 
     Target: r + gamma * Q_target(s', argmax_a Q_online(s', a)), masked on
     terminal transitions.
@@ -125,39 +150,44 @@ def dqn_loss_and_grads(
     n = x.shape[0]
     if n == 0:
         raise ContractError("batch must be non-empty")
+    rows = _batch_rows(n)
 
-    next_online = net.forward(next_obs)
-    next_actions = np.argmax(next_online, axis=1)
-    next_target = target_net.forward(next_obs)
-    bootstrap = next_target[np.arange(n), next_actions]
+    next_actions = np.argmax(net._layers(next_obs)[2], axis=1)
+    bootstrap = target_net._layers(next_obs)[2][rows, next_actions]
     targets = rewards + hp.gamma * bootstrap * (1.0 - dones)
 
-    z1 = x @ net.w1 + net.b1
-    h = np.maximum(z1, 0.0)
-    q = h @ net.w2 + net.b2
-    chosen = q[np.arange(n), actions]
-
-    diff = chosen - targets
-    loss = float(np.mean(diff**2))
+    z1, h, q = net._layers(x)
+    diff = q[rows, actions] - targets
 
     dq = np.zeros_like(q)
-    dq[np.arange(n), actions] = 2.0 * diff / n
-    dw2 = h.T @ dq
-    db2 = dq.sum(axis=0)
+    dq[rows, actions] = 2.0 * diff / n
+    dw1, db1, dw2, db2 = net._grad_blocks
+    np.matmul(h.T, dq, out=dw2)
+    np.add.reduce(dq, axis=0, out=db2)
     dh = dq @ net.w2.T
     dh[z1 <= 0.0] = 0.0
     # Contiguous: numpy's vector path (input_dim or hidden 1) rounds strided x.T differently.
-    dw1 = np.ascontiguousarray(x).T @ dh
-    db1 = dh.sum(axis=0)
-    return loss, [dw1, db1, dw2, db2]
+    np.matmul(np.ascontiguousarray(x).T, dh, out=dw1)
+    np.add.reduce(dh, axis=0, out=db1)
+    return float(np.add.reduce(diff * diff)) / n  # the sum and division of np.mean
+
+
+def dqn_loss_and_grads(
+    net: MLPQNet, target_net: MLPQNet, batch: tuple, hp: AgentHyperparams
+) -> tuple[float, list[np.ndarray]]:
+    """The loss of ``dqn_train_step`` and its gradient as new arrays shaped
+    like ``w1, b1, w2, b2``, which no later call overwrites."""
+    loss = _loss_into_grad(net, target_net, batch, hp)
+    return loss, [g.copy() for g in net._grad_blocks]
 
 
 def dqn_train_step(
     net: MLPQNet, target_net: MLPQNet, batch: tuple, hp: AgentHyperparams
 ) -> float:
     """One SGD step on the double-DQN TD loss; returns the loss."""
-    loss, grads = dqn_loss_and_grads(net, target_net, batch, hp)
-    net.theta -= hp.dqn_lr * np.concatenate(grads, axis=None)
+    loss = _loss_into_grad(net, target_net, batch, hp)
+    net.grad *= hp.dqn_lr
+    net.theta -= net.grad
     return loss
 
 
@@ -172,9 +202,13 @@ class DQNAgent:
 
     The encoding depends only on (t, instance), and the network changes
     only in ``end_episode``. So the inputs of all T + 1 time steps of an
-    instance are built at once, and its T greedy actions come from one
-    stacked forward; both are kept until the next SGD step. An episode's
-    transitions reach the replay ring in one write, in ``end_episode``.
+    instance are built at once and kept across updates (for up to
+    ``INPUT_ROWS_KEPT`` instances), and its T greedy actions come from one
+    stacked forward, kept until the next SGD step. ε is likewise set once
+    per episode, in ``end_episode``. An episode's transitions reach the
+    replay ring in one write, in ``end_episode``: they are consecutive
+    time steps of one instance, so their obs and next_obs are two slices
+    of that instance's input rows.
     """
 
     kind = "dqn"
@@ -206,6 +240,7 @@ class DQNAgent:
         self.batch_size = self.hp.batch_size if self.hp.batch_size > 0 else horizon
         self.decay_episodes = max(1, int(round(total_episodes * self.hp.eps_decay_fraction)))
         self.episodes_trained = 0
+        self._epsilon = self.epsilon
         self.last_loss = 0.0
         self._rows: dict[Instance, np.ndarray] = {}
         self._greedy: dict[Instance, list[ActionId]] = {}
@@ -219,10 +254,12 @@ class DQNAgent:
         """Network inputs of time steps 0..T on ``instance``, one row each."""
         rows = self._rows.get(instance)
         if rows is None:
+            if len(self._rows) >= INPUT_ROWS_KEPT:
+                self._rows.clear()
             rows = np.empty((self.horizon + 1, self.input_dim))
             rows[:, 0] = np.arange(self.horizon + 1) / self.horizon
             rows[:, 1:] = np.asarray(instance) * self.context_scales
-            rows.flags.writeable = False  # shared by every caller until the next update
+            rows.flags.writeable = False  # shared by every caller
             self._rows[instance] = rows
         return rows
 
@@ -244,36 +281,38 @@ class DQNAgent:
         return EPSILON_START + (EPSILON_END - EPSILON_START) * frac
 
     def select_action(self, s: Observation, rng: np.random.Generator) -> ActionId:
-        if rng.random() < self.epsilon:
+        if rng.random() < self._epsilon:
             return int(rng.integers(self.action_count))
         return self._greedy_actions(s.continuous_features)[s.time_step]
 
     def observe(self, s: Observation, action: ActionId, reward: float,
                 s_next: Observation, done: bool) -> None:
-        """Keep one transition of the current episode; all of them share
-        the episode's instance."""
-        self._episode.append((s, action, reward, s_next, done))
-
-    def _inputs(self, observations: tuple[Observation, ...]) -> np.ndarray:
-        instance = observations[0].continuous_features
-        if any(o.continuous_features != instance for o in observations):
-            raise ContractError("the transitions of one episode must share one instance")
-        return self.input_rows(instance)[[o.time_step for o in observations]]
+        """Keep one transition of the current episode; its next observation
+        is the next time step of the same instance, as every environment's
+        ``step`` returns."""
+        self._episode.append((s.continuous_features, s.time_step, action, reward, done))
 
     def end_episode(self, rng: np.random.Generator) -> None:
         """Write the episode's transitions to the replay ring, take one
         SGD step on a replay sample, then sync the target every
-        ``target_sync_every`` episodes; a loss or parameter that is not
-        finite raises ContractError."""
+        ``target_sync_every`` episodes. An episode that is not consecutive
+        time steps of one instance, or a loss or parameter that is not
+        finite, raises ContractError."""
         episode = self.episodes_trained + 1
         if self._episode:
-            s, actions, rewards, s_next, dones = zip(*self._episode)
+            instances, times, actions, rewards, dones = zip(*self._episode)
             self._episode = []
-            self.buffer.extend(self._inputs(s), actions, rewards, self._inputs(s_next), dones)
+            t0, n = times[0], len(times)
+            if instances.count(instances[0]) != n:
+                raise ContractError("the transitions of one episode must share one instance")
+            if times != tuple(range(t0, t0 + n)) or t0 < 0 or t0 + n > self.horizon:
+                raise ContractError(f"episode time steps must be consecutive in 0..T: {times}")
+            rows = self.input_rows(instances[0])
+            self.buffer.extend(rows[t0 : t0 + n], actions, rewards, rows[t0 + 1 : t0 + n + 1],
+                               dones)
         if len(self.buffer) > 0:
             batch = self.buffer.sample(rng, self.batch_size)
             self.last_loss = dqn_train_step(self.net, self.target_net, batch, self.hp)
-            self._rows.clear()
             self._greedy.clear()
             if not (math.isfinite(self.last_loss) and np.isfinite(self.net.theta).all()):
                 raise ContractError(
@@ -281,6 +320,7 @@ class DQNAgent:
                     "or an updated parameter is not finite"
                 )
         self.episodes_trained = episode
+        self._epsilon = self.epsilon
         if episode % self.hp.target_sync_every == 0:
             self.target_net.theta[...] = self.net.theta
 

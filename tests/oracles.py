@@ -82,3 +82,50 @@ def random_gradcheck_case(rng: np.random.Generator, hidden: int = 5):
         top_two = np.sort(next_q, axis=1)[:, -2:]
         if np.min(np.abs(z1)) > 1e-3 and np.min(top_two[:, 1] - top_two[:, 0]) > 1e-3:
             return net, target, batch
+
+
+def _reference_forward(net: MLPQNet, obs: np.ndarray) -> np.ndarray:
+    """The network's two layers on a 2-D batch, computed without any of
+    ``MLPQNet``'s own methods."""
+    x = np.asarray(obs, dtype=float)
+    h = np.maximum(x @ net.w1 + net.b1, 0.0)
+    return h @ net.w2 + net.b2
+
+
+def reference_loss_and_grads(net: MLPQNet, target_net: MLPQNet, batch: tuple, hp):
+    """The double-DQN TD loss and its gradients with one fresh array per
+    quantity: the reference for the SGD step's buffer-reusing form, which
+    must match it bit for bit."""
+    x, actions, rewards, next_obs, dones = batch
+    n = x.shape[0]
+
+    next_online = _reference_forward(net, next_obs)
+    next_actions = np.argmax(next_online, axis=1)
+    next_target = _reference_forward(target_net, next_obs)
+    bootstrap = next_target[np.arange(n), next_actions]
+    targets = rewards + hp.gamma * bootstrap * (1.0 - dones)
+
+    z1 = x @ net.w1 + net.b1
+    h = np.maximum(z1, 0.0)
+    q = h @ net.w2 + net.b2
+    chosen = q[np.arange(n), actions]
+
+    diff = chosen - targets
+    loss = float(np.mean(diff**2))
+
+    dq = np.zeros_like(q)
+    dq[np.arange(n), actions] = 2.0 * diff / n
+    dw2 = h.T @ dq
+    db2 = dq.sum(axis=0)
+    dh = dq @ net.w2.T
+    dh[z1 <= 0.0] = 0.0
+    dw1 = np.ascontiguousarray(x).T @ dh
+    db1 = dh.sum(axis=0)
+    return loss, [dw1, db1, dw2, db2]
+
+
+def reference_train_step(net: MLPQNet, target_net: MLPQNet, batch: tuple, hp) -> float:
+    """One SGD step built from ``reference_loss_and_grads``."""
+    loss, grads = reference_loss_and_grads(net, target_net, batch, hp)
+    net.theta -= hp.dqn_lr * np.concatenate(grads, axis=None)
+    return loss

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from algocontrol.agents import (
     AgentHyperparams,
@@ -13,11 +15,17 @@ from algocontrol.agents import (
     load_snapshot,
     save_agent,
 )
-from algocontrol.benchmarks import SigmoidEnv, make_instance_set
+from algocontrol.agents.dqn import INPUT_ROWS_KEPT
+from algocontrol.benchmarks import (
+    SigmoidEnv,
+    SigmoidMVAEnv,
+    make_instance_set,
+    sample_sigmoid_instance,
+)
 from algocontrol.cli import main
 from algocontrol.core import ContractError, Observation, SeedSpec, derive_stream
 from algocontrol.harness import run_training_episode
-from oracles import random_gradcheck_case
+from oracles import random_gradcheck_case, reference_loss_and_grads, reference_train_step
 
 
 def make_net(input_dim=3, actions=4, hidden=5, seed=0):
@@ -29,6 +37,10 @@ def twin(net):
     other = MLPQNet(net.input_dim, net.action_count, hidden=net.hidden)
     other.theta[...] = net.theta
     return other
+
+
+def same_bits(a, b):
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
 def shares_theta(net):
@@ -97,6 +109,19 @@ class TestGradients:
                     rel = abs(fd - gflat[i]) / max(abs(fd), abs(gflat[i]), 1e-8)
                     worst = max(worst, rel)
         assert worst <= 1e-4
+
+    def test_held_gradients_survive_a_later_call(self):
+        rng = derive_stream(76, 0)
+        hp = AgentHyperparams(alpha=1.0)
+        net, target, batch = random_gradcheck_case(rng)
+        _, held = dqn_loss_and_grads(net, target, batch, hp)
+        kept = [g.copy() for g in held]
+        other = (batch[0] + 0.5, batch[1], batch[2] - 1.0, batch[3], batch[4])
+        _, later = dqn_loss_and_grads(net, target, other, hp)
+        dqn_train_step(net, target, other, hp)
+        assert not all(np.array_equal(g, k) for g, k in zip(later, kept))
+        for g, k in zip(held, kept):
+            assert same_bits(g, k)
 
     def test_done_masks_target_network(self):
         rng = derive_stream(78, 0)
@@ -335,21 +360,30 @@ class TestRingWrite:
         assert np.array_equal(buf.rows, [packed_row(*s) for s in slots])
 
 
+# (obs_dim, actions, hidden, batch_size): input dim 1 and hidden 1 take
+# numpy's vector path through the products.
+BATCH_SHAPES = [(3, 2, 50, 11), (1, 3, 50, 2), (1, 2, 5, 11), (3, 2, 1, 11), (2, 5, 7, 32),
+                (4, 4, 50, 64)]
+
+
+def filled_ring(rng, obs_dim, actions, n=30):
+    """A ring of capacity 40 holding ``n`` random transitions."""
+    buf = ReplayBuffer(capacity=40, obs_dim=obs_dim)
+    buf.extend(rng.normal(size=(n, obs_dim)), rng.integers(actions, size=n).tolist(),
+               rng.normal(size=n).tolist(), rng.normal(size=(n, obs_dim)),
+               (rng.random(n) < 0.3).tolist())
+    return buf
+
+
 class TestStridedBatch:
     """A sampled batch is strided views into one gathered array; the loss,
     gradients and SGD step on it equal, bit for bit, those on contiguous
     copies of the same rows."""
 
-    @pytest.mark.parametrize("obs_dim, actions, hidden, batch_size",
-                             [(3, 2, 50, 11), (1, 3, 50, 2), (1, 2, 5, 11), (3, 2, 1, 11),
-                              (2, 5, 7, 32), (4, 4, 50, 64)])
+    @pytest.mark.parametrize("obs_dim, actions, hidden, batch_size", BATCH_SHAPES)
     def test_views_equal_contiguous_copies(self, obs_dim, actions, hidden, batch_size):
         rng = derive_stream(95, obs_dim * 100 + batch_size)
-        buf = ReplayBuffer(capacity=40, obs_dim=obs_dim)
-        n = 30
-        buf.extend(rng.normal(size=(n, obs_dim)), rng.integers(actions, size=n).tolist(),
-                   rng.normal(size=n).tolist(), rng.normal(size=(n, obs_dim)),
-                   (rng.random(n) < 0.3).tolist())
+        buf = filled_ring(rng, obs_dim, actions)
         hp = AgentHyperparams(alpha=1.0)
         for trial in range(5):
             net = MLPQNet(obs_dim, actions, rng, hidden=hidden)
@@ -367,6 +401,38 @@ class TestStridedBatch:
                 stepped_c, target, copies, hp)
             for p, p_c in zip(stepped.parameters(), stepped_c.parameters()):
                 assert np.array_equal(p, p_c)
+
+
+class TestSGDStepOracle:
+    """Loss, gradients and parameters after each of 20 chained SGD steps,
+    with target syncs, equal ``oracles.reference_train_step`` bit for bit."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(shape=st.sampled_from(BATCH_SHAPES), contiguous=st.booleans(),
+           sync_every=st.integers(1, 7), seed=st.integers(0, 2**16))
+    def test_matches_reference(self, shape, contiguous, sync_every, seed):
+        obs_dim, actions, hidden, batch_size = shape
+        rng = derive_stream(seed, 0)
+        buf = filled_ring(rng, obs_dim, actions)
+        hp = AgentHyperparams(alpha=1.0, dqn_lr=0.01)
+        net = MLPQNet(obs_dim, actions, rng, hidden=hidden)
+        target = MLPQNet(obs_dim, actions, rng, hidden=hidden)
+        ref, ref_target = twin(net), twin(target)
+        for step in range(1, 21):
+            batch = buf.sample(rng, batch_size)
+            if contiguous:
+                batch = tuple(np.ascontiguousarray(column) for column in batch)
+            loss, grads = dqn_loss_and_grads(net, target, batch, hp)
+            ref_loss, ref_grads = reference_loss_and_grads(ref, ref_target, batch, hp)
+            assert loss == ref_loss
+            for g, g_ref in zip(grads, ref_grads):
+                assert same_bits(g, g_ref)
+            assert dqn_train_step(net, target, batch, hp) == reference_train_step(
+                ref, ref_target, batch, hp)
+            assert same_bits(net.theta, ref.theta)
+            if step % sync_every == 0:
+                target.theta[...] = net.theta
+                ref_target.theta[...] = ref.theta
 
 
 class TestDQNAgent:
@@ -598,6 +664,40 @@ class TestStackedGreedy:
         assert calls == [(11, 1, 3), (11, 1, 3)]
 
 
+SIGMOID_FAMILY = {"sigmoid": SigmoidEnv, "sigmoidmva": SigmoidMVAEnv}
+
+
+@settings(max_examples=40, deadline=None)
+@given(kind=st.sampled_from(sorted(SIGMOID_FAMILY)), horizon=st.integers(1, 12),
+       capacity=st.integers(1, 30), episodes=st.integers(1, 4), seed=st.integers(0, 2**16))
+@example(kind="sigmoid", horizon=11, capacity=15, episodes=2, seed=0)  # episode 2 wraps
+def test_ring_holds_the_per_step_rows(kind, horizon, capacity, episodes, seed):
+    """Whole episodes written as slices leave the ring as writing each
+    transition's per-step encoding, one at a time, would."""
+    env = SIGMOID_FAMILY[kind](horizon)
+    agent = DQNAgent(action_count=env.action_count, horizon=horizon, context_dim=2,
+                     total_episodes=10, hp=AgentHyperparams(alpha=1.0, buffer_capacity=capacity),
+                     rng=derive_stream(seed, 0), context_scales=(0.01, 1 / horizon))
+    written, observe = [], agent.observe
+
+    def recording(s, action, reward, s_next, done):
+        written.append((per_step_encoding(agent, s.time_step, s.continuous_features), action,
+                        reward, per_step_encoding(agent, s_next.time_step,
+                                                  s_next.continuous_features), done))
+        observe(s, action, reward, s_next, done)
+
+    agent.observe = recording
+    rng = derive_stream(seed, 1)
+    instances = make_instance_set(rng, horizon, 2)
+    for episode in range(episodes):
+        run_training_episode(agent, env, instances[episode % 2], SeedSpec(seed, episode),
+                             rng, rng)
+    slots, size = TestRingWrite.sequential(capacity, written)
+    assert len(agent.buffer) == size
+    for i, transition in enumerate(slots[:size]):
+        assert np.array_equal(agent.buffer.rows[i], packed_row(*transition))
+
+
 class TestMemoLifetime:
     """Every network update drops the memo: greedy actions always follow
     the current network."""
@@ -648,6 +748,32 @@ class TestMemoLifetime:
             agent.observe(Observation(t, instance), 0, 0.0, Observation(t + 1, instance), t == 1)
         with pytest.raises(ContractError, match="one instance"):
             agent.end_episode(derive_stream(94, 0))
+
+    @pytest.mark.parametrize("times", [(0, 2), (0, 0), (3, 2), (10, 11), (-1, 0)],
+                             ids=["skipped", "repeated", "backwards", "past-horizon",
+                                  "negative"])
+    def test_time_steps_must_be_consecutive(self, times):
+        agent = make_agent()
+        instance = (1.0, 2.0)
+        for t in times:
+            agent.observe(Observation(t, instance), 0, 0.0, Observation(t + 1, instance),
+                          t == times[-1])
+        with pytest.raises(ContractError, match="consecutive"):
+            agent.end_episode(derive_stream(94, 0))
+        assert len(agent.buffer) == 0
+
+    def test_input_rows_outlive_updates_within_a_bound(self):
+        agent = DQNAgent(action_count=2, horizon=11, context_dim=2, total_episodes=2000,
+                         rng=derive_stream(95, 0), context_scales=(0.01, 1 / 11))
+        rng, env, sizes = derive_stream(95, 1), SigmoidEnv(11), set()
+        kept = agent.input_rows((1.0, 5.0))
+        run_training_episode(agent, env, (1.0, 5.0), SeedSpec(95, 0), rng, rng)
+        assert agent.input_rows((1.0, 5.0)) is kept
+        for episode in range(1, 2001):  # distribution mode: a new instance every episode
+            run_training_episode(agent, env, sample_sigmoid_instance(rng, 11),
+                                 SeedSpec(95, episode), rng, rng)
+            sizes.add(len(agent._rows))
+        assert max(sizes) == INPUT_ROWS_KEPT
 
     def test_input_rows_are_read_only(self):
         rows = make_agent().input_rows((1.0, 2.0))
