@@ -42,6 +42,7 @@ class MLPQNet:
         self.w1, self.b1, self.w2, self.b2 = self._blocks(self.theta)
         self.grad = np.zeros(size)
         self._grad_blocks = self._blocks(self.grad)
+        self._dq: dict[int, np.ndarray] = {}  # batch size -> the SGD step's dLoss/dQ buffer
         if rng is not None:  # He initialization for the ReLU layer, Xavier-ish for the head
             self.w1[...] = rng.normal(0.0, np.sqrt(2.0 / input_dim), self.w1.shape)
             self.w2[...] = rng.normal(0.0, np.sqrt(1.0 / hidden), self.w2.shape)
@@ -121,7 +122,8 @@ class ReplayBuffer:
         rewards, next_obs, dones) of one gather; actions come as int64."""
         if self._size == 0:
             raise ContractError("cannot sample from an empty replay buffer")
-        batch, d = self.rows[rng.integers(self._size, size=batch_size)], self.obs_dim
+        batch = self.rows.take(rng.integers(self._size, size=batch_size), axis=0)
+        d = self.obs_dim
         return (batch[:, :d], batch[:, d].astype(np.int64), batch[:, d + 1],
                 batch[:, d + 2 : 2 * d + 2], batch[:, 2 * d + 2])
 
@@ -159,7 +161,10 @@ def _loss_into_grad(
     z1, h, q = net._layers(x)
     diff = q[rows, actions] - targets
 
-    dq = np.zeros_like(q)
+    dq = net._dq.get(n)
+    if dq is None:
+        dq = net._dq[n] = np.empty_like(q)
+    dq.fill(0.0)
     dq[rows, actions] = 2.0 * diff / n
     dw1, db1, dw2, db2 = net._grad_blocks
     np.matmul(h.T, dq, out=dw2)

@@ -82,6 +82,67 @@ def derive_stream(master_seed: int, stream_id: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(derive_seed(master_seed, stream_id)))
 
 
+# Raw PCG64 words a BlockStream draws per refill.
+BLOCK = 1024
+_TWO_32 = 1 << 32
+_MASK32 = _TWO_32 - 1
+
+
+class BlockStream:
+    """The scalar ``random()`` and ``integers(n)`` draws of
+    ``derive_stream(master_seed, stream_id)``, value for value and in the
+    same order, served from blocks of raw PCG64 words.
+
+    numpy builds both from PCG64's 64-bit outputs w: ``random()`` is
+    ``(w >> 11) * 2**-53``; ``integers(n)`` takes a 32-bit draw (the low half
+    of a new word, keeping its high half for the next 32-bit draw, as PCG64's
+    ``has_uint32`` does) through Lemire's bounded method (Lemire, ACM TOMACS
+    2019). Only these two scalar draws exist, and ``integers`` returns an int.
+    """
+
+    __slots__ = ("_bits", "_next", "_spare")
+
+    def __init__(self, master_seed: int, stream_id: int) -> None:
+        self._bits = np.random.PCG64(derive_seed(master_seed, stream_id))
+        self._next = iter(()).__next__  # the next word of the current block
+        self._spare: int | None = None  # high half of the last word split in two
+
+    def _refill(self) -> int:
+        """Start a new block and return its first word."""
+        self._next = iter(self._bits.random_raw(BLOCK).tolist()).__next__
+        return self._next()
+
+    def random(self) -> float:
+        """A float in [0, 1), as ``Generator.random()``."""
+        try:
+            w = self._next()
+        except StopIteration:
+            w = self._refill()
+        return (w >> 11) * 2.0**-53
+
+    def integers(self, n: int) -> int:
+        """An int in [0, n), as ``Generator.integers(n)`` for 1 <= n <= 2**32;
+        n == 1 draws nothing."""
+        if type(n) is not int or not 1 < n <= _TWO_32:
+            if n == 1:
+                return 0
+            raise ContractError(f"integers needs an int n in [1, 2**32], got {n!r}")
+        threshold = _TWO_32 % n  # numpy's (2**32 - 1 - (n - 1)) % n
+        while True:
+            u = self._spare
+            if u is None:
+                try:
+                    w = self._next()
+                except StopIteration:
+                    w = self._refill()
+                self._spare, u = w >> 32, w & _MASK32
+            else:
+                self._spare = None
+            m = u * n
+            if m & _MASK32 >= threshold:  # else rejected: draw again
+                return m >> 32
+
+
 class Environment:
     """Base class for all benchmarks: pull-based reset/step lifecycle.
 

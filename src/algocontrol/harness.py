@@ -27,6 +27,7 @@ from .benchmarks import (
 )
 from .blackbox import blackbox_optimize
 from .core import (
+    BlockStream,
     ConfigError,
     ContractError,
     Environment,
@@ -197,11 +198,13 @@ def run_training_episode(
     env: Environment,
     instance: Instance,
     seed: SeedSpec,
-    explore_rng: np.random.Generator,
+    explore_rng: np.random.Generator | BlockStream,
     train_rng: np.random.Generator,
 ) -> float:
     """One training episode: act, observe, update; returns total reward.
-    Each observation is encoded once, by ``agent.encode``."""
+    Each observation is encoded once, by ``agent.encode``. ``explore_rng``
+    serves the scalar draws of ``select_action``, ``train_rng`` those of
+    ``end_episode``."""
     s = agent.encode(env.reset(instance, seed))
     total, done = 0.0, False
     while not done:
@@ -337,7 +340,7 @@ def _training(cfg: ExperimentConfig, run_seed: int, agent,
     does between episodes leaves the agent bit-identical.
     """
     env = make_env(cfg.benchmark)
-    explore_rng = derive_stream(run_seed, EXPLORE_STREAM)
+    explore_rng = BlockStream(run_seed, EXPLORE_STREAM)  # derive_stream's values
     train_rng = derive_stream(run_seed, TRAIN_NOISE_BASE)
     instance_rng = derive_stream(run_seed, TRAIN_INSTANCE_STREAM)
     for episode in range(1, cfg.n_episodes + 1):
@@ -418,7 +421,8 @@ def train_and_evaluate(
 def run_experiment(
     cfg: ExperimentConfig, save_agent: tuple[int, str] | None = None
 ) -> list[SeedCurve]:
-    """All seed repetitions; deterministic regardless of worker count.
+    """All seed repetitions, in ``min(workers, n_seeds)`` processes (one runs
+    in-process); deterministic regardless of worker count.
 
     ``save_agent=(k, path)`` snapshots seed k's agent at ``path`` when
     that seed run ends, inside the process that trained it.
@@ -434,10 +438,11 @@ def run_experiment(
         (cfg, k, train_set, test_set, save_path if k == save_seed else "")
         for k in range(cfg.n_seeds)
     ]
-    if cfg.workers > 1:
+    workers = min(cfg.workers, cfg.n_seeds)  # a process per job at most
+    if workers > 1:
         import multiprocessing
 
-        with multiprocessing.Pool(cfg.workers) as pool:
+        with multiprocessing.Pool(workers) as pool:
             curves = pool.starmap(train_and_evaluate, jobs)
     else:
         curves = [train_and_evaluate(*job) for job in jobs]

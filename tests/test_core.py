@@ -14,6 +14,8 @@ from algocontrol.benchmarks import (
 )
 from algocontrol import core
 from algocontrol.core import (
+    BLOCK,
+    BlockStream,
     ContractError,
     Observation,
     SeedSpec,
@@ -43,6 +45,60 @@ class TestDeriveStream:
         # the mixing function is part of the file-format-level contract
         assert derive_seed(42, 0) == derive_seed(42, 0)
         assert 0 <= derive_seed(123456789, 987654321) < 2**64
+
+
+# Bounds that stress numpy's 32-bit Lemire draw: no draw (1), small, about half
+# the draws rejected (2**31 + 1), and the two largest 32-bit ranges.
+LEMIRE_BOUNDS = (1, 2, 6, 2**31 + 1, 2**32 - 1, 2**32)
+# (draw, bound, repeat count): runs of one scalar draw, interleaved by the list.
+DRAW_RUNS = st.one_of(
+    st.tuples(st.just("random"), st.just(0), st.integers(1, 700)),
+    st.tuples(st.just("integers"), st.sampled_from(LEMIRE_BOUNDS) | st.integers(1, 2**32),
+              st.integers(1, 700)),
+)
+
+
+def assert_same_draws(block: BlockStream, gen: np.random.Generator, runs) -> None:
+    for draw, n, count in runs:
+        for _ in range(count):
+            if draw == "random":
+                assert block.random() == gen.random()
+            else:
+                value = block.integers(n)
+                assert type(value) is int and value == gen.integers(n)
+
+
+class TestBlockStream:
+    """BlockStream(m, k) draws what derive_stream(m, k) draws, compared with the
+    installed numpy: a change of numpy's streams fails here."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(master=st.integers(0, 2**64 - 1), stream=st.integers(0, 2**64 - 1),
+           runs=st.lists(DRAW_RUNS, max_size=12))
+    def test_equals_generator_on_any_interleaving(self, master, stream, runs):
+        assert_same_draws(BlockStream(master, stream), derive_stream(master, stream), runs)
+
+    @pytest.mark.parametrize("n", LEMIRE_BOUNDS)
+    def test_each_bound_across_blocks(self, n):
+        runs = [("integers", n, 3 * BLOCK), ("random", 0, 5), ("integers", n, 7)]
+        assert_same_draws(BlockStream(5, 6), derive_stream(5, 6), runs)
+
+    def test_odd_32_bit_draws_straddle_a_block(self):
+        # Word BLOCK - 1 serves two 32-bit draws; the third splits the next
+        # block's first word and keeps its high half across the random() draws.
+        runs = [("random", 0, BLOCK - 1), ("integers", 2**32, 3), ("random", 0, 2),
+                ("integers", 2**32, 1), ("integers", 6, 5)]
+        assert_same_draws(BlockStream(7, 8), derive_stream(7, 8), runs)
+
+    def test_one_draws_nothing(self):
+        block = BlockStream(3, 4)
+        assert [block.integers(1) for _ in range(5)] == [0] * 5
+        assert block.random() == derive_stream(3, 4).random()
+
+    @pytest.mark.parametrize("n", [0, -1, 2**32 + 1, 2.0, None])
+    def test_bound_outside_32_bits_refused(self, n):
+        with pytest.raises(ContractError, match="2\\*\\*32"):
+            BlockStream(1, 2).integers(n)
 
 
 def shape(env):

@@ -1,5 +1,7 @@
 """Experiment protocol: curves, aggregation, CSV, determinism."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,9 +9,16 @@ from hypothesis import strategies as st
 
 from algocontrol.agents import AgentHyperparams, DQNAgent, TabularAgent, tabular
 from algocontrol import harness
-from algocontrol.benchmarks import BenchmarkConfig, CountingEnv, LubyEnv, SigmoidEnv, make_env
+from algocontrol.benchmarks import (
+    BenchmarkConfig,
+    CountingEnv,
+    LubyEnv,
+    SigmoidEnv,
+    make_env,
+    sample_sigmoid_instance,
+)
 from algocontrol.config import parse_config
-from algocontrol.core import ContractError, SeedSpec, derive_seed, derive_stream
+from algocontrol.core import BlockStream, ContractError, SeedSpec, derive_seed, derive_stream
 from algocontrol.harness import (
     CSV_HEADER,
     ConfigError,
@@ -316,6 +325,43 @@ class TestOneEncodingPerObservation:
         assert calls == list(range(12))
 
 
+def train_with_explore(kind: str, benchmark: str, explore, episodes: int):
+    """``kind`` trained on ``benchmark`` for ``episodes`` episodes through
+    ``run_training_episode``, exploring with the stream ``explore``."""
+    env = make_env(BenchmarkConfig(benchmark))
+    if kind == "dqn":
+        agent = DQNAgent(action_count=env.action_count, horizon=env.horizon,
+                         context_dim=env.context_dim, total_episodes=episodes,
+                         rng=derive_stream(60, 1), context_scales=(0.01, 1.0 / env.horizon))
+    else:
+        agent = TabularAgent(kind, env.action_count)
+    train_rng, instance_rng = derive_stream(60, 3), derive_stream(60, 4)
+    for episode in range(1, episodes + 1):
+        instance = sample_sigmoid_instance(instance_rng, env.horizon) if env.context_dim else ()
+        run_training_episode(agent, env, instance, SeedSpec(60, episode), explore, train_rng)
+    return agent
+
+
+class TestBlockExploration:
+    """Exploring from a BlockStream trains the same agent as exploring from the
+    Generator it stands for, and leaves both streams at the same place."""
+
+    @pytest.mark.parametrize("kind,bench", [
+        *[(kind, bench) for kind in TabularAgent.KINDS for bench in ("luby", "counting")],
+        ("dqn", "sigmoid"),
+    ])
+    def test_same_agent_and_next_draws(self, kind, bench):
+        block, gen = BlockStream(60, 2), derive_stream(60, 2)
+        a = train_with_explore(kind, bench, block, 300)
+        b = train_with_explore(kind, bench, gen, 300)
+        if kind == "dqn":
+            assert np.array_equal(a.net.theta, b.net.theta)
+        else:
+            assert a.q == b.q and a.visits == b.visits and a.remaining == b.remaining
+        assert [(block.random(), block.integers(6)) for _ in range(50)] == [
+            (gen.random(), gen.integers(6)) for _ in range(50)]
+
+
 def count_rollouts(monkeypatch) -> list[int]:
     """Count the rollouts that go through ``harness.greedy_rollout``."""
     calls = [0]
@@ -486,6 +532,33 @@ class TestCsvOutput:
         rows = curves_to_csv_rows(cfg, run_experiment(cfg))
         keys = [(r[1], r[2], r[3], r[4]) for r in rows]
         assert keys == sorted(keys)
+
+    @pytest.mark.parametrize("workers,n_seeds,processes", [(64, 2, [2]), (2, 3, [2]),
+                                                           (8, 1, [])])
+    def test_pool_capped_at_one_process_per_seed(self, monkeypatch, workers, n_seeds,
+                                                 processes):
+        import multiprocessing
+
+        started = []
+
+        class SerialPool:  # records its size and runs the jobs here, starting no process
+            def __init__(self, n):
+                started.append(n)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def starmap(self, fn, jobs):
+                return [fn(*job) for job in jobs]
+
+        monkeypatch.setattr(multiprocessing, "Pool", SerialPool)
+        cfg = counting_cfg(n_episodes=5, n_seeds=n_seeds, workers=workers)
+        curves = run_experiment(cfg)
+        assert started == processes
+        assert curves == run_experiment(replace(cfg, workers=1))
 
     def test_parallel_workers_deterministic(self):
         cfg = counting_cfg(n_episodes=5, n_seeds=3).validated()
