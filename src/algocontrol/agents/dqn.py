@@ -9,7 +9,6 @@ episode length.
 
 from __future__ import annotations
 
-import functools
 import math
 
 import numpy as np
@@ -42,7 +41,8 @@ class MLPQNet:
         self.w1, self.b1, self.w2, self.b2 = self._blocks(self.theta)
         self.grad = np.zeros(size)
         self._grad_blocks = self._blocks(self.grad)
-        self._dq: dict[int, np.ndarray] = {}  # batch size -> the SGD step's dLoss/dQ buffer
+        # The SGD step's batch row indices and dLoss/dQ buffer, for its one batch size.
+        self._scratch = (np.arange(0), np.empty((0, action_count)))
         if rng is not None:  # He initialization for the ReLU layer, Xavier-ish for the head
             self.w1[...] = rng.normal(0.0, np.sqrt(2.0 / input_dim), self.w1.shape)
             self.w2[...] = rng.normal(0.0, np.sqrt(1.0 / hidden), self.w2.shape)
@@ -131,14 +131,6 @@ class ReplayBuffer:
         return self._size
 
 
-@functools.lru_cache(maxsize=16)
-def _batch_rows(n: int) -> np.ndarray:
-    """``np.arange(n)``, read-only, shared by every step on a batch of ``n``."""
-    rows = np.arange(n)
-    rows.flags.writeable = False
-    return rows
-
-
 def _loss_into_grad(
     net: MLPQNet, target_net: MLPQNet, batch: tuple, hp: AgentHyperparams
 ) -> float:
@@ -152,7 +144,9 @@ def _loss_into_grad(
     n = x.shape[0]
     if n == 0:
         raise ContractError("batch must be non-empty")
-    rows = _batch_rows(n)
+    rows, dq = net._scratch
+    if len(rows) != n:
+        rows, dq = net._scratch = np.arange(n), np.empty((n, net.action_count))
 
     next_actions = np.argmax(net._layers(next_obs)[2], axis=1)
     bootstrap = target_net._layers(next_obs)[2][rows, next_actions]
@@ -161,9 +155,6 @@ def _loss_into_grad(
     z1, h, q = net._layers(x)
     diff = q[rows, actions] - targets
 
-    dq = net._dq.get(n)
-    if dq is None:
-        dq = net._dq[n] = np.empty_like(q)
     dq.fill(0.0)
     dq[rows, actions] = 2.0 * diff / n
     dw1, db1, dw2, db2 = net._grad_blocks

@@ -137,6 +137,7 @@ class FuzzyEnv(Environment):
                     stream_id: int) -> float:
         """Actions before the first 0 pay the stream's normals, drawn as one vector
         (the values and IEEE operations of ``_reward``); a final 0 adds 0.0: a no-op."""
+        self._check_actions(actions)
         n = actions.index(0) if 0 in actions else len(actions)
         z = core.derive_stream(master_seed, stream_id).standard_normal(n)
         total = 0.0

@@ -79,10 +79,9 @@ class ScheduleEvaluator:
         env = self.env
         if len(schedule) != env.horizon:
             raise ContractError(f"schedule length {len(schedule)} != horizon {env.horizon}")
-        if not 0 <= min(schedule) <= max(schedule) < env.action_count:
-            raise ContractError(f"schedule action out of range [0, {env.action_count})")
-        self.episodes_consumed += 1
-        return env.path_return(schedule, self.instance_for_run(run), self.base_seed, run)
+        reward = env.path_return(schedule, self.instance_for_run(run), self.base_seed, run)
+        self.episodes_consumed += 1  # after scoring: a refused schedule consumes none
+        return reward
 
 
 def race(
@@ -104,22 +103,20 @@ def race(
         raise ContractError("max_runs and the incumbent's evaluation runs must be >= 1")
     target_runs = min(max_runs, incumbent.n_runs)
     rewards: list[float] = []
-    consumed = 0
     block = 1
     while len(rewards) < target_runs:
         n_new = min(block, target_runs - len(rewards))
-        if consumed + n_new > budget_left:
-            return incumbent, consumed  # budget exhausted mid-race
+        if len(rewards) + n_new > budget_left:
+            return incumbent, len(rewards)  # budget exhausted mid-race
         for _ in range(n_new):
             rewards.append(evaluator.run(challenger, len(rewards)))
-            consumed += 1
         block *= 2
         k = len(rewards)
         challenger_mean = sum(rewards) / k
         incumbent_mean = sum(incumbent.eval_rewards[:k]) / k
         if challenger_mean <= incumbent_mean:
-            return incumbent, consumed
-    return IncumbentRecord(challenger, rewards), consumed
+            return incumbent, k
+    return IncumbentRecord(challenger, rewards), len(rewards)
 
 
 @dataclass

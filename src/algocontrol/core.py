@@ -231,6 +231,7 @@ class Environment:
         ``instance`` with seed (master_seed, stream_id), bit for bit: here the
         path's entries of the instance's reward table, added left to right from
         0.0. A benchmark whose rewards are not fixed overrides it."""
+        self._check_actions(actions)
         table = self._tables.get(instance)
         if table is None:  # row t: each action's reward at step t, as step returns it
             traces = [[] for _ in range(self.action_count)]
@@ -241,6 +242,11 @@ class Environment:
         for row, action in zip(table, actions):
             total += row[action]
         return total
+
+    def _check_actions(self, actions) -> None:
+        """Refuse, as ``step`` does, a path with an action outside [0, action_count)."""
+        if actions and not 0 <= min(actions) <= max(actions) < self.action_count:
+            raise ContractError(f"path action out of range [0, {self.action_count})")
 
     def _reward(self, t: int, action: ActionId) -> float:
         raise NotImplementedError

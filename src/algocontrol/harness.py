@@ -5,6 +5,8 @@ Each seed repetition is fully self-contained: all of its randomness is
 derived from (master_seed, seed_index) through fixed stream ids, so
 seed runs can execute in any order (or in parallel) without changing
 any curve, and evaluation draws from streams disjoint from training.
+Each seed run also derives its own instances, the experiment's fixed
+train/test sets included, from its master and run seeds.
 Three instance regimes are supported: none (context-free benchmarks),
 distribution (fresh instance per training episode), and fixed train/
 test sets with held-out evaluation every ``test_eval_every`` episodes.
@@ -236,19 +238,31 @@ def _make_agent(cfg: ExperimentConfig, run_seed: int):
 
 
 class _EvalSetup:
-    """Evaluation instances and paired noise seeds for one seed run."""
+    """A seed run's instances under its regime, set up once: ``instances``
+    to evaluate on, with paired noise seeds; ``test_set``, the held-out set
+    (empty outside fixed mode); and ``draw(rng)``, each training episode's
+    instance."""
 
-    def __init__(self, cfg: ExperimentConfig, run_seed: int,
-                 train_set: list[Instance] | None) -> None:
+    def __init__(self, cfg: ExperimentConfig, run_seed: int) -> None:
         self.run_seed = run_seed
+        horizon = cfg.benchmark.horizon
+        self.test_set: list[Instance] = []
         if cfg.instance_mode == "distribution":
             rng = derive_stream(run_seed, EVAL_INSTANCE_STREAM)
-            self.instances = make_instance_set(rng, cfg.benchmark.horizon, cfg.eval_runs)
+            self.instances = make_instance_set(rng, horizon, cfg.eval_runs)
+            self.draw = lambda rng: sample_sigmoid_instance(rng, horizon)
         elif cfg.instance_mode == "fixed":
-            assert train_set is not None
-            self.instances = train_set
+            # Off the master seed, so every seed run derives the same sets.
+            train = self.instances = make_instance_set(
+                derive_stream(cfg.master_seed, TRAIN_SET_STREAM), horizon, cfg.n_train_instances
+            )
+            self.test_set = make_instance_set(
+                derive_stream(cfg.master_seed, TEST_SET_STREAM), horizon, cfg.n_test_instances
+            )
+            self.draw = lambda rng: train[int(rng.integers(len(train)))]
         else:
             self.instances = [()] * cfg.eval_runs
+            self.draw = lambda rng: ()
         # Per distinct instance: its last greedy (state key, action) path, and its actions.
         self.paths: dict[Instance, tuple[list, list]] = {}
 
@@ -297,22 +311,6 @@ def _mean_greedy_return(agent, env: Environment, instances: list[Instance],
     return total / len(instances)
 
 
-def _instance_sets(
-    cfg: ExperimentConfig,
-) -> tuple[list[Instance] | None, list[Instance] | None]:
-    """Fixed train/test sets, shared by every seed run (disjoint streams)."""
-    if cfg.instance_mode != "fixed":
-        return None, None
-    horizon = cfg.benchmark.horizon
-    train = make_instance_set(
-        derive_stream(cfg.master_seed, TRAIN_SET_STREAM), horizon, cfg.n_train_instances
-    )
-    test = make_instance_set(
-        derive_stream(cfg.master_seed, TEST_SET_STREAM), horizon, cfg.n_test_instances
-    )
-    return train, test
-
-
 def _blackbox_curve(cfg: ExperimentConfig, seed_index: int,
                     eval_setup: _EvalSetup) -> SeedCurve:
     result = blackbox_optimize(
@@ -331,10 +329,9 @@ def _blackbox_curve(cfg: ExperimentConfig, seed_index: int,
     )
 
 
-def _training(cfg: ExperimentConfig, run_seed: int, agent,
-              train_set: list[Instance] | None):
-    """Train ``agent`` for one seed run, yielding each episode number
-    once that episode is done.
+def _training(cfg: ExperimentConfig, run_seed: int, agent, draw):
+    """Train ``agent`` for one seed run on the instances ``draw(rng)`` gives,
+    yielding each episode number once that episode is done.
 
     Training consumes no evaluation streams, so whatever the caller
     does between episodes leaves the agent bit-identical.
@@ -347,25 +344,12 @@ def _training(cfg: ExperimentConfig, run_seed: int, agent,
         run_training_episode(
             agent,
             env,
-            _draw_instance(cfg, instance_rng, train_set),
+            draw(instance_rng),
             SeedSpec(run_seed, TRAIN_NOISE_BASE + episode),
             explore_rng,
             train_rng,
         )
         yield episode
-
-
-def _draw_instance(
-    cfg: ExperimentConfig,
-    instance_rng: np.random.Generator,
-    train_set: list[Instance] | None,
-) -> Instance:
-    if cfg.instance_mode == "distribution":
-        return sample_sigmoid_instance(instance_rng, cfg.benchmark.horizon)
-    if cfg.instance_mode == "fixed":
-        assert train_set is not None
-        return train_set[int(instance_rng.integers(len(train_set)))]
-    return ()
 
 
 def _check_save(cfg: ExperimentConfig, save_path: str) -> None:
@@ -376,8 +360,6 @@ def _check_save(cfg: ExperimentConfig, save_path: str) -> None:
 def train_and_evaluate(
     cfg: ExperimentConfig,
     seed_index: int,
-    train_set: list[Instance] | None = None,
-    test_set: list[Instance] | None = None,
     save_path: str = "",
 ) -> SeedCurve:
     """One seed repetition of the full protocol.
@@ -391,11 +373,9 @@ def train_and_evaluate(
     """
     cfg = cfg.validated()
     _check_save(cfg, save_path)
-    if train_set is None and cfg.instance_mode == "fixed":
-        train_set, test_set = _instance_sets(cfg)
     run_seed = derive_seed(cfg.master_seed, RUN_BASE + seed_index)
     started = time.perf_counter()
-    eval_setup = _EvalSetup(cfg, run_seed, train_set)
+    eval_setup = _EvalSetup(cfg, run_seed)
 
     if cfg.agent_kind == "blackbox":
         curve = _blackbox_curve(cfg, seed_index, eval_setup)
@@ -403,14 +383,13 @@ def train_and_evaluate(
         curve = SeedCurve(seed=seed_index, episodes=[], train_rewards=[])
         eval_env = make_env(cfg.benchmark)
         agent = _make_agent(cfg, run_seed)
-        for episode in _training(cfg, run_seed, agent, train_set):
+        for episode in _training(cfg, run_seed, agent, eval_setup.draw):
             if episode % cfg.train_eval_every == 0:
                 curve.episodes.append(episode)
                 curve.train_rewards.append(eval_setup.evaluate(agent, eval_env, episode))
-            if cfg.instance_mode == "fixed" and episode % cfg.test_eval_every == 0:
-                curve.test_points.append(
-                    (episode, evaluate_on_test_set(agent, eval_env, test_set, run_seed))
-                )
+            if eval_setup.test_set and episode % cfg.test_eval_every == 0:
+                curve.test_points.append((episode, evaluate_on_test_set(
+                    agent, eval_env, eval_setup.test_set, run_seed)))
         if save_path:
             save_agent(agent, save_path)
     if cfg.record_wall_time:
@@ -433,11 +412,7 @@ def run_experiment(
     if save_agent is not None and not 0 <= save_seed < cfg.n_seeds:
         raise ConfigError(f"agent seed {save_seed} is not a seed of this run; "
                           f"expected 0 to {cfg.n_seeds - 1}")
-    train_set, test_set = _instance_sets(cfg)
-    jobs = [
-        (cfg, k, train_set, test_set, save_path if k == save_seed else "")
-        for k in range(cfg.n_seeds)
-    ]
+    jobs = [(cfg, k, save_path if k == save_seed else "") for k in range(cfg.n_seeds)]
     workers = min(cfg.workers, cfg.n_seeds)  # a process per job at most
     if workers > 1:
         import multiprocessing

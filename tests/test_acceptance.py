@@ -56,9 +56,9 @@ def episodes_to_reach(bench, agent_kind, max_episodes, target, seed_index):
                            n_episodes=max_episodes, master_seed=MASTER_SEED).validated()
     run_seed = derive_seed(cfg.master_seed, RUN_BASE + seed_index)
     agent = _make_agent(cfg, run_seed)
-    eval_setup = _EvalSetup(cfg, run_seed, None)
+    eval_setup = _EvalSetup(cfg, run_seed)
     eval_env = make_env(cfg.benchmark)
-    for episode in _training(cfg, run_seed, agent, None):
+    for episode in _training(cfg, run_seed, agent, eval_setup.draw):
         if eval_setup.evaluate(agent, eval_env, episode) >= target:
             return episode
     return None

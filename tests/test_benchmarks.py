@@ -340,3 +340,17 @@ class TestPathReturn:
             expected = greedy_rollout(lambda obs: actions[obs.time_step], env, instance,
                                       SeedSpec(master, stream))
             assert repr(env.path_return(actions, instance, master, stream)) == repr(expected)
+
+    @pytest.mark.parametrize("kind", BENCHMARK_KINDS)
+    @pytest.mark.parametrize("bad", ["-1", "action_count"])
+    def test_action_out_of_range_refused(self, kind, bad):
+        """As ``step`` refuses it: a -1 would otherwise index a table row from its end."""
+        env = ENVIRONMENTS[kind]()
+        action = -1 if bad == "-1" else env.action_count
+        instance = ()
+        if env.context_dim:
+            instance = sample_sigmoid_instance(derive_stream(0, 0), env.horizon)
+        with pytest.raises(ContractError, match="out of range"):
+            greedy_rollout(lambda obs: action, env, instance, SeedSpec(0, 0))
+        with pytest.raises(ContractError, match="out of range"):
+            env.path_return([action] * env.horizon, instance, 0, 0)

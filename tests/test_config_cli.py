@@ -497,7 +497,7 @@ class TestCliSaveAgent:
         assert code == 0
         cfg = parse_config(config.read_text()).validated()
         run_seed = derive_seed(cfg.master_seed, harness.RUN_BASE + 1)
-        eval_setup = harness._EvalSetup(cfg, run_seed, harness._instance_sets(cfg)[0])
+        eval_setup = harness._EvalSetup(cfg, run_seed)
         replayed = eval_setup.evaluate(
             load_snapshot(str(snap)), make_env(cfg.benchmark), cfg.n_episodes
         )

@@ -24,7 +24,6 @@ from algocontrol.harness import (
     ConfigError,
     ExperimentConfig,
     SeedCurve,
-    _instance_sets,
     aggregate,
     curves_to_csv_rows,
     evaluate_on_test_set,
@@ -412,9 +411,9 @@ class TestCheckpointMemo:
         cfg = counting_cfg(n_episodes=30).validated()
         run_seed = derive_seed(cfg.master_seed, harness.RUN_BASE)
         agent = TabularAgent("qlearn", 5, hp=cfg.hp)
-        for _ in harness._training(cfg, run_seed, agent, None):
+        setup, env = harness._EvalSetup(cfg, run_seed), make_env(cfg.benchmark)
+        for _ in harness._training(cfg, run_seed, agent, setup.draw):
             pass
-        setup, env = harness._EvalSetup(cfg, run_seed, None), make_env(cfg.benchmark)
         rollouts = count_rollouts(monkeypatch)
         first = setup.evaluate(agent, env, 1)
         assert setup.evaluate(agent, env, 2) == first and rollouts == [1]
@@ -456,16 +455,22 @@ class TestFixedInstanceMode:
         defaults.update(kwargs)
         return ExperimentConfig(**defaults)
 
+    def _setup(self, seed_index):
+        cfg = self._cfg().validated()
+        return harness._EvalSetup(cfg, derive_seed(cfg.master_seed, harness.RUN_BASE + seed_index))
+
     def test_sets_are_disjoint_and_sized(self):
-        train, test = _instance_sets(self._cfg().validated())
+        setup = self._setup(0)
+        train, test = setup.instances, setup.test_set
         assert len(train) == 8 and len(test) == 6
         assert not set(train) & set(test)
+        rng = derive_stream(0, 0)
+        assert {setup.draw(rng) for _ in range(50)} <= set(train)
 
     def test_sets_shared_across_seeds(self):
-        cfg = self._cfg().validated()
-        a = _instance_sets(cfg)
-        b = _instance_sets(cfg)
-        assert a == b
+        a, b = self._setup(0), self._setup(1)
+        assert a.run_seed != b.run_seed
+        assert (a.instances, a.test_set) == (b.instances, b.test_set)
 
     def test_test_points_on_schedule(self):
         curve = train_and_evaluate(self._cfg(), 0)
@@ -560,9 +565,16 @@ class TestCsvOutput:
         assert started == processes
         assert curves == run_experiment(replace(cfg, workers=1))
 
-    def test_parallel_workers_deterministic(self):
-        cfg = counting_cfg(n_episodes=5, n_seeds=3).validated()
+    @pytest.mark.parametrize("kwargs", [
+        {},
+        dict(benchmark=BenchmarkConfig("sigmoid", horizon=11), instance_mode="fixed",
+             n_train_instances=8, n_test_instances=6, test_eval_every=2),
+        dict(benchmark=BenchmarkConfig("sigmoid", horizon=11), instance_mode="distribution"),
+    ], ids=["none", "fixed", "distribution"])
+    def test_parallel_workers_deterministic(self, kwargs):
+        """Each worker derives its seed runs' instances, fixed sets included."""
+        cfg = counting_cfg(n_episodes=5, n_seeds=3, **kwargs).validated()
         serial = format_csv(curves_to_csv_rows(cfg, run_experiment(cfg)))
-        par_cfg = counting_cfg(n_episodes=5, n_seeds=3, workers=2).validated()
-        parallel = format_csv(curves_to_csv_rows(par_cfg, run_experiment(par_cfg)))
+        parallel = format_csv(curves_to_csv_rows(cfg, run_experiment(replace(cfg, workers=2))))
         assert serial == parallel
+        assert (",test," in serial) == (cfg.instance_mode == "fixed")
