@@ -44,7 +44,6 @@ from .harness import (
     run_experiment,
     smooth,
     train_and_evaluate,
-    write_csv,
 )
 
 __version__ = "0.1.0"

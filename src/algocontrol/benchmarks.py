@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import core
-from .core import ActionId, ConfigError, ContractError, Environment, Instance
+from .core import ActionId, ConfigError, ContractError, Environment, Instance, SeedSpec
 
 EXP_CLAMP = 500.0
 
@@ -109,7 +109,7 @@ class FuzzyEnv(Environment):
 
     Action 1 draws from a normal law (mean 1, sd 2 by default), so the
     optimal policy plays 1 for all T steps with expected total T.
-    Action 0 pays 0 and terminates.
+    Action 0 pays 0 and terminates. It alone draws, from a stream it keeps.
     """
 
     kind = "fuzzy"
@@ -125,10 +125,18 @@ class FuzzyEnv(Environment):
         self.mean = mean
         self.spread = spread
 
+    def reset(self, instance: Instance = (), seed: SeedSpec | None = None) -> core.Observation:
+        """As ``Environment.reset``; keeps ``seed`` (None: stream (0, 0)) until the first draw."""
+        obs = super().reset(instance, seed)
+        self._seed, self._rng = seed or SeedSpec(0, 0), None
+        return obs
+
     def _reward(self, t: int, action: ActionId) -> float:
         if action == 0:
             return 0.0
-        return self.mean + self.spread * self.rng.standard_normal()
+        if self._rng is None:
+            self._rng = core.derive_stream(*self._seed)
+        return self.mean + self.spread * self._rng.standard_normal()
 
     def _terminates(self, t: int, action: ActionId) -> bool:
         return action == 0

@@ -29,10 +29,6 @@ class IncumbentRecord:
     def mean_reward(self) -> float:
         return sum(self.eval_rewards) / len(self.eval_rewards)
 
-    @property
-    def n_runs(self) -> int:
-        return len(self.eval_rewards)
-
 
 def random_schedule(rng: np.random.Generator, horizon: int,
                     action_count: int) -> tuple[int, ...]:
@@ -61,7 +57,7 @@ class ScheduleEvaluator:
     Run index r always maps to the same instance, ``instances[r % len]``
     (``[()]`` on a benchmark without instances), and the same noise
     stream, so two schedules compared on the same run indices see
-    identical conditions.
+    identical conditions. Each score is one episode; the caller counts them.
     """
 
     def __init__(self, env: Environment, instances: list[Instance], base_seed: int) -> None:
@@ -70,7 +66,6 @@ class ScheduleEvaluator:
         self.env = env
         self.instances = instances
         self.base_seed = base_seed
-        self.episodes_consumed = 0
 
     def instance_for_run(self, run: int) -> Instance:
         return self.instances[run % len(self.instances)]
@@ -79,9 +74,7 @@ class ScheduleEvaluator:
         env = self.env
         if len(schedule) != env.horizon:
             raise ContractError(f"schedule length {len(schedule)} != horizon {env.horizon}")
-        reward = env.path_return(schedule, self.instance_for_run(run), self.base_seed, run)
-        self.episodes_consumed += 1  # after scoring: a refused schedule consumes none
-        return reward
+        return env.path_return(schedule, self.instance_for_run(run), self.base_seed, run)
 
 
 def race(
@@ -99,9 +92,9 @@ def race(
     it completes the incumbent's run count with a strictly greater
     mean. Returns the winner and the episodes consumed.
     """
-    if max_runs < 1 or incumbent.n_runs < 1:
+    if max_runs < 1 or not incumbent.eval_rewards:
         raise ContractError("max_runs and the incumbent's evaluation runs must be >= 1")
-    target_runs = min(max_runs, incumbent.n_runs)
+    target_runs = min(max_runs, len(incumbent.eval_rewards))
     rewards: list[float] = []
     block = 1
     while len(rewards) < target_runs:
@@ -143,7 +136,8 @@ def blackbox_optimize(
     1 suits a deterministic benchmark; noisy rewards or varying
     instances need more (the harness passes 10). ``stop_at`` ends the
     search early once the incumbent mean reaches the given value (the
-    curve stays defined: best-so-far is monotone by construction).
+    curve stays defined: best-so-far is monotone by construction). Each race
+    appends the episodes it consumed, at least one, so ``len(curve)`` counts them.
     """
     if episode_budget < 1 or max_runs < 1 or not 0.0 <= neighbor_fraction <= 1.0:
         raise ContractError("need episode_budget, max_runs >= 1 and neighbor_fraction in [0, 1]")
@@ -155,14 +149,14 @@ def blackbox_optimize(
     # The first incumbent's mean backfills its own evaluation episodes.
     curve: list[float] = [incumbent.mean_reward] * len(rewards)
 
-    while evaluator.episodes_consumed < episode_budget:
+    while len(curve) < episode_budget:
         if stop_at is not None and incumbent.mean_reward >= stop_at:
             break
         if rng.random() < neighbor_fraction:
             challenger = mutate_schedule(rng, incumbent.schedule, env.action_count)
         else:
             challenger = random_schedule(rng, env.horizon, env.action_count)
-        budget_left = episode_budget - evaluator.episodes_consumed
+        budget_left = episode_budget - len(curve)
         previous_mean = incumbent.mean_reward
         incumbent, consumed = race(challenger, incumbent, evaluator, max_runs, budget_left)
         # A promotion takes effect on the race's final episode.
@@ -171,5 +165,5 @@ def blackbox_optimize(
     return BlackboxResult(
         incumbent=incumbent,
         best_so_far=curve,
-        episodes_consumed=evaluator.episodes_consumed,
+        episodes_consumed=len(curve),
     )

@@ -35,7 +35,6 @@ from .harness import (
     format_csv,
     run_experiment,
     smooth,
-    write_csv,
 )
 
 EXIT_OK = 0
@@ -142,7 +141,8 @@ def _cmd_run(args) -> int:
         cfg, save_agent=(args.agent_seed, args.save_agent) if args.save_agent else None
     )
     # Summarised from the rows the CSV holds, the way ``report`` reads them.
-    rows = _result_rows("results", format_csv(curves_to_csv_rows(cfg, curves)).splitlines())
+    text = format_csv(curves_to_csv_rows(cfg, curves))
+    rows = _result_rows("results", text.splitlines())
     agg = _series_by_agent(rows, cfg.smoothing_window)[cfg.agent_kind]
     print(
         f"{cfg.benchmark.kind}/{cfg.agent_kind}: episodes={cfg.n_episodes} "
@@ -150,7 +150,11 @@ def _cmd_run(args) -> int:
         f"se={agg.stderr[-1]:.6g}"
     )
     if cfg.output_path:
-        write_csv(cfg.output_path, cfg, curves)
+        try:
+            with open(cfg.output_path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise OSError(f"cannot write results to {cfg.output_path}: {exc}") from exc
         print(f"wrote {cfg.output_path}")
     if args.save_agent:
         print(f"wrote {args.save_agent}")

@@ -11,6 +11,7 @@ bit for bit.
 
 from __future__ import annotations
 
+import copy
 from typing import NamedTuple
 
 import numpy as np
@@ -155,7 +156,7 @@ class Environment:
     (with it the reward at step t depends only on (t, action, instance), with
     no random draw and no early termination) and ``params``, the
     ``BenchmarkConfig`` fields its constructor takes after the horizon, in
-    order, whose defaults are class attributes.
+    order, whose defaults are class attributes; it keeps no random stream.
     """
 
     fixed_rewards = True
@@ -169,8 +170,6 @@ class Environment:
         self.horizon = horizon
         self.action_count = action_count
         self._instance: Instance = ()
-        self._seed: SeedSpec | None = None
-        self._rng: np.random.Generator | None = None
         self._t = 0
         self._done = True
         self._history: tuple[int, ...] = ()
@@ -181,30 +180,15 @@ class Environment:
         """History filler for steps before enough actions exist."""
         return self.action_count
 
-    @property
-    def rng(self) -> np.random.Generator:
-        """The episode's random stream, derived from its seed on first use."""
-        if self._rng is None:
-            seed = self._seed if self._seed is not None else SeedSpec(0, 0)
-            self._rng = derive_stream(seed.master_seed, seed.stream_id)
-        return self._rng
-
     def reset(self, instance: Instance = (), seed: SeedSpec | None = None) -> Observation:
         """Start an episode on ``instance`` and return its first observation.
-
-        ``seed`` addresses the episode's random stream; None means stream
-        (0, 0). The seed is stored and its Generator derived on the first
-        draw, so benchmarks whose rewards draw nothing never derive one.
-        The stream and the order of draws are the same as if it were
-        derived here.
-        """
+        ``seed`` addresses a noise stream: only FuzzyEnv, whose rewards draw, keeps it."""
         if len(instance) != self.context_dim:
             raise ContractError(
                 f"instance has {len(instance)} context parameters, "
                 f"environment expects {self.context_dim}"
             )
         self._instance = instance
-        self._seed, self._rng = seed, None
         self._t = 0
         self._done = False
         self._history = (self.pad_action,) * self.history_len
@@ -235,8 +219,9 @@ class Environment:
         table = self._tables.get(instance)
         if table is None:  # row t: each action's reward at step t, as step returns it
             traces = [[] for _ in range(self.action_count)]
+            builder = copy.copy(self)  # shares _tables; leaves the caller's episode alone
             for action, trace in enumerate(traces):
-                greedy_rollout(lambda obs: action, self, instance, None, trace)
+                greedy_rollout(lambda obs: action, builder, instance, None, trace)
             table = self._tables[instance] = [tuple(r for _, _, r in row) for row in zip(*traces)]
         total = 0.0
         for row, action in zip(table, actions):
@@ -244,8 +229,13 @@ class Environment:
         return total
 
     def _check_actions(self, actions) -> None:
-        """Refuse, as ``step`` does, a path with an action outside [0, action_count)."""
-        if actions and not 0 <= min(actions) <= max(actions) < self.action_count:
+        """Refuse a path no rollout takes: longer than the horizon, shorter with no
+        terminating action, or (as ``step`` does) an action outside [0, action_count)."""
+        n = len(actions)
+        if n > self.horizon or n < self.horizon and not any(
+                map(self._terminates, range(n), actions)):
+            raise ContractError(f"a path of {n} actions ends no episode of horizon {self.horizon}")
+        if not 0 <= min(actions) <= max(actions) < self.action_count:
             raise ContractError(f"path action out of range [0, {self.action_count})")
 
     def _reward(self, t: int, action: ActionId) -> float:

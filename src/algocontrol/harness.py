@@ -459,11 +459,3 @@ def format_csv(rows: list[tuple]) -> str:
             f"{benchmark},{agent},{seed},{episode},{phase},{reward:.6g},{wall_ms}"
         )
     return "\n".join(lines) + "\n"
-
-
-def write_csv(path: str, cfg: ExperimentConfig, curves: list[SeedCurve]) -> None:
-    try:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(format_csv(curves_to_csv_rows(cfg, curves)))
-    except OSError as exc:
-        raise OSError(f"cannot write results to {path}: {exc}") from exc

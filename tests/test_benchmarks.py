@@ -354,3 +354,30 @@ class TestPathReturn:
             greedy_rollout(lambda obs: action, env, instance, SeedSpec(0, 0))
         with pytest.raises(ContractError, match="out of range"):
             env.path_return([action] * env.horizon, instance, 0, 0)
+
+    @pytest.mark.parametrize("env, actions", [
+        (FuzzyEnv(20), [1] * 25),
+        (LubyEnv(32), [0] * 5),
+        (FuzzyEnv(20), [1, 1]),
+    ], ids=["fuzzy-longer", "luby-shorter", "fuzzy-shorter-without-0"])
+    def test_path_no_rollout_takes_refused(self, env, actions):
+        """A path longer than the horizon, or shorter with no terminating action,
+        sums an episode that cannot end where the path does."""
+        with pytest.raises(ContractError, match="ends no episode"):
+            env.path_return(actions, (), 7, 3)
+
+    @pytest.mark.parametrize("kind", BENCHMARK_KINDS)
+    def test_scoring_leaves_the_callers_episode_alone(self, kind):
+        """Building a reward table mid-episode rolls out a copy, not this episode."""
+        def episode(env, score_at):
+            obs, done, steps = env.reset(instance, SeedSpec(5, 0)), False, []
+            while not done:
+                if obs.time_step == score_at:
+                    env.path_return([0] * env.horizon, instance, 0, 0)
+                obs, reward, done = env.step(1)
+                steps.append((obs, reward, done))
+            return steps
+
+        env = ENVIRONMENTS[kind]()
+        instance = (3.0, 5.0) if env.context_dim else ()
+        assert episode(env, 1) == episode(ENVIRONMENTS[kind](), -1)

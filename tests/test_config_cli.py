@@ -21,6 +21,9 @@ from algocontrol.harness import (
     INSTANCE_MODES,
     ConfigError,
     ExperimentConfig,
+    curves_to_csv_rows,
+    format_csv,
+    run_experiment,
     run_training_episode,
 )
 from test_golden import case_path, case_text, valid_cases
@@ -320,6 +323,38 @@ class TestCliRun:
         lines = out.read_text().splitlines()
         assert lines[0] == "benchmark,agent,seed,episode,phase,eval_reward,wall_time_ms"
         assert len(lines) == 1 + 2 * 5
+
+    def test_run_writes_the_csv_it_formats_once(self, tmp_path, capsys, monkeypatch):
+        from algocontrol import cli, harness
+
+        texts = []
+
+        def formatting(rows):
+            texts.append(format_csv(rows))
+            return texts[-1]
+
+        for module in (cli, harness):
+            monkeypatch.setattr(module, "format_csv", formatting)
+        text = MINIMAL.replace("episodes = 1000", "episodes = 5\nn_seeds = 2")
+        out = tmp_path / "res.csv"
+        assert main(["run", self._write(tmp_path, text), "--output", str(out)]) == 0
+        cfg = parse_config(text)
+        assert out.read_text() == format_csv(curves_to_csv_rows(cfg, run_experiment(cfg)))
+        assert texts == [out.read_text()]
+
+    def test_failed_results_write_is_one_io_line(self, tmp_path, capsys, monkeypatch):
+        from algocontrol import cli
+
+        def refusing(path, mode="r", **kwargs):
+            if mode == "w":
+                raise PermissionError("denied")
+            return open(path, mode, **kwargs)
+
+        monkeypatch.setattr(cli, "open", refusing, raising=False)
+        out = tmp_path / "res.csv"
+        assert main(["run", self._write(tmp_path, TABULAR_RUN), "--output", str(out)]) == 4
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"E-IO: cannot write results to {out}: denied"]
 
     def test_missing_config_is_io_error(self, capsys):
         assert main(["run", "/no/such/file.ini"]) == 4
