@@ -5,7 +5,6 @@ from .dqn import (
     DQNAgent,
     MLPQNet,
     ReplayBuffer,
-    dqn_loss_and_grads,
     dqn_train_step,
 )
 from .snapshot import load_snapshot, save_agent
@@ -25,7 +24,6 @@ __all__ = [
     "MLPQNet",
     "ReplayBuffer",
     "TabularAgent",
-    "dqn_loss_and_grads",
     "dqn_train_step",
     "load_snapshot",
     "q_update",

@@ -63,24 +63,13 @@ class MLPQNet:
         return z1, h, h @ self.w2 + self.b2
 
     def forward(self, obs: np.ndarray) -> np.ndarray:
-        """Q-values for one observation vector, a 2-D batch of rows, or a
-        stack of rows shaped ``(N, 1, input_dim)``.
-
-        A 2-D batch goes through one matrix-matrix product, which may
-        round differently from the same rows passed one at a time. A
-        ``(N, 1, input_dim)`` stack runs the single-row product once per
-        row, so its Q-values equal the single-row ones bit for bit.
-        """
+        """Q-values ``(N, action_count)`` of the rows of an ``(N, input_dim)``
+        array. Each row runs the single-row product, so its Q-values do not
+        depend on the rows beside it; any other shape raises ContractError."""
         x = np.asarray(obs, dtype=float)
-        single = x.ndim == 1
-        if single:
-            x = x[None, :]
-        if x.shape[-1] != self.input_dim:
-            raise ContractError(
-                f"observation dim {x.shape[-1]} != network input dim {self.input_dim}"
-            )
-        q = self._layers(x)[2]
-        return q[0] if single else q
+        if x.ndim != 2 or x.shape[1] != self.input_dim:
+            raise ContractError(f"forward takes (N, {self.input_dim}) rows, not shape {x.shape}")
+        return self._layers(x[:, None, :])[2][:, 0, :]
 
 
 class ReplayBuffer:
@@ -166,15 +155,6 @@ def _loss_into_grad(
     np.matmul(np.ascontiguousarray(x).T, dh, out=dw1)
     np.add.reduce(dh, axis=0, out=db1)
     return float(np.add.reduce(diff * diff)) / n  # the sum and division of np.mean
-
-
-def dqn_loss_and_grads(
-    net: MLPQNet, target_net: MLPQNet, batch: tuple, hp: AgentHyperparams
-) -> tuple[float, list[np.ndarray]]:
-    """The loss of ``dqn_train_step`` and its gradient as new arrays shaped
-    like ``w1, b1, w2, b2``, which no later call overwrites."""
-    loss = _loss_into_grad(net, target_net, batch, hp)
-    return loss, [g.copy() for g in net._grad_blocks]
 
 
 def dqn_train_step(
@@ -263,8 +243,7 @@ class DQNAgent:
         """Greedy action of each time step 0..T-1 on ``instance``."""
         actions = self._greedy.get(instance)
         if actions is None:
-            rows = self.input_rows(instance)[: self.horizon, None, :]
-            q = self.net.forward(rows)[:, 0, :]
+            q = self.net.forward(self.input_rows(instance)[: self.horizon])
             actions = self._greedy[instance] = np.argmax(q, axis=1).tolist()
         return actions
 

@@ -83,7 +83,8 @@ def _meta_int(meta: dict[str, str], key: str, default: int | None = None) -> int
 
 
 def save_agent(agent, path: str) -> None:
-    """Write a tabular or DQN agent to ``path``; records sort by key."""
+    """Write a tabular or DQN agent to ``path``; records sort by key. A value
+    that is not finite raises ContractError naming its record."""
     if isinstance(agent, TabularAgent):
         meta = {"action_count": str(agent.action_count)}
         records = [
@@ -107,6 +108,9 @@ def save_agent(agent, path: str) -> None:
     else:
         raise ContractError(f"cannot snapshot agent of type {type(agent).__name__}")
     records.sort()
+    for key, value in records:  # before ``open``: a refused agent leaves no file
+        if not math.isfinite(float(value)):
+            raise ContractError(f"cannot save {path}: record {key} is {value}, not finite")
     lines = [f"{FORMAT_TAG} v{FORMAT_VERSION}", f"agent {agent.kind}"]
     lines += [f"{key} {meta[key]}" for key in sorted(meta)]
     lines.append(f"records {len(records)}")

@@ -226,20 +226,14 @@ def _series_by_agent(rows: list[dict], window: int):
             agents.setdefault(row["agent"], {}).setdefault(row["seed"], []).append(row)
     result = {}
     for agent, by_seed in agents.items():
-        if len({len(seed_rows) for seed_rows in by_seed.values()}) > 1:
-            counts = ", ".join(f"seed {seed} has {len(r)}" for seed, r in by_seed.items())
-            raise ContractError(f"agent {agent}: seeds differ in train rows: {counts}")
-        first, *others = by_seed
-        for seed in others:
-            for a, b in zip(by_seed[first], by_seed[seed]):
-                if a["episode"] != b["episode"]:
-                    raise ContractError(f"agent {agent}: seed {first} has train episode "
-                                        f"{a['episode']} where seed {seed} has {b['episode']}")
-        result[agent] = aggregate([
-            SeedCurve(seed, [r["episode"] for r in seed_rows],
-                      smooth([r["eval_reward"] for r in seed_rows], window))
-            for seed, seed_rows in by_seed.items()
-        ])
+        try:
+            result[agent] = aggregate([
+                SeedCurve(seed, [r["episode"] for r in seed_rows],
+                          smooth([r["eval_reward"] for r in seed_rows], window))
+                for seed, seed_rows in by_seed.items()
+            ])
+        except ContractError as exc:
+            raise ContractError(f"agent {agent}: {exc}") from None
     return result
 
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field, replace
+from itertools import zip_longest
 
 import numpy as np
 
@@ -174,14 +175,19 @@ def smooth(values: list[float], window: int) -> list[float]:
 
 
 def aggregate(curves: list[SeedCurve]) -> AggregateCurve:
-    """Pointwise mean and standard error over per-seed curves."""
+    """Pointwise mean and standard error over per-seed curves; seeds that
+    differ in train rows or episodes raise ContractError naming them."""
     if not curves:
         raise ContractError("need at least one curve to aggregate")
-    lengths = {len(c.train_rewards) for c in curves}
-    if len(lengths) != 1:
-        raise ContractError(f"curves have ragged lengths: {sorted(lengths)}")
-    if any(c.episodes != curves[0].episodes for c in curves):
-        raise ContractError("curves disagree on their episode grids")
+    if len({len(c.train_rewards) for c in curves}) != 1:
+        counts = ", ".join(f"seed {c.seed} has {len(c.train_rewards)}" for c in curves)
+        raise ContractError(f"seeds differ in train rows: {counts}")
+    for c in curves[1:]:
+        for a, b in zip_longest(curves[0].episodes, c.episodes, fillvalue="none"):
+            if a != b:
+                raise ContractError(
+                    f"seed {curves[0].seed} has train episode {a} where seed {c.seed} has {b}"
+                )
     data = np.array([c.train_rewards for c in curves])
     mean = data.mean(axis=0)
     if data.shape[0] > 1:

@@ -78,7 +78,7 @@ def random_gradcheck_case(rng: np.random.Generator, hidden: int = 5):
             (rng.random(batch_size) < 0.3).astype(float),  # dones
         )
         z1 = batch[0] @ net.w1 + net.b1
-        next_q = net.forward(batch[3])
+        next_q = _reference_forward(net, batch[3])  # training's next-state product
         top_two = np.sort(next_q, axis=1)[:, -2:]
         if np.min(np.abs(z1)) > 1e-3 and np.min(top_two[:, 1] - top_two[:, 0]) > 1e-3:
             return net, target, batch

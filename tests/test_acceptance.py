@@ -13,7 +13,7 @@ import time
 import numpy as np
 
 from algocontrol.agents import AgentHyperparams, q_update
-from algocontrol.agents.dqn import dqn_loss_and_grads
+from algocontrol.agents.dqn import _loss_into_grad
 from algocontrol.benchmarks import (
     BenchmarkConfig,
     CountingEnv,
@@ -286,20 +286,17 @@ class TestCriterion6PropertySuites:
         worst = 0.0
         for _ in range(100):
             net, target, batch = random_gradcheck_case(rng)
-            _, grads = dqn_loss_and_grads(net, target, batch, hp)
-            for param, grad in zip(net.parameters(), grads):
-                flat, gflat = param.ravel(), grad.ravel()
-                for i in range(flat.size):
-                    saved = flat[i]
-                    flat[i] = saved + step
-                    up = dqn_loss_and_grads(net, target, batch, hp)[0]
-                    flat[i] = saved - step
-                    down = dqn_loss_and_grads(net, target, batch, hp)[0]
-                    flat[i] = saved
-                    fd = (up - down) / (2 * step)
-                    worst = max(
-                        worst, abs(fd - gflat[i]) / max(abs(fd), abs(gflat[i]), 1e-8)
-                    )
+            _loss_into_grad(net, target, batch, hp)
+            grad, theta = net.grad.copy(), net.theta
+            for i in range(theta.size):
+                saved = theta[i]
+                theta[i] = saved + step
+                up = _loss_into_grad(net, target, batch, hp)
+                theta[i] = saved - step
+                down = _loss_into_grad(net, target, batch, hp)
+                theta[i] = saved
+                fd = (up - down) / (2 * step)
+                worst = max(worst, abs(fd - grad[i]) / max(abs(fd), abs(grad[i]), 1e-8))
         assert worst <= 1e-4
         print(f"[PASS] criterion 6c: DQN gradients vs FD, worst rel err {worst:.2e}")
 

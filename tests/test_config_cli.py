@@ -574,6 +574,19 @@ class TestCliSaveAgent:
         assert len(err) == 1 and err[0].startswith("E-CONFIG:") and "blackbox" in err[0]
         assert not out.exists() and not snap.exists()
 
+    def test_non_finite_q_value_leaves_no_snapshot(self, tmp_path, capsys):
+        """A fuzzy mean of 1e308 overflows the Q-table to inf: the run ends
+        in one runtime line and no snapshot file is created."""
+        text = ("[benchmark]\nkind = fuzzy\nfuzzy_mean = 1e308\n\n[agent]\nkind = qlearn\n\n"
+                "[harness]\nepisodes = 20\nn_seeds = 1\n")
+        snap = tmp_path / "snap.txt"
+        code, _, out = self._run(tmp_path, text, "--save-agent", str(snap))
+        assert code == 3
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("E-RUNTIME:")
+        assert [line for line in err if line.startswith("E-")] == err
+        assert not snap.exists() and not out.exists()
+
 
 class TestCliBenchInfo:
     def test_luby_info(self, capsys):

@@ -10,12 +10,11 @@ from algocontrol.agents import (
     DQNAgent,
     MLPQNet,
     ReplayBuffer,
-    dqn_loss_and_grads,
     dqn_train_step,
     load_snapshot,
     save_agent,
 )
-from algocontrol.agents.dqn import INPUT_ROWS_KEPT
+from algocontrol.agents.dqn import INPUT_ROWS_KEPT, _loss_into_grad
 from algocontrol.benchmarks import (
     SigmoidEnv,
     SigmoidMVAEnv,
@@ -25,7 +24,12 @@ from algocontrol.benchmarks import (
 from algocontrol.cli import main
 from algocontrol.core import ContractError, Observation, SeedSpec, derive_stream
 from algocontrol.harness import run_training_episode
-from oracles import random_gradcheck_case, reference_loss_and_grads, reference_train_step
+from oracles import (
+    _reference_forward,
+    random_gradcheck_case,
+    reference_loss_and_grads,
+    reference_train_step,
+)
 
 
 def make_net(input_dim=3, actions=4, hidden=5, seed=0):
@@ -43,6 +47,11 @@ def same_bits(a, b):
     return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
+def loss_and_grad(net, target, batch, hp):
+    """The loss of ``_loss_into_grad`` and a copy of the ``net.grad`` it wrote."""
+    return _loss_into_grad(net, target, batch, hp), net.grad.copy()
+
+
 def shares_theta(net):
     """Whether every parameter block of ``net`` is a view of ``net.theta``."""
     return all(np.shares_memory(p, net.theta) for p in net.parameters())
@@ -53,7 +62,7 @@ class TestForward:
         net = make_net()
         for p in net.parameters():
             p[:] = 0.0
-        assert np.array_equal(net.forward(np.ones(3)), np.zeros(4))
+        assert np.array_equal(net.forward(np.ones((2, 3))), np.zeros((2, 4)))
 
     def test_hand_computed_2_2_2(self):
         net = MLPQNet(2, 2, derive_stream(1, 0), hidden=2)
@@ -61,30 +70,34 @@ class TestForward:
         net.b1[...] = [0.5, 0.5]
         net.w2[...] = [[2.0, -1.0], [1.0, 3.0]]
         net.b2[...] = [0.1, -0.2]
-        x = np.array([1.0, 2.0])
+        x = np.array([[1.0, 2.0]])
         # hidden = relu([1.5, 2.5]) = [1.5, 2.5] (positive region)
         # out = [1.5*2 + 2.5*1 + 0.1, 1.5*-1 + 2.5*3 - 0.2] = [5.6, 5.8]
-        assert np.allclose(net.forward(x), [5.6, 5.8], atol=1e-12)
+        assert np.allclose(net.forward(x), [[5.6, 5.8]], atol=1e-12)
 
     def test_positive_homogeneity_with_zero_biases(self):
         net = make_net()
         net.b1[:] = 0.0
         net.b2[:] = 0.0
-        x = np.abs(derive_stream(2, 0).normal(size=3)) + 0.1
+        x = np.abs(derive_stream(2, 0).normal(size=(4, 3))) + 0.1
         # guarantee positive preactivations so ReLU is linear
         np.abs(net.w1, out=net.w1)
         assert np.allclose(net.forward(3.0 * x), 3.0 * net.forward(x), atol=1e-9)
 
     def test_dimension_mismatch(self):
-        with pytest.raises(ContractError):
-            make_net(input_dim=3).forward(np.ones(4))
+        """Only 2-D rows of the input width are taken: not a wider row,
+        a 1-D row or an ``(N, 1, d)`` stack."""
+        net = make_net(input_dim=3)
+        for shape in [(1, 4), (3,), (4,), (2, 1, 3), (1, 1, 3)]:
+            with pytest.raises(ContractError):
+                net.forward(np.ones(shape))
 
     def test_batch_forward_matches_single(self):
         net = make_net()
         xs = derive_stream(3, 0).normal(size=(6, 3))
         batch_out = net.forward(xs)
-        for i, x in enumerate(xs):
-            assert np.allclose(batch_out[i], net.forward(x), atol=0)
+        for i in range(len(xs)):
+            assert same_bits(batch_out[i : i + 1], net.forward(xs[i : i + 1]))
 
 
 class TestGradients:
@@ -95,33 +108,19 @@ class TestGradients:
         worst = 0.0
         for _ in range(100):
             net, target, batch = random_gradcheck_case(rng)
-            _, grads = dqn_loss_and_grads(net, target, batch, hp)
-            for param, grad in zip(net.parameters(), grads):
-                flat, gflat = param.ravel(), grad.ravel()
-                for i in range(flat.size):
-                    saved = flat[i]
-                    flat[i] = saved + step
-                    up = dqn_loss_and_grads(net, target, batch, hp)[0]
-                    flat[i] = saved - step
-                    down = dqn_loss_and_grads(net, target, batch, hp)[0]
-                    flat[i] = saved
-                    fd = (up - down) / (2 * step)
-                    rel = abs(fd - gflat[i]) / max(abs(fd), abs(gflat[i]), 1e-8)
-                    worst = max(worst, rel)
+            _, grad = loss_and_grad(net, target, batch, hp)
+            theta = net.theta
+            for i in range(theta.size):
+                saved = theta[i]
+                theta[i] = saved + step
+                up = _loss_into_grad(net, target, batch, hp)
+                theta[i] = saved - step
+                down = _loss_into_grad(net, target, batch, hp)
+                theta[i] = saved
+                fd = (up - down) / (2 * step)
+                rel = abs(fd - grad[i]) / max(abs(fd), abs(grad[i]), 1e-8)
+                worst = max(worst, rel)
         assert worst <= 1e-4
-
-    def test_held_gradients_survive_a_later_call(self):
-        rng = derive_stream(76, 0)
-        hp = AgentHyperparams(alpha=1.0)
-        net, target, batch = random_gradcheck_case(rng)
-        _, held = dqn_loss_and_grads(net, target, batch, hp)
-        kept = [g.copy() for g in held]
-        other = (batch[0] + 0.5, batch[1], batch[2] - 1.0, batch[3], batch[4])
-        _, later = dqn_loss_and_grads(net, target, other, hp)
-        dqn_train_step(net, target, other, hp)
-        assert not all(np.array_equal(g, k) for g, k in zip(later, kept))
-        for g, k in zip(held, kept):
-            assert same_bits(g, k)
 
     def test_done_masks_target_network(self):
         rng = derive_stream(78, 0)
@@ -129,8 +128,8 @@ class TestGradients:
         net, target_a, batch = random_gradcheck_case(rng)
         batch[4][:] = 1.0
         target_b = make_net(seed=999)
-        loss_a = dqn_loss_and_grads(net, target_a, batch, hp)[0]
-        loss_b = dqn_loss_and_grads(net, target_b, batch, hp)[0]
+        loss_a = _loss_into_grad(net, target_a, batch, hp)
+        loss_b = _loss_into_grad(net, target_b, batch, hp)
         assert loss_a == loss_b
 
     def test_zero_td_error_means_zero_loss_and_no_update(self):
@@ -152,15 +151,14 @@ class TestGradients:
         hp = AgentHyperparams(alpha=1.0)
         for _ in range(10):
             net, target, batch = random_gradcheck_case(rng)
-            loss, _ = dqn_loss_and_grads(net, target, batch, hp)
-            assert loss >= 0.0
+            assert _loss_into_grad(net, target, batch, hp) >= 0.0
 
     def test_empty_batch_rejected(self):
         net = make_net()
         batch = (np.zeros((0, 3)), np.zeros(0, dtype=np.int64), np.zeros(0), np.zeros((0, 3)),
                  np.zeros(0))
         with pytest.raises(ContractError):
-            dqn_loss_and_grads(net, twin(net), batch, AgentHyperparams(alpha=1.0))
+            _loss_into_grad(net, twin(net), batch, AgentHyperparams(alpha=1.0))
 
 
 def make_agent(total_episodes=3000, **hp):
@@ -205,7 +203,7 @@ class TestSyncTarget:
 
     def test_copies_on_multiples_of_five(self):
         agent, _ = self.agent_after(5)
-        x = derive_stream(80, 0).normal(size=3)
+        x = derive_stream(80, 0).normal(size=(1, 3))
         assert np.array_equal(agent.net.forward(x), agent.target_net.forward(x))
 
     def test_skips_other_episodes(self):
@@ -217,12 +215,12 @@ class TestSyncTarget:
         agent, _ = self.agent_after(5)
         target_before = agent.target_net.theta.copy()
         agent.net.w1 += 1.0
-        x = np.ones(3)
+        x = np.ones((1, 3))
         assert not np.array_equal(agent.net.forward(x), agent.target_net.forward(x))
         agent.net.theta[:] = 0.0
-        assert np.array_equal(agent.net.forward(x), np.zeros(4))
+        assert np.array_equal(agent.net.forward(x), np.zeros((1, 4)))
         assert np.array_equal(agent.target_net.theta, target_before)
-        assert not np.array_equal(agent.target_net.forward(x), np.zeros(4))
+        assert not np.array_equal(agent.target_net.forward(x), np.zeros((1, 4)))
 
 
 class TestParameterViews:
@@ -259,10 +257,10 @@ class TestParameterViews:
         hp = AgentHyperparams(alpha=1.0)
         net, target, batch = random_gradcheck_case(rng)
         before = [p.copy() for p in net.parameters()]
-        _, grads = dqn_loss_and_grads(net, target, batch, hp)
+        _, grad = loss_and_grad(net, target, batch, hp)
         dqn_train_step(net, target, batch, hp)
         assert shares_theta(net)
-        for p, b, g in zip(net.parameters(), before, grads):
+        for p, b, g in zip(net.parameters(), before, net._blocks(grad)):
             assert np.array_equal(p, b - hp.dqn_lr * g)
 
 
@@ -391,11 +389,10 @@ class TestStridedBatch:
             views = buf.sample(rng, batch_size)
             assert not views[0].flags.c_contiguous and not views[3].flags.c_contiguous
             copies = tuple(np.ascontiguousarray(column) for column in views)
-            loss, grads = dqn_loss_and_grads(net, target, views, hp)
-            loss_c, grads_c = dqn_loss_and_grads(net, target, copies, hp)
+            loss, grad = loss_and_grad(net, target, views, hp)
+            loss_c, grad_c = loss_and_grad(net, target, copies, hp)
             assert loss == loss_c
-            for g, g_c in zip(grads, grads_c):
-                assert np.array_equal(g, g_c)
+            assert np.array_equal(grad, grad_c)
             stepped, stepped_c = twin(net), twin(net)
             assert dqn_train_step(stepped, target, views, hp) == dqn_train_step(
                 stepped_c, target, copies, hp)
@@ -422,10 +419,10 @@ class TestSGDStepOracle:
             batch = buf.sample(rng, batch_size)
             if contiguous:
                 batch = tuple(np.ascontiguousarray(column) for column in batch)
-            loss, grads = dqn_loss_and_grads(net, target, batch, hp)
+            loss, grad = loss_and_grad(net, target, batch, hp)
             ref_loss, ref_grads = reference_loss_and_grads(ref, ref_target, batch, hp)
             assert loss == ref_loss
-            for g, g_ref in zip(grads, ref_grads):
+            for g, g_ref in zip(net._blocks(grad), ref_grads):
                 assert same_bits(g, g_ref)
             assert dqn_train_step(net, target, batch, hp) == reference_train_step(
                 ref, ref_target, batch, hp)
@@ -479,7 +476,7 @@ class TestDQNAgent:
         save_agent(agent, str(path))
         frozen = load_snapshot(str(path))
         obs = Observation(time_step=3, continuous_features=(7.0, 4.0))
-        x = agent.input_rows(obs.continuous_features)[obs.time_step]
+        x = agent.input_rows(obs.continuous_features)[obs.time_step : obs.time_step + 1]
         before = frozen.net.forward(x)
         agent.net.w2 += 100.0  # training drift must not leak into snapshots
         assert np.array_equal(frozen.net.forward(x), before)
@@ -496,7 +493,7 @@ class TestDQNAgent:
         save_agent(agent, str(path))
         loaded = load_snapshot(str(path))
         assert isinstance(loaded, DQNAgent) and loaded.horizon == agent.horizon
-        x = derive_stream(86, 0).normal(size=3)
+        x = derive_stream(86, 0).normal(size=(1, 3))
         assert np.allclose(loaded.net.forward(x), agent.net.forward(x), atol=0)
         obs = Observation(time_step=4, continuous_features=(-30.0, 6.0))
         assert loaded.greedy_action(obs) == agent.greedy_action(obs)
@@ -581,21 +578,26 @@ def per_step_encoding(agent, t, features):
     return out
 
 
-def single_row_greedy(agent, instance):
+def single_row_q(agent, instance):
+    """Q-values of each time step 0..T-1, one ``oracles._reference_forward``
+    of a single row each, computed outside ``MLPQNet``."""
     rows = agent.input_rows(instance)
-    return [int(np.argmax(agent.net.forward(rows[t]))) for t in range(agent.horizon)]
+    return np.concatenate([_reference_forward(agent.net, rows[t : t + 1])
+                           for t in range(agent.horizon)])
+
+
+def single_row_greedy(agent, instance):
+    return np.argmax(single_row_q(agent, instance), axis=1).tolist()
 
 
 def stacked_equals_single_rows(agent, instance):
-    rows = agent.input_rows(instance)
-    stacked = agent.net.forward(rows[: agent.horizon, None, :])[:, 0, :]
-    single = np.array([agent.net.forward(rows[t]) for t in range(agent.horizon)])
-    return np.array_equal(stacked, single, equal_nan=True)
+    q = agent.net.forward(agent.input_rows(instance)[: agent.horizon])
+    return np.array_equal(q, single_row_q(agent, instance), equal_nan=True)
 
 
 class TestStackedGreedy:
-    """Greedy actions come from one stacked forward per instance; they
-    equal a single-row forward per step, bit for bit."""
+    """Greedy actions come from one forward over an instance's rows; each
+    of its rows equals the single-row product, bit for bit."""
 
     @staticmethod
     def agent(input_dim, actions, horizon, seed):
@@ -661,7 +663,7 @@ class TestStackedGreedy:
         for instance in self.instances(agent, 9, n=2):
             for t in range(11):
                 agent.greedy_action(Observation(t, instance))
-        assert calls == [(11, 1, 3), (11, 1, 3)]
+        assert calls == [(11, 3), (11, 3)]
 
 
 SIGMOID_FAMILY = {"sigmoid": SigmoidEnv, "sigmoidmva": SigmoidMVAEnv}

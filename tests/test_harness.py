@@ -100,6 +100,26 @@ class TestAggregate:
         with pytest.raises(ContractError):
             aggregate([self._curve(0, [1.0]), self._curve(1, [1.0, 2.0])])
 
+    def test_ragged_names_each_seeds_row_count(self):
+        curves = [self._curve(0, [1.0] * 60), self._curve(1, [1.0] * 59),
+                  self._curve(2, [1.0] * 60)]
+        with pytest.raises(ContractError) as exc:
+            aggregate(curves)
+        assert str(exc.value) == ("seeds differ in train rows: seed 0 has 60, seed 1 has 59, "
+                                  "seed 2 has 60")
+
+    def test_episode_grids_name_the_seeds_and_episode(self):
+        curves = [SeedCurve(0, [1, 2], [5.0, 5.0]), SeedCurve(1, [1, 3], [5.0, 5.0])]
+        with pytest.raises(ContractError) as exc:
+            aggregate(curves)
+        assert str(exc.value) == "seed 0 has train episode 2 where seed 1 has 3"
+
+    def test_episode_lists_of_different_lengths_rejected(self):
+        curves = [SeedCurve(4, [1, 2], [5.0, 5.0]), SeedCurve(7, [1, 2, 3], [5.0, 5.0])]
+        with pytest.raises(ContractError) as exc:
+            aggregate(curves)
+        assert str(exc.value) == "seed 4 has train episode none where seed 7 has 3"
+
     def test_mean_within_seed_envelope(self):
         rng = np.random.default_rng(0)
         curves = [self._curve(k, list(rng.uniform(0, 5, 20))) for k in range(5)]

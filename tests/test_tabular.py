@@ -504,6 +504,16 @@ class TestSnapshotRoundTrip:
         records = path.read_text().split("records ")[1].splitlines()
         assert int(records[0]) == len(agent.q) * 3 == len(records) - 1
 
+    @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan], ids=["inf", "-inf", "nan"])
+    def test_non_finite_value_is_refused_before_any_file(self, tmp_path, value):
+        agent = TabularAgent("qlearn", 3)
+        agent.q[(0, (), ())] = [0.5, value, 0.0]
+        agent.q[(1, (), ())] = [1.0, 2.0, 3.0]
+        path = tmp_path / "agent.snap"
+        with pytest.raises(ContractError, match=rf"record 0\|\|\|1 is {value!r}, not finite"):
+            save_agent(agent, str(path))
+        assert not path.exists()
+
     def test_header_holds_no_episode_count(self, tmp_path):
         """No loader reads a training-episode count, so no snapshot holds one."""
         dqn = DQNAgent(action_count=2, horizon=11, context_dim=2, total_episodes=10,
