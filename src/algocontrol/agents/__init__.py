@@ -3,6 +3,7 @@ and a from-scratch double DQN."""
 
 from .dqn import (
     DQNAgent,
+    DQNGroup,
     MLPQNet,
     ReplayBuffer,
     dqn_train_step,
@@ -21,6 +22,7 @@ __all__ = [
     "AGENT_KINDS",
     "AgentHyperparams",
     "DQNAgent",
+    "DQNGroup",
     "MLPQNet",
     "ReplayBuffer",
     "TabularAgent",

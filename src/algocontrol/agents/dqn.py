@@ -10,6 +10,7 @@ episode length.
 from __future__ import annotations
 
 import math
+import weakref
 
 import numpy as np
 
@@ -27,40 +28,52 @@ INPUT_ROWS_KEPT = 256
 class MLPQNet:
     """input_dim -> 50 ReLU -> action_count; ``w1, b1, w2, b2`` are views of one
     float64 vector ``theta``, all NaN for a caller to fill when built without ``rng``.
-    ``grad`` is laid out like ``theta``: the SGD step writes its gradient there."""
+    ``grad`` is laid out like ``theta``: the SGD step writes its gradient there.
+
+    Given ``theta`` (and ``grad``), the net views those arrays instead: a row
+    of a ``DQNGroup``'s stacked arrays, or the whole ``(S, size)`` stack, whose
+    blocks then carry a leading seed axis."""
 
     def __init__(
         self, input_dim: int, action_count: int, rng: np.random.Generator | None = None,
-        hidden: int = HIDDEN_UNITS,
+        hidden: int = HIDDEN_UNITS, theta: np.ndarray | None = None,
+        grad: np.ndarray | None = None,
     ) -> None:
         if input_dim < 1 or action_count < 1:
             raise ContractError("input_dim and action_count must be >= 1")
         self.input_dim, self.action_count, self.hidden = input_dim, action_count, hidden
-        size = (input_dim + 1) * hidden + (hidden + 1) * action_count
-        self.theta = np.full(size, np.nan if rng is None else 0.0)
+        if theta is None:
+            size = (input_dim + 1) * hidden + (hidden + 1) * action_count
+            theta = np.full(size, np.nan if rng is None else 0.0)
+        self.theta = theta
         self.w1, self.b1, self.w2, self.b2 = self._blocks(self.theta)
-        self.grad = np.zeros(size)
+        self._bias_rows = (self.b1[..., None, :], self.b2[..., None, :])  # broadcast over rows
+        self.grad = np.zeros(theta.shape) if grad is None else grad
         self._grad_blocks = self._blocks(self.grad)
-        # The SGD step's batch row indices and dLoss/dQ buffer, for its one batch size.
-        self._scratch = (np.arange(0), np.empty((0, action_count)))
+        # The SGD step's batch indices and dLoss/dQ buffer, for its one batch shape.
+        self._scratch = ((), np.empty((0, action_count)))
         if rng is not None:  # He initialization for the ReLU layer, Xavier-ish for the head
             self.w1[...] = rng.normal(0.0, np.sqrt(2.0 / input_dim), self.w1.shape)
             self.w2[...] = rng.normal(0.0, np.sqrt(1.0 / hidden), self.w2.shape)
 
     def _blocks(self, vector: np.ndarray) -> tuple[np.ndarray, ...]:
-        """``vector`` split into w1, b1, w2, b2 (in that order) as shaped views."""
+        """``vector`` split into w1, b1, w2, b2 (in that order) as shaped views;
+        leading axes are kept."""
         d, h, a = self.input_dim, self.hidden, self.action_count
-        w1, b1, w2, b2 = np.split(vector, np.cumsum([d * h, h, h * a]))
-        return w1.reshape(d, h), b1, w2.reshape(h, a), b2
+        lead = vector.shape[:-1]
+        w1, b1, w2, b2 = np.split(vector, np.cumsum([d * h, h, h * a]), axis=-1)
+        return w1.reshape(lead + (d, h)), b1, w2.reshape(lead + (h, a)), b2
 
     def parameters(self) -> list[np.ndarray]:
         return [self.w1, self.b1, self.w2, self.b2]
 
     def _layers(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Pre-activations, hidden activations and Q-values of float64 rows ``x``."""
-        z1 = x @ self.w1 + self.b1
+        """Pre-activations, hidden activations and Q-values of float64 rows ``x``
+        (``(..., N, input_dim)``, with the net's leading axes if it has any)."""
+        b1, b2 = self._bias_rows
+        z1 = x @ self.w1 + b1
         h = np.maximum(z1, 0.0)
-        return z1, h, h @ self.w2 + self.b2
+        return z1, h, h @ self.w2 + b2
 
     def forward(self, obs: np.ndarray) -> np.ndarray:
         """Q-values ``(N, action_count)`` of the rows of an ``(N, input_dim)``
@@ -107,64 +120,167 @@ class ReplayBuffer:
         self._size = min(self._size + n, self.capacity)
 
     def sample(self, rng: np.random.Generator, batch_size: int) -> tuple:
-        """Uniform sample with replacement, as column views (obs, actions,
-        rewards, next_obs, dones) of one gather; actions come as int64."""
+        """Uniform sample with replacement, as the ``_columns`` of one gather
+        with actions as int64."""
+        batch = self.gather(rng, np.empty((batch_size, self.rows.shape[1])))
+        x, actions, rewards, next_obs, dones = _columns(batch, self.obs_dim)
+        return x, actions.astype(np.int64), rewards, next_obs, dones
+
+    def gather(self, rng: np.random.Generator, out: np.ndarray) -> np.ndarray:
+        """Fill the rows of ``out`` with a uniform sample, with replacement, of
+        the ring's rows, drawn from ``rng``; returns ``out``."""
         if self._size == 0:
             raise ContractError("cannot sample from an empty replay buffer")
-        batch = self.rows.take(rng.integers(self._size, size=batch_size), axis=0)
-        d = self.obs_dim
-        return (batch[:, :d], batch[:, d].astype(np.int64), batch[:, d + 1],
-                batch[:, d + 2 : 2 * d + 2], batch[:, 2 * d + 2])
+        # Every index is in range, so "clip" changes no row; unlike "raise", it
+        # writes straight into ``out``.
+        return self.rows.take(rng.integers(self._size, size=len(out)), axis=0, out=out,
+                              mode="clip")
 
     def __len__(self) -> int:
         return self._size
 
 
+def _columns(batch: np.ndarray, obs_dim: int) -> tuple:
+    """Column views (obs, actions, rewards, next_obs, dones) of ring rows
+    ``(..., n, 2 * obs_dim + 3)``; actions are still float64."""
+    d = obs_dim
+    return (batch[..., :d], batch[..., d], batch[..., d + 1], batch[..., d + 2 : 2 * d + 2],
+            batch[..., 2 * d + 2])
+
+
 def _loss_into_grad(
     net: MLPQNet, target_net: MLPQNet, batch: tuple, hp: AgentHyperparams
-) -> float:
+) -> np.ndarray:
     """Mean squared TD error with the double-DQN target on a
     ``ReplayBuffer.sample`` batch; its gradient overwrites ``net.grad``.
 
     Target: r + gamma * Q_target(s', argmax_a Q_online(s', a)), masked on
-    terminal transitions.
+    terminal transitions. A stacked net takes a batch with the same leading
+    seed axis and returns one loss per seed: each seed's products, sums and
+    indexing are those of a lone net on its own batch.
     """
     x, actions, rewards, next_obs, dones = batch
-    n = x.shape[0]
+    n = x.shape[-2]
     if n == 0:
         raise ContractError("batch must be non-empty")
-    rows, dq = net._scratch
-    if len(rows) != n:
-        rows, dq = net._scratch = np.arange(n), np.empty((n, net.action_count))
+    at, dq = net._scratch  # at: index arrays broadcasting to actions.shape
+    if dq.shape[:-1] != actions.shape:
+        at, dq = net._scratch = (np.indices(actions.shape, sparse=True),
+                                 np.empty(actions.shape + (net.action_count,)))
 
-    next_actions = np.argmax(net._layers(next_obs)[2], axis=1)
-    bootstrap = target_net._layers(next_obs)[2][rows, next_actions]
+    next_actions = net._layers(next_obs)[2].argmax(axis=-1)
+    bootstrap = target_net._layers(next_obs)[2][(*at, next_actions)]
     targets = rewards + hp.gamma * bootstrap * (1.0 - dones)
 
     z1, h, q = net._layers(x)
-    diff = q[rows, actions] - targets
+    diff = q[(*at, actions)] - targets
 
     dq.fill(0.0)
-    dq[rows, actions] = 2.0 * diff / n
+    dq[(*at, actions)] = 2.0 * diff / n
     dw1, db1, dw2, db2 = net._grad_blocks
-    np.matmul(h.T, dq, out=dw2)
-    np.add.reduce(dq, axis=0, out=db2)
-    dh = dq @ net.w2.T
+    np.matmul(h.swapaxes(-1, -2), dq, out=dw2)
+    np.add.reduce(dq, axis=-2, out=db2)
+    dh = dq @ net.w2.swapaxes(-1, -2)
     dh[z1 <= 0.0] = 0.0
     # Contiguous: numpy's vector path (input_dim or hidden 1) rounds strided x.T differently.
-    np.matmul(np.ascontiguousarray(x).T, dh, out=dw1)
-    np.add.reduce(dh, axis=0, out=db1)
-    return float(np.add.reduce(diff * diff)) / n  # the sum and division of np.mean
+    np.matmul(np.ascontiguousarray(x).swapaxes(-1, -2), dh, out=dw1)
+    np.add.reduce(dh, axis=-2, out=db1)
+    return np.add.reduce(diff * diff, axis=-1) / n  # the sum and division of np.mean
 
 
 def dqn_train_step(
     net: MLPQNet, target_net: MLPQNet, batch: tuple, hp: AgentHyperparams
-) -> float:
-    """One SGD step on the double-DQN TD loss; returns the loss."""
+) -> np.ndarray:
+    """One SGD step on the double-DQN TD loss; returns the loss (one per
+    seed of a stacked net)."""
     loss = _loss_into_grad(net, target_net, batch, hp)
     net.grad *= hp.dqn_lr
     net.theta -= net.grad
     return loss
+
+
+class DQNGroup:
+    """DQN agents that train in lockstep, with one stacked SGD step per round.
+
+    Each member's ``net.theta``/``net.grad`` and ``target_net.theta`` are rows
+    of the group's ``(S, size)`` arrays, so whatever reads one agent's
+    network reads its row. A round is one episode of every member, in any
+    order: each member's ``end_episode`` samples its own replay ring, with its
+    own stream, into its slot of the group batch, and the round's last one
+    takes one ``dqn_train_step`` for all members. Each member's step equals,
+    bit for bit, the step it would take alone. ``names`` name the members in
+    a divergence error. A ``DQNAgent`` starts as a group of one.
+    """
+
+    def __init__(self, agents: list["DQNAgent"], names: list[str] | None = None) -> None:
+        first = agents[0]
+        d, a, h = first.input_dim, first.action_count, first.net.hidden
+        if any((x.input_dim, x.action_count, x.net.hidden, x.batch_size, x.hp)
+               != (d, a, h, first.batch_size, first.hp) for x in agents):
+            raise ContractError(
+                "agents in lockstep must share network shape, batch size and hyperparameters"
+            )
+        # Weak: an agent holds its group, so strong references both ways would
+        # keep every group's replay rings alive until a full garbage collection.
+        self.agents = [weakref.proxy(agent) for agent in agents]
+        self.names = names or [f"agent {k}" for k in range(len(agents))]
+        self.net = MLPQNet(d, a, hidden=h, theta=np.stack([x.net.theta for x in agents]))
+        self.target_net = MLPQNet(d, a, hidden=h,
+                                  theta=np.stack([x.target_net.theta for x in agents]))
+        for k, agent in enumerate(agents):
+            agent.net = MLPQNet(d, a, hidden=h, theta=self.net.theta[k], grad=self.net.grad[k])
+            agent.target_net = MLPQNet(d, a, hidden=h, theta=self.target_net.theta[k],
+                                       grad=self.target_net.grad[k])
+            agent._group, agent._slot = self, k
+        self.batch = np.empty((len(agents), first.batch_size, 2 * d + 3))
+        self._columns = _columns(self.batch, d)
+        self._ended: set[int] = set()  # members that ended this round's episode
+        self._sampled = 0  # how many of them sampled a batch
+
+    def end_episode(self, k: int, rng: np.random.Generator) -> None:
+        """Member ``k`` has ended its episode of this round: sample its batch
+        with ``rng``, and if it is the round's last, take the round's step."""
+        if k in self._ended:
+            raise ContractError(f"{self.names[k]} ended two episodes in one lockstep round")
+        self._ended.add(k)
+        buffer = self.agents[k].buffer
+        if len(buffer) > 0:
+            buffer.gather(rng, self.batch[k])
+            self._sampled += 1
+        if len(self._ended) == len(self.agents):
+            self._step()
+
+    def _step(self) -> None:
+        """The round's SGD step (none while no member has replay data), its
+        finiteness check, then each member's greedy-cache clear, ε and
+        target sync."""
+        agents, sampled = self.agents, self._sampled
+        self._ended, self._sampled = set(), 0
+        if sampled:
+            if sampled < len(agents):
+                empty = [name for agent, name in zip(agents, self.names) if len(agent.buffer) == 0]
+                raise ContractError(f"{empty[0]} has no replay data in a lockstep round "
+                                    "where other members have")
+            x, actions, rewards, next_obs, dones = self._columns
+            batch = (x, actions.astype(np.int64), rewards, next_obs, dones)
+            losses = dqn_train_step(self.net, self.target_net, batch, agents[0].hp).tolist()
+            theta = self.net.theta
+            if not (all(map(math.isfinite, losses)) and np.isfinite(theta).all()):
+                k = next(k for k, loss in enumerate(losses)
+                         if not (math.isfinite(loss) and np.isfinite(theta[k]).all()))
+                raise ContractError(
+                    f"DQN training of {self.names[k]} diverged in episode "
+                    f"{agents[k].episodes_trained + 1}: loss {losses[k]!r} "
+                    "or an updated parameter is not finite"
+                )
+            for agent, loss in zip(agents, losses):
+                agent.last_loss = loss
+                agent._greedy.clear()
+        for agent in agents:
+            agent.episodes_trained += 1
+            agent._epsilon = agent.epsilon
+            if agent.episodes_trained % agent.hp.target_sync_every == 0:
+                agent.target_net.theta[...] = agent.net.theta
 
 
 class DQNAgent:
@@ -177,11 +293,11 @@ class DQNAgent:
     blow up plain SGD.
 
     The encoding depends only on (t, instance), and the network changes
-    only in ``end_episode``. So the inputs of all T + 1 time steps of an
-    instance are built at once and kept across updates (for up to
+    only in its group's SGD step. So the inputs of all T + 1 time steps of
+    an instance are built at once and kept across updates (for up to
     ``INPUT_ROWS_KEPT`` instances), and its T greedy actions come from one
     stacked forward, kept until the next SGD step. ε is likewise set once
-    per episode, in ``end_episode``. An episode's transitions reach the
+    per episode, after that step. An episode's transitions reach the
     replay ring in one write, in ``end_episode``: they are consecutive
     time steps of one instance, so their obs and next_obs are two slices
     of that instance's input rows.
@@ -210,8 +326,8 @@ class DQNAgent:
             raise ContractError("context_scales length must equal context_dim")
         self.context_scales = np.array(context_scales, dtype=float)
         self.net = net or MLPQNet(self.input_dim, action_count, rng or np.random.default_rng(0))
-        self.target_net = MLPQNet(self.input_dim, action_count, hidden=self.net.hidden)
-        self.target_net.theta[...] = self.net.theta
+        self.target_net = MLPQNet(self.input_dim, action_count, hidden=self.net.hidden,
+                                  theta=self.net.theta.copy())
         self.buffer = ReplayBuffer(self.hp.buffer_capacity, self.input_dim)
         self.batch_size = self.hp.batch_size if self.hp.batch_size > 0 else horizon
         self.decay_episodes = max(1, int(round(total_episodes * self.hp.eps_decay_fraction)))
@@ -221,6 +337,7 @@ class DQNAgent:
         self._rows: dict[Instance, np.ndarray] = {}
         self._greedy: dict[Instance, list[ActionId]] = {}
         self._episode: list[tuple] = []
+        DQNGroup([self])  # sets net, target_net, _group and _slot
 
     def encode(self, obs: Observation) -> Observation:
         """The observation itself; ``input_rows`` holds its network input."""
@@ -268,12 +385,15 @@ class DQNAgent:
         self._episode.append((s.continuous_features, s.time_step, action, reward, done))
 
     def end_episode(self, rng: np.random.Generator) -> None:
-        """Write the episode's transitions to the replay ring, take one
-        SGD step on a replay sample, then sync the target every
-        ``target_sync_every`` episodes. An episode that is not consecutive
-        time steps of one instance, or a loss or parameter that is not
-        finite, raises ContractError."""
-        episode = self.episodes_trained + 1
+        """Write the episode's transitions to the replay ring and sample a
+        replay batch with ``rng`` into this agent's slot of its ``DQNGroup``.
+        The round's last member to end its episode takes one SGD step for
+        every member, then syncs each target every ``target_sync_every``
+        episodes; alone, an agent does so in each ``end_episode``. Until
+        then this agent's network, ε and ``episodes_trained`` are those of
+        the last round. An episode that is not consecutive time steps of one
+        instance, or a loss or parameter that is not finite, raises
+        ContractError."""
         if self._episode:
             instances, times, actions, rewards, dones = zip(*self._episode)
             self._episode = []
@@ -285,19 +405,7 @@ class DQNAgent:
             rows = self.input_rows(instances[0])
             self.buffer.extend(rows[t0 : t0 + n], actions, rewards, rows[t0 + 1 : t0 + n + 1],
                                dones)
-        if len(self.buffer) > 0:
-            batch = self.buffer.sample(rng, self.batch_size)
-            self.last_loss = dqn_train_step(self.net, self.target_net, batch, self.hp)
-            self._greedy.clear()
-            if not (math.isfinite(self.last_loss) and np.isfinite(self.net.theta).all()):
-                raise ContractError(
-                    f"DQN training diverged in episode {episode}: loss {self.last_loss!r} "
-                    "or an updated parameter is not finite"
-                )
-        self.episodes_trained = episode
-        self._epsilon = self.epsilon
-        if episode % self.hp.target_sync_every == 0:
-            self.target_net.theta[...] = self.net.theta
+        self._group.end_episode(self._slot, rng)
 
     def greedy_action(self, obs: Observation) -> ActionId:
         return self._greedy_actions(obs.continuous_features)[obs.time_step]

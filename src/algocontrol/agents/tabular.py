@@ -97,13 +97,17 @@ def q_update(
     action_count: int,
 ) -> QRows:
     """One-step Q-learning update (in place; the table is returned). The row
-    of ``s`` is created here, ``action_count`` zeros, on its first update."""
+    of ``s`` is created here, ``action_count`` zeros, on its first update. A
+    new value that is not finite raises ContractError before it is written."""
     next_row = None if done else q.get(s_next)
     bootstrap = 0.0 if next_row is None else max(next_row)
     row = q.get(s)
     if row is None:
         row = q[s] = [0.0] * action_count
-    row[a] = (1.0 - hp.alpha) * row[a] + hp.alpha * (reward + hp.gamma * bootstrap)
+    value = (1.0 - hp.alpha) * row[a] + hp.alpha * (reward + hp.gamma * bootstrap)
+    if value - value != 0.0:  # nan for inf and nan alike
+        raise ContractError(f"Q-value {value!r} of state {s!r}, action {a} is not finite")
+    row[a] = value
     return q
 
 

@@ -3,7 +3,8 @@ over seeds, aggregate.
 
 Each seed repetition is fully self-contained: all of its randomness is
 derived from (master_seed, seed_index) through fixed stream ids, so
-seed runs can execute in any order (or in parallel) without changing
+seed runs can execute in any order, in parallel or in lockstep (a DQN
+group takes one stacked SGD step per round of episodes) without changing
 any curve, and evaluation draws from streams disjoint from training.
 Each seed run also derives its own instances, the experiment's fixed
 train/test sets included, from its master and run seeds.
@@ -21,7 +22,7 @@ from itertools import zip_longest
 
 import numpy as np
 
-from .agents import AgentHyperparams, DQNAgent, TabularAgent, AGENT_KINDS, save_agent
+from .agents import AgentHyperparams, DQNAgent, DQNGroup, TabularAgent, AGENT_KINDS, save_agent
 from .benchmarks import (
     BenchmarkConfig,
     make_env,
@@ -368,7 +369,7 @@ def train_and_evaluate(
     seed_index: int,
     save_path: str = "",
 ) -> SeedCurve:
-    """One seed repetition of the full protocol.
+    """One seed repetition of the full protocol, as a lockstep group of one.
 
     Trains for ``n_episodes`` episodes; after every ``train_eval_every``-th
     episode the greedy policy is evaluated per the instance regime
@@ -379,28 +380,44 @@ def train_and_evaluate(
     """
     cfg = cfg.validated()
     _check_save(cfg, save_path)
-    run_seed = derive_seed(cfg.master_seed, RUN_BASE + seed_index)
-    started = time.perf_counter()
-    eval_setup = _EvalSetup(cfg, run_seed)
+    return _seed_runs(cfg, [seed_index], seed_index, save_path)[0]
 
+
+def _seed_runs(cfg: ExperimentConfig, seeds: list[int], save_seed: int = -1,
+               save_path: str = "") -> list[SeedCurve]:
+    """Seed runs ``seeds`` of a validated config, in lockstep: episode e of
+    each run in turn, then each run's checkpoints of episode e. DQN agents
+    form one ``DQNGroup``, so the round's last episode takes one stacked SGD
+    step for all of them. Seed ``save_seed``'s agent, if it is here, is
+    saved at ``save_path``. Under ``record_wall_time`` each run records an
+    equal share of the wall time of the whole call."""
+    started = time.perf_counter()
+    setups = [_EvalSetup(cfg, derive_seed(cfg.master_seed, RUN_BASE + k)) for k in seeds]
     if cfg.agent_kind == "blackbox":
-        curve = _blackbox_curve(cfg, seed_index, eval_setup)
+        curves = [_blackbox_curve(cfg, k, setup) for k, setup in zip(seeds, setups)]
     else:
-        curve = SeedCurve(seed=seed_index, episodes=[], train_rewards=[])
-        eval_env = make_env(cfg.benchmark)
-        agent = _make_agent(cfg, run_seed)
-        for episode in _training(cfg, run_seed, agent, eval_setup.draw):
-            if episode % cfg.train_eval_every == 0:
-                curve.episodes.append(episode)
-                curve.train_rewards.append(eval_setup.evaluate(agent, eval_env, episode))
-            if eval_setup.test_set and episode % cfg.test_eval_every == 0:
-                curve.test_points.append((episode, evaluate_on_test_set(
-                    agent, eval_env, eval_setup.test_set, run_seed)))
-        if save_path:
-            save_agent(agent, save_path)
+        curves = [SeedCurve(seed=k, episodes=[], train_rewards=[]) for k in seeds]
+        agents = [_make_agent(cfg, setup.run_seed) for setup in setups]
+        if cfg.agent_kind == "dqn":
+            DQNGroup(agents, [f"seed {k}" for k in seeds])
+        runs = list(zip(curves, setups, agents, [make_env(cfg.benchmark) for _ in seeds]))
+        trainings = [_training(cfg, setup.run_seed, agent, setup.draw) for setup, agent
+                     in zip(setups, agents)]
+        for episode, *_ in zip(*trainings):  # a round: episode e of each run in turn
+            for curve, setup, agent, eval_env in runs:
+                if episode % cfg.train_eval_every == 0:
+                    curve.episodes.append(episode)
+                    curve.train_rewards.append(setup.evaluate(agent, eval_env, episode))
+                if setup.test_set and episode % cfg.test_eval_every == 0:
+                    curve.test_points.append((episode, evaluate_on_test_set(
+                        agent, eval_env, setup.test_set, setup.run_seed)))
+        if save_path and save_seed in seeds:
+            save_agent(agents[seeds.index(save_seed)], save_path)
     if cfg.record_wall_time:
-        curve.wall_time_ms = int((time.perf_counter() - started) * 1000)
-    return curve
+        share = int((time.perf_counter() - started) * 1000 / len(seeds))
+        for curve in curves:
+            curve.wall_time_ms = share
+    return curves
 
 
 def run_experiment(
@@ -408,6 +425,11 @@ def run_experiment(
 ) -> list[SeedCurve]:
     """All seed repetitions, in ``min(workers, n_seeds)`` processes (one runs
     in-process); deterministic regardless of worker count.
+
+    A DQN config's seeds are split into that many contiguous lockstep
+    groups, one job each, so each process takes one stacked SGD step per
+    round for its group. Other agent kinds share no step and run one seed
+    per job (``train_and_evaluate``), so one Q-table is live at a time.
 
     ``save_agent=(k, path)`` snapshots seed k's agent at ``path`` when
     that seed run ends, inside the process that trained it.
@@ -418,16 +440,25 @@ def run_experiment(
     if save_agent is not None and not 0 <= save_seed < cfg.n_seeds:
         raise ConfigError(f"agent seed {save_seed} is not a seed of this run; "
                           f"expected 0 to {cfg.n_seeds - 1}")
-    jobs = [(cfg, k, save_path if k == save_seed else "") for k in range(cfg.n_seeds)]
-    workers = min(cfg.workers, cfg.n_seeds)  # a process per job at most
-    if workers > 1:
-        import multiprocessing
-
-        with multiprocessing.Pool(workers) as pool:
-            curves = pool.starmap(train_and_evaluate, jobs)
+    n, workers = cfg.n_seeds, min(cfg.workers, cfg.n_seeds)  # a process per job at most
+    if cfg.agent_kind == "dqn":  # contiguous lockstep groups, one job each
+        edges = [i * n // workers for i in range(workers + 1)]
+        jobs = [(cfg, list(range(a, b)), save_seed, save_path) for a, b in zip(edges, edges[1:])]
+        curves = [c for group in _pooled(_seed_runs, jobs, workers) for c in group]
     else:
-        curves = [train_and_evaluate(*job) for job in jobs]
+        jobs = [(cfg, k, save_path if k == save_seed else "") for k in range(n)]
+        curves = _pooled(train_and_evaluate, jobs, workers)
     return sorted(curves, key=lambda c: c.seed)
+
+
+def _pooled(fn, jobs: list[tuple], workers: int) -> list:
+    """``fn(*job)`` of each job, in a pool of ``workers`` processes if more than one."""
+    if workers == 1:
+        return [fn(*job) for job in jobs]
+    import multiprocessing
+
+    with multiprocessing.Pool(workers) as pool:
+        return pool.starmap(fn, jobs)
 
 
 def curves_to_csv_rows(

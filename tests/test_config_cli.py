@@ -3,6 +3,7 @@
 import contextlib
 import dataclasses
 import io
+import re
 import string
 import warnings
 from pathlib import Path
@@ -573,6 +574,20 @@ class TestCliSaveAgent:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("E-CONFIG:") and "blackbox" in err[0]
         assert not out.exists() and not snap.exists()
+
+    def test_non_finite_q_value_is_named_before_any_snapshot(self, tmp_path, capsys):
+        """The Q-table itself refuses the overflowing value: the one error
+        line names the Q-value, its state and its action, not the snapshot
+        record or the evaluation reward."""
+        text = ("[benchmark]\nkind = fuzzy\nfuzzy_mean = 1e308\n\n[agent]\nkind = qlearn\n\n"
+                "[harness]\nepisodes = 20\nn_seeds = 1\n")
+        snap = tmp_path / "snap.txt"
+        code, _, out = self._run(tmp_path, text, "--save-agent", str(snap))
+        assert code == 3
+        err = [line for line in capsys.readouterr().err.splitlines() if line.startswith("E-")]
+        assert len(err) == 1
+        assert re.fullmatch(r"E-RUNTIME: Q-value inf of state .+, action \d is not finite", err[0])
+        assert not snap.exists() and not out.exists()
 
     def test_non_finite_q_value_leaves_no_snapshot(self, tmp_path, capsys):
         """A fuzzy mean of 1e308 overflows the Q-table to inf: the run ends

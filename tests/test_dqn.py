@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from algocontrol.agents import (
     AgentHyperparams,
     DQNAgent,
+    DQNGroup,
     MLPQNet,
     ReplayBuffer,
     dqn_train_step,
@@ -430,6 +431,129 @@ class TestSGDStepOracle:
             if step % sync_every == 0:
                 target.theta[...] = net.theta
                 ref_target.theta[...] = ref.theta
+
+
+def lockstep_members(count, context_dim=2, hidden=50, capacity=40, names=None):
+    """``count`` DQN agents (3 actions, horizon 11, differently initialized)
+    in one DQNGroup; a ring of ``capacity`` wraps every few episodes."""
+    hp = AgentHyperparams(alpha=1.0, dqn_lr=0.01, target_sync_every=5,
+                          buffer_capacity=capacity)
+    agents = [DQNAgent(action_count=3, horizon=11, context_dim=context_dim, total_episodes=300,
+                       hp=hp, net=MLPQNet(1 + context_dim, 3, derive_stream(k, 0), hidden=hidden))
+              for k in range(count)]
+    DQNGroup(agents, names)
+    return agents
+
+
+def play_episode(agent, rng):
+    """Observe one random episode on a random integer instance; returns what
+    the ring receives: (instance, t0, actions, rewards, dones)."""
+    instance = tuple(float(v) for v in rng.integers(-3, 4, agent.input_dim - 1))
+    t0 = int(rng.integers(0, 6))
+    n = int(rng.integers(1, 12 - t0))
+    actions = rng.integers(3, size=n).tolist()
+    rewards = rng.normal(size=n).tolist()
+    dones = [t == n - 1 for t in range(n)]
+    for t, a, r, done in zip(range(t0, t0 + n), actions, rewards, dones):
+        agent.observe(Observation(t, instance), a, r, Observation(t + 1, instance), done)
+    return instance, t0, actions, rewards, dones
+
+
+class TestLockstepStep:
+    """One stacked SGD step per round gives each member of a DQNGroup, bit
+    for bit, the loss and parameters of single-network steps on its own
+    ring and stream, through target syncs and ring wraps, whatever order
+    the members end their episodes in. Never skipped: on a BLAS kernel
+    where this fails, the failure is the finding."""
+
+    @pytest.mark.parametrize("count, context_dim, hidden", [
+        (1, 2, 50), (2, 2, 50), (3, 2, 50), (13, 2, 50),
+        (3, 0, 50), (3, 2, 1),  # input dim 1 and hidden 1 take numpy's vector path
+    ])
+    def test_matches_single_network_steps(self, count, context_dim, hidden):
+        agents = lockstep_members(count, context_dim, hidden)
+        hp = agents[0].hp
+        singles = [(twin(a.net), twin(a.target_net), ReplayBuffer(40, a.input_dim))
+                   for a in agents]
+        streams = [(derive_stream(k, 1), derive_stream(k, 1)) for k in range(count)]
+        rng = derive_stream(98, count)
+        for episode in range(1, 301):
+            for k in rng.permutation(count):
+                agent, (_, _, ring), (train, _) = agents[k], singles[k], streams[k]
+                instance, t0, actions, rewards, dones = play_episode(agent, rng)
+                rows = agent.input_rows(instance)
+                ring.extend(rows[t0 : t0 + len(actions)], actions, rewards,
+                            rows[t0 + 1 : t0 + len(actions) + 1], dones)
+                agent.end_episode(train)
+            for agent, (net, target, ring), (_, single_train) in zip(agents, singles, streams):
+                loss = reference_train_step(net, target, ring.sample(single_train, 11), hp)
+                if episode % 5 == 0:
+                    target.theta[...] = net.theta
+                assert agent.episodes_trained == episode
+                assert agent.last_loss == loss
+                assert np.array_equal(agent.net.theta, net.theta)
+                assert np.array_equal(agent.target_net.theta, target.theta)
+        assert all(len(a.buffer) == 40 for a in agents)  # every ring has wrapped
+
+    def test_members_view_rows_of_the_group_arrays(self):
+        agents = lockstep_members(3)
+        group = agents[0]._group
+        for k, agent in enumerate(agents):
+            assert agent._group is group and agent._slot == k
+            assert np.shares_memory(agent.net.theta, group.net.theta[k])
+            assert np.shares_memory(agent.net.grad, group.net.grad[k])
+            assert np.shares_memory(agent.target_net.theta, group.target_net.theta[k])
+            assert shares_theta(agent.net) and shares_theta(agent.target_net)
+        assert shares_theta(group.net) and group.net.w1.shape == (3, 3, 50)
+
+    def test_step_waits_for_the_last_member(self):
+        agents = lockstep_members(3)
+        rng = derive_stream(99, 0)
+        before = agents[0]._group.net.theta.copy()
+        for agent in agents[:2]:
+            play_episode(agent, rng)
+            agent.end_episode(derive_stream(99, 1))
+        assert np.array_equal(agents[0]._group.net.theta, before)
+        assert [a.episodes_trained for a in agents] == [0, 0, 0]
+        play_episode(agents[2], rng)
+        agents[2].end_episode(derive_stream(99, 1))
+        assert not np.array_equal(agents[0]._group.net.theta, before)
+        assert [a.episodes_trained for a in agents] == [1, 1, 1]
+
+    def test_a_member_ends_one_episode_per_round(self):
+        agents = lockstep_members(2, names=["seed 3", "seed 4"])
+        play_episode(agents[1], derive_stream(99, 2))
+        agents[1].end_episode(derive_stream(99, 3))
+        with pytest.raises(ContractError, match="seed 4 ended two episodes in one lockstep round"):
+            agents[1].end_episode(derive_stream(99, 3))
+
+    def test_a_member_without_replay_data_is_refused(self):
+        agents = lockstep_members(2, names=["seed 3", "seed 4"])
+        play_episode(agents[1], derive_stream(99, 2))
+        agents[0].end_episode(derive_stream(99, 3))
+        with pytest.raises(ContractError, match="seed 3 has no replay data"):
+            agents[1].end_episode(derive_stream(99, 3))
+
+    @pytest.mark.parametrize("where", ["w1", "b2"])
+    def test_divergence_names_the_member_and_episode(self, where):
+        agents = lockstep_members(3, names=["seed 4", "seed 5", "seed 6"])
+        rng = derive_stream(99, 4)
+        for _ in range(2):
+            for agent in agents:
+                play_episode(agent, rng)
+                agent.end_episode(rng)
+        getattr(agents[1].net, where).flat[0] = np.inf
+        with np.errstate(all="ignore"), pytest.raises(
+                ContractError, match="DQN training of seed 5 diverged in episode 3"):
+            for agent in agents:
+                play_episode(agent, rng)
+                agent.end_episode(rng)
+        assert [a.episodes_trained for a in agents] == [2, 2, 2]
+
+    def test_members_must_share_shape_and_hyperparameters(self):
+        agents = [make_agent(), make_agent(target_sync_every=3)]
+        with pytest.raises(ContractError, match="share network shape"):
+            DQNGroup(agents)
 
 
 class TestDQNAgent:

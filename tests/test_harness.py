@@ -1,6 +1,7 @@
 """Experiment protocol: curves, aggregation, CSV, determinism."""
 
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -598,3 +599,135 @@ class TestCsvOutput:
         parallel = format_csv(curves_to_csv_rows(cfg, run_experiment(replace(cfg, workers=2))))
         assert serial == parallel
         assert (",test," in serial) == (cfg.instance_mode == "fixed")
+
+
+def dqn_cfg(mode: str, **kwargs) -> ExperimentConfig:
+    """A short DQN run of five seeds on sigmoid in ``mode``."""
+    defaults = dict(benchmark=BenchmarkConfig("sigmoid", horizon=11), agent_kind="dqn",
+                    n_seeds=5, n_episodes=12, master_seed=11, instance_mode=mode,
+                    n_train_instances=8, n_test_instances=6, test_eval_every=4,
+                    train_eval_every=2)
+    defaults.update(kwargs)
+    return ExperimentConfig(**defaults).validated()
+
+
+class RecordingPool:
+    """Stands in for ``multiprocessing.Pool``: records its size and jobs and
+    runs them here, starting no process."""
+
+    def __init__(self, sizes: list, jobs: list):
+        self.sizes, self.jobs = sizes, jobs
+
+    def __call__(self, n):
+        self.sizes.append(n)
+        return self
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def starmap(self, fn, jobs):
+        self.jobs.extend(jobs)
+        return [fn(*job) for job in jobs]
+
+
+class TestLockstepGroups:
+    """A worker runs its DQN seed runs in lockstep, one stacked SGD step per
+    round; every curve equals the curve of the seed run alone."""
+
+    @pytest.mark.parametrize("mode", ["fixed", "distribution"])
+    def test_csv_identical_at_any_worker_count_and_to_lone_runs(self, mode):
+        cfg = dqn_cfg(mode)
+        csvs = [format_csv(curves_to_csv_rows(cfg, run_experiment(replace(cfg, workers=w))))
+                for w in (1, 2, 3)]  # groups of 5; 2 and 3; 1, 2 and 2
+        assert csvs[0] == csvs[1] == csvs[2]
+        lone = [train_and_evaluate(cfg, k) for k in range(cfg.n_seeds)]
+        assert format_csv(curves_to_csv_rows(cfg, lone)) == csvs[0]
+        assert (",test," in csvs[0]) == (mode == "fixed")
+
+    @pytest.mark.parametrize("workers, groups", [
+        (1, [[0, 1, 2, 3, 4]]), (2, [[0, 1], [2, 3, 4]]), (3, [[0], [1, 2], [3, 4]]),
+        (5, [[0], [1], [2], [3], [4]]), (9, [[0], [1], [2], [3], [4]]),
+    ])
+    def test_dqn_seeds_split_into_contiguous_groups(self, monkeypatch, workers, groups):
+        import multiprocessing
+
+        sizes, jobs = [], []
+        monkeypatch.setattr(multiprocessing, "Pool", RecordingPool(sizes, jobs))
+        cfg = dqn_cfg("fixed", n_episodes=2, workers=workers)
+        curves = run_experiment(cfg)
+        if workers > 1:
+            assert sizes == [min(workers, 5)] and [job[1] for job in jobs] == groups
+        assert curves == run_experiment(replace(cfg, workers=1))
+
+    def test_one_train_step_per_round(self, monkeypatch):
+        from algocontrol.agents import dqn
+
+        shapes = []
+        real = dqn.dqn_train_step
+
+        def counting(net, target_net, batch, hp):
+            shapes.append(net.theta.shape[0])
+            return real(net, target_net, batch, hp)
+
+        monkeypatch.setattr(dqn, "dqn_train_step", counting)
+        run_experiment(dqn_cfg("distribution", n_seeds=3, n_episodes=7))
+        assert shapes == [3] * 7
+
+    @pytest.mark.parametrize("kind", ["dqn", "qlearn"])
+    def test_wall_time_is_an_equal_share_of_the_group(self, monkeypatch, kind):
+        """Under ``record_wall_time`` a seed run records its group's wall time
+        divided by the group's size; runs without a shared step, and a lone
+        run, record their own."""
+        clock = iter([100.0, 103.0, 200.0, 202.0, 300.0, 301.0])
+        monkeypatch.setattr(harness, "time", SimpleNamespace(perf_counter=lambda: next(clock)))
+        cfg = dqn_cfg("fixed", n_seeds=3, n_episodes=2, agent_kind=kind, hp=None,
+                      record_wall_time=True)
+        walls = [c.wall_time_ms for c in run_experiment(cfg)]
+        if kind == "dqn":  # one group of three
+            assert walls == [1000, 1000, 1000]
+            assert train_and_evaluate(cfg, 1).wall_time_ms == 2000
+        else:  # a job per seed run
+            assert walls == [3000, 2000, 1000]
+
+
+class TestDivergenceInAGroup:
+    """A member whose parameters stop being finite ends the run with an
+    error that names its seed run and the episode."""
+
+    @staticmethod
+    def poison_seed(monkeypatch, seed_index: int) -> None:
+        real = harness._make_agent
+
+        def make(cfg, run_seed):
+            agent = real(cfg, run_seed)
+            if run_seed == derive_seed(cfg.master_seed, harness.RUN_BASE + seed_index):
+                agent.net.w2[0, 0] = np.nan
+            return agent
+
+        monkeypatch.setattr(harness, "_make_agent", make)
+
+    def test_error_names_the_seed_run_and_episode(self, monkeypatch):
+        self.poison_seed(monkeypatch, 3)
+        with np.errstate(all="ignore"), pytest.raises(
+                ContractError, match=r"DQN training of seed 3 diverged in episode 1: loss nan"):
+            run_experiment(dqn_cfg("fixed"))
+
+    def test_cli_prints_one_runtime_line(self, monkeypatch, tmp_path, capsys):
+        from algocontrol.cli import main
+        from algocontrol.config import render_config
+
+        self.poison_seed(monkeypatch, 1)
+        config = tmp_path / "exp.ini"
+        config.write_text(render_config(dqn_cfg("distribution", n_seeds=3)))
+        out = tmp_path / "res.csv"
+        with np.errstate(all="ignore"):
+            code = main(["run", str(config), "--output", str(out)])
+        assert code == 3
+        err = capsys.readouterr().err.splitlines()
+        assert [line for line in err if line.startswith("E-")] == [
+            "E-RUNTIME: DQN training of seed 1 diverged in episode 1: loss nan or an updated "
+            "parameter is not finite"]
+        assert not out.exists()

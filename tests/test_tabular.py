@@ -280,6 +280,17 @@ class TestQUpdate:
         q_update(q, "s", 0, 1.0, "s2", False, hp, 2)
         assert q["s"][0] == pytest.approx(1.99, abs=0)
 
+    @pytest.mark.parametrize("reward, bootstrap", [
+        (float("inf"), 0.0), (float("nan"), 0.0), (1e308, 1e308), (-1e308, -1e308),
+    ], ids=["inf-reward", "nan-reward", "overflow", "negative-overflow"])
+    def test_non_finite_value_is_refused_before_it_is_written(self, reward, bootstrap):
+        q = {"s": [0.5, 0.25], "s2": [bootstrap, bootstrap]}
+        hp = AgentHyperparams(alpha=1.0, gamma=0.99)
+        with pytest.raises(ContractError, match=r"Q-value -?(inf|nan) of state 's', action 1 "
+                                                r"is not finite"):
+            q_update(q, "s", 1, reward, "s2", False, hp, 2)
+        assert q["s"] == [0.5, 0.25]
+
     def test_two_step_chain_converges_to_value_iteration(self):
         # chain: s0 -a-> s1 -a-> terminal; rewards 1 then 2 for action 0,
         # 0 then 0.5 for action 1
