@@ -10,7 +10,6 @@ episode length.
 from __future__ import annotations
 
 import math
-import weakref
 
 import numpy as np
 
@@ -94,7 +93,7 @@ class ReplayBuffer:
             raise ContractError("capacity must be >= 1")
         self.capacity = capacity
         self.obs_dim = obs_dim
-        # Uninitialised: ``sample`` reads only rows below ``len``, all written.
+        # Uninitialised: ``gather`` reads only rows below ``len``, all written.
         self.rows = np.empty((capacity, 2 * obs_dim + 3))
         self._next = 0
         self._size = 0
@@ -118,13 +117,6 @@ class ReplayBuffer:
         rows[idx, 2 * d + 2] = dones[n - keep:]
         self._next = (self._next + n) % self.capacity
         self._size = min(self._size + n, self.capacity)
-
-    def sample(self, rng: np.random.Generator, batch_size: int) -> tuple:
-        """Uniform sample with replacement, as the ``_columns`` of one gather
-        with actions as int64."""
-        batch = self.gather(rng, np.empty((batch_size, self.rows.shape[1])))
-        x, actions, rewards, next_obs, dones = _columns(batch, self.obs_dim)
-        return x, actions.astype(np.int64), rewards, next_obs, dones
 
     def gather(self, rng: np.random.Generator, out: np.ndarray) -> np.ndarray:
         """Fill the rows of ``out`` with a uniform sample, with replacement, of
@@ -151,8 +143,8 @@ def _columns(batch: np.ndarray, obs_dim: int) -> tuple:
 def _loss_into_grad(
     net: MLPQNet, target_net: MLPQNet, batch: tuple, hp: AgentHyperparams
 ) -> np.ndarray:
-    """Mean squared TD error with the double-DQN target on a
-    ``ReplayBuffer.sample`` batch; its gradient overwrites ``net.grad``.
+    """Mean squared TD error with the double-DQN target on a batch of
+    ``_columns`` (actions as int64); its gradient overwrites ``net.grad``.
 
     Target: r + gamma * Q_target(s', argmax_a Q_online(s', a)), masked on
     terminal transitions. A stacked net takes a batch with the same leading
@@ -209,7 +201,8 @@ class DQNGroup:
     own stream, into its slot of the group batch, and the round's last one
     takes one ``dqn_train_step`` for all members. Each member's step equals,
     bit for bit, the step it would take alone. ``names`` name the members in
-    a divergence error. A ``DQNAgent`` starts as a group of one.
+    a divergence error. A ``DQNAgent`` starts as a group of one, whose step
+    runs on its own row, without the seed axis.
     """
 
     def __init__(self, agents: list["DQNAgent"], names: list[str] | None = None) -> None:
@@ -220,63 +213,69 @@ class DQNGroup:
             raise ContractError(
                 "agents in lockstep must share network shape, batch size and hyperparameters"
             )
-        # Weak: an agent holds its group, so strong references both ways would
-        # keep every group's replay rings alive until a full garbage collection.
-        self.agents = [weakref.proxy(agent) for agent in agents]
         self.names = names or [f"agent {k}" for k in range(len(agents))]
-        self.net = MLPQNet(d, a, hidden=h, theta=np.stack([x.net.theta for x in agents]))
-        self.target_net = MLPQNet(d, a, hidden=h,
-                                  theta=np.stack([x.target_net.theta for x in agents]))
-        for k, agent in enumerate(agents):
-            agent.net = MLPQNet(d, a, hidden=h, theta=self.net.theta[k], grad=self.net.grad[k])
-            agent.target_net = MLPQNet(d, a, hidden=h, theta=self.target_net.theta[k],
-                                       grad=self.target_net.grad[k])
-            agent._group, agent._slot = self, k
+        self.hp = first.hp
+        self.theta = np.stack([x.net.theta for x in agents])
+        grad, target = np.zeros(self.theta.shape), np.stack([x.target_net.theta for x in agents])
         self.batch = np.empty((len(agents), first.batch_size, 2 * d + 3))
-        self._columns = _columns(self.batch, d)
-        self._ended: set[int] = set()  # members that ended this round's episode
+        # The step's nets and batch: the stacks, or a lone member's rows, whose
+        # single-network products are cheaper than those of a stack of one.
+        step = slice(None) if len(agents) > 1 else 0
+        self.net = MLPQNet(d, a, hidden=h, theta=self.theta[step], grad=grad[step])
+        self.target_net = MLPQNet(d, a, hidden=h, theta=target[step])
+        self._columns = _columns(self.batch[step], d)
+        for k, agent in enumerate(agents):
+            agent.net = MLPQNet(d, a, hidden=h, theta=self.theta[k], grad=grad[k])
+            agent.target_net = MLPQNet(d, a, hidden=h, theta=target[k])
+            agent._group, agent._slot = self, k
+        # The members that ended this round's episode, by slot. Only these are
+        # held, until the round's step: an agent holds its group, so holding
+        # every member for good would make cycles that keep the replay rings
+        # alive until a full garbage collection.
+        self._round: dict[int, DQNAgent] = {}
         self._sampled = 0  # how many of them sampled a batch
 
-    def end_episode(self, k: int, rng: np.random.Generator) -> None:
-        """Member ``k`` has ended its episode of this round: sample its batch
-        with ``rng``, and if it is the round's last, take the round's step."""
-        if k in self._ended:
+    def end_episode(self, agent: "DQNAgent", rng: np.random.Generator) -> None:
+        """Member ``agent`` has ended its episode of this round: sample its
+        batch with ``rng``, and if it is the round's last, take the round's step."""
+        k = agent._slot
+        if k in self._round:
             raise ContractError(f"{self.names[k]} ended two episodes in one lockstep round")
-        self._ended.add(k)
-        buffer = self.agents[k].buffer
-        if len(buffer) > 0:
-            buffer.gather(rng, self.batch[k])
+        self._round[k] = agent
+        if len(agent.buffer) > 0:
+            agent.buffer.gather(rng, self.batch[k])
             self._sampled += 1
-        if len(self._ended) == len(self.agents):
+        if len(self._round) == len(self.names):
             self._step()
 
     def _step(self) -> None:
         """The round's SGD step (none while no member has replay data), its
         finiteness check, then each member's greedy-cache clear, ε and
         target sync."""
-        agents, sampled = self.agents, self._sampled
-        self._ended, self._sampled = set(), 0
+        members, sampled = self._round, self._sampled
+        self._round, self._sampled = {}, 0
         if sampled:
-            if sampled < len(agents):
-                empty = [name for agent, name in zip(agents, self.names) if len(agent.buffer) == 0]
-                raise ContractError(f"{empty[0]} has no replay data in a lockstep round "
-                                    "where other members have")
+            if sampled < len(members):
+                empty = min(k for k, agent in members.items() if len(agent.buffer) == 0)
+                raise ContractError(f"{self.names[empty]} has no replay data in a lockstep "
+                                    "round where other members have")
             x, actions, rewards, next_obs, dones = self._columns
             batch = (x, actions.astype(np.int64), rewards, next_obs, dones)
-            losses = dqn_train_step(self.net, self.target_net, batch, agents[0].hp).tolist()
-            theta = self.net.theta
+            # One loss per member; a lone member's step returns a scalar.
+            losses = dqn_train_step(self.net, self.target_net, batch, self.hp).reshape(-1).tolist()
+            theta = self.theta
             if not (all(map(math.isfinite, losses)) and np.isfinite(theta).all()):
                 k = next(k for k, loss in enumerate(losses)
                          if not (math.isfinite(loss) and np.isfinite(theta[k]).all()))
                 raise ContractError(
                     f"DQN training of {self.names[k]} diverged in episode "
-                    f"{agents[k].episodes_trained + 1}: loss {losses[k]!r} "
+                    f"{members[k].episodes_trained + 1}: loss {losses[k]!r} "
                     "or an updated parameter is not finite"
                 )
-            for agent, loss in zip(agents, losses):
-                agent.last_loss = loss
+            for k, agent in members.items():
+                agent.last_loss = losses[k]
                 agent._greedy.clear()
-        for agent in agents:
+        for agent in members.values():
             agent.episodes_trained += 1
             agent._epsilon = agent.epsilon
             if agent.episodes_trained % agent.hp.target_sync_every == 0:
@@ -405,7 +404,7 @@ class DQNAgent:
             rows = self.input_rows(instances[0])
             self.buffer.extend(rows[t0 : t0 + n], actions, rewards, rows[t0 + 1 : t0 + n + 1],
                                dones)
-        self._group.end_episode(self._slot, rng)
+        self._group.end_episode(self, rng)
 
     def greedy_action(self, obs: Observation) -> ActionId:
         return self._greedy_actions(obs.continuous_features)[obs.time_step]

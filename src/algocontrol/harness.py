@@ -22,7 +22,7 @@ from itertools import zip_longest
 
 import numpy as np
 
-from .agents import AgentHyperparams, DQNAgent, DQNGroup, TabularAgent, AGENT_KINDS, save_agent
+from .agents import AgentHyperparams, DQNAgent, DQNGroup, TabularAgent, AGENT_KINDS, snapshot
 from .benchmarks import (
     BenchmarkConfig,
     make_env,
@@ -359,38 +359,34 @@ def _training(cfg: ExperimentConfig, run_seed: int, agent, draw):
         yield episode
 
 
-def _check_save(cfg: ExperimentConfig, save_path: str) -> None:
-    if save_path and cfg.agent_kind == "blackbox":
+def _check_save(cfg: ExperimentConfig, save_agent: tuple[int, str] | None) -> None:
+    if save_agent is not None and cfg.agent_kind == "blackbox":
         raise ConfigError("blackbox runs produce schedules, not agent snapshots")
 
 
 def train_and_evaluate(
     cfg: ExperimentConfig,
-    seed_index: int,
-    save_path: str = "",
-) -> SeedCurve:
-    """One seed repetition of the full protocol, as a lockstep group of one.
+    seeds: list[int],
+    save_agent: tuple[int, str] | None = None,
+) -> list[SeedCurve]:
+    """Seed repetitions ``seeds`` of the full protocol, in lockstep, with
+    their curves in the order of ``seeds``.
 
-    Trains for ``n_episodes`` episodes; after every ``train_eval_every``-th
-    episode the greedy policy is evaluated per the instance regime
-    (1 run deterministic, mean of 10 runs stochastic, once per training
-    instance for fixed sets). Fixed mode additionally evaluates the
-    held-out test set every ``test_eval_every`` episodes. A non-empty
-    ``save_path`` receives a snapshot of the trained agent.
+    Each seed run trains for ``n_episodes`` episodes; after every
+    ``train_eval_every``-th episode its greedy policy is evaluated per the
+    instance regime (1 run deterministic, mean of 10 runs stochastic, once
+    per training instance for fixed sets). Fixed mode additionally
+    evaluates the held-out test set every ``test_eval_every`` episodes.
+    A round is episode e of each seed run in turn, then each run's
+    checkpoints of episode e; DQN agents form one ``DQNGroup``, so the
+    round's last episode takes one stacked SGD step for all of them.
+    Runs share no random stream, so each curve is that of its seed run
+    alone. ``save_agent=(k, path)`` saves seed k's agent at ``path`` if k
+    is one of ``seeds``. Under ``record_wall_time`` each run records an
+    equal share of the wall time of the whole call.
     """
     cfg = cfg.validated()
-    _check_save(cfg, save_path)
-    return _seed_runs(cfg, [seed_index], seed_index, save_path)[0]
-
-
-def _seed_runs(cfg: ExperimentConfig, seeds: list[int], save_seed: int = -1,
-               save_path: str = "") -> list[SeedCurve]:
-    """Seed runs ``seeds`` of a validated config, in lockstep: episode e of
-    each run in turn, then each run's checkpoints of episode e. DQN agents
-    form one ``DQNGroup``, so the round's last episode takes one stacked SGD
-    step for all of them. Seed ``save_seed``'s agent, if it is here, is
-    saved at ``save_path``. Under ``record_wall_time`` each run records an
-    equal share of the wall time of the whole call."""
+    _check_save(cfg, save_agent)
     started = time.perf_counter()
     setups = [_EvalSetup(cfg, derive_seed(cfg.master_seed, RUN_BASE + k)) for k in seeds]
     if cfg.agent_kind == "blackbox":
@@ -411,8 +407,8 @@ def _seed_runs(cfg: ExperimentConfig, seeds: list[int], save_seed: int = -1,
                 if setup.test_set and episode % cfg.test_eval_every == 0:
                     curve.test_points.append((episode, evaluate_on_test_set(
                         agent, eval_env, setup.test_set, setup.run_seed)))
-        if save_path and save_seed in seeds:
-            save_agent(agents[seeds.index(save_seed)], save_path)
+        if save_agent is not None and save_agent[0] in seeds:
+            snapshot.save_agent(agents[seeds.index(save_agent[0])], save_agent[1])
     if cfg.record_wall_time:
         share = int((time.perf_counter() - started) * 1000 / len(seeds))
         for curve in curves:
@@ -427,38 +423,32 @@ def run_experiment(
     in-process); deterministic regardless of worker count.
 
     A DQN config's seeds are split into that many contiguous lockstep
-    groups, one job each, so each process takes one stacked SGD step per
-    round for its group. Other agent kinds share no step and run one seed
-    per job (``train_and_evaluate``), so one Q-table is live at a time.
+    groups, one ``train_and_evaluate`` job each, so each process takes one
+    stacked SGD step per round for its group. Other kinds share no step and
+    run one seed per job, so a process holds one Q-table at a time (a
+    lockstep group would hold all of its Q-tables at once: on the 2-seed
+    ``luby-qlearn`` benchmark workload, 50.4 against 44.4 MB peak RSS).
 
     ``save_agent=(k, path)`` snapshots seed k's agent at ``path`` when
-    that seed run ends, inside the process that trained it.
+    its group ends, inside the process that trained it.
     """
     cfg = cfg.validated()
-    save_seed, save_path = save_agent or (-1, "")
-    _check_save(cfg, save_path)
-    if save_agent is not None and not 0 <= save_seed < cfg.n_seeds:
-        raise ConfigError(f"agent seed {save_seed} is not a seed of this run; "
+    _check_save(cfg, save_agent)
+    if save_agent is not None and not 0 <= save_agent[0] < cfg.n_seeds:
+        raise ConfigError(f"agent seed {save_agent[0]} is not a seed of this run; "
                           f"expected 0 to {cfg.n_seeds - 1}")
     n, workers = cfg.n_seeds, min(cfg.workers, cfg.n_seeds)  # a process per job at most
-    if cfg.agent_kind == "dqn":  # contiguous lockstep groups, one job each
-        edges = [i * n // workers for i in range(workers + 1)]
-        jobs = [(cfg, list(range(a, b)), save_seed, save_path) for a, b in zip(edges, edges[1:])]
-        curves = [c for group in _pooled(_seed_runs, jobs, workers) for c in group]
+    n_jobs = workers if cfg.agent_kind == "dqn" else n
+    edges = [i * n // n_jobs for i in range(n_jobs + 1)]
+    jobs = [(cfg, list(range(a, b)), save_agent) for a, b in zip(edges, edges[1:])]
+    if workers > 1:
+        import multiprocessing
+
+        with multiprocessing.Pool(workers) as pool:
+            groups = pool.starmap(train_and_evaluate, jobs)
     else:
-        jobs = [(cfg, k, save_path if k == save_seed else "") for k in range(n)]
-        curves = _pooled(train_and_evaluate, jobs, workers)
-    return sorted(curves, key=lambda c: c.seed)
-
-
-def _pooled(fn, jobs: list[tuple], workers: int) -> list:
-    """``fn(*job)`` of each job, in a pool of ``workers`` processes if more than one."""
-    if workers == 1:
-        return [fn(*job) for job in jobs]
-    import multiprocessing
-
-    with multiprocessing.Pool(workers) as pool:
-        return pool.starmap(fn, jobs)
+        groups = [train_and_evaluate(*job) for job in jobs]
+    return [curve for group in groups for curve in group]  # contiguous groups: seed order
 
 
 def curves_to_csv_rows(

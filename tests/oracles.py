@@ -63,7 +63,7 @@ def value_iteration_oracle(transitions: dict, gamma: float) -> tuple[dict, dict]
 
 def random_gradcheck_case(rng: np.random.Generator, hidden: int = 5):
     """(net, target, batch), the batch an (obs, actions, rewards,
-    next_obs, dones) tuple as ``ReplayBuffer.sample`` returns, with ReLU
+    next_obs, dones) tuple as a ``DQNGroup`` step takes, with ReLU
     preactivations and next-state argmax gaps bounded away from zero, so
     central finite differences never cross a non-differentiable point."""
     d, actions, batch_size = 3, 4, 6

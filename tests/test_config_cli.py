@@ -537,7 +537,7 @@ class TestCliSaveAgent:
         replayed = eval_setup.evaluate(
             load_snapshot(str(snap)), make_env(cfg.benchmark), cfg.n_episodes
         )
-        assert replayed == harness.train_and_evaluate(cfg, 1).train_rewards[-1]
+        assert replayed == harness.train_and_evaluate(cfg, [1])[0].train_rewards[-1]
         prefix = f"{cfg.benchmark.kind},{cfg.agent_kind},1,{cfg.n_episodes},train,"
         assert [line for line in out.read_text().splitlines() if line.startswith(prefix)] == [
             f"{prefix}{replayed:.6g},0"
@@ -575,31 +575,18 @@ class TestCliSaveAgent:
         assert len(err) == 1 and err[0].startswith("E-CONFIG:") and "blackbox" in err[0]
         assert not out.exists() and not snap.exists()
 
-    def test_non_finite_q_value_is_named_before_any_snapshot(self, tmp_path, capsys):
-        """The Q-table itself refuses the overflowing value: the one error
-        line names the Q-value, its state and its action, not the snapshot
-        record or the evaluation reward."""
-        text = ("[benchmark]\nkind = fuzzy\nfuzzy_mean = 1e308\n\n[agent]\nkind = qlearn\n\n"
-                "[harness]\nepisodes = 20\nn_seeds = 1\n")
-        snap = tmp_path / "snap.txt"
-        code, _, out = self._run(tmp_path, text, "--save-agent", str(snap))
-        assert code == 3
-        err = [line for line in capsys.readouterr().err.splitlines() if line.startswith("E-")]
-        assert len(err) == 1
-        assert re.fullmatch(r"E-RUNTIME: Q-value inf of state .+, action \d is not finite", err[0])
-        assert not snap.exists() and not out.exists()
-
     def test_non_finite_q_value_leaves_no_snapshot(self, tmp_path, capsys):
-        """A fuzzy mean of 1e308 overflows the Q-table to inf: the run ends
-        in one runtime line and no snapshot file is created."""
+        """A fuzzy mean of 1e308 overflows the Q-table to inf: the Q-table
+        refuses the value, and the run ends in one runtime line naming the
+        Q-value, its state and its action; no snapshot file is created."""
         text = ("[benchmark]\nkind = fuzzy\nfuzzy_mean = 1e308\n\n[agent]\nkind = qlearn\n\n"
                 "[harness]\nepisodes = 20\nn_seeds = 1\n")
         snap = tmp_path / "snap.txt"
         code, _, out = self._run(tmp_path, text, "--save-agent", str(snap))
         assert code == 3
         err = capsys.readouterr().err.splitlines()
-        assert len(err) == 1 and err[0].startswith("E-RUNTIME:")
-        assert [line for line in err if line.startswith("E-")] == err
+        assert len(err) == 1
+        assert re.fullmatch(r"E-RUNTIME: Q-value inf of state .+, action \d is not finite", err[0])
         assert not snap.exists() and not out.exists()
 
 

@@ -15,7 +15,7 @@ from algocontrol.agents import (
     load_snapshot,
     save_agent,
 )
-from algocontrol.agents.dqn import INPUT_ROWS_KEPT, _loss_into_grad
+from algocontrol.agents.dqn import INPUT_ROWS_KEPT, _columns, _loss_into_grad
 from algocontrol.benchmarks import (
     SigmoidEnv,
     SigmoidMVAEnv,
@@ -35,6 +35,14 @@ from oracles import (
 
 def make_net(input_dim=3, actions=4, hidden=5, seed=0):
     return MLPQNet(input_dim, actions, derive_stream(seed, 0), hidden=hidden)
+
+
+def sample(buf, rng, batch_size):
+    """A replay batch as a ``DQNGroup`` step takes it: the ``_columns`` of
+    one ``gather``, actions as int64."""
+    batch = buf.gather(rng, np.empty((batch_size, buf.rows.shape[1])))
+    x, actions, rewards, next_obs, dones = _columns(batch, buf.obs_dim)
+    return x, actions.astype(np.int64), rewards, next_obs, dones
 
 
 def twin(net):
@@ -283,25 +291,22 @@ class TestReplayBuffer:
         buf = ReplayBuffer(capacity=4, obs_dim=1)
         buf.extend(np.arange(4.0)[:, None], [0, 1, 2, 3], [0.0] * 4, np.zeros((4, 1)), [False] * 4)
         rng = derive_stream(81, 0)
-        actions = buf.sample(rng, 10**4)[1]
+        actions = sample(buf, rng, 10**4)[1]
         counts = np.bincount(actions, minlength=4)
         assert np.all(np.abs(counts / 10**4 - 0.25) <= 0.02)
 
-    def test_sample_is_column_views_of_one_gather(self):
+    def test_gather_fills_out_with_drawn_ring_rows(self):
         buf = ReplayBuffer(capacity=8, obs_dim=2)
         obs, actions, rewards, next_obs, dones = zip(*transitions(0, 6))
         buf.extend(np.array(obs), actions, rewards, np.array(next_obs), dones)
-        batch = buf.sample(derive_stream(89, 0), 5)
-        gathered = batch[0].base
-        assert gathered.shape == (5, 7) and not np.shares_memory(gathered, buf.rows)
-        for column in (batch[0], batch[2], batch[3], batch[4]):
-            assert column.base is gathered
-        assert batch[1].dtype == np.int64 and np.array_equal(batch[1], gathered[:, 2])
-        assert set(batch[4]) <= {0.0, 1.0}
+        out = np.empty((5, 7))
+        assert buf.gather(derive_stream(89, 0), out) is out
+        assert not np.shares_memory(out, buf.rows)
+        assert np.array_equal(out, buf.rows[derive_stream(89, 0).integers(6, size=5)])
 
     def test_sample_empty_rejected(self):
         with pytest.raises(ContractError):
-            ReplayBuffer(4, 1).sample(derive_stream(82, 0), 2)
+            sample(ReplayBuffer(4, 1), derive_stream(82, 0), 2)
 
 
 def transitions(first, n):
@@ -343,7 +348,7 @@ class TestRingWrite:
         assert len(buf) == size
         for i, transition in enumerate(slots[:size]):
             assert np.array_equal(buf.rows[i], packed_row(*transition))
-        batch = buf.sample(derive_stream(88, 0), 50)
+        batch = sample(buf, derive_stream(88, 0), 50)
         idx = derive_stream(88, 0).integers(size, size=50)
         for got, want in zip(batch, zip(*(slots[i] for i in idx))):
             assert np.array_equal(got, np.array(want))
@@ -387,7 +392,7 @@ class TestStridedBatch:
         for trial in range(5):
             net = MLPQNet(obs_dim, actions, rng, hidden=hidden)
             target = MLPQNet(obs_dim, actions, rng, hidden=hidden)
-            views = buf.sample(rng, batch_size)
+            views = sample(buf, rng, batch_size)
             assert not views[0].flags.c_contiguous and not views[3].flags.c_contiguous
             copies = tuple(np.ascontiguousarray(column) for column in views)
             loss, grad = loss_and_grad(net, target, views, hp)
@@ -417,7 +422,7 @@ class TestSGDStepOracle:
         target = MLPQNet(obs_dim, actions, rng, hidden=hidden)
         ref, ref_target = twin(net), twin(target)
         for step in range(1, 21):
-            batch = buf.sample(rng, batch_size)
+            batch = sample(buf, rng, batch_size)
             if contiguous:
                 batch = tuple(np.ascontiguousarray(column) for column in batch)
             loss, grad = loss_and_grad(net, target, batch, hp)
@@ -486,7 +491,7 @@ class TestLockstepStep:
                             rows[t0 + 1 : t0 + len(actions) + 1], dones)
                 agent.end_episode(train)
             for agent, (net, target, ring), (_, single_train) in zip(agents, singles, streams):
-                loss = reference_train_step(net, target, ring.sample(single_train, 11), hp)
+                loss = reference_train_step(net, target, sample(ring, single_train, 11), hp)
                 if episode % 5 == 0:
                     target.theta[...] = net.theta
                 assert agent.episodes_trained == episode
@@ -505,6 +510,14 @@ class TestLockstepStep:
             assert np.shares_memory(agent.target_net.theta, group.target_net.theta[k])
             assert shares_theta(agent.net) and shares_theta(agent.target_net)
         assert shares_theta(group.net) and group.net.w1.shape == (3, 3, 50)
+
+    def test_a_lone_agent_steps_on_its_own_row(self):
+        (agent,) = lockstep_members(1)
+        group = agent._group
+        assert group.net.theta.shape == agent.net.theta.shape and group.net.w1.shape == (3, 50)
+        assert np.shares_memory(group.net.theta, agent.net.theta)
+        assert np.shares_memory(group.net.grad, agent.net.grad)
+        assert np.shares_memory(group.target_net.theta, agent.target_net.theta)
 
     def test_step_waits_for_the_last_member(self):
         agents = lockstep_members(3)

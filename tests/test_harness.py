@@ -237,8 +237,8 @@ class TestEvaluation:
 class TestTrainAndEvaluate:
     def test_deterministic_repeat(self):
         cfg = counting_cfg(n_episodes=10).validated()
-        curve = train_and_evaluate(cfg, 0)
-        later = train_and_evaluate(cfg, 0)
+        curve = train_and_evaluate(cfg, [0])[0]
+        later = train_and_evaluate(cfg, [0])[0]
         assert curve.train_rewards == later.train_rewards
 
     def test_injected_optimal_agent_gives_flat_curve(self, monkeypatch):
@@ -258,19 +258,19 @@ class TestTrainAndEvaluate:
             return agent
 
         monkeypatch.setattr(harness_module, "_make_agent", optimal_agent)
-        curve = train_and_evaluate(counting_cfg(n_episodes=10, agent_kind="gr"), 0)
+        curve = train_and_evaluate(counting_cfg(n_episodes=10, agent_kind="gr"), [0])[0]
         assert curve.train_rewards == [5.0] * 10
 
     def test_curves_have_episode_grid(self):
         cfg = counting_cfg(n_episodes=12, train_eval_every=3)
-        curve = train_and_evaluate(cfg, 0)
+        curve = train_and_evaluate(cfg, [0])[0]
         assert curve.episodes == [3, 6, 9, 12]
 
     def test_evaluation_does_not_perturb_training(self):
         dense = counting_cfg(n_episodes=20, train_eval_every=1)
         sparse = counting_cfg(n_episodes=20, train_eval_every=5)
-        dense_curve = train_and_evaluate(dense, 1)
-        sparse_curve = train_and_evaluate(sparse, 1)
+        dense_curve = train_and_evaluate(dense, [1])[0]
+        sparse_curve = train_and_evaluate(sparse, [1])[0]
         picked = [
             dense_curve.train_rewards[e - 1] for e in sparse_curve.episodes
         ]
@@ -278,14 +278,14 @@ class TestTrainAndEvaluate:
 
     def test_seed_isolation(self):
         cfg = counting_cfg(n_episodes=15)
-        direct = [train_and_evaluate(cfg, k).train_rewards for k in (0, 1)]
-        reversed_order = [train_and_evaluate(cfg, k).train_rewards for k in (1, 0)]
+        direct = [train_and_evaluate(cfg, [k])[0].train_rewards for k in (0, 1)]
+        reversed_order = [train_and_evaluate(cfg, [k])[0].train_rewards for k in (1, 0)]
         assert direct[0] == reversed_order[1]
         assert direct[1] == reversed_order[0]
 
     def test_blackbox_curve_matches_grid(self):
         cfg = counting_cfg(agent_kind="blackbox", n_episodes=30)
-        curve = train_and_evaluate(cfg, 0)
+        curve = train_and_evaluate(cfg, [0])[0]
         assert curve.episodes == list(range(1, 31))
         assert all(a <= b for a, b in zip(curve.train_rewards, curve.train_rewards[1:]))
 
@@ -300,14 +300,14 @@ class TestTrainAndEvaluate:
             return real(*args, **kwargs)
 
         monkeypatch.setattr(harness, "blackbox_optimize", spy)
-        train_and_evaluate(counting_cfg(benchmark=bench, agent_kind="blackbox", n_episodes=5), 0)
+        train_and_evaluate(counting_cfg(benchmark=bench, agent_kind="blackbox", n_episodes=5), [0])
         assert seen == [bench.runs]
 
     def test_blackbox_save_path_is_a_config_error(self, tmp_path):
         snap = tmp_path / "agent.snap"
         with pytest.raises(ConfigError, match="blackbox"):
-            train_and_evaluate(counting_cfg(agent_kind="blackbox", n_episodes=5), 0,
-                               save_path=str(snap))
+            train_and_evaluate(counting_cfg(agent_kind="blackbox", n_episodes=5), [0],
+                               save_agent=(0, str(snap)))
         assert not snap.exists()
 
 
@@ -454,7 +454,7 @@ class TestCheckpointMemo:
         cfg = ExperimentConfig(BenchmarkConfig("sigmoid", horizon=11), "dqn", n_seeds=1,
                                n_episodes=6, master_seed=3)
         rollouts = count_rollouts(monkeypatch)
-        curve = train_and_evaluate(cfg, 0)
+        curve = train_and_evaluate(cfg, [0])[0]
         assert rollouts == [len(curve.episodes) * cfg.validated().eval_runs]
 
 
@@ -494,12 +494,12 @@ class TestFixedInstanceMode:
         assert (a.instances, a.test_set) == (b.instances, b.test_set)
 
     def test_test_points_on_schedule(self):
-        curve = train_and_evaluate(self._cfg(), 0)
+        curve = train_and_evaluate(self._cfg(), [0])[0]
         assert [e for e, _ in curve.test_points] == [10, 20, 30]
 
     def test_tabular_test_reward_near_default_policy(self):
         # unseen rounded contexts fall back to the all-zero row
-        curve = train_and_evaluate(self._cfg(n_episodes=50), 0)
+        curve = train_and_evaluate(self._cfg(n_episodes=50), [0])[0]
         assert all(3.0 <= r <= 9.0 for _, r in curve.test_points)
 
     def test_csv_contains_test_rows(self):
@@ -521,7 +521,7 @@ class TestFixedInstanceMode:
             n_episodes=3,
             master_seed=3,
         )
-        curve = train_and_evaluate(cfg, 0)
+        curve = train_and_evaluate(cfg, [0])[0]
         assert 2.5 <= curve.train_rewards[0] <= 8.5
 
 
@@ -643,7 +643,7 @@ class TestLockstepGroups:
         csvs = [format_csv(curves_to_csv_rows(cfg, run_experiment(replace(cfg, workers=w))))
                 for w in (1, 2, 3)]  # groups of 5; 2 and 3; 1, 2 and 2
         assert csvs[0] == csvs[1] == csvs[2]
-        lone = [train_and_evaluate(cfg, k) for k in range(cfg.n_seeds)]
+        lone = [train_and_evaluate(cfg, [k])[0] for k in range(cfg.n_seeds)]
         assert format_csv(curves_to_csv_rows(cfg, lone)) == csvs[0]
         assert (",test," in csvs[0]) == (mode == "fixed")
 
@@ -660,6 +660,17 @@ class TestLockstepGroups:
         curves = run_experiment(cfg)
         if workers > 1:
             assert sizes == [min(workers, 5)] and [job[1] for job in jobs] == groups
+        assert curves == run_experiment(replace(cfg, workers=1))
+
+    @pytest.mark.parametrize("kind", ["qlearn", "blackbox"])
+    def test_other_kinds_run_one_seed_per_job(self, monkeypatch, kind):
+        import multiprocessing
+
+        sizes, jobs = [], []
+        monkeypatch.setattr(multiprocessing, "Pool", RecordingPool(sizes, jobs))
+        cfg = dqn_cfg("fixed", n_episodes=2, workers=2, agent_kind=kind, hp=None)
+        curves = run_experiment(cfg)
+        assert sizes == [2] and [job[1] for job in jobs] == [[0], [1], [2], [3], [4]]
         assert curves == run_experiment(replace(cfg, workers=1))
 
     def test_one_train_step_per_round(self, monkeypatch):
@@ -679,8 +690,7 @@ class TestLockstepGroups:
     @pytest.mark.parametrize("kind", ["dqn", "qlearn"])
     def test_wall_time_is_an_equal_share_of_the_group(self, monkeypatch, kind):
         """Under ``record_wall_time`` a seed run records its group's wall time
-        divided by the group's size; runs without a shared step, and a lone
-        run, record their own."""
+        divided by the group's size; a run alone records its own."""
         clock = iter([100.0, 103.0, 200.0, 202.0, 300.0, 301.0])
         monkeypatch.setattr(harness, "time", SimpleNamespace(perf_counter=lambda: next(clock)))
         cfg = dqn_cfg("fixed", n_seeds=3, n_episodes=2, agent_kind=kind, hp=None,
@@ -688,7 +698,7 @@ class TestLockstepGroups:
         walls = [c.wall_time_ms for c in run_experiment(cfg)]
         if kind == "dqn":  # one group of three
             assert walls == [1000, 1000, 1000]
-            assert train_and_evaluate(cfg, 1).wall_time_ms == 2000
+            assert train_and_evaluate(cfg, [1])[0].wall_time_ms == 2000
         else:  # a job per seed run
             assert walls == [3000, 2000, 1000]
 
