@@ -40,13 +40,16 @@ def greedy(q: QRows, s: StateKey) -> ActionId:
 def argmax_with_random_ties(
     rng: np.random.Generator, q: QRows, s: StateKey, action_count: int
 ) -> ActionId:
-    """Greedy selection breaking exact ties uniformly at random.
+    """Greedy selection breaking exact ties uniformly at random; a state
+    with no row reads as zeros, so it draws once over all actions.
 
     Used during training only: with zero-initialized tables, always
     taking the lowest tied index starves states reached off the greedy
     path, which visibly fattens the time-to-optimum tail.
     """
-    row = q.get(s) or (0.0,) * action_count  # a state with no row reads as zeros
+    row = q.get(s)
+    if row is None:
+        return int(rng.integers(action_count))
     best = max(row)
     if row.count(best) == 1:  # a unique maximum draws nothing
         return row.index(best)
@@ -207,4 +210,9 @@ class TabularAgent:
 
     def greedy_path_holds(self, path: list[tuple[StateKey, ActionId]]) -> bool:
         """Whether ``greedy_action`` takes each action of a (state key, action) path."""
-        return all(greedy(self.q, s) == a for s, a in path)
+        q = self.q
+        for s, a in path:
+            row = q.get(s)
+            if (0 if row is None else row.index(max(row))) != a:
+                return False
+        return True

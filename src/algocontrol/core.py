@@ -202,12 +202,14 @@ class Environment:
         if not 0 <= action < self.action_count:
             raise ContractError(f"action {action} out of range [0, {self.action_count})")
         reward = float(self._reward(t, action))
-        done = self._done = self._terminates(t, action) or t + 1 >= self.horizon
+        done = self._done = t + 1 >= self.horizon or (
+            not self.fixed_rewards and self._terminates(t, action))
         history = self._history
         if self.history_len > 0:
             history = self._history = history[1:] + (action,)
         self._t = t + 1
-        return Observation(t + 1, self._instance, history), reward, done
+        # Observation(...) without the named tuple's Python-level __new__
+        return tuple.__new__(Observation, (t + 1, self._instance, history)), reward, done
 
     def path_return(self, actions, instance: Instance, master_seed: int,
                     stream_id: int) -> float:
@@ -229,11 +231,14 @@ class Environment:
         return total
 
     def _check_actions(self, actions) -> None:
-        """Refuse a path no rollout takes: longer than the horizon, shorter with no
-        terminating action, or (as ``step`` does) an action outside [0, action_count)."""
-        n = len(actions)
-        if n > self.horizon or n < self.horizon and not any(
-                map(self._terminates, range(n), actions)):
+        """Refuse a path no rollout takes: not a whole schedule of ``horizon`` actions
+        and not ending at its first terminating action, or (as ``step`` does) with an
+        action outside [0, action_count)."""
+        n, horizon = len(actions), self.horizon
+        # A rollout stops at the horizon or at its first terminating action.
+        if n != horizon and not (0 < n < horizon and not self.fixed_rewards
+                                 and self._terminates(n - 1, actions[-1])
+                                 and not any(map(self._terminates, range(n - 1), actions))):
             raise ContractError(f"a path of {n} actions ends no episode of horizon {self.horizon}")
         if not 0 <= min(actions) <= max(actions) < self.action_count:
             raise ContractError(f"path action out of range [0, {self.action_count})")

@@ -214,13 +214,14 @@ def run_training_episode(
     Each observation is encoded once, by ``agent.encode``. ``explore_rng``
     serves the scalar draws of ``select_action``, ``train_rng`` those of
     ``end_episode``."""
-    s = agent.encode(env.reset(instance, seed))
+    encode, select, step, observe = agent.encode, agent.select_action, env.step, agent.observe
+    s = encode(env.reset(instance, seed))
     total, done = 0.0, False
     while not done:
-        action = agent.select_action(s, explore_rng)
-        obs, reward, done = env.step(action)
-        s_next = agent.encode(obs)
-        agent.observe(s, action, reward, s_next, done)
+        action = select(s, explore_rng)
+        obs, reward, done = step(action)
+        s_next = encode(obs)
+        observe(s, action, reward, s_next, done)
         total += reward
         s = s_next
     agent.end_episode(train_rng)

@@ -359,12 +359,37 @@ class TestPathReturn:
         (FuzzyEnv(20), [1] * 25),
         (LubyEnv(32), [0] * 5),
         (FuzzyEnv(20), [1, 1]),
-    ], ids=["fuzzy-longer", "luby-shorter", "fuzzy-shorter-without-0"])
+        (FuzzyEnv(20), [0, 1, 1]),
+        (FuzzyEnv(20), [1, 0, 1]),
+    ], ids=["fuzzy-longer", "luby-shorter", "fuzzy-shorter-without-0",
+            "fuzzy-shorter-0-first", "fuzzy-shorter-on-after-0"])
     def test_path_no_rollout_takes_refused(self, env, actions):
-        """A path longer than the horizon, or shorter with no terminating action,
-        sums an episode that cannot end where the path does."""
+        """A path longer than the horizon, or shorter and not ending at its first
+        terminating action, sums an episode that cannot end where the path does:
+        [1, 0, 1] would score as [1, 0]."""
         with pytest.raises(ContractError, match="ends no episode"):
             env.path_return(actions, (), 7, 3)
+
+    @pytest.mark.parametrize("actions", [[1] * 20, [1, 1, 0], [0], [1, 0] + [1] * 18],
+                             ids=["no-0", "ends-at-0", "only-0", "whole-schedule-with-0"])
+    def test_fuzzy_paths_a_rollout_takes(self, actions):
+        """A path ending at its first 0, or a whole schedule of the horizon's
+        length (a rollout stops at its first 0), scores as its rollout, bit for bit."""
+        env = FuzzyEnv(20)
+        expected = greedy_rollout(lambda obs: actions[obs.time_step], env, (), SeedSpec(7, 3))
+        assert repr(env.path_return(actions, (), 7, 3)) == repr(expected)
+
+    def test_fixed_rewards_never_ask_for_termination(self):
+        """Where no action terminates, ``step`` and the path check skip ``_terminates``:
+        the check is a length comparison."""
+        class Counted(LubyEnv):
+            def _terminates(self, t, action):
+                raise AssertionError("_terminates called on a fixed_rewards benchmark")
+
+        env = Counted(32)
+        assert env.path_return([0] * 32, (), 0, 0) == LubyEnv(32).path_return([0] * 32, (), 0, 0)
+        with pytest.raises(ContractError, match="ends no episode"):
+            env.path_return([0] * 5, (), 0, 0)
 
     @pytest.mark.parametrize("kind", BENCHMARK_KINDS)
     def test_scoring_leaves_the_callers_episode_alone(self, kind):

@@ -6,6 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from algocontrol.benchmarks import (
+    BENCHMARK_KINDS,
+    ENVIRONMENTS,
     CountingEnv,
     FuzzyEnv,
     LubyEnv,
@@ -187,6 +189,30 @@ class TestStepContract:
     def test_observation_keeps_its_defaults(self):
         obs = Observation(time_step=3)
         assert obs == (3, (), ()) and obs.continuous_features == () == obs.action_history
+
+    @pytest.mark.parametrize("kind", BENCHMARK_KINDS)
+    @pytest.mark.parametrize("first", ["1", "0"])
+    def test_every_observation_is_the_named_tuple(self, kind, first):
+        """``reset`` and each ``step`` give an ``Observation`` (not a bare tuple),
+        field for field what the named constructor builds."""
+        env = ENVIRONMENTS[kind]()
+        n = env.action_count
+        instance = (3.0, 5.0) if env.context_dim else ()
+        obs, t, done = env.reset(instance, SeedSpec(7, 1)), 0, False
+        history = [env.pad_action] * env.history_len
+        while True:
+            expected = Observation(time_step=t, continuous_features=instance,
+                                   action_history=tuple(history))
+            assert type(obs) is Observation
+            assert obs.time_step == expected.time_step
+            assert obs.continuous_features == expected.continuous_features
+            assert obs.action_history == expected.action_history
+            if done:
+                break
+            action = t % n if first == "0" else 1 + t % (n - 1)  # "0" ends a fuzzy episode
+            obs, _, done = env.step(action)
+            t, history = t + 1, (history + [action])[len(history) + 1 - env.history_len:]
+        assert t == (1 if kind == "fuzzy" and first == "0" else env.horizon)
 
     @pytest.mark.parametrize("ctor,args", [(LubyEnv, (32,)), (SigmoidEnv, (11,))])
     def test_step_builds_one_observation(self, ctor, args):

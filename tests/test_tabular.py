@@ -5,7 +5,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from algocontrol.agents import (
@@ -19,7 +19,7 @@ from algocontrol.agents import (
 )
 from algocontrol.benchmarks import CountingEnv, FuzzyEnv, LubyEnv
 from algocontrol.cli import main
-from algocontrol.core import ContractError, Observation, SeedSpec, derive_stream
+from algocontrol.core import BlockStream, ContractError, Observation, SeedSpec, derive_stream
 from algocontrol.agents.tabular import argmax_with_random_ties, greedy
 from algocontrol.harness import run_training_episode
 from oracles import enumerate_counting_mdp, value_iteration_oracle
@@ -129,10 +129,14 @@ _OPS = st.one_of(
 class TestQTableMatchesPairTable:
     @given(action_count=st.integers(1, 6), ops=st.lists(_OPS, max_size=60),
            seed=st.integers(0, 2**32 - 1))
+    @example(action_count=1, ops=[("ties", "s0", 0)] * 3, seed=11)  # rowless: no draw
+    @example(action_count=6, ops=[("ties", "s0", 0)] * 3, seed=11)  # rowless: one draw of 6
     @settings(max_examples=200, deadline=None)
     def test_random_sequences(self, action_count, ops, seed):
         q, ref = {}, ReferenceTable(action_count)
         rng, ref_rng = derive_stream(seed, 0), derive_stream(seed, 0)
+        # Training's stream: the same draws, served from blocks of raw words.
+        block, block_ref = BlockStream(seed, 0), derive_stream(seed, 0)
         frozen = []  # (table, reference) pairs left behind by copy
         for op in ops:
             if op[0] == "copy":
@@ -166,6 +170,9 @@ class TestQTableMatchesPairTable:
                 assert rng.bit_generator.state == ref_rng.bit_generator.state
                 if ref.row(s).count(max(ref.row(s))) == 1:  # a unique maximum draws nothing
                     assert rng.bit_generator.state == before
+                picked = argmax_with_random_ties(block, q, s, action_count)
+                assert picked == ref.argmax_with_random_ties(block_ref, s)
+                assert block.random() == block_ref.random()
         frozen.append((q, ref))
         for table, reference in frozen:  # copies share no row with later tables
             assert all(len(row) == action_count for row in table.values())
