@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 
-from ..core import ActionId, ContractError, Instance, Observation
+from ..core import ActionId, BlockStream, ContractError, Instance, Observation
 from .tabular import AgentHyperparams
 
 HIDDEN_UNITS = 50
@@ -118,7 +118,7 @@ class ReplayBuffer:
         self._next = (self._next + n) % self.capacity
         self._size = min(self._size + n, self.capacity)
 
-    def gather(self, rng: np.random.Generator, out: np.ndarray) -> np.ndarray:
+    def gather(self, rng: BlockStream, out: np.ndarray) -> np.ndarray:
         """Fill the rows of ``out`` with a uniform sample, with replacement, of
         the ring's rows, drawn from ``rng``; returns ``out``."""
         if self._size == 0:
@@ -235,7 +235,7 @@ class DQNGroup:
         self._round: dict[int, DQNAgent] = {}
         self._sampled = 0  # how many of them sampled a batch
 
-    def end_episode(self, agent: "DQNAgent", rng: np.random.Generator) -> None:
+    def end_episode(self, agent: "DQNAgent", rng: BlockStream) -> None:
         """Member ``agent`` has ended its episode of this round: sample its
         batch with ``rng``, and if it is the round's last, take the round's step."""
         k = agent._slot
@@ -383,7 +383,7 @@ class DQNAgent:
         ``step`` returns."""
         self._episode.append((s.continuous_features, s.time_step, action, reward, done))
 
-    def end_episode(self, rng: np.random.Generator) -> None:
+    def end_episode(self, rng: BlockStream) -> None:
         """Write the episode's transitions to the replay ring and sample a
         replay batch with ``rng`` into this agent's slot of its ``DQNGroup``.
         The round's last member to end its episode takes one SGD step for

@@ -8,16 +8,15 @@ evaluation streams. Every environment episode counts against the
 budget, re-evaluations included.
 
 Schedules are scored by ``Environment.path_return`` (bit for bit a
-rollout's total), and each score counts as one episode.
+rollout's total), and each score counts as one episode. Every draw comes
+from one ``core.BlockStream``: the values ``Generator`` draws would give.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import numpy as np
-
-from .core import ContractError, Environment, Instance
+from .core import BlockStream, ContractError, Environment, Instance
 
 
 @dataclass
@@ -30,23 +29,22 @@ class IncumbentRecord:
         return sum(self.eval_rewards) / len(self.eval_rewards)
 
 
-def random_schedule(rng: np.random.Generator, horizon: int,
-                    action_count: int) -> tuple[int, ...]:
+def random_schedule(rng: BlockStream, horizon: int, action_count: int) -> tuple[int, ...]:
     """Uniform actions, one per time step."""
     if horizon < 1:
         raise ContractError("horizon must be >= 1")
-    return tuple(rng.integers(action_count, size=horizon).tolist())
+    return tuple(rng.integers(action_count, size=horizon))
 
 
-def mutate_schedule(rng: np.random.Generator, schedule: tuple[int, ...],
+def mutate_schedule(rng: BlockStream, schedule: tuple[int, ...],
                     action_count: int) -> tuple[int, ...]:
     """Flip one uniformly chosen position to a different uniform value."""
     if not schedule:
         raise ContractError("cannot mutate an empty schedule")
     actions = list(schedule)
-    pos = int(rng.integers(len(actions)))
+    pos = rng.integers(len(actions))
     if action_count > 1:
-        shift = 1 + int(rng.integers(action_count - 1))
+        shift = 1 + rng.integers(action_count - 1)
         actions[pos] = (actions[pos] + shift) % action_count
     return tuple(actions)
 
@@ -71,10 +69,10 @@ class ScheduleEvaluator:
         return self.instances[run % len(self.instances)]
 
     def run(self, schedule: tuple[int, ...], run: int) -> float:
-        env = self.env
+        env, instances = self.env, self.instances
         if len(schedule) != env.horizon:
             raise ContractError(f"schedule length {len(schedule)} != horizon {env.horizon}")
-        return env.path_return(schedule, self.instance_for_run(run), self.base_seed, run)
+        return env.path_return(schedule, instances[run % len(instances)], self.base_seed, run)
 
 
 def race(
@@ -92,24 +90,23 @@ def race(
     it completes the incumbent's run count with a strictly greater
     mean. Returns the winner and the episodes consumed.
     """
-    if max_runs < 1 or not incumbent.eval_rewards:
+    held = incumbent.eval_rewards
+    if max_runs < 1 or not held:
         raise ContractError("max_runs and the incumbent's evaluation runs must be >= 1")
-    target_runs = min(max_runs, len(incumbent.eval_rewards))
+    target_runs = min(max_runs, len(held))
     rewards: list[float] = []
-    block = 1
-    while len(rewards) < target_runs:
-        n_new = min(block, target_runs - len(rewards))
-        if len(rewards) + n_new > budget_left:
-            return incumbent, len(rewards)  # budget exhausted mid-race
-        for _ in range(n_new):
-            rewards.append(evaluator.run(challenger, len(rewards)))
+    k, block = 0, 1  # k: runs so far, len(rewards)
+    while k < target_runs:
+        n_new = min(block, target_runs - k)
+        if k + n_new > budget_left:
+            return incumbent, k  # budget exhausted mid-race
+        for r in range(k, k + n_new):
+            rewards.append(evaluator.run(challenger, r))
+        k += n_new
         block *= 2
-        k = len(rewards)
-        challenger_mean = sum(rewards) / k
-        incumbent_mean = sum(incumbent.eval_rewards[:k]) / k
-        if challenger_mean <= incumbent_mean:
+        if sum(rewards) / k <= sum(held[:k]) / k:
             return incumbent, k
-    return IncumbentRecord(challenger, rewards), len(rewards)
+    return IncumbentRecord(challenger, rewards), k
 
 
 @dataclass
@@ -123,7 +120,7 @@ def blackbox_optimize(
     env: Environment,
     instances: list[Instance],
     episode_budget: int,
-    rng: np.random.Generator,
+    rng: BlockStream,
     neighbor_fraction: float = 0.5,
     max_runs: int = 1,
     stop_at: float | None = None,
@@ -141,27 +138,29 @@ def blackbox_optimize(
     """
     if episode_budget < 1 or max_runs < 1 or not 0.0 <= neighbor_fraction <= 1.0:
         raise ContractError("need episode_budget, max_runs >= 1 and neighbor_fraction in [0, 1]")
-    evaluator = ScheduleEvaluator(env, instances, base_seed=int(rng.integers(2**63)))
+    evaluator = ScheduleEvaluator(env, instances, base_seed=rng.integers(2**63))
 
     first = random_schedule(rng, env.horizon, env.action_count)
     rewards = [evaluator.run(first, run) for run in range(min(max_runs, episode_budget))]
     incumbent = IncumbentRecord(first, rewards)
+    mean = incumbent.mean_reward  # the incumbent's, recomputed on promotion only
     # The first incumbent's mean backfills its own evaluation episodes.
-    curve: list[float] = [incumbent.mean_reward] * len(rewards)
+    curve: list[float] = [mean] * len(rewards)
 
     while len(curve) < episode_budget:
-        if stop_at is not None and incumbent.mean_reward >= stop_at:
+        if stop_at is not None and mean >= stop_at:
             break
         if rng.random() < neighbor_fraction:
             challenger = mutate_schedule(rng, incumbent.schedule, env.action_count)
         else:
             challenger = random_schedule(rng, env.horizon, env.action_count)
-        budget_left = episode_budget - len(curve)
-        previous_mean = incumbent.mean_reward
-        incumbent, consumed = race(challenger, incumbent, evaluator, max_runs, budget_left)
-        # A promotion takes effect on the race's final episode.
-        curve.extend([previous_mean] * (consumed - 1))
-        curve.append(incumbent.mean_reward)
+        winner, consumed = race(challenger, incumbent, evaluator, max_runs,
+                                episode_budget - len(curve))
+        if consumed > 1:
+            curve.extend([mean] * (consumed - 1))
+        if winner is not incumbent:  # a promotion takes effect on the race's final episode
+            incumbent, mean = winner, winner.mean_reward
+        curve.append(mean)
     return BlackboxResult(
         incumbent=incumbent,
         best_so_far=curve,

@@ -87,18 +87,19 @@ def derive_stream(master_seed: int, stream_id: int) -> np.random.Generator:
 BLOCK = 1024
 _TWO_32 = 1 << 32
 _MASK32 = _TWO_32 - 1
+_TWO_64 = 1 << 64
 
 
 class BlockStream:
-    """The scalar ``random()`` and ``integers(n)`` draws of
+    """The ``random()``, ``integers(n)`` and ``integers(n, size=k)`` draws of
     ``derive_stream(master_seed, stream_id)``, value for value and in the
     same order, served from blocks of raw PCG64 words.
 
-    numpy builds both from PCG64's 64-bit outputs w: ``random()`` is
-    ``(w >> 11) * 2**-53``; ``integers(n)`` takes a 32-bit draw (the low half
-    of a new word, keeping its high half for the next 32-bit draw, as PCG64's
-    ``has_uint32`` does) through Lemire's bounded method (Lemire, ACM TOMACS
-    2019). Only these two scalar draws exist, and ``integers`` returns an int.
+    numpy builds them from PCG64's 64-bit outputs w: ``random()`` is
+    ``(w >> 11) * 2**-53``; ``integers(n)`` takes, for n <= 2**32, a 32-bit draw
+    (the low half of a new word, keeping its high half for the next 32-bit draw,
+    as PCG64's ``has_uint32`` does), else a whole word, through Lemire's bounded
+    method (Lemire, ACM TOMACS 2019).
     """
 
     __slots__ = ("_bits", "_next", "_spare")
@@ -121,13 +122,24 @@ class BlockStream:
             w = self._refill()
         return (w >> 11) * 2.0**-53
 
-    def integers(self, n: int) -> int:
-        """An int in [0, n), as ``Generator.integers(n)`` for 1 <= n <= 2**32;
-        n == 1 draws nothing."""
+    def integers(self, n: int, size: int | None = None):
+        """An int in [0, n), as ``Generator.integers(n)`` for 1 <= n <= 2**64, or
+        with ``size`` a list of that many; n == 1 draws nothing."""
+        if size is not None:
+            return self._list(n, size)
         if type(n) is not int or not 1 < n <= _TWO_32:
             if n == 1:
                 return 0
-            raise ContractError(f"integers needs an int n in [1, 2**32], got {n!r}")
+            if type(n) is not int or not _TWO_32 < n <= _TWO_64:
+                raise ContractError(f"integers needs an int n in [1, 2**64], got {n!r}")
+            threshold = _TWO_64 % n  # a whole word each try; the spare half stays
+            while True:
+                try:
+                    m = self._next() * n
+                except StopIteration:
+                    m = self._refill() * n
+                if m & _MASK64 >= threshold:
+                    return m >> 64
         threshold = _TWO_32 % n  # numpy's (2**32 - 1 - (n - 1)) % n
         while True:
             u = self._spare
@@ -142,6 +154,29 @@ class BlockStream:
             m = u * n
             if m & _MASK32 >= threshold:  # else rejected: draw again
                 return m >> 32
+
+    def _list(self, n: int, size: int) -> list[int]:
+        """``size`` draws of ``integers(n)``, as one ``Generator.integers(n, size=size)``."""
+        if type(n) is not int or not 1 <= n <= _TWO_64 or type(size) is not int or size < 0:
+            raise ContractError(f"integers needs int n in [1, 2**64], size >= 0: {n!r}, {size!r}")
+        if n == 1 or n > _TWO_32:
+            return [self.integers(n) for _ in range(size)]
+        threshold, spare, out = _TWO_32 % n, self._spare, []
+        for _ in range(size):
+            while True:
+                if spare is None:
+                    try:
+                        w = self._next()
+                    except StopIteration:
+                        w = self._refill()
+                    spare, m = w >> 32, (w & _MASK32) * n
+                else:
+                    spare, m = None, spare * n
+                if m & _MASK32 >= threshold:  # else rejected: draw again
+                    break
+            out.append(m >> 32)
+        self._spare = spare
+        return out
 
 
 class Environment:

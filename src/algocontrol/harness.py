@@ -208,7 +208,7 @@ def run_training_episode(
     instance: Instance,
     seed: SeedSpec,
     explore_rng: np.random.Generator | BlockStream,
-    train_rng: np.random.Generator,
+    train_rng: BlockStream,
 ) -> float:
     """One training episode: act, observe, update; returns total reward.
     Each observation is encoded once, by ``agent.encode``. ``explore_rng``
@@ -325,7 +325,7 @@ def _blackbox_curve(cfg: ExperimentConfig, seed_index: int,
         make_env(cfg.benchmark),
         eval_setup.instances,
         episode_budget=cfg.n_episodes,
-        rng=derive_stream(eval_setup.run_seed, BLACKBOX_STREAM),
+        rng=BlockStream(eval_setup.run_seed, BLACKBOX_STREAM),
         neighbor_fraction=cfg.neighbor_fraction,
         max_runs=cfg.benchmark.runs,
     )
@@ -346,7 +346,7 @@ def _training(cfg: ExperimentConfig, run_seed: int, agent, draw):
     """
     env = make_env(cfg.benchmark)
     explore_rng = BlockStream(run_seed, EXPLORE_STREAM)  # derive_stream's values
-    train_rng = derive_stream(run_seed, TRAIN_NOISE_BASE)
+    train_rng = BlockStream(run_seed, TRAIN_NOISE_BASE)
     instance_rng = derive_stream(run_seed, TRAIN_INSTANCE_STREAM)
     for episode in range(1, cfg.n_episodes + 1):
         run_training_episode(

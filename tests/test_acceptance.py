@@ -23,7 +23,7 @@ from algocontrol.benchmarks import (
     sigmoid_reward,
 )
 from algocontrol.blackbox import blackbox_optimize
-from algocontrol.core import derive_stream
+from algocontrol.core import BlockStream, derive_stream
 from algocontrol.harness import (
     BLACKBOX_STREAM,
     RUN_BASE,
@@ -87,7 +87,7 @@ def test_criterion_1_counting_optimum():
     blackbox_ok = 0
     for k in range(25):
         env = CountingEnv(5)
-        rng = derive_stream(derive_seed(MASTER_SEED, RUN_BASE + k), BLACKBOX_STREAM)
+        rng = BlockStream(derive_seed(MASTER_SEED, RUN_BASE + k), BLACKBOX_STREAM)
         result = blackbox_optimize(env, [()], 3500, rng, stop_at=oracle_best)
         blackbox_ok += result.incumbent.mean_reward >= oracle_best
 
@@ -126,7 +126,7 @@ def test_criterion_2_luby_optimum():
     blackbox_ok = 0
     for k in range(25):
         env = LubyEnv(32)
-        rng = derive_stream(derive_seed(MASTER_SEED, RUN_BASE + k), BLACKBOX_STREAM)
+        rng = BlockStream(derive_seed(MASTER_SEED, RUN_BASE + k), BLACKBOX_STREAM)
         result = blackbox_optimize(
             env, [()], 100_000, rng, stop_at=LUBY_TARGET_60PCT
         )
@@ -319,7 +319,7 @@ class TestCriterion6PropertySuites:
                                         (BenchmarkConfig("fuzzy", horizon=10), 500, 10)):
             env = make_env(bench)
             result = blackbox_optimize(
-                env, [()], budget, derive_stream(MASTER_SEED, 9300), max_runs=max_runs
+                env, [()], budget, BlockStream(MASTER_SEED, 9300), max_runs=max_runs
             )
             curve = result.best_so_far
             assert all(a <= b + 1e-12 for a, b in zip(curve, curve[1:]))

@@ -24,32 +24,32 @@ from algocontrol.blackbox import (
     race,
     random_schedule,
 )
-from algocontrol.core import ContractError, SeedSpec, derive_stream, greedy_rollout
+from algocontrol.core import BlockStream, ContractError, SeedSpec, derive_stream, greedy_rollout
 
 
 class TestRandomSchedule:
     def test_single_action_space(self):
-        sched = random_schedule(derive_stream(0, 0), 5, 1)
+        sched = random_schedule(BlockStream(0, 0), 5, 1)
         assert sched == (0, 0, 0, 0, 0)
 
     def test_uniform_entries(self):
-        rng = derive_stream(1, 0)
+        rng = BlockStream(1, 0)
         draws = [random_schedule(rng, 1, 4)[0] for _ in range(10**4)]
         counts = np.bincount(draws, minlength=4)
         assert np.all(np.abs(counts / 10**4 - 0.25) <= 0.02)
 
     def test_consecutive_draws_differ(self):
-        rng = derive_stream(2, 0)
+        rng = BlockStream(2, 0)
         a = random_schedule(rng, 20, 5)
         b = random_schedule(rng, 20, 5)
         assert a != b
 
     def test_zero_horizon_rejected(self):
         with pytest.raises(ContractError):
-            random_schedule(derive_stream(3, 0), 0, 2)
+            random_schedule(BlockStream(3, 0), 0, 2)
 
     def test_python_ints_from_the_same_draws(self):
-        sched = random_schedule(derive_stream(5, 0), 30, 6)
+        sched = random_schedule(BlockStream(5, 0), 30, 6)
         mirror = derive_stream(5, 0).integers(6, size=30)
         assert sched == tuple(int(a) for a in mirror)
         assert all(type(a) is int for a in sched)
@@ -57,7 +57,7 @@ class TestRandomSchedule:
 
 class TestMutateSchedule:
     def test_changes_exactly_one_position(self):
-        rng = derive_stream(4, 0)
+        rng = BlockStream(4, 0)
         base = random_schedule(rng, 10, 5)
         for _ in range(50):
             mutated = mutate_schedule(rng, base, 5)
@@ -66,7 +66,7 @@ class TestMutateSchedule:
 
     def test_empty_schedule_rejected(self):
         with pytest.raises(ContractError):
-            mutate_schedule(derive_stream(4, 1), (), 3)
+            mutate_schedule(BlockStream(4, 1), (), 3)
 
 
 class TestEvaluateSchedule:
@@ -91,7 +91,7 @@ class TestEvaluateSchedule:
     def test_open_loop_ignores_state(self):
         # the same schedule is applied verbatim whatever the instance
         env = SigmoidEnv(11)
-        sched = random_schedule(derive_stream(8, 0), 11, 2)
+        sched = random_schedule(BlockStream(8, 0), 11, 2)
         for params in ((5.0, 3.0), (-50.0, 8.0)):
             trace = []
             greedy_rollout(lambda obs: sched[obs.time_step], env, params, SeedSpec(8, 1), trace)
@@ -154,10 +154,10 @@ class TestBlackboxOptimize:
     def test_budget_one_returns_first_random_schedule(self):
         env = CountingEnv(5)
         # replicate the optimizer's draw order: pairing seed, then schedule
-        mirror = derive_stream(9, 0)
+        mirror = BlockStream(9, 0)
         mirror.integers(2**63)
         probe = random_schedule(mirror, 5, 5)
-        result = blackbox_optimize(env, [()], 1, derive_stream(9, 0))
+        result = blackbox_optimize(env, [()], 1, BlockStream(9, 0))
         assert result.incumbent.schedule == probe
         assert result.episodes_consumed == 1
         assert len(result.best_so_far) == 1
@@ -170,37 +170,37 @@ class TestBlackboxOptimize:
         )
         assert best_value == 5.0
         env = CountingEnv(5)
-        result = blackbox_optimize(env, [()], 10**4, derive_stream(10, 0))
+        result = blackbox_optimize(env, [()], 10**4, BlockStream(10, 0))
         assert result.incumbent.mean_reward == best_value
         assert result.incumbent.schedule == (0, 1, 2, 3, 4)
 
     def test_best_so_far_monotone_deterministic(self):
         env = LubyEnv(16)
-        result = blackbox_optimize(env, [()], 2000, derive_stream(11, 0))
+        result = blackbox_optimize(env, [()], 2000, BlockStream(11, 0))
         curve = result.best_so_far
         assert len(curve) == 2000
         assert all(a <= b for a, b in zip(curve, curve[1:]))
 
     def test_best_so_far_monotone_stochastic(self):
         env = FuzzyEnv(10)
-        result = blackbox_optimize(env, [()], 500, derive_stream(12, 0), max_runs=10)
+        result = blackbox_optimize(env, [()], 500, BlockStream(12, 0), max_runs=10)
         curve = result.best_so_far
         assert len(curve) == 500
         assert all(a <= b + 1e-12 for a, b in zip(curve, curve[1:]))
 
     def test_max_runs_must_be_positive(self):
         with pytest.raises(ContractError):
-            blackbox_optimize(CountingEnv(5), [()], 10, derive_stream(14, 0), max_runs=0)
+            blackbox_optimize(CountingEnv(5), [()], 10, BlockStream(14, 0), max_runs=0)
 
     @pytest.mark.parametrize("fraction", [-0.1, 1.5, math.nan, math.inf])
     def test_neighbor_fraction_range(self, fraction):
         with pytest.raises(ContractError):
-            blackbox_optimize(CountingEnv(5), [()], 10, derive_stream(14, 1),
+            blackbox_optimize(CountingEnv(5), [()], 10, BlockStream(14, 1),
                               neighbor_fraction=fraction)
 
     def test_empty_instance_list_rejected(self):
         with pytest.raises(ContractError):
-            blackbox_optimize(SigmoidEnv(11), [], 10, derive_stream(14, 2))
+            blackbox_optimize(SigmoidEnv(11), [], 10, BlockStream(14, 2))
         with pytest.raises(ContractError):
             ScheduleEvaluator(SigmoidEnv(11), [], base_seed=0)
         with pytest.raises(ContractError):  # a context-free benchmark passes [()]
@@ -208,7 +208,7 @@ class TestBlackboxOptimize:
 
     def test_stop_at_halts_early(self):
         env = CountingEnv(5)
-        result = blackbox_optimize(env, [()], 10**4, derive_stream(13, 0), stop_at=5.0)
+        result = blackbox_optimize(env, [()], 10**4, BlockStream(13, 0), stop_at=5.0)
         assert result.incumbent.mean_reward == 5.0
         assert result.episodes_consumed < 10**4
 
@@ -298,10 +298,10 @@ class TestRewardTable:
         (FuzzyEnv, (8, 0.5, 1.5), [()], 10),
     ], ids=["counting", "luby", "sigmoid", "sigmoidmva", "fuzzy"])
     def test_optimizer_matches_rollout_path(self, env_class, args, instances, max_runs):
-        scored = blackbox_optimize(env_class(*args), instances, 600, derive_stream(20, 0),
+        scored = blackbox_optimize(env_class(*args), instances, 600, BlockStream(20, 0),
                                    max_runs=max_runs)
         rolled = blackbox_optimize(_rolled_out(env_class)(*args), instances, 600,
-                                   derive_stream(20, 0), max_runs=max_runs)
+                                   BlockStream(20, 0), max_runs=max_runs)
         assert scored == rolled
 
     def test_one_constant_action_rollout_per_action_and_instance(self):
@@ -315,7 +315,7 @@ class TestRewardTable:
         env = StepCounter(11, levels=4)
         instances = [(30.0, 4.0), (-60.0, 7.5)]
         evaluator = ScheduleEvaluator(env, instances, base_seed=0)
-        sched = random_schedule(derive_stream(21, 0), 11, 5)
+        sched = random_schedule(BlockStream(21, 0), 11, 5)
         for run in range(10):
             evaluator.run(sched, run)
         assert env.steps == len(instances) * 5 * 11
@@ -344,6 +344,6 @@ class TestTablePathContracts:
     @pytest.mark.parametrize("budget", range(1, 8))
     def test_one_episode_per_score_cached_or_not(self, env_class, max_runs, budget):
         """The reward table the first score builds counts as no episode."""
-        result = blackbox_optimize(env_class(16), [()], budget, derive_stream(22, budget),
+        result = blackbox_optimize(env_class(16), [()], budget, BlockStream(22, budget),
                                    max_runs=max_runs)
         assert result.episodes_consumed == len(result.best_so_far) == budget

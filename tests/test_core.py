@@ -52,22 +52,43 @@ class TestDeriveStream:
 # Bounds that stress numpy's 32-bit Lemire draw: no draw (1), small, about half
 # the draws rejected (2**31 + 1), and the two largest 32-bit ranges.
 LEMIRE_BOUNDS = (1, 2, 6, 2**31 + 1, 2**32 - 1, 2**32)
-# (draw, bound, repeat count): runs of one scalar draw, interleaved by the list.
+# Bounds at and above 2**32, the largest 32-bit one: above it numpy's 64-bit draw
+# takes whole words and leaves a spare half in place. The smallest 64-bit range,
+# about half the draws rejected (2**63 + 1), a power of two (2**63, the
+# blackbox's base seed) and the two largest.
+WIDE_BOUNDS = (2**32, 2**32 + 1, 2**63, 2**63 + 1, 2**64 - 1, 2**64)
+# (draw, bound, repeat count): runs of one scalar draw, interleaved by the
+# list; a "list" run is one integers(bound, size=count) draw.
 DRAW_RUNS = st.one_of(
     st.tuples(st.just("random"), st.just(0), st.integers(1, 700)),
     st.tuples(st.just("integers"), st.sampled_from(LEMIRE_BOUNDS) | st.integers(1, 2**32),
               st.integers(1, 700)),
+    st.tuples(st.just("integers"), st.sampled_from(WIDE_BOUNDS) | st.integers(2**32, 2**64),
+              st.integers(1, 300)),
+    st.tuples(st.just("list"), st.sampled_from(LEMIRE_BOUNDS + WIDE_BOUNDS)
+              | st.integers(1, 2**32) | st.integers(2**32, 2**64), st.integers(0, 2 * BLOCK + 3)),
 )
+
+
+def numpy_draw(gen: np.random.Generator, n: int, size: int | None = None):
+    """``gen.integers(n, size=size)``; a bound above 2**63 needs numpy's uint64
+    dtype, which draws as int64 does."""
+    return gen.integers(n, size=size, dtype=np.int64 if n <= 2**63 else np.uint64)
 
 
 def assert_same_draws(block: BlockStream, gen: np.random.Generator, runs) -> None:
     for draw, n, count in runs:
+        if draw == "list":
+            values = block.integers(n, size=count)
+            assert type(values) is list and all(type(v) is int for v in values)
+            assert values == numpy_draw(gen, n, count).tolist()
+            continue
         for _ in range(count):
             if draw == "random":
                 assert block.random() == gen.random()
             else:
                 value = block.integers(n)
-                assert type(value) is int and value == gen.integers(n)
+                assert type(value) is int and value == numpy_draw(gen, n)
 
 
 class TestBlockStream:
@@ -85,6 +106,15 @@ class TestBlockStream:
         runs = [("integers", n, 3 * BLOCK), ("random", 0, 5), ("integers", n, 7)]
         assert_same_draws(BlockStream(5, 6), derive_stream(5, 6), runs)
 
+    @pytest.mark.parametrize("n", WIDE_BOUNDS)
+    def test_each_wide_bound_across_blocks_keeps_the_spare(self, n):
+        # One 32-bit draw leaves a spare half; above 2**32, whole-word draws
+        # cross a block boundary without touching it, and the next 32-bit draw
+        # takes it.
+        runs = [("integers", 6, 1), ("integers", n, BLOCK + 3), ("integers", 6, 3),
+                ("list", n, BLOCK + 1), ("list", 6, 3)]
+        assert_same_draws(BlockStream(5, 7), derive_stream(5, 7), runs)
+
     def test_odd_32_bit_draws_straddle_a_block(self):
         # Word BLOCK - 1 serves two 32-bit draws; the third splits the next
         # block's first word and keeps its high half across the random() draws.
@@ -92,15 +122,39 @@ class TestBlockStream:
                 ("integers", 2**32, 1), ("integers", 6, 5)]
         assert_same_draws(BlockStream(7, 8), derive_stream(7, 8), runs)
 
+    @pytest.mark.parametrize("n", [6, 2**31 + 1])
+    def test_odd_list_draws_leave_a_spare_across_a_block(self, n):
+        # Two words are left in the block: a list of five takes them and the
+        # low half of the next block's first word, whose high half the next
+        # list starts with, after random() draws that leave it in place.
+        runs = [("random", 0, BLOCK - 2), ("list", n, 5), ("random", 0, 3), ("list", n, 4),
+                ("list", n, 2 * BLOCK + 1), ("integers", n, 3)]
+        assert_same_draws(BlockStream(9, 10), derive_stream(9, 10), runs)
+
     def test_one_draws_nothing(self):
         block = BlockStream(3, 4)
         assert [block.integers(1) for _ in range(5)] == [0] * 5
         assert block.random() == derive_stream(3, 4).random()
 
-    @pytest.mark.parametrize("n", [0, -1, 2**32 + 1, 2.0, None])
-    def test_bound_outside_32_bits_refused(self, n):
-        with pytest.raises(ContractError, match="2\\*\\*32"):
+    def test_list_of_one_draws_nothing(self):
+        block, gen = BlockStream(3, 4), derive_stream(3, 4)
+        assert block.integers(1, size=7) == [0] * 7 and block.integers(1, size=0) == []
+        assert block.random() == gen.random()
+        assert block.integers(6) == gen.integers(6)  # leaves a spare half-word
+        assert block.integers(1, size=3) == [0] * 3
+        assert block.integers(6) == gen.integers(6)
+
+    @pytest.mark.parametrize("n", [0, -1, 2**64 + 1, 2.0, None])
+    def test_bound_outside_1_to_2_64_refused(self, n):
+        with pytest.raises(ContractError, match="2\\*\\*64"):
             BlockStream(1, 2).integers(n)
+        with pytest.raises(ContractError, match="2\\*\\*64"):
+            BlockStream(1, 2).integers(n, size=3)
+
+    @pytest.mark.parametrize("size", [-1, 2.0, (2,)])
+    def test_bad_size_refused(self, size):
+        with pytest.raises(ContractError, match="size"):
+            BlockStream(1, 2).integers(6, size=size)
 
 
 def shape(env):

@@ -23,7 +23,7 @@ from algocontrol.benchmarks import (
     sample_sigmoid_instance,
 )
 from algocontrol.cli import main
-from algocontrol.core import ContractError, Observation, SeedSpec, derive_stream
+from algocontrol.core import BlockStream, ContractError, Observation, SeedSpec, derive_stream
 from algocontrol.harness import run_training_episode
 from oracles import (
     _reference_forward,
@@ -300,7 +300,7 @@ class TestReplayBuffer:
         obs, actions, rewards, next_obs, dones = zip(*transitions(0, 6))
         buf.extend(np.array(obs), actions, rewards, np.array(next_obs), dones)
         out = np.empty((5, 7))
-        assert buf.gather(derive_stream(89, 0), out) is out
+        assert buf.gather(BlockStream(89, 0), out) is out  # a replay stream's draws
         assert not np.shares_memory(out, buf.rows)
         assert np.array_equal(out, buf.rows[derive_stream(89, 0).integers(6, size=5)])
 
@@ -348,7 +348,7 @@ class TestRingWrite:
         assert len(buf) == size
         for i, transition in enumerate(slots[:size]):
             assert np.array_equal(buf.rows[i], packed_row(*transition))
-        batch = sample(buf, derive_stream(88, 0), 50)
+        batch = sample(buf, BlockStream(88, 0), 50)
         idx = derive_stream(88, 0).integers(size, size=50)
         for got, want in zip(batch, zip(*(slots[i] for i in idx))):
             assert np.array_equal(got, np.array(want))
