@@ -65,14 +65,9 @@ class ScheduleEvaluator:
         self.instances = instances
         self.base_seed = base_seed
 
-    def instance_for_run(self, run: int) -> Instance:
-        return self.instances[run % len(self.instances)]
-
     def run(self, schedule: tuple[int, ...], run: int) -> float:
-        env, instances = self.env, self.instances
-        if len(schedule) != env.horizon:
-            raise ContractError(f"schedule length {len(schedule)} != horizon {env.horizon}")
-        return env.path_return(schedule, instances[run % len(instances)], self.base_seed, run)
+        instances = self.instances
+        return self.env.path_return(schedule, instances[run % len(instances)], self.base_seed, run)
 
 
 def race(

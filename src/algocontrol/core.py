@@ -11,7 +11,6 @@ bit for bit.
 
 from __future__ import annotations
 
-import copy
 from typing import NamedTuple
 
 import numpy as np
@@ -255,10 +254,13 @@ class Environment:
         self._check_actions(actions)
         table = self._tables.get(instance)
         if table is None:  # row t: each action's reward at step t, as step returns it
+            # On this environment, kept as it was: a copy would read __dict__,
+            # which slows this object's every later attribute access.
+            episode = self._instance, self._t, self._done, self._history
             traces = [[] for _ in range(self.action_count)]
-            builder = copy.copy(self)  # shares _tables; leaves the caller's episode alone
             for action, trace in enumerate(traces):
-                greedy_rollout(lambda obs: action, builder, instance, None, trace)
+                greedy_rollout(lambda obs: action, self, instance, None, trace)
+            self._instance, self._t, self._done, self._history = episode
             table = self._tables[instance] = [tuple(r for _, _, r in row) for row in zip(*traces)]
         total = 0.0
         for row, action in zip(table, actions):

@@ -228,8 +228,7 @@ def run_training_episode(
     return total
 
 
-def _make_agent(cfg: ExperimentConfig, run_seed: int):
-    env = make_env(cfg.benchmark)
+def _make_agent(cfg: ExperimentConfig, env: Environment, run_seed: int):
     if cfg.agent_kind == "dqn":
         # sigmoid-family context is (scale in +-100, inflection near T/2)
         scales = (0.01, 1.0 / env.horizon)
@@ -246,19 +245,28 @@ def _make_agent(cfg: ExperimentConfig, run_seed: int):
 
 
 class _EvalSetup:
-    """A seed run's instances under its regime, set up once: ``instances``
-    to evaluate on, with paired noise seeds; ``test_set``, the held-out set
-    (empty outside fixed mode); and ``draw(rng)``, each training episode's
-    instance."""
+    """Seed run ``seed_index`` of the protocol, set up once: its ``env``, the one
+    environment it trains, checkpoints and tests on; its ``agent`` (none for
+    blackbox) and the streams that train it; its ``curve``; its ``instances`` to
+    evaluate on, with paired noise seeds; ``test_set``, the held-out set (empty
+    outside fixed mode); and ``draw()``, each training episode's instance.
 
-    def __init__(self, cfg: ExperimentConfig, run_seed: int) -> None:
-        self.run_seed = run_seed
+    Training consumes no evaluation stream, so whatever is evaluated between
+    episodes leaves the agent bit-identical.
+    """
+
+    def __init__(self, cfg: ExperimentConfig, seed_index: int) -> None:
+        self.cfg = cfg
+        run_seed = self.run_seed = derive_seed(cfg.master_seed, RUN_BASE + seed_index)
+        env = self.env = make_env(cfg.benchmark)
+        self.curve = SeedCurve(seed=seed_index, episodes=[], train_rewards=[])
         horizon = cfg.benchmark.horizon
         self.test_set: list[Instance] = []
         if cfg.instance_mode == "distribution":
             rng = derive_stream(run_seed, EVAL_INSTANCE_STREAM)
             self.instances = make_instance_set(rng, horizon, cfg.eval_runs)
-            self.draw = lambda rng: sample_sigmoid_instance(rng, horizon)
+            instance_rng = derive_stream(run_seed, TRAIN_INSTANCE_STREAM)
+            self.draw = lambda: sample_sigmoid_instance(instance_rng, horizon)
         elif cfg.instance_mode == "fixed":
             # Off the master seed, so every seed run derives the same sets.
             train = self.instances = make_instance_set(
@@ -267,12 +275,33 @@ class _EvalSetup:
             self.test_set = make_instance_set(
                 derive_stream(cfg.master_seed, TEST_SET_STREAM), horizon, cfg.n_test_instances
             )
-            self.draw = lambda rng: train[int(rng.integers(len(train)))]
+            instance_rng = derive_stream(run_seed, TRAIN_INSTANCE_STREAM)
+            self.draw = lambda: train[int(instance_rng.integers(len(train)))]
         else:
             self.instances = [()] * cfg.eval_runs
-            self.draw = lambda rng: ()
+            self.draw = lambda: ()
         # Per distinct instance: its last greedy (state key, action) path, and its actions.
         self.paths: dict[Instance, tuple[list, list]] = {}
+        if cfg.agent_kind != "blackbox":
+            self.agent = _make_agent(cfg, env, run_seed)
+            self.explore_rng = BlockStream(run_seed, EXPLORE_STREAM)  # derive_stream's values
+            self.replay_rng = BlockStream(run_seed, TRAIN_NOISE_BASE)
+
+    def train(self, episode: int) -> None:
+        """Training episode ``episode`` on the instance ``draw()`` gives."""
+        run_training_episode(self.agent, self.env, self.draw(),
+                             SeedSpec(self.run_seed, TRAIN_NOISE_BASE + episode),
+                             self.explore_rng, self.replay_rng)
+
+    def checkpoint(self, episode: int) -> None:
+        """The curve's evaluations due after training episode ``episode``."""
+        cfg, curve, agent = self.cfg, self.curve, self.agent
+        if episode % cfg.train_eval_every == 0:
+            curve.episodes.append(episode)
+            curve.train_rewards.append(self.evaluate(agent, self.env, episode))
+        if self.test_set and episode % cfg.test_eval_every == 0:
+            curve.test_points.append((episode, evaluate_on_test_set(
+                agent, self.env, self.test_set, self.run_seed)))
 
     def evaluate(self, agent, env: Environment, episode: int) -> float:
         # Instances stay fixed across checkpoints (variance reduction);
@@ -319,45 +348,19 @@ def _mean_greedy_return(agent, env: Environment, instances: list[Instance],
     return total / len(instances)
 
 
-def _blackbox_curve(cfg: ExperimentConfig, seed_index: int,
-                    eval_setup: _EvalSetup) -> SeedCurve:
+def _blackbox_curve(run: _EvalSetup) -> None:
+    cfg = run.cfg
     result = blackbox_optimize(
-        make_env(cfg.benchmark),
-        eval_setup.instances,
+        run.env,
+        run.instances,
         episode_budget=cfg.n_episodes,
-        rng=BlockStream(eval_setup.run_seed, BLACKBOX_STREAM),
+        rng=BlockStream(run.run_seed, BLACKBOX_STREAM),
         neighbor_fraction=cfg.neighbor_fraction,
         max_runs=cfg.benchmark.runs,
     )
-    episodes = list(range(cfg.train_eval_every, cfg.n_episodes + 1, cfg.train_eval_every))
-    return SeedCurve(
-        seed=seed_index,
-        episodes=episodes,
-        train_rewards=[result.best_so_far[e - 1] for e in episodes],
-    )
-
-
-def _training(cfg: ExperimentConfig, run_seed: int, agent, draw):
-    """Train ``agent`` for one seed run on the instances ``draw(rng)`` gives,
-    yielding each episode number once that episode is done.
-
-    Training consumes no evaluation streams, so whatever the caller
-    does between episodes leaves the agent bit-identical.
-    """
-    env = make_env(cfg.benchmark)
-    explore_rng = BlockStream(run_seed, EXPLORE_STREAM)  # derive_stream's values
-    train_rng = BlockStream(run_seed, TRAIN_NOISE_BASE)
-    instance_rng = derive_stream(run_seed, TRAIN_INSTANCE_STREAM)
-    for episode in range(1, cfg.n_episodes + 1):
-        run_training_episode(
-            agent,
-            env,
-            draw(instance_rng),
-            SeedSpec(run_seed, TRAIN_NOISE_BASE + episode),
-            explore_rng,
-            train_rng,
-        )
-        yield episode
+    episodes = run.curve.episodes = list(range(cfg.train_eval_every, cfg.n_episodes + 1,
+                                               cfg.train_eval_every))
+    run.curve.train_rewards = [result.best_so_far[e - 1] for e in episodes]
 
 
 def _check_save(cfg: ExperimentConfig, save_agent: tuple[int, str] | None) -> None:
@@ -389,32 +392,25 @@ def train_and_evaluate(
     cfg = cfg.validated()
     _check_save(cfg, save_agent)
     started = time.perf_counter()
-    setups = [_EvalSetup(cfg, derive_seed(cfg.master_seed, RUN_BASE + k)) for k in seeds]
+    runs = [_EvalSetup(cfg, k) for k in seeds]
     if cfg.agent_kind == "blackbox":
-        curves = [_blackbox_curve(cfg, k, setup) for k, setup in zip(seeds, setups)]
+        for run in runs:
+            _blackbox_curve(run)
     else:
-        curves = [SeedCurve(seed=k, episodes=[], train_rewards=[]) for k in seeds]
-        agents = [_make_agent(cfg, setup.run_seed) for setup in setups]
         if cfg.agent_kind == "dqn":
-            DQNGroup(agents, [f"seed {k}" for k in seeds])
-        runs = list(zip(curves, setups, agents, [make_env(cfg.benchmark) for _ in seeds]))
-        trainings = [_training(cfg, setup.run_seed, agent, setup.draw) for setup, agent
-                     in zip(setups, agents)]
-        for episode, *_ in zip(*trainings):  # a round: episode e of each run in turn
-            for curve, setup, agent, eval_env in runs:
-                if episode % cfg.train_eval_every == 0:
-                    curve.episodes.append(episode)
-                    curve.train_rewards.append(setup.evaluate(agent, eval_env, episode))
-                if setup.test_set and episode % cfg.test_eval_every == 0:
-                    curve.test_points.append((episode, evaluate_on_test_set(
-                        agent, eval_env, setup.test_set, setup.run_seed)))
+            DQNGroup([run.agent for run in runs], [f"seed {k}" for k in seeds])
+        for episode in range(1, cfg.n_episodes + 1):  # a round
+            for run in runs:
+                run.train(episode)
+            for run in runs:
+                run.checkpoint(episode)
         if save_agent is not None and save_agent[0] in seeds:
-            snapshot.save_agent(agents[seeds.index(save_agent[0])], save_agent[1])
+            snapshot.save_agent(runs[seeds.index(save_agent[0])].agent, save_agent[1])
     if cfg.record_wall_time:
         share = int((time.perf_counter() - started) * 1000 / len(seeds))
-        for curve in curves:
-            curve.wall_time_ms = share
-    return curves
+        for run in runs:
+            run.curve.wall_time_ms = share
+    return [run.curve for run in runs]
 
 
 def run_experiment(

@@ -29,8 +29,6 @@ from algocontrol.harness import (
     RUN_BASE,
     ExperimentConfig,
     _EvalSetup,
-    _make_agent,
-    _training,
     curves_to_csv_rows,
     derive_seed,
     format_csv,
@@ -54,12 +52,10 @@ def episodes_to_reach(bench, agent_kind, max_episodes, target, seed_index):
     streams; first episode whose evaluation reward reaches the target, or None."""
     cfg = ExperimentConfig(bench, agent_kind, hp=AgentHyperparams(alpha=1.0),
                            n_episodes=max_episodes, master_seed=MASTER_SEED).validated()
-    run_seed = derive_seed(cfg.master_seed, RUN_BASE + seed_index)
-    agent = _make_agent(cfg, run_seed)
-    eval_setup = _EvalSetup(cfg, run_seed)
-    eval_env = make_env(cfg.benchmark)
-    for episode in _training(cfg, run_seed, agent, eval_setup.draw):
-        if eval_setup.evaluate(agent, eval_env, episode) >= target:
+    run = _EvalSetup(cfg, seed_index)
+    for episode in range(1, max_episodes + 1):
+        run.train(episode)
+        if run.evaluate(run.agent, run.env, episode) >= target:
             return episode
     return None
 

@@ -393,7 +393,7 @@ class TestPathReturn:
 
     @pytest.mark.parametrize("kind", BENCHMARK_KINDS)
     def test_scoring_leaves_the_callers_episode_alone(self, kind):
-        """Building a reward table mid-episode rolls out a copy, not this episode."""
+        """Building a reward table mid-episode leaves this episode where it was."""
         def episode(env, score_at):
             obs, done, steps = env.reset(instance, SeedSpec(5, 0)), False, []
             while not done:

@@ -219,8 +219,11 @@ class TestBlackboxOptimize:
             (10.0 + i, 5.0) for i in range(3)
         ]
         evaluator = ScheduleEvaluator(env, instances, base_seed=4)
-        assert evaluator.instance_for_run(0) == instances[0]
-        assert evaluator.instance_for_run(4) == instances[1]
+        sched = (1,) * 5 + (0,) * 6
+        for run in (0, 4):
+            assert evaluator.run(sched, run) == env.path_return(
+                sched, instances[run % len(instances)], 4, run)
+        assert evaluator.run(sched, 1) == evaluator.run(sched, 4) != evaluator.run(sched, 0)
 
 
 def _rolled_out(env_class):
@@ -274,7 +277,7 @@ class TestRewardTable:
         for run in range(data.draw(st.integers(1, 6))):
             sched = data.draw(schedules)
             expected = greedy_rollout(lambda obs: sched[obs.time_step], env,
-                                      evaluator.instance_for_run(run), SeedSpec(7, run))
+                                      instances[run % len(instances)], SeedSpec(7, run))
             assert evaluator.run(sched, run) == expected
 
     @given(horizon=st.integers(1, 25), mean=st.floats(-5.0, 5.0),
@@ -306,7 +309,7 @@ class TestRewardTable:
 
     def test_one_constant_action_rollout_per_action_and_instance(self):
         class StepCounter(SigmoidMVAEnv):
-            steps = 0  # on the class: the table is built on a copy of the environment
+            steps = 0  # every step of env, the table's rollouts included
 
             def step(self, action):
                 StepCounter.steps += 1
@@ -328,7 +331,7 @@ class TestTablePathContracts:
         (CountingEnv, (0, 1, 2, 3, 4, 0)),
         (CountingEnv, (0, 1, -1, 3, 4)),
         (CountingEnv, (0, 1, 2, 3, 5)),
-        (FuzzyEnv, (1, 0)),
+        (FuzzyEnv, (1, 1)),  # short, yet ends at no terminating action
         (FuzzyEnv, (1, 0, 2, 1, 1)),  # a rollout would end at the 0 before the 2
         (FuzzyEnv, (1, 1, 1, 1, -1)),
         (FuzzyEnv, (0, 1, 1, 1, 2)),
@@ -339,6 +342,12 @@ class TestTablePathContracts:
             evaluator.run((1, 1, 1, 1, 1), 0)
         with pytest.raises(ContractError):
             evaluator.run(bad, 1)
+
+    def test_path_ending_at_its_first_termination_scores_its_rollout(self):
+        evaluator = ScheduleEvaluator(FuzzyEnv(5), [()], base_seed=0)
+        expected = greedy_rollout(lambda obs: (1, 0)[obs.time_step], FuzzyEnv(5), (),
+                                  SeedSpec(0, 1))
+        assert evaluator.run((1, 0), 1) == expected
 
     @pytest.mark.parametrize("env_class, max_runs", [(LubyEnv, 1), (FuzzyEnv, 3)])
     @pytest.mark.parametrize("budget", range(1, 8))

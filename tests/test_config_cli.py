@@ -522,8 +522,6 @@ class TestCliSaveAgent:
                                                             workers):
         from algocontrol import harness
         from algocontrol.agents import load_snapshot
-        from algocontrol.benchmarks import make_env
-        from algocontrol.core import derive_seed
 
         snap = tmp_path / "agent.snap"
         code, config, out = self._run(
@@ -532,11 +530,8 @@ class TestCliSaveAgent:
         )
         assert code == 0
         cfg = parse_config(config.read_text()).validated()
-        run_seed = derive_seed(cfg.master_seed, harness.RUN_BASE + 1)
-        eval_setup = harness._EvalSetup(cfg, run_seed)
-        replayed = eval_setup.evaluate(
-            load_snapshot(str(snap)), make_env(cfg.benchmark), cfg.n_episodes
-        )
+        run = harness._EvalSetup(cfg, 1)
+        replayed = run.evaluate(load_snapshot(str(snap)), run.env, cfg.n_episodes)
         assert replayed == harness.train_and_evaluate(cfg, [1])[0].train_rewards[-1]
         prefix = f"{cfg.benchmark.kind},{cfg.agent_kind},1,{cfg.n_episodes},train,"
         assert [line for line in out.read_text().splitlines() if line.startswith(prefix)] == [

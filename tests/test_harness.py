@@ -247,9 +247,8 @@ class TestTrainAndEvaluate:
         import algocontrol.harness as harness_module
         from algocontrol.agents.tabular import state_key
 
-        def optimal_agent(cfg, run_seed):
+        def optimal_agent(cfg, env, run_seed):
             agent = TabularAgent("gr", 5, hp=AgentHyperparams(alpha=1.0))
-            env = CountingEnv(5)
             obs, done = env.reset((), SeedSpec(0, 0)), False
             while not done:
                 row = agent.q[state_key(obs)] = [0.0] * 5
@@ -260,6 +259,16 @@ class TestTrainAndEvaluate:
         monkeypatch.setattr(harness_module, "_make_agent", optimal_agent)
         curve = train_and_evaluate(counting_cfg(n_episodes=10, agent_kind="gr"), [0])[0]
         assert curve.train_rewards == [5.0] * 10
+
+    @pytest.mark.parametrize("kind", ["qlearn", "dqn", "blackbox"])
+    def test_one_environment_per_seed_run(self, kind, monkeypatch):
+        """A seed run trains, checkpoints and tests on the one environment it builds."""
+        made = []
+        real = harness.make_env
+        monkeypatch.setattr(harness, "make_env", lambda bench: made.append(bench) or real(bench))
+        cfg = dqn_cfg("fixed") if kind == "dqn" else counting_cfg(agent_kind=kind)
+        train_and_evaluate(cfg, [0, 1])
+        assert len(made) == 2
 
     def test_curves_have_episode_grid(self):
         cfg = counting_cfg(n_episodes=12, train_eval_every=3)
@@ -430,11 +439,10 @@ class TestCheckpointMemo:
 
     def test_flipped_argmax_on_the_path_forces_a_rollout(self, monkeypatch):
         cfg = counting_cfg(n_episodes=30).validated()
-        run_seed = derive_seed(cfg.master_seed, harness.RUN_BASE)
-        agent = TabularAgent("qlearn", 5, hp=cfg.hp)
-        setup, env = harness._EvalSetup(cfg, run_seed), make_env(cfg.benchmark)
-        for _ in harness._training(cfg, run_seed, agent, setup.draw):
-            pass
+        setup = harness._EvalSetup(cfg, 0)
+        agent, env = setup.agent, setup.env
+        for episode in range(1, cfg.n_episodes + 1):
+            setup.train(episode)
         rollouts = count_rollouts(monkeypatch)
         first = setup.evaluate(agent, env, 1)
         assert setup.evaluate(agent, env, 2) == first and rollouts == [1]
@@ -478,15 +486,14 @@ class TestFixedInstanceMode:
 
     def _setup(self, seed_index):
         cfg = self._cfg().validated()
-        return harness._EvalSetup(cfg, derive_seed(cfg.master_seed, harness.RUN_BASE + seed_index))
+        return harness._EvalSetup(cfg, seed_index)
 
     def test_sets_are_disjoint_and_sized(self):
         setup = self._setup(0)
         train, test = setup.instances, setup.test_set
         assert len(train) == 8 and len(test) == 6
         assert not set(train) & set(test)
-        rng = derive_stream(0, 0)
-        assert {setup.draw(rng) for _ in range(50)} <= set(train)
+        assert {setup.draw() for _ in range(50)} <= set(train)
 
     def test_sets_shared_across_seeds(self):
         a, b = self._setup(0), self._setup(1)
@@ -711,8 +718,8 @@ class TestDivergenceInAGroup:
     def poison_seed(monkeypatch, seed_index: int) -> None:
         real = harness._make_agent
 
-        def make(cfg, run_seed):
-            agent = real(cfg, run_seed)
+        def make(cfg, env, run_seed):
+            agent = real(cfg, env, run_seed)
             if run_seed == derive_seed(cfg.master_seed, harness.RUN_BASE + seed_index):
                 agent.net.w2[0, 0] = np.nan
             return agent
