@@ -338,9 +338,10 @@ class DQNAgent:
         self._episode: list[tuple] = []
         DQNGroup([self])  # sets net, target_net, _group and _slot
 
-    def encode(self, obs: Observation) -> Observation:
-        """The observation itself; ``input_rows`` holds its network input."""
-        return obs
+    def features(self, instance: Instance) -> Instance:
+        """The features of every state of an episode on ``instance``: the instance
+        itself; ``input_rows`` holds the network inputs."""
+        return instance
 
     def input_rows(self, instance: Instance) -> np.ndarray:
         """Network inputs of time steps 0..T on ``instance``, one row each."""
@@ -378,9 +379,9 @@ class DQNAgent:
 
     def observe(self, s: Observation, action: ActionId, reward: float,
                 s_next: Observation, done: bool) -> None:
-        """Keep one transition of the current episode; its next observation
-        is the next time step of the same instance, as every environment's
-        ``step`` returns."""
+        """Keep one transition of the current episode. In every benchmark its
+        next state is the next time step of the same instance, whose input row
+        ``end_episode`` reads from ``input_rows``, so ``s_next`` is not kept."""
         self._episode.append((s.continuous_features, s.time_step, action, reward, done))
 
     def end_episode(self, rng: BlockStream) -> None:

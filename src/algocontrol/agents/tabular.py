@@ -21,13 +21,18 @@ from ..core import ActionId, ConfigError, ContractError, Observation
 StateKey = tuple
 QRows = dict[StateKey, list[float]]
 
+def rounded(features: tuple[float, ...]) -> tuple[int, ...]:
+    """Continuous features as a table key holds them: each rounded to the closest int."""
+    return tuple(int(round(f)) for f in features)
+
+
 def state_key(obs: Observation) -> StateKey:
     """Canonical hashable encoding of an observation for table lookup;
     without features, the observation itself (equal to (t, (), history))."""
     t, features, history = obs
     if not features:
         return obs
-    return (t, tuple(int(round(f)) for f in features), history)
+    return (t, rounded(features), history)
 
 
 def greedy(q: QRows, s: StateKey) -> ActionId:
@@ -151,8 +156,9 @@ class TabularAgent:
         # (state, action) of each step this episode; only PURS keeps them.
         self._episode: list[tuple[StateKey, ActionId]] = []
 
-    def encode(self, obs: Observation) -> StateKey:
-        return state_key(obs)
+    def features(self, instance: tuple[float, ...]) -> tuple[int, ...]:
+        """The features of every state key of an episode on ``instance``."""
+        return rounded(instance)
 
     def select_action(self, s: StateKey, rng: np.random.Generator) -> ActionId:
         if self.kind == "purs":

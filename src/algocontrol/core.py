@@ -182,7 +182,9 @@ class Environment:
     """Base class for all benchmarks: pull-based reset/step lifecycle.
 
     Subclasses implement ``_reward(t, action)`` and may override
-    ``_terminates(t, action)`` for benchmarks with early termination.
+    ``_terminates(t, action)`` for benchmarks with early termination. The
+    training loop calls both without ``step``, so they may read only what
+    ``reset`` set (the instance, Fuzzy's noise seed), never the episode's state.
     A single instance is single-threaded; independent instances may run
     concurrently. Each environment has a ``horizon`` and an ``action_count``;
     its class states ``kind``, ``default_horizon``, ``context_dim`` (the length

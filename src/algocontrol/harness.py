@@ -22,7 +22,8 @@ from itertools import zip_longest
 
 import numpy as np
 
-from .agents import AgentHyperparams, DQNAgent, DQNGroup, TabularAgent, AGENT_KINDS, snapshot
+from .agents import (AgentHyperparams, DQNAgent, DQNGroup, TabularAgent, AGENT_KINDS, snapshot,
+                     state_key)
 from .benchmarks import (
     BenchmarkConfig,
     make_env,
@@ -36,6 +37,7 @@ from .core import (
     ContractError,
     Environment,
     Instance,
+    Observation,
     SeedSpec,
     derive_seed,
     derive_stream,
@@ -211,18 +213,29 @@ def run_training_episode(
     train_rng: BlockStream,
 ) -> float:
     """One training episode: act, observe, update; returns total reward.
-    Each observation is encoded once, by ``agent.encode``. ``explore_rng``
-    serves the scalar draws of ``select_action``, ``train_rng`` those of
-    ``end_episode``."""
-    encode, select, step, observe = agent.encode, agent.select_action, env.step, agent.observe
-    s = encode(env.reset(instance, seed))
-    total, done = 0.0, False
-    while not done:
+    The benchmarks are white-box, so the state at step t is ``Observation(t,
+    agent.features(instance), history)`` whatever the rewards: ``env.reset``
+    starts the episode (it sets the instance and keys Fuzzy's noise), and each
+    step reads its reward from ``env._reward``, with ``env.step``'s values and
+    draws. ``explore_rng`` serves the scalar draws of ``select_action``,
+    ``train_rng`` those of ``end_episode``."""
+    env.reset(instance, seed)
+    features, history = agent.features(instance), (env.pad_action,) * env.history_len
+    select, observe, reward = agent.select_action, agent.observe, env._reward
+    terminates = None if env.fixed_rewards else env._terminates
+    last, new = env.horizon - 1, tuple.__new__  # Observation(...) without its __new__
+    s, total = new(Observation, (0, features, history)), 0.0
+    for t in range(env.horizon):
         action = select(s, explore_rng)
-        obs, reward, done = step(action)
-        s_next = encode(obs)
-        observe(s, action, reward, s_next, done)
-        total += reward
+        r = float(reward(t, action))
+        done = t == last or (terminates is not None and terminates(t, action))
+        if history:
+            history = history[1:] + (action,)
+        s_next = new(Observation, (t + 1, features, history))
+        observe(s, action, r, s_next, done)
+        total += r
+        if done:
+            break
         s = s_next
     agent.end_episode(train_rng)
     return total
@@ -280,8 +293,9 @@ class _EvalSetup:
         else:
             self.instances = [()] * cfg.eval_runs
             self.draw = lambda: ()
-        # Per distinct instance: its last greedy (state key, action) path, and its actions.
-        self.paths: dict[Instance, tuple[list, list]] = {}
+        # Per distinct instance: its last greedy (state key, action) path, its
+        # actions and the score of the rollout that took it.
+        self.paths: dict[Instance, tuple[list, list, float]] = {}
         if cfg.agent_kind != "blackbox":
             self.agent = _make_agent(cfg, env, run_seed)
             self.explore_rng = BlockStream(run_seed, EXPLORE_STREAM)  # derive_stream's values
@@ -327,8 +341,10 @@ def _mean_greedy_return(agent, env: Environment, instances: list[Instance],
                         run_seed: int, base: int, paths: dict | None = None) -> float:
     """Mean greedy return over ``instances``; run r draws noise stream base + r.
     With ``paths``, a stored path that ``greedy_path_holds`` (checked once per
-    instance) is scored by ``env.path_return``, as an observation holds no
-    reward; otherwise the run rolls out and stores its path."""
+    instance) is scored again without a rollout, as an observation holds no
+    reward: by the score stored with it where rewards are fixed, which no noise
+    seed changes, else by ``env.path_return``. Otherwise the run rolls out and
+    stores its path and score."""
     policy = agent.greedy_action
     total = 0.0
     checked = set()
@@ -338,12 +354,14 @@ def _mean_greedy_return(agent, env: Environment, instances: list[Instance],
             continue
         held = paths.get(instance)
         if held is not None and (instance in checked or agent.greedy_path_holds(held[0])):
-            total += env.path_return(held[1], instance, run_seed, base + r)
+            total += (held[2] if env.fixed_rewards
+                      else env.path_return(held[1], instance, run_seed, base + r))
         else:
             trace: list = []
-            total += greedy_rollout(policy, env, instance, SeedSpec(run_seed, base + r), trace)
-            paths[instance] = ([(agent.encode(obs), a) for obs, a, _ in trace],
-                               [a for _, a, _ in trace])
+            score = greedy_rollout(policy, env, instance, SeedSpec(run_seed, base + r), trace)
+            total += score
+            paths[instance] = ([(state_key(obs), a) for obs, a, _ in trace],
+                               [a for _, a, _ in trace], score)
         checked.add(instance)
     return total / len(instances)
 

@@ -3,15 +3,36 @@
 Each oracle deliberately recomputes its quantity by a different route
 than the implementation under test: sequence construction by doubling,
 dynamic programming by explicit enumeration, gradients by central
-finite differences.
+finite differences, training episodes through ``Environment.step``.
 """
 
 import numpy as np
 
 from algocontrol.agents.dqn import MLPQNet
-from algocontrol.agents.tabular import state_key
+from algocontrol.agents.tabular import TabularAgent, state_key
 from algocontrol.benchmarks import CountingEnv
 from algocontrol.core import SeedSpec
+
+
+def step_training_episode(agent, env, instance, seed, explore_rng, train_rng) -> float:
+    """A training episode driven by ``Environment.step``, as the harness ran it
+    before its step-free loop: the reference that ``run_training_episode``
+    must equal, draw for draw and bit for bit. Each observation is encoded
+    once, as the agent's state: a table key, or for the DQN the observation
+    itself."""
+    encode = state_key if isinstance(agent, TabularAgent) else (lambda obs: obs)
+    select, step, observe = agent.select_action, env.step, agent.observe
+    s = encode(env.reset(instance, seed))
+    total, done = 0.0, False
+    while not done:
+        action = select(s, explore_rng)
+        obs, reward, done = step(action)
+        s_next = encode(obs)
+        observe(s, action, reward, s_next, done)
+        total += reward
+        s = s_next
+    agent.end_episode(train_rng)
+    return total
 
 
 def luby_sequence_oracle(length: int) -> list[int]:

@@ -593,7 +593,7 @@ class TestDQNAgent:
             rng=derive_stream(87, 0),
         )
         rng = derive_stream(87, 1)
-        s = agent.encode(Observation(time_step=0, continuous_features=(1.0, 5.0)))
+        s = Observation(time_step=0, continuous_features=(1.0, 5.0))
         agent.observe(s, 1, 0.5, s, True)
         agent.end_episode(rng)
         getattr(agent.net, where).flat[0] = value

@@ -13,13 +13,21 @@ from algocontrol import harness
 from algocontrol.benchmarks import (
     BenchmarkConfig,
     CountingEnv,
+    FuzzyEnv,
     LubyEnv,
     SigmoidEnv,
     make_env,
     sample_sigmoid_instance,
 )
 from algocontrol.config import parse_config
-from algocontrol.core import BlockStream, ContractError, SeedSpec, derive_seed, derive_stream
+from algocontrol.core import (
+    BlockStream,
+    ContractError,
+    Environment,
+    SeedSpec,
+    derive_seed,
+    derive_stream,
+)
 from algocontrol.harness import (
     CSV_HEADER,
     ConfigError,
@@ -35,6 +43,7 @@ from algocontrol.harness import (
     smooth,
     train_and_evaluate,
 )
+from oracles import step_training_episode
 from test_golden import case_text, valid_cases
 
 
@@ -320,38 +329,95 @@ class TestTrainAndEvaluate:
         assert not snap.exists()
 
 
-class TestOneEncodingPerObservation:
-    """A training episode encodes each observation once: steps + 1 calls."""
+class TestStepFreeTraining:
+    """A training episode reads each reward from ``env._reward``: it makes no
+    ``Environment.step`` call and no ``state_key`` call, and takes the agent's
+    features once."""
 
-    def test_luby_state_key_calls(self, monkeypatch):
+    @pytest.mark.parametrize("kind", ["qlearn", "dqn"])
+    def test_no_step_no_state_key_one_features(self, kind, monkeypatch):
+        if kind == "dqn":
+            agent = DQNAgent(action_count=2, horizon=11, context_dim=2, total_episodes=10,
+                             rng=derive_stream(91, 0))
+            env, instance = SigmoidEnv(11), (3.0, 5.0)
+        else:
+            agent = TabularAgent(kind, 6)
+            env, instance = LubyEnv(32), ()
         calls = []
-        real = tabular.state_key
 
-        def counting(obs):
-            calls.append(obs.time_step)
-            return real(obs)
+        def counted(name, real):
+            def wrapper(*args):
+                calls.append(name)
+                return real(*args)
+            return wrapper
 
-        monkeypatch.setattr(tabular, "state_key", counting)
-        agent = TabularAgent("qlearn", 6)
+        monkeypatch.setattr(Environment, "step", counted("step", Environment.step))
+        monkeypatch.setattr(tabular, "state_key", counted("state_key", tabular.state_key))
+        monkeypatch.setattr(harness, "state_key", counted("state_key", harness.state_key))
+        monkeypatch.setattr(type(agent), "features", counted("features", type(agent).features))
         rng = derive_stream(90, 0)
-        run_training_episode(agent, LubyEnv(32), (), SeedSpec(90, 1), rng, rng)
-        assert calls == list(range(33))
+        run_training_episode(agent, env, instance, SeedSpec(90, 1), rng, rng)
+        assert calls == ["features"]
+        if kind == "dqn":
+            assert len(agent.buffer) == 11
+        else:
+            assert sorted(s.time_step for s in agent.q) == list(range(32))
 
-    def test_sigmoid_dqn_encode_calls(self, monkeypatch):
-        calls = []
-        real = DQNAgent.encode
 
-        def counting(self, obs):
-            calls.append(obs.time_step)
-            return real(self, obs)
+TRAINED_CASES = [c for c in valid_cases() if c[1] != "blackbox"]
 
-        monkeypatch.setattr(DQNAgent, "encode", counting)
-        agent = DQNAgent(action_count=2, horizon=11, context_dim=2, total_episodes=10,
-                         rng=derive_stream(91, 0))
-        rng = derive_stream(91, 1)
-        instance = (3.0, 5.0)
-        run_training_episode(agent, SigmoidEnv(11), instance, SeedSpec(91, 1), rng, rng)
-        assert calls == list(range(12))
+
+class TestTrainingMatchesTheStepLoop:
+    """The step-free loop trains every agent as the step-driven one of
+    ``oracles.step_training_episode`` does, from the same streams."""
+
+    @pytest.mark.parametrize("case", TRAINED_CASES, ids="-".join)
+    def test_same_returns_tables_rings_and_next_draws(self, case):
+        cfg = parse_config(case_text(*case)).validated()
+        free, ref = harness._EvalSetup(cfg, 1), harness._EvalSetup(cfg, 1)
+        for episode in range(1, 61):
+            returns = [
+                loop(run.agent, run.env, run.draw(),
+                     SeedSpec(run.run_seed, harness.TRAIN_NOISE_BASE + episode),
+                     run.explore_rng, run.replay_rng)
+                for loop, run in ((run_training_episode, free), (step_training_episode, ref))
+            ]
+            assert repr(returns[0]) == repr(returns[1]), episode
+        a, b = free.agent, ref.agent
+        if isinstance(a, DQNAgent):
+            n = len(a.buffer)
+            assert n == len(b.buffer) == 60 * cfg.benchmark.horizon
+            assert a.buffer.rows[:n].tobytes() == b.buffer.rows[:n].tobytes()
+            assert a.net.theta.tobytes() == b.net.theta.tobytes()
+            assert a.episodes_trained == b.episodes_trained == 60
+        else:
+            for table in ("q", "visits", "remaining"):
+                rows_a, rows_b = getattr(a, table), getattr(b, table)
+                assert [(tuple(s), hash(s), repr(v)) for s, v in rows_a.items()] == [
+                    (tuple(s), hash(s), repr(v)) for s, v in rows_b.items()]
+            assert a.q and (a.visits if a.kind == "purs" else not a.visits)
+        for stream in ("explore_rng", "replay_rng"):
+            x, y = getattr(free, stream), getattr(ref, stream)
+            assert [x.random() for _ in range(5)] == [y.random() for _ in range(5)]
+        assert free.draw() == ref.draw()
+
+    def test_fuzzy_episode_total_is_the_path_return_of_its_actions(self):
+        env, rng, lengths = FuzzyEnv(5), derive_stream(94, 0), set()
+        agent = TabularAgent("urs", 2)
+        actions: list = []
+        real = agent.observe
+
+        def recording(s, action, reward, s_next, done):
+            actions.append(action)
+            real(s, action, reward, s_next, done)
+
+        agent.observe = recording
+        for episode in range(100):
+            actions.clear()
+            total = run_training_episode(agent, env, (), SeedSpec(94, episode), rng, rng)
+            assert repr(total) == repr(env.path_return(actions, (), 94, episode))
+            lengths.add(len(actions) if actions[-1] else 0)
+        assert 0 in lengths and 5 in lengths  # paths that end at a 0, and whole ones
 
 
 def train_with_explore(kind: str, benchmark: str, explore, episodes: int):
@@ -411,9 +477,10 @@ def fresh_value(setup, agent, env, episode: int) -> float:
 
 
 class TestCheckpointMemo:
-    """A tabular checkpoint scores each instance's stored greedy path with
-    ``path_return`` while the path still holds, so it rolls out at most
-    once per distinct instance."""
+    """A tabular checkpoint scores each instance's stored greedy path again
+    while the path still holds (with its stored score where rewards are fixed,
+    else with ``path_return``), so it rolls out at most once per distinct
+    instance."""
 
     @pytest.mark.parametrize(
         "case", [c for c in valid_cases() if c[1] in TabularAgent.KINDS], ids="-".join,
@@ -449,7 +516,7 @@ class TestCheckpointMemo:
         agent.q["off the path"] = [100.0, 0.0, 0.0, 0.0, 0.0]
         assert setup.evaluate(agent, env, 3) == first and rollouts == [1]
 
-        path, _ = setup.paths[()]
+        path = setup.paths[()][0]
         s, a = path[2]
         row = agent.q.setdefault(s, [0.0] * 5)
         row[(a + 1) % 5] = max(row) + 1.0
@@ -457,6 +524,53 @@ class TestCheckpointMemo:
         assert rollouts == [2]
         assert repr(value) == repr(fresh_value(setup, agent, env, 4))
         assert setup.paths[()][0][2] == (s, (a + 1) % 5)
+
+    @staticmethod
+    def _trained(kind: str):
+        cfg = ExperimentConfig(BenchmarkConfig(kind), "qlearn", n_seeds=1, n_episodes=30,
+                               master_seed=4).validated()
+        setup = harness._EvalSetup(cfg, 0)
+        for episode in range(1, cfg.n_episodes + 1):
+            setup.train(episode)
+        return setup, setup.agent, setup.env
+
+    @staticmethod
+    def _count_scores(monkeypatch, env_class) -> list[tuple[int, int]]:
+        """The (master seed, stream id) of each ``path_return`` call."""
+        scored = []
+        real = env_class.path_return
+
+        def counting(env, actions, instance, master_seed, stream_id):
+            scored.append((master_seed, stream_id))
+            return real(env, actions, instance, master_seed, stream_id)
+
+        monkeypatch.setattr(env_class, "path_return", counting)
+        return scored
+
+    def test_a_held_luby_path_reuses_its_score(self, monkeypatch):
+        setup, agent, env = self._trained("luby")
+        scored = self._count_scores(monkeypatch, LubyEnv)
+        rollouts = count_rollouts(monkeypatch)
+        values = [setup.evaluate(agent, env, episode) for episode in (1, 2, 3)]
+        assert rollouts == [1] and scored == []
+        actions = setup.paths[()][1]
+        for episode, value in zip((2, 3), values[1:]):
+            base = harness.EVAL_NOISE_BASE + episode
+            assert repr(value) == repr(values[0]) == repr(
+                env.path_return(actions, (), setup.run_seed, base)
+            ) == repr(fresh_value(setup, agent, env, episode))
+
+    def test_fuzzy_scores_every_run_with_its_own_stream(self, monkeypatch):
+        setup, agent, env = self._trained("fuzzy")
+        scored = self._count_scores(monkeypatch, FuzzyEnv)
+        rollouts = count_rollouts(monkeypatch)
+        runs = len(setup.instances)
+        for episode in (1, 2):
+            setup.evaluate(agent, env, episode)
+        base = [harness.EVAL_NOISE_BASE + episode * runs for episode in (1, 2)]
+        assert runs == 10 and rollouts == [1]  # run 0 of the first checkpoint
+        assert scored == [(setup.run_seed, base[0] + r) for r in range(1, runs)] + [
+            (setup.run_seed, base[1] + r) for r in range(runs)]
 
     def test_dqn_rolls_out_every_run(self, monkeypatch):
         cfg = ExperimentConfig(BenchmarkConfig("sigmoid", horizon=11), "dqn", n_seeds=1,

@@ -51,7 +51,7 @@ def put(q, s, a, value, action_count):
 
 def draws(agent, rng, n):
     """``n`` training-time action choices of ``agent`` at OBS."""
-    s = agent.encode(OBS)
+    s = state_key(OBS)
     return [agent.select_action(s, rng) for _ in range(n)]
 
 
@@ -253,7 +253,7 @@ class TestEpsGreedySelect:
         for _ in range(100):
             agent = TabularAgent("gr", 4)
             agent.q[S] = [float(value_rng.normal()) for _ in range(4)]
-            assert agent.select_action(agent.encode(OBS), rng) == greedy(agent.q, S)
+            assert agent.select_action(state_key(OBS), rng) == greedy(agent.q, S)
 
     def test_epsilon_one_uniform_chi_squared(self):
         agent = TabularAgent("urs", 5)
