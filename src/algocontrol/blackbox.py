@@ -7,9 +7,13 @@ mutations of the incumbent, compared by aggressive racing on paired
 evaluation streams. Every environment episode counts against the
 budget, re-evaluations included.
 
-Schedules are scored by ``Environment.path_return`` (bit for bit a
-rollout's total), and each score counts as one episode. Every draw comes
-from one ``core.BlockStream``: the values ``Generator`` draws would give.
+Schedules are scored through one function, ``score(schedule, run)`` in
+``blackbox_optimize``: run r always takes the instance ``instances[r % n]``
+and the noise stream (base seed, r), so two schedules compared on the same
+runs see the same conditions. It returns ``Environment.path_return`` (bit
+for bit a rollout's total), and each score counts as one episode. Every
+draw comes from one ``core.BlockStream``: the values ``Generator`` draws
+would give.
 """
 
 from __future__ import annotations
@@ -49,40 +53,20 @@ def mutate_schedule(rng: BlockStream, schedule: tuple[int, ...],
     return tuple(actions)
 
 
-class ScheduleEvaluator:
-    """Executes schedules with paired per-run instance and noise streams.
-
-    Run index r always maps to the same instance, ``instances[r % len]``
-    (``[()]`` on a benchmark without instances), and the same noise
-    stream, so two schedules compared on the same run indices see
-    identical conditions. Each score is one episode; the caller counts them.
-    """
-
-    def __init__(self, env: Environment, instances: list[Instance], base_seed: int) -> None:
-        if not instances:
-            raise ContractError("instances must be non-empty")
-        self.env = env
-        self.instances = instances
-        self.base_seed = base_seed
-
-    def run(self, schedule: tuple[int, ...], run: int) -> float:
-        instances = self.instances
-        return self.env.path_return(schedule, instances[run % len(instances)], self.base_seed, run)
-
-
 def race(
     challenger: tuple[int, ...],
     incumbent: IncumbentRecord,
-    evaluator: ScheduleEvaluator,
+    score,
     max_runs: int,
     budget_left: int,
 ) -> tuple[IncumbentRecord, int]:
     """Race a challenger against the incumbent on shared run indices.
 
-    The challenger is evaluated on successively more paired runs
-    (doubling blocks); it is dropped as soon as its mean falls at or
-    below the incumbent's mean on the same runs, and promoted only if
-    it completes the incumbent's run count with a strictly greater
+    ``score(schedule, run)`` returns the total of one episode of ``schedule``
+    on paired run ``run``. The challenger is evaluated on successively
+    more paired runs (doubling blocks); it is dropped as soon as its mean
+    falls at or below the incumbent's mean on the same runs, and promoted
+    only if it completes the incumbent's run count with a strictly greater
     mean. Returns the winner and the episodes consumed.
     """
     held = incumbent.eval_rewards
@@ -96,7 +80,7 @@ def race(
         if k + n_new > budget_left:
             return incumbent, k  # budget exhausted mid-race
         for r in range(k, k + n_new):
-            rewards.append(evaluator.run(challenger, r))
+            rewards.append(score(challenger, r))
         k += n_new
         block *= 2
         if sum(rewards) / k <= sum(held[:k]) / k:
@@ -133,10 +117,16 @@ def blackbox_optimize(
     """
     if episode_budget < 1 or max_runs < 1 or not 0.0 <= neighbor_fraction <= 1.0:
         raise ContractError("need episode_budget, max_runs >= 1 and neighbor_fraction in [0, 1]")
-    evaluator = ScheduleEvaluator(env, instances, base_seed=rng.integers(2**63))
+    if not instances:  # a benchmark without instances passes [()]
+        raise ContractError("instances must be non-empty")
+    base_seed, n = rng.integers(2**63), len(instances)
+
+    def score(schedule: tuple[int, ...], run: int) -> float:
+        """Run r: instance ``instances[r % n]``, noise stream (base_seed, r)."""
+        return env.path_return(schedule, instances[run % n], base_seed, run)
 
     first = random_schedule(rng, env.horizon, env.action_count)
-    rewards = [evaluator.run(first, run) for run in range(min(max_runs, episode_budget))]
+    rewards = [score(first, run) for run in range(min(max_runs, episode_budget))]
     incumbent = IncumbentRecord(first, rewards)
     mean = incumbent.mean_reward  # the incumbent's, recomputed on promotion only
     # The first incumbent's mean backfills its own evaluation episodes.
@@ -149,7 +139,7 @@ def blackbox_optimize(
             challenger = mutate_schedule(rng, incumbent.schedule, env.action_count)
         else:
             challenger = random_schedule(rng, env.horizon, env.action_count)
-        winner, consumed = race(challenger, incumbent, evaluator, max_runs,
+        winner, consumed = race(challenger, incumbent, score, max_runs,
                                 episode_budget - len(curve))
         if consumed > 1:
             curve.extend([mean] * (consumed - 1))

@@ -209,7 +209,7 @@ class Environment:
         self._t = 0
         self._done = True
         self._history: tuple[int, ...] = ()
-        self._tables: dict[Instance, list[tuple[float, ...]]] = {}
+        self._tables: dict[Instance, list[list[float]]] = {}
 
     @property
     def pad_action(self) -> int:
@@ -252,18 +252,22 @@ class Environment:
         """The total ``greedy_rollout`` returns for the open-loop ``actions`` on
         ``instance`` with seed (master_seed, stream_id), bit for bit: here the
         path's entries of the instance's reward table, added left to right from
-        0.0. A benchmark whose rewards are not fixed overrides it."""
+        0.0. A missing table is filled by ``step``: one ``reset(instance)`` and
+        ``horizon`` steps of each action. A benchmark whose rewards are not fixed
+        overrides it."""
         self._check_actions(actions)
         table = self._tables.get(instance)
         if table is None:  # row t: each action's reward at step t, as step returns it
             # On this environment, kept as it was: a copy would read __dict__,
             # which slows this object's every later attribute access.
             episode = self._instance, self._t, self._done, self._history
-            traces = [[] for _ in range(self.action_count)]
-            for action, trace in enumerate(traces):
-                greedy_rollout(lambda obs: action, self, instance, None, trace)
+            table = [[] for _ in range(self.horizon)]
+            for action in range(self.action_count):
+                self.reset(instance)
+                for row in table:
+                    row.append(self.step(action)[1])
             self._instance, self._t, self._done, self._history = episode
-            table = self._tables[instance] = [tuple(r for _, _, r in row) for row in zip(*traces)]
+            self._tables[instance] = table
         total = 0.0
         for row, action in zip(table, actions):
             total += row[action]
@@ -294,10 +298,10 @@ def greedy_rollout(policy, env: Environment, instance: Instance, seed: SeedSpec 
     """Roll out ``policy(obs) -> action`` for one episode; returns the
     total reward.
 
-    This is the one loop that runs a fixed policy: greedy evaluation,
-    reward tables and snapshot replay all go through it. A ``trace``
-    list gets one ``(obs, action, reward)`` item per step, ``obs`` being
-    the observation the action was chosen on.
+    This is the one loop that runs a fixed policy: greedy evaluation and
+    snapshot replay go through it. A ``trace`` list gets one
+    ``(obs, action, reward)`` item per step, ``obs`` being the observation
+    the action was chosen on.
     """
     obs = env.reset(instance, seed)
     step = env.step

@@ -18,7 +18,6 @@ from algocontrol.benchmarks import (
 )
 from algocontrol.blackbox import (
     IncumbentRecord,
-    ScheduleEvaluator,
     blackbox_optimize,
     mutate_schedule,
     race,
@@ -72,7 +71,7 @@ class TestMutateSchedule:
 class TestEvaluateSchedule:
     @staticmethod
     def _run(schedule, env):
-        return ScheduleEvaluator(env, [()], base_seed=5).run(schedule, 0)
+        return env.path_return(schedule, (), 5, 0)
 
     def test_counting_optimum(self):
         assert self._run((0, 1, 2, 3, 4), CountingEnv(5)) == 5.0
@@ -102,22 +101,22 @@ class TestEvaluateSchedule:
 class TestRace:
     def test_deterministic_challenger_wins_after_one_run(self):
         env = CountingEnv(5)
-        evaluator = ScheduleEvaluator(env, [()], base_seed=1)
+        score = lambda schedule, run: env.path_return(schedule, (), 1, run)
         incumbent_sched = (0, 0, 0, 0, 0)
         incumbent = IncumbentRecord(
-            incumbent_sched, [evaluator.run(incumbent_sched, 0)]
+            incumbent_sched, [score(incumbent_sched, 0)]
         )
-        winner, consumed = race((0, 1, 2, 3, 4), incumbent, evaluator, 1, budget_left=1)
+        winner, consumed = race((0, 1, 2, 3, 4), incumbent, score, 1, budget_left=1)
         assert winner.schedule == (0, 1, 2, 3, 4)
         assert winner.mean_reward == 5.0
         assert consumed == 1
 
     def test_identical_schedule_keeps_incumbent(self):
         env = FuzzyEnv(20)
-        evaluator = ScheduleEvaluator(env, [()], base_seed=2)
+        score = lambda schedule, run: env.path_return(schedule, (), 2, run)
         sched = (1,) * 20
-        incumbent = IncumbentRecord(sched, [evaluator.run(sched, r) for r in range(5)])
-        winner, consumed = race(sched, incumbent, evaluator, 5, budget_left=5)
+        incumbent = IncumbentRecord(sched, [score(sched, r) for r in range(5)])
+        winner, consumed = race(sched, incumbent, score, 5, budget_left=5)
         assert winner is incumbent  # paired seeds: equal means, no strict win
         assert consumed == 1
 
@@ -125,29 +124,30 @@ class TestRace:
         wins = 0
         for trial in range(100):
             env = FuzzyEnv(20)
-            evaluator = ScheduleEvaluator(env, [()], base_seed=100 + trial)
+            score = lambda schedule, run: env.path_return(schedule, (), 100 + trial, run)
             early_stop = (1, 1, 0) + (1,) * 17
             incumbent = IncumbentRecord(
-                early_stop, [evaluator.run(early_stop, r) for r in range(50)]
+                early_stop, [score(early_stop, r) for r in range(50)]
             )
-            winner, _ = race((1,) * 20, incumbent, evaluator, 50, budget_left=50)
+            winner, _ = race((1,) * 20, incumbent, score, 50, budget_left=50)
             wins += winner.schedule == (1,) * 20
         assert wins >= 95
 
     def test_budget_abort_keeps_incumbent(self):
         env = FuzzyEnv(20)
-        evaluator = ScheduleEvaluator(env, [()], base_seed=3)
+        score = lambda schedule, run: env.path_return(schedule, (), 3, run)
         sched = (1,) * 20
-        incumbent = IncumbentRecord(sched, [evaluator.run(sched, r) for r in range(8)])
+        incumbent = IncumbentRecord(sched, [score(sched, r) for r in range(8)])
         strong = (1,) * 20
-        winner, consumed = race(strong, incumbent, evaluator, 8, budget_left=2)
+        winner, consumed = race(strong, incumbent, score, 8, budget_left=2)
         assert winner is incumbent
         assert consumed <= 2
 
     def test_incumbent_without_runs_rejected(self):
-        evaluator = ScheduleEvaluator(CountingEnv(5), [()], base_seed=1)
+        env = CountingEnv(5)
+        score = lambda schedule, run: env.path_return(schedule, (), 1, run)
         with pytest.raises(ContractError):
-            race((0, 1, 2, 3, 4), IncumbentRecord((0, 0, 0, 0, 0)), evaluator, 1, 1)
+            race((0, 1, 2, 3, 4), IncumbentRecord((0, 0, 0, 0, 0)), score, 1, 1)
 
 
 class TestBlackboxOptimize:
@@ -201,10 +201,10 @@ class TestBlackboxOptimize:
     def test_empty_instance_list_rejected(self):
         with pytest.raises(ContractError):
             blackbox_optimize(SigmoidEnv(11), [], 10, BlockStream(14, 2))
-        with pytest.raises(ContractError):
-            ScheduleEvaluator(SigmoidEnv(11), [], base_seed=0)
         with pytest.raises(ContractError):  # a context-free benchmark passes [()]
-            ScheduleEvaluator(CountingEnv(5), None, base_seed=0)
+            blackbox_optimize(CountingEnv(5), [], 10, BlockStream(14, 2))
+        with pytest.raises(ContractError):
+            blackbox_optimize(CountingEnv(5), None, 10, BlockStream(14, 2))
 
     def test_stop_at_halts_early(self):
         env = CountingEnv(5)
@@ -213,17 +213,41 @@ class TestBlackboxOptimize:
         assert result.episodes_consumed < 10**4
 
     def test_instance_paired_runs(self):
-        # with instances, run r always maps to the same instance
-        env = SigmoidEnv(11)
-        instances = [
-            (10.0 + i, 5.0) for i in range(3)
-        ]
-        evaluator = ScheduleEvaluator(env, instances, base_seed=4)
-        sched = (1,) * 5 + (0,) * 6
-        for run in (0, 4):
-            assert evaluator.run(sched, run) == env.path_return(
-                sched, instances[run % len(instances)], 4, run)
-        assert evaluator.run(sched, 1) == evaluator.run(sched, 4) != evaluator.run(sched, 0)
+        # run r scores every schedule on instances[r % n] with stream (base_seed, r)
+        class Recording(SigmoidEnv):
+            calls = []
+
+            def path_return(self, actions, instance, master_seed, stream_id):
+                self.calls.append((instance, master_seed, stream_id))
+                return super().path_return(actions, instance, master_seed, stream_id)
+
+        instances = [(10.0 + i, 5.0) for i in range(3)]
+        base_seed = BlockStream(4, 0).integers(2**63)  # the optimizer's first draw
+        blackbox_optimize(Recording(11), instances, 300, BlockStream(4, 0), max_runs=10)
+        calls = Recording.calls
+        assert {stream for _, _, stream in calls} == set(range(10))
+        assert all(instance == instances[run % 3] and master == base_seed
+                   for instance, master, run in calls)
+
+    @pytest.mark.parametrize("max_runs", [1, 10])
+    @pytest.mark.parametrize("env_class, args, instances", [
+        (CountingEnv, (5,), [()]),
+        (LubyEnv, (16,), [()]),
+        (SigmoidEnv, (11,), [(30.0, 4.0), (-60.0, 7.5), (2.0, 5.0)]),
+        (SigmoidMVAEnv, (11, 4), [(10.0, 5.0), (-5.0, 2.0)]),
+        (FuzzyEnv, (8, 0.5, 1.5), [()]),
+    ], ids=["counting", "luby", "sigmoid", "sigmoidmva", "fuzzy"])
+    def test_one_path_return_per_consumed_episode(self, env_class, args, instances, max_runs):
+        class Scored(env_class):
+            calls = 0
+
+            def path_return(self, *path):
+                Scored.calls += 1
+                return super().path_return(*path)
+
+        result = blackbox_optimize(Scored(*args), instances, 250, BlockStream(23, max_runs),
+                                   max_runs=max_runs)
+        assert Scored.calls == result.episodes_consumed == 250
 
 
 def _rolled_out(env_class):
@@ -273,25 +297,24 @@ class TestRewardTable:
     @settings(max_examples=200, deadline=None)
     def test_noise_free_scores_equal_rollouts(self, case, data):
         env, instances, schedules = case
-        evaluator = ScheduleEvaluator(env, instances, base_seed=7)
         for run in range(data.draw(st.integers(1, 6))):
             sched = data.draw(schedules)
-            expected = greedy_rollout(lambda obs: sched[obs.time_step], env,
-                                      instances[run % len(instances)], SeedSpec(7, run))
-            assert evaluator.run(sched, run) == expected
+            instance = instances[run % len(instances)]
+            expected = greedy_rollout(lambda obs: sched[obs.time_step], env, instance,
+                                      SeedSpec(7, run))
+            assert env.path_return(sched, instance, 7, run) == expected
 
     @given(horizon=st.integers(1, 25), mean=st.floats(-5.0, 5.0),
            spread=st.floats(0.0, 5.0), data=st.data())
     @settings(max_examples=100, deadline=None)
     def test_fuzzy_scores_equal_rollouts(self, horizon, mean, spread, data):
         env = FuzzyEnv(horizon, mean=mean, spread=spread)
-        evaluator = ScheduleEvaluator(env, [()], base_seed=11)
         schedules = st.lists(st.integers(0, 1), min_size=horizon, max_size=horizon)
         for run in range(data.draw(st.integers(1, 4))):
             sched = tuple(data.draw(schedules))
             expected = greedy_rollout(lambda obs: sched[obs.time_step], env, (),
                                       SeedSpec(11, run))
-            assert evaluator.run(sched, run) == expected
+            assert env.path_return(sched, (), 11, run) == expected
 
     @pytest.mark.parametrize("env_class, args, instances, max_runs", [
         (CountingEnv, (5,), [()], 1),
@@ -309,7 +332,7 @@ class TestRewardTable:
 
     def test_one_constant_action_rollout_per_action_and_instance(self):
         class StepCounter(SigmoidMVAEnv):
-            steps = 0  # every step of env, the table's rollouts included
+            steps = 0  # every step of env, the table fills included
 
             def step(self, action):
                 StepCounter.steps += 1
@@ -317,10 +340,9 @@ class TestRewardTable:
 
         env = StepCounter(11, levels=4)
         instances = [(30.0, 4.0), (-60.0, 7.5)]
-        evaluator = ScheduleEvaluator(env, instances, base_seed=0)
         sched = random_schedule(BlockStream(21, 0), 11, 5)
         for run in range(10):
-            evaluator.run(sched, run)
+            env.path_return(sched, instances[run % len(instances)], 0, run)
         assert env.steps == len(instances) * 5 * 11
 
 
@@ -337,17 +359,16 @@ class TestTablePathContracts:
         (FuzzyEnv, (0, 1, 1, 1, 2)),
     ])
     def test_bad_schedule_rejected(self, env_class, bad, warm):
-        evaluator = ScheduleEvaluator(env_class(5), [()], base_seed=0)
+        env = env_class(5)
         if warm:
-            evaluator.run((1, 1, 1, 1, 1), 0)
+            env.path_return((1, 1, 1, 1, 1), (), 0, 0)
         with pytest.raises(ContractError):
-            evaluator.run(bad, 1)
+            env.path_return(bad, (), 0, 1)
 
     def test_path_ending_at_its_first_termination_scores_its_rollout(self):
-        evaluator = ScheduleEvaluator(FuzzyEnv(5), [()], base_seed=0)
         expected = greedy_rollout(lambda obs: (1, 0)[obs.time_step], FuzzyEnv(5), (),
                                   SeedSpec(0, 1))
-        assert evaluator.run((1, 0), 1) == expected
+        assert FuzzyEnv(5).path_return((1, 0), (), 0, 1) == expected
 
     @pytest.mark.parametrize("env_class, max_runs", [(LubyEnv, 1), (FuzzyEnv, 3)])
     @pytest.mark.parametrize("budget", range(1, 8))

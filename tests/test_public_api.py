@@ -1,5 +1,6 @@
 """Every public top-level function and class in ``src/`` is used there, and
-so is every public method of a public class.
+so is every public method of a public class and every name a module other
+than an ``__init__`` imports.
 
 A definition counts as used when a name or attribute of that name occurs
 in some other statement of some module: another top-level statement, or,
@@ -78,3 +79,24 @@ def test_no_module_copies_or_reads_an_instance_dict():
             if bad:
                 found.append(f"{path.relative_to(SRC)}:{node.lineno}")
     assert found == []
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    """An ``__init__`` re-exports what it imports; any other module uses every
+    name its imports bind, so a deletion leaves no import behind."""
+    unused = []
+    for path, module in MODULES.items():
+        if path.name == "__init__.py":
+            continue
+        imported = {}
+        for node in ast.walk(module):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    name = alias.asname or alias.name.partition(".")[0]
+                    imported[name] = node.lineno
+        used = {node.id for node in ast.walk(module) if isinstance(node, ast.Name)}
+        unused += [f"{path.relative_to(SRC)}:{line} {name}"
+                   for name, line in imported.items() if name not in used]
+    assert unused == []
