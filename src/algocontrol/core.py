@@ -11,6 +11,7 @@ bit for bit.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from typing import NamedTuple
 
 import numpy as np
@@ -99,18 +100,35 @@ class BlockStream:
     (the low half of a new word, keeping its high half for the next 32-bit draw,
     as PCG64's ``has_uint32`` does), else a whole word, through Lemire's bounded
     method (Lemire, ACM TOMACS 2019).
+
+    A list draw whose bound n <= 2**32 equals that of the stream's previous
+    32-bit list draw is a slice of a table: the block's 2 * BLOCK halves, low
+    then high in stream order, each as ``(half * n) >> 32``, built once per block
+    with numpy beside the indices of its rejected halves. The loop takes the
+    draw instead when a rejected half falls in its window, the spare half it
+    starts with is rejected, the window crosses the block's end, or ``size`` is
+    0. A table costs about three loops of 32 values, or ten of 11, so only a
+    repeated bound builds one: the blackbox's schedules, all of one bound, repay
+    it within the block, while a replay ring that is still filling asks for a
+    new bound each draw and stays on the loop.
     """
 
-    __slots__ = ("_bits", "_next", "_spare")
+    __slots__ = ("_bits", "_next", "_spare", "_raw", "_bound", "_table")
 
     def __init__(self, master_seed: int, stream_id: int) -> None:
         self._bits = np.random.PCG64(derive_seed(master_seed, stream_id))
         self._next = iter(()).__next__  # the next word of the current block
         self._spare: int | None = None  # high half of the last word split in two
+        self._raw: np.ndarray | None = None  # the current block, as numpy drew it
+        self._bound = 0  # the bound of the last 32-bit list draw
+        # (values, rejected half indices) of _bound on this block, once built
+        self._table: tuple[list[int], list[int]] | None = None
 
     def _refill(self) -> int:
         """Start a new block and return its first word."""
-        self._next = iter(self._bits.random_raw(BLOCK).tolist()).__next__
+        raw = self._raw = self._bits.random_raw(BLOCK)
+        self._table = None
+        self._next = iter(raw.tolist()).__next__
         return self._next()
 
     def random(self) -> float:
@@ -160,7 +178,26 @@ class BlockStream:
             raise ContractError(f"integers needs int n in [1, 2**64], size >= 0: {n!r}, {size!r}")
         if n == 1 or n > _TWO_32:
             return [self.integers(n) for _ in range(size)]
-        threshold, spare, out = _TWO_32 % n, self._spare, []
+        threshold, spare = _TWO_32 % n, self._spare
+        if n != self._bound:
+            self._bound, self._table = n, None
+        elif size:
+            words = self._next.__self__
+            start = BLOCK - words.__length_hint__()  # the next word's index in the block
+            k = size if spare is None else size - 1  # halves the window takes
+            lo = 2 * start  # the next word's low half
+            if start < BLOCK and lo + k <= 2 * BLOCK and (
+                    spare is None or spare * n & _MASK32 >= threshold):
+                values, rejected = self._table or self._table_for(n)
+                if rejected[bisect_left(rejected, lo)] >= lo + k:
+                    out = values[lo:lo + k]
+                    end = start + (k + 1) // 2  # past the last word the window takes
+                    words.__setstate__(end)
+                    self._spare = int(self._raw[end - 1]) >> 32 if k & 1 else None
+                    if spare is not None:
+                        out.insert(0, spare * n >> 32)
+                    return out
+        out = []
         for _ in range(size):
             while True:
                 if spare is None:
@@ -176,6 +213,16 @@ class BlockStream:
             out.append(m >> 32)
         self._spare = spare
         return out
+
+    def _table_for(self, n: int) -> tuple[list[int], list[int]]:
+        """Build the current block's table for bound ``n``: every half's draw, and
+        the indices of the halves that Lemire's method rejects, then 2 * BLOCK."""
+        halves = self._raw.astype("<u8", copy=False).view("<u4").astype(np.uint64)
+        m = halves * n
+        rejected = np.flatnonzero(m & _MASK32 < _TWO_32 % n).tolist()
+        rejected.append(2 * BLOCK)
+        self._table = (m >> 32).tolist(), rejected
+        return self._table
 
 
 class Environment:
@@ -209,7 +256,7 @@ class Environment:
         self._t = 0
         self._done = True
         self._history: tuple[int, ...] = ()
-        self._tables: dict[Instance, list[list[float]]] = {}
+        self._tables: dict[Instance, list[dict[ActionId, float]]] = {}
 
     @property
     def pad_action(self) -> int:
@@ -253,9 +300,13 @@ class Environment:
         ``instance`` with seed (master_seed, stream_id), bit for bit: here the
         path's entries of the instance's reward table, added left to right from
         0.0. A missing table is filled by ``step``: one ``reset(instance)`` and
-        ``horizon`` steps of each action. A benchmark whose rewards are not fixed
-        overrides it."""
-        self._check_actions(actions)
+        ``horizon`` steps of each action. A path of another length than the
+        horizon goes through ``_check_actions``; otherwise the table's rows, which
+        hold the keys 0 .. action_count - 1 alone, refuse an action outside that
+        range as ``step`` does, after a cold table is filled. A benchmark whose
+        rewards are not fixed overrides it."""
+        if len(actions) != self.horizon:
+            self._check_actions(actions)
         table = self._tables.get(instance)
         if table is None:  # row t: each action's reward at step t, as step returns it
             # On this environment, kept as it was: a copy would read __dict__,
@@ -267,10 +318,13 @@ class Environment:
                 for row in table:
                     row.append(self.step(action)[1])
             self._instance, self._t, self._done, self._history = episode
-            self._tables[instance] = table
+            table = self._tables[instance] = [dict(enumerate(row)) for row in table]
         total = 0.0
-        for row, action in zip(table, actions):
-            total += row[action]
+        try:
+            for row, action in zip(table, actions):
+                total += row[action]
+        except KeyError:
+            raise ContractError(f"path action out of range [0, {self.action_count})") from None
         return total
 
     def _check_actions(self, actions) -> None:

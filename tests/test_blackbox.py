@@ -357,13 +357,32 @@ class TestTablePathContracts:
         (FuzzyEnv, (1, 0, 2, 1, 1)),  # a rollout would end at the 0 before the 2
         (FuzzyEnv, (1, 1, 1, 1, -1)),
         (FuzzyEnv, (0, 1, 1, 1, 2)),
+        # Whole schedules that the reward table's lookup refuses: a negative
+        # action (a list row would read it from its end), action_count, a float.
+        (LubyEnv, (-1, 1, 1, 1, 1)),
+        (LubyEnv, (0, 1, 2, 1, -3)),
+        (LubyEnv, (0, 1, 2, 3, 0)),  # LubyEnv(5) has 3 actions
+        (LubyEnv, (0, 1.5, 2, 1, 0)),
+        (SigmoidEnv, (1, 1, 1, 1, -1)),
+        (SigmoidEnv, (0, 2, 1, 1, 1)),
+        (SigmoidEnv, (0.5, 1, 1, 1, 1)),
+        (SigmoidMVAEnv, (4, 3, -2, 1, 0)),
+        (SigmoidMVAEnv, (0, 1, 2, 3, 5)),
+        (SigmoidMVAEnv, (0, 1, 2, 2.5, 4)),
     ])
     def test_bad_schedule_rejected(self, env_class, bad, warm):
+        """Refused with the table cold or warm, and the caller's episode (here
+        after one step) is left where it was."""
         env = env_class(5)
+        instance = (2.0, 3.0) if env.context_dim else ()
+        env.reset(instance, SeedSpec(4, 0))
+        env.step(1)
+        episode = env._instance, env._t, env._done, env._history
         if warm:
-            env.path_return((1, 1, 1, 1, 1), (), 0, 0)
+            env.path_return((1, 1, 1, 1, 1), instance, 0, 0)
         with pytest.raises(ContractError):
-            env.path_return(bad, (), 0, 1)
+            env.path_return(bad, instance, 0, 1)
+        assert (env._instance, env._t, env._done, env._history) == episode
 
     def test_path_ending_at_its_first_termination_scores_its_rollout(self):
         expected = greedy_rollout(lambda obs: (1, 0)[obs.time_step], FuzzyEnv(5), (),

@@ -69,6 +69,31 @@ DRAW_RUNS = st.one_of(
               | st.integers(1, 2**32) | st.integers(2**32, 2**64), st.integers(0, 2 * BLOCK + 3)),
 )
 
+# Bounds a run of list draws repeats, so that the block's table serves them: no
+# rejection to speak of (6, 50,000), about half the halves rejected (2**31 + 1)
+# and about a quarter (3 * 2**30 + 5).
+TABLE_BOUNDS = (6, 50_000, 2**31 + 1, 3 * 2**30 + 5)
+# As DRAW_RUNS, but a bound of None is the one the list draws repeat; list sizes
+# of 0, 1, odd and even, and one that spans two blocks.
+REPEATED_BOUND_RUNS = st.one_of(
+    st.tuples(st.just("list"), st.just(None),
+              st.sampled_from((0, 1, 31, 32, 2 * BLOCK + 1)) | st.integers(0, 80)),
+    st.tuples(st.just("random"), st.just(0), st.integers(1, 300)),
+    st.tuples(st.just("integers"), st.sampled_from((None, 5, 32, 2**40)), st.integers(1, 5)),
+)
+
+
+def count_table_builds(monkeypatch) -> list[int]:
+    """The bound of each table ``BlockStream`` builds from here on, in order."""
+    built, build = [], BlockStream._table_for
+
+    def counted(block, n):
+        built.append(n)
+        return build(block, n)
+
+    monkeypatch.setattr(BlockStream, "_table_for", counted)
+    return built
+
 
 def numpy_draw(gen: np.random.Generator, n: int, size: int | None = None):
     """``gen.integers(n, size=size)``; a bound above 2**63 needs numpy's uint64
@@ -130,6 +155,62 @@ class TestBlockStream:
         runs = [("random", 0, BLOCK - 2), ("list", n, 5), ("random", 0, 3), ("list", n, 4),
                 ("list", n, 2 * BLOCK + 1), ("integers", n, 3)]
         assert_same_draws(BlockStream(9, 10), derive_stream(9, 10), runs)
+
+    @settings(max_examples=60, deadline=None)
+    @given(master=st.integers(0, 2**64 - 1), n=st.sampled_from(TABLE_BOUNDS),
+           runs=st.lists(REPEATED_BOUND_RUNS, max_size=40))
+    def test_list_draws_that_repeat_one_bound(self, master, n, runs):
+        # None stands for the bound the list draws repeat, which serves them
+        # from the block's table.
+        runs = [(draw, n if bound is None else bound, count) for draw, bound, count in runs]
+        assert_same_draws(BlockStream(master, 11), derive_stream(master, 11), runs)
+
+    def test_rejected_halves_in_the_table_window(self, monkeypatch):
+        # 2**31 + 1 rejects about half of all halves: of 600 two-value draws,
+        # some windows hold a rejected half, some start on a rejected spare, and
+        # the rest are slices of the one table built for the block.
+        built = count_table_builds(monkeypatch)
+        runs = [("list", 2**31 + 1, 2)] * 600
+        assert_same_draws(BlockStream(12, 13), derive_stream(12, 13), runs)
+        assert 1 <= len(built) <= 3
+
+    def test_a_spare_carried_into_a_table_draw(self, monkeypatch):
+        # The spare half is the first value; an odd count of halves from the
+        # table leaves the last word's high half as the next spare.
+        built = count_table_builds(monkeypatch)
+        block, gen = BlockStream(14, 15), derive_stream(14, 15)
+        assert_same_draws(block, gen, [("list", 6, 1), ("random", 0, 3)])
+        assert block._spare is not None
+        assert_same_draws(block, gen, [("list", 6, 5), ("integers", 6, 1)])
+        assert block._spare is not None
+        assert_same_draws(block, gen, [("list", 6, 4)])
+        assert block._spare is not None
+        assert_same_draws(block, gen, [("list", 6, 3)])
+        assert block._spare is None
+        assert built == [6]  # every list after the first came from the one table
+        assert_same_draws(block, gen, [("random", 0, 2), ("list", 6, 2)])
+
+    def test_a_table_window_that_would_cross_the_block_end(self, monkeypatch):
+        # Three words are left after the first list: seven values need four, so
+        # the loop takes them into the next block, whose table serves the next list.
+        built = count_table_builds(monkeypatch)
+        block, gen = BlockStream(16, 17), derive_stream(16, 17)
+        assert_same_draws(block, gen, [("random", 0, BLOCK - 4), ("list", 6, 2),
+                                       ("list", 6, 7)])
+        assert built == []
+        assert_same_draws(block, gen, [("list", 6, 3), ("list", 6, 2 * BLOCK + 1)])
+        assert built == [6]
+        # The long list crossed into a third block, whose own table serves this one.
+        assert_same_draws(block, gen, [("list", 6, 1)])
+        assert built == [6, 6]
+
+    def test_a_new_bound_builds_its_own_table(self, monkeypatch):
+        # Within one block: a bound's first list takes the loop, its repeats
+        # a table of its own, also when an earlier bound comes back.
+        built = count_table_builds(monkeypatch)
+        runs = [("list", n, 32) for n in (6, 6, 50_000, 50_000, 50_000, 6, 6, 5, 5)]
+        assert_same_draws(BlockStream(18, 19), derive_stream(18, 19), runs)
+        assert built == [6, 50_000, 6, 5]
 
     def test_one_draws_nothing(self):
         block = BlockStream(3, 4)
