@@ -17,18 +17,3 @@ from .tabular import (
 )
 
 AGENT_KINDS = TabularAgent.KINDS + ("dqn", "blackbox")
-
-__all__ = [
-    "AGENT_KINDS",
-    "AgentHyperparams",
-    "DQNAgent",
-    "DQNGroup",
-    "MLPQNet",
-    "ReplayBuffer",
-    "TabularAgent",
-    "dqn_train_step",
-    "load_snapshot",
-    "q_update",
-    "save_agent",
-    "state_key",
-]

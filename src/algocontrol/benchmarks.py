@@ -143,10 +143,17 @@ class FuzzyEnv(Environment):
 
     def path_return(self, actions, instance: Instance, master_seed: int,
                     stream_id: int) -> float:
-        """Actions before the first 0 pay the stream's normals, drawn as one vector
-        (the values and IEEE operations of ``_reward``); a final 0 adds 0.0: a no-op."""
-        self._check_actions(actions)
-        n = actions.index(0) if 0 in actions else len(actions)
+        """As ``Environment.path_return``, for a whole schedule of ``horizon`` actions
+        (a rollout stops at its first 0) or a shorter path whose first 0 is its last
+        action, each action one of ``action_set``. Actions before the first 0 pay the
+        stream's normals, drawn as one vector (the values and IEEE operations of
+        ``_reward``); a final 0 adds 0.0: a no-op."""
+        length, horizon = len(actions), self.horizon
+        n = actions.index(0) if 0 in actions else length  # the paying steps
+        if length != horizon and not (length < horizon and n == length - 1):
+            raise ContractError(f"a path of {length} actions ends no episode of horizon {horizon}")
+        if not self.action_set.issuperset(actions):
+            raise ContractError(f"path action out of range [0, {self.action_count})")
         z = core.derive_stream(master_seed, stream_id).standard_normal(n)
         total = 0.0
         for reward in (self.mean + self.spread * z).tolist():

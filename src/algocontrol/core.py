@@ -228,6 +228,11 @@ class BlockStream:
 class Environment:
     """Base class for all benchmarks: pull-based reset/step lifecycle.
 
+    An action is valid iff it is a member of ``action_set``, the frozenset of
+    ``range(action_count)``: an integral float such as 1.0, or a numpy int,
+    plays the int it equals; 0.5, -1, ``action_count`` and None are refused with
+    ``ContractError``. ``step`` and every ``path_return`` apply this one rule.
+
     Subclasses implement ``_reward(t, action)`` and may override
     ``_terminates(t, action)`` for benchmarks with early termination. The
     training loop calls both without ``step``, so they may read only what
@@ -252,6 +257,7 @@ class Environment:
             raise ContractError("horizon must be >= 1")
         self.horizon = horizon
         self.action_count = action_count
+        self.action_set = frozenset(range(action_count))
         self._instance: Instance = ()
         self._t = 0
         self._done = True
@@ -278,11 +284,12 @@ class Environment:
         return Observation(0, instance, self._history)
 
     def step(self, action: ActionId) -> tuple[Observation, float, bool]:
-        """Apply ``action``; returns ``(next observation, reward, done)``."""
+        """Apply ``action``, one of ``action_set`` (1.0 plays 1, 0.5 is refused);
+        returns ``(next observation, reward, done)``."""
         t = self._t
         if self._done:  # also true before the first reset
             raise ContractError("step called on an inactive episode (reset first)")
-        if not 0 <= action < self.action_count:
+        if action not in self.action_set:
             raise ContractError(f"action {action} out of range [0, {self.action_count})")
         reward = float(self._reward(t, action))
         done = self._done = t + 1 >= self.horizon or (
@@ -300,25 +307,25 @@ class Environment:
         ``instance`` with seed (master_seed, stream_id), bit for bit: here the
         path's entries of the instance's reward table, added left to right from
         0.0. A missing table is filled by ``step``: one ``reset(instance)`` and
-        ``horizon`` steps of each action. A path of another length than the
-        horizon goes through ``_check_actions``; otherwise the table's rows, which
-        hold the keys 0 .. action_count - 1 alone, refuse an action outside that
-        range as ``step`` does, after a cold table is filled. A benchmark whose
-        rewards are not fixed overrides it."""
+        ``horizon`` steps of each action. Only a whole schedule of ``horizon``
+        actions is scored, and the table's rows, keyed by ``action_set``, refuse
+        what ``step`` refuses (1.0 finds 1's entry, 0.5 none), after a cold table
+        is filled. A benchmark whose rewards are not fixed overrides it."""
         if len(actions) != self.horizon:
-            self._check_actions(actions)
+            raise ContractError(
+                f"a path of {len(actions)} actions ends no episode of horizon {self.horizon}")
         table = self._tables.get(instance)
         if table is None:  # row t: each action's reward at step t, as step returns it
             # On this environment, kept as it was: a copy would read __dict__,
             # which slows this object's every later attribute access.
             episode = self._instance, self._t, self._done, self._history
-            table = [[] for _ in range(self.horizon)]
-            for action in range(self.action_count):
+            table = [{} for _ in range(self.horizon)]
+            for action in self.action_set:
                 self.reset(instance)
                 for row in table:
-                    row.append(self.step(action)[1])
+                    row[action] = self.step(action)[1]
             self._instance, self._t, self._done, self._history = episode
-            table = self._tables[instance] = [dict(enumerate(row)) for row in table]
+            self._tables[instance] = table
         total = 0.0
         try:
             for row, action in zip(table, actions):
@@ -326,19 +333,6 @@ class Environment:
         except KeyError:
             raise ContractError(f"path action out of range [0, {self.action_count})") from None
         return total
-
-    def _check_actions(self, actions) -> None:
-        """Refuse a path no rollout takes: not a whole schedule of ``horizon`` actions
-        and not ending at its first terminating action, or (as ``step`` does) with an
-        action outside [0, action_count)."""
-        n, horizon = len(actions), self.horizon
-        # A rollout stops at the horizon or at its first terminating action.
-        if n != horizon and not (0 < n < horizon and not self.fixed_rewards
-                                 and self._terminates(n - 1, actions[-1])
-                                 and not any(map(self._terminates, range(n - 1), actions))):
-            raise ContractError(f"a path of {n} actions ends no episode of horizon {self.horizon}")
-        if not 0 <= min(actions) <= max(actions) < self.action_count:
-            raise ContractError(f"path action out of range [0, {self.action_count})")
 
     def _reward(self, t: int, action: ActionId) -> float:
         raise NotImplementedError

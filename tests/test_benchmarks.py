@@ -342,27 +342,68 @@ class TestPathReturn:
             assert repr(env.path_return(actions, instance, master, stream)) == repr(expected)
 
     @pytest.mark.parametrize("kind", BENCHMARK_KINDS)
-    @pytest.mark.parametrize("bad", ["-1", "action_count"])
+    @pytest.mark.parametrize("bad", ["-1", "action_count", "0.5", "None"])
     def test_action_out_of_range_refused(self, kind, bad):
-        """As ``step`` refuses it: a -1 would otherwise index a table row from its end."""
+        """As ``step`` refuses it: a -1 would otherwise index a table row from its end,
+        and 0.5 would play action 0 on Sigmoid."""
         env = ENVIRONMENTS[kind]()
-        action = -1 if bad == "-1" else env.action_count
+        action = {"-1": -1, "action_count": env.action_count, "0.5": 0.5, "None": None}[bad]
         instance = ()
         if env.context_dim:
             instance = sample_sigmoid_instance(derive_stream(0, 0), env.horizon)
+        env.reset(instance, SeedSpec(0, 0))
+        with pytest.raises(ContractError, match="out of range"):
+            env.step(action)
         with pytest.raises(ContractError, match="out of range"):
             greedy_rollout(lambda obs: action, env, instance, SeedSpec(0, 0))
         with pytest.raises(ContractError, match="out of range"):
             env.path_return([action] * env.horizon, instance, 0, 0)
 
+    @pytest.mark.parametrize("kind", BENCHMARK_KINDS)
+    def test_one_action_rule_for_every_scorer(self, kind):
+        """``step``, a constant ``greedy_rollout`` and a whole-horizon ``path_return``
+        all refuse a constant action or all accept it, with equal totals."""
+        env = ENVIRONMENTS[kind]()
+        instance = ()
+        if env.context_dim:
+            instance = sample_sigmoid_instance(derive_stream(0, 0), env.horizon)
+
+        def verdict(score):
+            try:
+                return score()
+            except ContractError:
+                return ContractError
+
+        n = env.action_count
+        for action in [-1, *range(n), n, 0.5, 1.0, None]:
+            env.reset(instance, SeedSpec(0, 0))
+            stepped = verdict(lambda: env.step(action))
+            rolled = verdict(lambda: greedy_rollout(lambda obs: action, env, instance,
+                                                    SeedSpec(3, 1)))
+            scored = verdict(lambda: env.path_return([action] * env.horizon, instance, 3, 1))
+            if stepped is ContractError:
+                assert rolled is scored is ContractError, action
+            else:
+                assert rolled is not ContractError, action
+                assert repr(rolled) == repr(scored), action
+
+    def test_every_noisy_benchmark_scores_its_own_paths(self):
+        """The base ``path_return`` reads a noise-free reward table and takes only
+        whole schedules, so a benchmark without ``fixed_rewards`` overrides it."""
+        noisy = [cls for cls in ENVIRONMENTS.values() if not cls.fixed_rewards]
+        assert noisy
+        for cls in noisy:
+            assert "path_return" in vars(cls), cls.kind
+
     @pytest.mark.parametrize("env, actions", [
         (FuzzyEnv(20), [1] * 25),
+        (FuzzyEnv(20), [1] * 20 + [0]),
         (LubyEnv(32), [0] * 5),
         (FuzzyEnv(20), [1, 1]),
         (FuzzyEnv(20), [0, 1, 1]),
         (FuzzyEnv(20), [1, 0, 1]),
-    ], ids=["fuzzy-longer", "luby-shorter", "fuzzy-shorter-without-0",
-            "fuzzy-shorter-0-first", "fuzzy-shorter-on-after-0"])
+    ], ids=["fuzzy-longer", "fuzzy-longer-ending-at-its-first-0", "luby-shorter",
+            "fuzzy-shorter-without-0", "fuzzy-shorter-0-first", "fuzzy-shorter-on-after-0"])
     def test_path_no_rollout_takes_refused(self, env, actions):
         """A path longer than the horizon, or shorter and not ending at its first
         terminating action, sums an episode that cannot end where the path does:

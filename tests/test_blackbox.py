@@ -357,6 +357,7 @@ class TestTablePathContracts:
         (FuzzyEnv, (1, 0, 2, 1, 1)),  # a rollout would end at the 0 before the 2
         (FuzzyEnv, (1, 1, 1, 1, -1)),
         (FuzzyEnv, (0, 1, 1, 1, 2)),
+        (FuzzyEnv, (1, 0.5, 1, 1, 1)),  # a fractional float, as step refuses it
         # Whole schedules that the reward table's lookup refuses: a negative
         # action (a list row would read it from its end), action_count, a float.
         (LubyEnv, (-1, 1, 1, 1, 1)),
