@@ -202,7 +202,9 @@ class DQNGroup:
     takes one ``dqn_train_step`` for all members. Each member's step equals,
     bit for bit, the step it would take alone. ``names`` name the members in
     a divergence error. A ``DQNAgent`` starts as a group of one, whose step
-    runs on its own row, without the seed axis.
+    runs on its own row, without the seed axis. The group holds a member
+    only from its ``end_episode`` to the round's step, so once its caller
+    lets go of the members, their replay rings are freed at once.
     """
 
     def __init__(self, agents: list["DQNAgent"], names: list[str] | None = None) -> None:
@@ -296,10 +298,10 @@ class DQNAgent:
     an instance are built at once and kept across updates (for up to
     ``INPUT_ROWS_KEPT`` instances), and its T greedy actions come from one
     stacked forward, kept until the next SGD step. ε is likewise set once
-    per episode, after that step. An episode's transitions reach the
-    replay ring in one write, in ``end_episode``: they are consecutive
-    time steps of one instance, so their obs and next_obs are two slices
-    of that instance's input rows.
+    per episode, after that step. So no choice of an episode depends on
+    its rewards: ``select_action(t, instance, rng)`` picks the whole path,
+    ``observe`` writes it to the replay ring in one write, and a checkpoint
+    scores ``greedy_path(instance)`` with ``Environment.path_rewards``.
     """
 
     kind = "dqn"
@@ -335,13 +337,7 @@ class DQNAgent:
         self.last_loss = 0.0
         self._rows: dict[Instance, np.ndarray] = {}
         self._greedy: dict[Instance, list[ActionId]] = {}
-        self._episode: list[tuple] = []
         DQNGroup([self])  # sets net, target_net, _group and _slot
-
-    def features(self, instance: Instance) -> Instance:
-        """The features of every state of an episode on ``instance``: the instance
-        itself; ``input_rows`` holds the network inputs."""
-        return instance
 
     def input_rows(self, instance: Instance) -> np.ndarray:
         """Network inputs of time steps 0..T on ``instance``, one row each."""
@@ -356,7 +352,7 @@ class DQNAgent:
             self._rows[instance] = rows
         return rows
 
-    def _greedy_actions(self, instance: Instance) -> list[ActionId]:
+    def greedy_path(self, instance: Instance) -> list[ActionId]:
         """Greedy action of each time step 0..T-1 on ``instance``."""
         actions = self._greedy.get(instance)
         if actions is None:
@@ -372,40 +368,33 @@ class DQNAgent:
         frac = self.episodes_trained / self.decay_episodes
         return EPSILON_START + (EPSILON_END - EPSILON_START) * frac
 
-    def select_action(self, s: Observation, rng: np.random.Generator) -> ActionId:
+    def select_action(self, t: int, instance: Instance, rng: np.random.Generator) -> ActionId:
+        """The ε-greedy action of time step ``t`` on ``instance``."""
         if rng.random() < self._epsilon:
             return int(rng.integers(self.action_count))
-        return self._greedy_actions(s.continuous_features)[s.time_step]
+        return self.greedy_path(instance)[t]
 
-    def observe(self, s: Observation, action: ActionId, reward: float,
-                s_next: Observation, done: bool) -> None:
-        """Keep one transition of the current episode. In every benchmark its
-        next state is the next time step of the same instance, whose input row
-        ``end_episode`` reads from ``input_rows``, so ``s_next`` is not kept."""
-        self._episode.append((s.continuous_features, s.time_step, action, reward, done))
+    def observe(self, instance: Instance, actions: list[ActionId], rewards: list[float]) -> None:
+        """Write one episode to the replay ring, in one write: ``actions`` from
+        step 0 on ``instance`` and their ``rewards``, the last step ending it, so
+        obs and next_obs are two slices of the instance's input rows. Any other
+        shape (1 to T actions, a reward each, context_dim values) is refused."""
+        n = len(actions)
+        if not 0 < n == len(rewards) <= self.horizon or len(instance) != self.input_dim - 1:
+            raise ContractError(f"an episode is 1 to {self.horizon} actions, a reward each, on an "
+                                f"instance of {self.input_dim - 1} values; got {n} actions, "
+                                f"{len(rewards)} rewards, instance {instance!r}")
+        rows = self.input_rows(instance)
+        self.buffer.extend(rows[:n], actions, rewards, rows[1 : n + 1], [0.0] * (n - 1) + [1.0])
 
     def end_episode(self, rng: BlockStream) -> None:
-        """Write the episode's transitions to the replay ring and sample a
-        replay batch with ``rng`` into this agent's slot of its ``DQNGroup``.
-        The round's last member to end its episode takes one SGD step for
-        every member, then syncs each target every ``target_sync_every``
-        episodes; alone, an agent does so in each ``end_episode``. Until
-        then this agent's network, ε and ``episodes_trained`` are those of
-        the last round. An episode that is not consecutive time steps of one
-        instance, or a loss or parameter that is not finite, raises
-        ContractError."""
-        if self._episode:
-            instances, times, actions, rewards, dones = zip(*self._episode)
-            self._episode = []
-            t0, n = times[0], len(times)
-            if instances.count(instances[0]) != n:
-                raise ContractError("the transitions of one episode must share one instance")
-            if times != tuple(range(t0, t0 + n)) or t0 < 0 or t0 + n > self.horizon:
-                raise ContractError(f"episode time steps must be consecutive in 0..T: {times}")
-            rows = self.input_rows(instances[0])
-            self.buffer.extend(rows[t0 : t0 + n], actions, rewards, rows[t0 + 1 : t0 + n + 1],
-                               dones)
+        """Sample a replay batch with ``rng`` into this agent's slot of its
+        ``DQNGroup``. The round's last member to end its episode takes one SGD step
+        for every member, then syncs each target every ``target_sync_every``
+        episodes (alone, an agent does so in each ``end_episode``); until then its
+        network, ε and ``episodes_trained`` are the last round's. A loss or
+        parameter that is not finite raises ContractError."""
         self._group.end_episode(self, rng)
 
     def greedy_action(self, obs: Observation) -> ActionId:
-        return self._greedy_actions(obs.continuous_features)[obs.time_step]
+        return self.greedy_path(obs.continuous_features)[obs.time_step]

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import reduce
+from operator import add
 
 import numpy as np
 
@@ -141,24 +143,27 @@ class FuzzyEnv(Environment):
     def _terminates(self, t: int, action: ActionId) -> bool:
         return action == 0
 
-    def path_return(self, actions, instance: Instance, master_seed: int,
-                    stream_id: int) -> float:
-        """As ``Environment.path_return``, for a whole schedule of ``horizon`` actions
-        (a rollout stops at its first 0) or a shorter path whose first 0 is its last
-        action, each action one of ``action_set``. Actions before the first 0 pay the
-        stream's normals, drawn as one vector (the values and IEEE operations of
-        ``_reward``); a final 0 adds 0.0: a no-op."""
+    def path_rewards(self, actions, instance: Instance, master_seed: int,
+                     stream_id: int) -> list[float]:
+        """As ``Environment.path_rewards``, for a whole schedule (a rollout stops at
+        its first 0) or a shorter path whose first 0 is its last action. Steps
+        before the first 0 pay the stream's normals, drawn as one vector (the
+        values and IEEE operations of ``_reward``); a first 0 pays 0.0 and ends it."""
         length, horizon = len(actions), self.horizon
         n = actions.index(0) if 0 in actions else length  # the paying steps
         if length != horizon and not (length < horizon and n == length - 1):
             raise ContractError(f"a path of {length} actions ends no episode of horizon {horizon}")
         if not self.action_set.issuperset(actions):
             raise ContractError(f"path action out of range [0, {self.action_count})")
-        z = core.derive_stream(master_seed, stream_id).standard_normal(n)
-        total = 0.0
-        for reward in (self.mean + self.spread * z).tolist():
-            total += reward
-        return total
+        self._check_instance(instance)
+        z = core.derive_stream(master_seed, stream_id).standard_normal(n) if n else np.empty(0)
+        rewards = (self.mean + self.spread * z).tolist()
+        return rewards + [0.0] if n < length else rewards
+
+    def path_return(self, actions, instance: Instance, master_seed: int,
+                    stream_id: int) -> float:
+        """The rewards of ``path_rewards``, added left to right from 0.0."""
+        return reduce(add, self.path_rewards(actions, instance, master_seed, stream_id), 0.0)
 
 
 class LubyEnv(Environment):

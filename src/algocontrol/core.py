@@ -234,9 +234,9 @@ class Environment:
     ``ContractError``. ``step`` and every ``path_return`` apply this one rule.
 
     Subclasses implement ``_reward(t, action)`` and may override
-    ``_terminates(t, action)`` for benchmarks with early termination. The
-    training loop calls both without ``step``, so they may read only what
-    ``reset`` set (the instance, Fuzzy's noise seed), never the episode's state.
+    ``_terminates(t, action)`` for benchmarks with early termination.
+    ``path_rewards`` calls a noise-free ``_reward``, and the training loop
+    ``_terminates``, without ``step``: they read the instance, not the episode.
     A single instance is single-threaded; independent instances may run
     concurrently. Each environment has a ``horizon`` and an ``action_count``;
     its class states ``kind``, ``default_horizon``, ``context_dim`` (the length
@@ -258,25 +258,22 @@ class Environment:
         self.horizon = horizon
         self.action_count = action_count
         self.action_set = frozenset(range(action_count))
+        self.pad_action = action_count  # history filler, outside action_set
         self._instance: Instance = ()
         self._t = 0
         self._done = True
         self._history: tuple[int, ...] = ()
         self._tables: dict[Instance, list[dict[ActionId, float]]] = {}
 
-    @property
-    def pad_action(self) -> int:
-        """History filler for steps before enough actions exist."""
-        return self.action_count
+    def _check_instance(self, instance: Instance) -> None:
+        if len(instance) != self.context_dim:
+            raise ContractError(f"instance has {len(instance)} context parameters, "
+                                f"environment expects {self.context_dim}")
 
     def reset(self, instance: Instance = (), seed: SeedSpec | None = None) -> Observation:
         """Start an episode on ``instance`` and return its first observation.
         ``seed`` addresses a noise stream: only FuzzyEnv, whose rewards draw, keeps it."""
-        if len(instance) != self.context_dim:
-            raise ContractError(
-                f"instance has {len(instance)} context parameters, "
-                f"environment expects {self.context_dim}"
-            )
+        self._check_instance(instance)
         self._instance = instance
         self._t = 0
         self._done = False
@@ -301,21 +298,56 @@ class Environment:
         # Observation(...) without the named tuple's Python-level __new__
         return tuple.__new__(Observation, (t + 1, self._instance, history)), reward, done
 
-    def path_return(self, actions, instance: Instance, master_seed: int,
-                    stream_id: int) -> float:
-        """The total ``greedy_rollout`` returns for the open-loop ``actions`` on
-        ``instance`` with seed (master_seed, stream_id), bit for bit: here the
-        path's entries of the instance's reward table, added left to right from
-        0.0. A missing table is filled by ``step``: one ``reset(instance)`` and
-        ``horizon`` steps of each action. Only a whole schedule of ``horizon``
-        actions is scored, and the table's rows, keyed by ``action_set``, refuse
-        what ``step`` refuses (1.0 finds 1's entry, 0.5 none), after a cold table
-        is filled. A benchmark whose rewards are not fixed overrides it."""
+    def path_rewards(self, actions, instance: Instance, master_seed: int,
+                     stream_id: int) -> list[float]:
+        """What ``step`` returns for ``actions`` after ``reset(instance, SeedSpec(
+        master_seed, stream_id))``, bit for bit: the instance's reward table rows if
+        this environment holds them, else ``_reward``'s values. Takes the paths
+        ``path_return`` takes, refuses what ``step`` refuses, and leaves the
+        caller's episode alone. Benchmarks whose rewards are not fixed override it."""
         if len(actions) != self.horizon:
             raise ContractError(
                 f"a path of {len(actions)} actions ends no episode of horizon {self.horizon}")
         table = self._tables.get(instance)
-        if table is None:  # row t: each action's reward at step t, as step returns it
+        if table is not None:
+            try:
+                return [row[action] for row, action in zip(table, actions)]
+            except KeyError:
+                raise ContractError(f"path action out of range [0, {self.action_count})") from None
+        self._check_instance(instance)
+        if not self.action_set.issuperset(actions):
+            raise ContractError(f"path action out of range [0, {self.action_count})")
+        episode, self._instance, reward = self._instance, instance, self._reward
+        rewards = [float(reward(t, action)) for t, action in enumerate(actions)]
+        self._instance = episode
+        return rewards
+
+    def path_return(self, actions, instance: Instance, master_seed: int,
+                    stream_id: int) -> float:
+        """The total ``greedy_rollout`` returns for the open-loop ``actions`` on
+        ``instance`` with seed (master_seed, stream_id), bit for bit: the path's
+        entries of ``reward_table(instance)``, added left to right from 0.0. It
+        scores a whole schedule of ``horizon`` actions, and the rows, keyed by
+        ``action_set``, refuse what ``step`` refuses (1.0 finds 1's entry, 0.5
+        none), once a cold table is filled. Noisy benchmarks override it."""
+        if len(actions) != self.horizon:
+            raise ContractError(
+                f"a path of {len(actions)} actions ends no episode of horizon {self.horizon}")
+        table = self._tables.get(instance) or self.reward_table(instance)
+        total = 0.0
+        try:
+            for row, action in zip(table, actions):
+                total += row[action]
+        except KeyError:
+            raise ContractError(f"path action out of range [0, {self.action_count})") from None
+        return total
+
+    def reward_table(self, instance: Instance) -> list[dict[ActionId, float]]:
+        """The instance's kept table: row t maps each action to its reward at step
+        t. A missing one is filled by ``reset(instance)`` and ``horizon`` steps of
+        each action, with the caller's episode restored after."""
+        table = self._tables.get(instance)
+        if table is None:
             # On this environment, kept as it was: a copy would read __dict__,
             # which slows this object's every later attribute access.
             episode = self._instance, self._t, self._done, self._history
@@ -326,13 +358,7 @@ class Environment:
                     row[action] = self.step(action)[1]
             self._instance, self._t, self._done, self._history = episode
             self._tables[instance] = table
-        total = 0.0
-        try:
-            for row, action in zip(table, actions):
-                total += row[action]
-        except KeyError:
-            raise ContractError(f"path action out of range [0, {self.action_count})") from None
-        return total
+        return table
 
     def _reward(self, t: int, action: ActionId) -> float:
         raise NotImplementedError

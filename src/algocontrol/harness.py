@@ -18,31 +18,18 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field, replace
+from functools import reduce
 from itertools import zip_longest
+from operator import add
 
 import numpy as np
 
 from .agents import (AgentHyperparams, DQNAgent, DQNGroup, TabularAgent, AGENT_KINDS, snapshot,
                      state_key)
-from .benchmarks import (
-    BenchmarkConfig,
-    make_env,
-    make_instance_set,
-    sample_sigmoid_instance,
-)
+from .benchmarks import BenchmarkConfig, make_env, make_instance_set, sample_sigmoid_instance
 from .blackbox import blackbox_optimize
-from .core import (
-    BlockStream,
-    ConfigError,
-    ContractError,
-    Environment,
-    Instance,
-    Observation,
-    SeedSpec,
-    derive_seed,
-    derive_stream,
-    greedy_rollout,
-)
+from .core import (BlockStream, ConfigError, ContractError, Environment, Instance, Observation,
+                   SeedSpec, derive_seed, derive_stream, greedy_rollout)
 
 INSTANCE_MODES = ("none", "distribution", "fixed")
 
@@ -86,9 +73,8 @@ class ExperimentConfig:
     def validated(self) -> "ExperimentConfig":
         cfg = self
         if cfg.agent_kind not in AGENT_KINDS:
-            raise ConfigError(
-                f"unknown agent kind {cfg.agent_kind!r}; expected one of {AGENT_KINDS}"
-            )
+            raise ConfigError(f"unknown agent kind {cfg.agent_kind!r}; "
+                              f"expected one of {AGENT_KINDS}")
         if cfg.n_seeds < 1:
             raise ConfigError("n_seeds must be >= 1")
         if cfg.n_episodes < 1:
@@ -105,21 +91,15 @@ class ExperimentConfig:
             mode = "distribution" if cfg.benchmark.has_instances else "none"
             cfg = replace(cfg, instance_mode=mode)
         if cfg.instance_mode not in INSTANCE_MODES:
-            raise ConfigError(
-                f"unknown instance mode {cfg.instance_mode!r}; expected one of {INSTANCE_MODES}"
-            )
+            raise ConfigError(f"unknown instance mode {cfg.instance_mode!r}; "
+                              f"expected one of {INSTANCE_MODES}")
         if cfg.instance_mode == "none" and cfg.benchmark.has_instances:
-            raise ConfigError(
-                f"benchmark {cfg.benchmark.kind!r} requires instances; "
-                "use instance_mode distribution or fixed"
-            )
+            raise ConfigError(f"benchmark {cfg.benchmark.kind!r} requires instances; "
+                              "use instance_mode distribution or fixed")
         if cfg.instance_mode != "none" and not cfg.benchmark.has_instances:
-            raise ConfigError(
-                f"benchmark {cfg.benchmark.kind!r} is context-free; use instance_mode none"
-            )
-        if cfg.instance_mode == "fixed" and (
-            cfg.n_train_instances < 1 or cfg.n_test_instances < 1
-        ):
+            raise ConfigError(f"benchmark {cfg.benchmark.kind!r} is context-free; "
+                              "use instance_mode none")
+        if cfg.instance_mode == "fixed" and min(cfg.n_train_instances, cfg.n_test_instances) < 1:
             raise ConfigError("fixed mode needs n_train_instances and n_test_instances >= 1")
         if cfg.agent_kind == "dqn" and not cfg.benchmark.has_instances:
             # DQN encodes [t/T, context]; context-free benchmarks would
@@ -130,10 +110,8 @@ class ExperimentConfig:
         if cfg.instance_mode == "fixed":
             # Fixed sets evaluate once on every training instance.
             if cfg.eval_runs not in (0, cfg.n_train_instances):
-                raise ConfigError(
-                    f"fixed mode evaluates on all {cfg.n_train_instances} train "
-                    "instances; set eval_runs to 0 or to that number"
-                )
+                raise ConfigError(f"fixed mode evaluates on all {cfg.n_train_instances} train "
+                                  "instances; set eval_runs to 0 or to that number")
             eval_runs = cfg.n_train_instances
         else:
             eval_runs = cfg.eval_runs or cfg.benchmark.runs
@@ -188,72 +166,65 @@ def aggregate(curves: list[SeedCurve]) -> AggregateCurve:
     for c in curves[1:]:
         for a, b in zip_longest(curves[0].episodes, c.episodes, fillvalue="none"):
             if a != b:
-                raise ContractError(
-                    f"seed {curves[0].seed} has train episode {a} where seed {c.seed} has {b}"
-                )
+                raise ContractError(f"seed {curves[0].seed} has train episode {a} "
+                                    f"where seed {c.seed} has {b}")
     data = np.array([c.train_rewards for c in curves])
     mean = data.mean(axis=0)
     if data.shape[0] > 1:
         stderr = data.std(axis=0, ddof=1) / math.sqrt(data.shape[0])
     else:
         stderr = np.zeros(data.shape[1])
-    return AggregateCurve(
-        episodes=list(curves[0].episodes),
-        mean=[float(v) for v in mean],
-        stderr=[float(v) for v in stderr],
-    )
+    return AggregateCurve(list(curves[0].episodes), [float(v) for v in mean],
+                          [float(v) for v in stderr])
 
 
-def run_training_episode(
-    agent,
-    env: Environment,
-    instance: Instance,
-    seed: SeedSpec,
-    explore_rng: np.random.Generator | BlockStream,
-    train_rng: BlockStream,
-) -> float:
-    """One training episode: act, observe, update; returns total reward.
-    The benchmarks are white-box, so the state at step t is ``Observation(t,
-    agent.features(instance), history)`` whatever the rewards: ``env.reset``
-    starts the episode (it sets the instance and keys Fuzzy's noise), and each
-    step reads its reward from ``env._reward``, with ``env.step``'s values and
-    draws. ``explore_rng`` serves the scalar draws of ``select_action``,
-    ``train_rng`` those of ``end_episode``."""
+def run_training_episode(agent, env: Environment, instance: Instance, seed: SeedSpec,
+                         explore_rng: np.random.Generator | BlockStream,
+                         train_rng: BlockStream) -> float:
+    """One training episode; returns its total reward. The benchmarks are
+    white-box (what the agent sees at step t depends only on t, the instance and
+    the actions so far), and no choice reads an update of its own episode. So
+    after ``env.reset`` the agent picks the whole path up to its end, a DQN by
+    ``select_action(t, instance, rng)``, a tabular agent by ``select_action(s,
+    rng)`` on ``Observation(t, agent.features(instance), history)``;
+    ``env.path_rewards`` scores it in one call, with ``step``'s values and
+    draws; the agent ``observe``s it and ``end_episode``s. ``explore_rng``
+    serves ``select_action``, ``train_rng`` ``end_episode``."""
     env.reset(instance, seed)
-    features, history = agent.features(instance), (env.pad_action,) * env.history_len
-    select, observe, reward = agent.select_action, agent.observe, env._reward
+    select, actions = agent.select_action, []
     terminates = None if env.fixed_rewards else env._terminates
-    last, new = env.horizon - 1, tuple.__new__  # Observation(...) without its __new__
-    s, total = new(Observation, (0, features, history)), 0.0
-    for t in range(env.horizon):
-        action = select(s, explore_rng)
-        r = float(reward(t, action))
-        done = t == last or (terminates is not None and terminates(t, action))
-        if history:
-            history = history[1:] + (action,)
-        s_next = new(Observation, (t + 1, features, history))
-        observe(s, action, r, s_next, done)
-        total += r
-        if done:
-            break
-        s = s_next
+    if isinstance(agent, DQNAgent):
+        for t in range(env.horizon):
+            action = select(t, instance, explore_rng)
+            actions.append(action)
+            if terminates is not None and terminates(t, action):
+                break
+        rewards = env.path_rewards(actions, instance, *seed)
+        agent.observe(instance, actions, rewards)
+    else:
+        features, history = agent.features(instance), (env.pad_action,) * env.history_len
+        path, new = [], tuple.__new__  # Observation(...) without its __new__
+        for t in range(env.horizon):
+            s = new(Observation, (t, features, history))
+            action = select(s, explore_rng)
+            path.append((s, action))
+            actions.append(action)
+            if terminates is not None and terminates(t, action):
+                break
+            if history:
+                history = history[1:] + (action,)
+        rewards = env.path_rewards(actions, instance, *seed)
+        agent.observe(path, rewards)
     agent.end_episode(train_rng)
-    return total
+    return reduce(add, rewards, 0.0)
 
 
 def _make_agent(cfg: ExperimentConfig, env: Environment, run_seed: int):
     if cfg.agent_kind == "dqn":
         # sigmoid-family context is (scale in +-100, inflection near T/2)
         scales = (0.01, 1.0 / env.horizon)
-        return DQNAgent(
-            action_count=env.action_count,
-            horizon=env.horizon,
-            context_dim=env.context_dim,
-            total_episodes=cfg.n_episodes,
-            hp=cfg.hp,
-            rng=derive_stream(run_seed, AGENT_INIT_STREAM),
-            context_scales=scales,
-        )
+        return DQNAgent(env.action_count, env.horizon, env.context_dim, cfg.n_episodes, cfg.hp,
+                        derive_stream(run_seed, AGENT_INIT_STREAM), context_scales=scales)
     return TabularAgent(cfg.agent_kind, env.action_count, hp=cfg.hp)
 
 
@@ -297,6 +268,8 @@ class _EvalSetup:
         # actions and the score of the rollout that took it.
         self.paths: dict[Instance, tuple[list, list, float]] = {}
         if cfg.agent_kind != "blackbox":
+            if env.fixed_rewards and not env.context_dim:  # training reads its one table
+                env.reward_table(())
             self.agent = _make_agent(cfg, env, run_seed)
             self.explore_rng = BlockStream(run_seed, EXPLORE_STREAM)  # derive_stream's values
             self.replay_rng = BlockStream(run_seed, TRAIN_NOISE_BASE)
@@ -321,8 +294,7 @@ class _EvalSetup:
         # Instances stay fixed across checkpoints (variance reduction);
         # reward noise is fresh per checkpoint so smoothing averages it.
         base = EVAL_NOISE_BASE + episode * len(self.instances)
-        paths = self.paths if isinstance(agent, TabularAgent) else None
-        return _mean_greedy_return(agent, env, self.instances, self.run_seed, base, paths)
+        return _mean_greedy_return(agent, env, self.instances, self.run_seed, base, self.paths)
 
 
 def evaluate_on_test_set(
@@ -340,15 +312,20 @@ def evaluate_on_test_set(
 def _mean_greedy_return(agent, env: Environment, instances: list[Instance],
                         run_seed: int, base: int, paths: dict | None = None) -> float:
     """Mean greedy return over ``instances``; run r draws noise stream base + r.
-    With ``paths``, a stored path that ``greedy_path_holds`` (checked once per
+    A DQN run adds up ``env.path_rewards`` of its ``greedy_path(instance)``. With
+    ``paths``, a stored tabular path that ``greedy_path_holds`` (checked once per
     instance) is scored again without a rollout, as an observation holds no
     reward: by the score stored with it where rewards are fixed, which no noise
-    seed changes, else by ``env.path_return``. Otherwise the run rolls out and
-    stores its path and score."""
+    seed changes, else by ``env.path_return``. Otherwise the run rolls out, and
+    ``paths`` keeps its path and score."""
     policy = agent.greedy_action
     total = 0.0
     checked = set()
     for r, instance in enumerate(instances):
+        if isinstance(agent, DQNAgent):
+            total += reduce(add, env.path_rewards(agent.greedy_path(instance), instance,
+                                                  run_seed, base + r), 0.0)
+            continue
         if paths is None:
             total += greedy_rollout(policy, env, instance, SeedSpec(run_seed, base + r))
             continue
@@ -493,11 +470,7 @@ def format_csv(rows: list[tuple]) -> str:
     lines = [CSV_HEADER]
     for benchmark, agent, seed, episode, phase, reward, wall_ms in rows:
         if not math.isfinite(reward):
-            raise ContractError(
-                f"{agent} {phase} reward {reward!r} at seed {seed}, episode {episode} "
-                "is not finite"
-            )
-        lines.append(
-            f"{benchmark},{agent},{seed},{episode},{phase},{reward:.6g},{wall_ms}"
-        )
+            raise ContractError(f"{agent} {phase} reward {reward!r} at seed {seed}, "
+                                f"episode {episode} is not finite")
+        lines.append(f"{benchmark},{agent},{seed},{episode},{phase},{reward:.6g},{wall_ms}")
     return "\n".join(lines) + "\n"

@@ -9,30 +9,46 @@ finite differences, training episodes through ``Environment.step``.
 import numpy as np
 
 from algocontrol.agents.dqn import MLPQNet
-from algocontrol.agents.tabular import TabularAgent, state_key
+from algocontrol.agents.tabular import TabularAgent, q_update, state_key
 from algocontrol.benchmarks import CountingEnv
 from algocontrol.core import SeedSpec
 
 
 def step_training_episode(agent, env, instance, seed, explore_rng, train_rng) -> float:
-    """A training episode driven by ``Environment.step``, as the harness ran it
-    before its step-free loop: the reference that ``run_training_episode``
-    must equal, draw for draw and bit for bit. Each observation is encoded
-    once, as the agent's state: a table key, or for the DQN the observation
-    itself."""
-    encode = state_key if isinstance(agent, TabularAgent) else (lambda obs: obs)
-    select, step, observe = agent.select_action, env.step, agent.observe
-    s = encode(env.reset(instance, seed))
+    """A training episode driven by ``Environment.step``, with each step's
+    update applied before the next selection: the reference that
+    ``run_training_episode``, which picks the whole path first, must equal,
+    draw for draw and bit for bit. A tabular agent selects on the state key of
+    each observation and ``q_update``s its table per step (PURS also records
+    the step); the DQN selects on (t, instance) and writes one ring row per
+    step, the per-step encoding of the observation and the next one."""
+    select, step = agent.select_action, env.step
+    obs = env.reset(instance, seed)
     total, done = 0.0, False
     while not done:
-        action = select(s, explore_rng)
-        obs, reward, done = step(action)
-        s_next = encode(obs)
-        observe(s, action, reward, s_next, done)
+        if isinstance(agent, TabularAgent):
+            s = state_key(obs)
+            action = select(s, explore_rng)
+            next_obs, reward, done = step(action)
+            q_update(agent.q, s, action, reward, state_key(next_obs), done, agent.hp,
+                     agent.action_count)
+            if agent.kind == "purs":
+                agent._episode.append((s, action))
+        else:
+            action = select(obs.time_step, obs.continuous_features, explore_rng)
+            next_obs, reward, done = step(action)
+            agent.buffer.extend([_dqn_input(agent, obs)], [action], [reward],
+                                [_dqn_input(agent, next_obs)], [done])
         total += reward
-        s = s_next
+        obs = next_obs
     agent.end_episode(train_rng)
     return total
+
+
+def _dqn_input(agent, obs) -> np.ndarray:
+    """The DQN's input row for one observation: [t / T, *scaled features]."""
+    return np.array([obs.time_step / agent.horizon,
+                     *(np.asarray(obs.continuous_features) * agent.context_scales)])
 
 
 def luby_sequence_oracle(length: int) -> list[int]:

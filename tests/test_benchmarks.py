@@ -307,6 +307,14 @@ class TestSamplers:
             make_instance_set(derive_stream(503, 0), 11, 0)
 
 
+def left_to_right(rewards) -> float:
+    """The rewards added in order from 0.0, as a rollout totals its steps."""
+    total = 0.0
+    for reward in rewards:
+        total += reward
+    return total
+
+
 def _drawn_env(data, kind):
     horizon = data.draw(st.integers(1, 40))
     if kind == "fuzzy":
@@ -314,6 +322,71 @@ def _drawn_env(data, kind):
     if kind == "sigmoidmva":
         return SigmoidMVAEnv(horizon, data.draw(st.integers(1, 8)))
     return ENVIRONMENTS[kind](horizon)
+
+
+class TestPathRewards:
+    """``path_rewards`` is ``reset`` followed by ``step``, in one call."""
+
+    @pytest.mark.parametrize("kind", BENCHMARK_KINDS)
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_equal_the_step_rewards(self, kind, data):
+        """Reward for reward, by repr, with and without a reward table on the
+        instance, for actions given as ints, integral floats or numpy ints; a
+        fuzzy path may end at its first 0 or run on past it. The caller's
+        episode is left where it was."""
+        env = _drawn_env(data, kind)
+        instances = [()]
+        if env.context_dim:
+            instance = st.tuples(st.floats(-100.0, 100.0), st.floats(-50.0, 50.0))
+            instances = data.draw(st.lists(instance, min_size=1, max_size=2))
+        seeds = st.integers(0, 2**64 - 1)
+        for _ in range(data.draw(st.integers(1, 4))):
+            instance = data.draw(st.sampled_from(instances))
+            if env.fixed_rewards and data.draw(st.booleans()):
+                env.reward_table(instance)
+            actions = data.draw(st.lists(st.integers(0, env.action_count - 1),
+                                         min_size=env.horizon, max_size=env.horizon))
+            if kind == "fuzzy" and 0 in actions and data.draw(st.booleans()):
+                actions = actions[:actions.index(0) + 1]
+            as_type = data.draw(st.sampled_from([int, float, np.int64]))
+            actions = [as_type(a) for a in actions]
+            master, stream = data.draw(seeds), data.draw(seeds)
+            env.reset(instance, SeedSpec(master, stream))
+            expected, done = [], False
+            for action in actions:
+                if not done:
+                    _, reward, done = env.step(action)
+                    expected.append(reward)
+            other = data.draw(st.sampled_from(instances))  # the caller's episode
+            env.reset(other, SeedSpec(0, 0))
+            env.step(0)
+            episode = (env._instance, env._t, env._done, env._history)
+            rewards = env.path_rewards(actions, instance, master, stream)
+            assert [repr(r) for r in rewards] == [repr(r) for r in expected]
+            assert all(type(r) is float for r in rewards)
+            assert (env._instance, env._t, env._done, env._history) == episode
+
+    @pytest.mark.parametrize("kind", BENCHMARK_KINDS)
+    @pytest.mark.parametrize("bad", ["-1", "action_count", "0.5", "None"])
+    @pytest.mark.parametrize("at", ["first", "last"])
+    @pytest.mark.parametrize("cold", [True, False], ids=["cold", "warm"])
+    def test_refuses_what_step_refuses(self, kind, bad, at, cold):
+        env = ENVIRONMENTS[kind]()
+        action = {"-1": -1, "action_count": env.action_count, "0.5": 0.5, "None": None}[bad]
+        instance = (3.0, 5.0) if env.context_dim else ()
+        if not cold and env.fixed_rewards:
+            env.reward_table(instance)
+        path = [1] * env.horizon
+        path[0 if at == "first" else -1] = action
+        env.reset(instance, SeedSpec(0, 0))
+        if at == "last":
+            for _ in range(env.horizon - 1):
+                env.step(1)
+        with pytest.raises(ContractError, match="out of range"):
+            env.step(action)
+        with pytest.raises(ContractError, match="out of range"):
+            env.path_rewards(path, instance, 0, 0)
 
 
 class TestPathReturn:
@@ -381,19 +454,39 @@ class TestPathReturn:
             rolled = verdict(lambda: greedy_rollout(lambda obs: action, env, instance,
                                                     SeedSpec(3, 1)))
             scored = verdict(lambda: env.path_return([action] * env.horizon, instance, 3, 1))
+            listed = verdict(lambda: env.path_rewards([action] * env.horizon, instance, 3, 1))
             if stepped is ContractError:
-                assert rolled is scored is ContractError, action
+                assert rolled is scored is listed is ContractError, action
             else:
                 assert rolled is not ContractError, action
-                assert repr(rolled) == repr(scored), action
+                assert repr(rolled) == repr(scored) == repr(left_to_right(listed)), action
+
+    @pytest.mark.parametrize("kind", BENCHMARK_KINDS)
+    @pytest.mark.parametrize("cold", [True, False], ids=["cold", "warm"])
+    def test_one_instance_rule_for_every_scorer(self, kind, cold):
+        """An instance whose length is not ``context_dim`` is refused with
+        ``reset``'s error by ``reset``, a ``greedy_rollout``, ``path_return`` and
+        ``path_rewards`` alike, whether or not the environment holds a table."""
+        env = ENVIRONMENTS[kind]()
+        if not cold and env.fixed_rewards:
+            env.reward_table((3.0, 5.0) if env.context_dim else ())
+        message = f"instance has {env.context_dim + 1} context parameters"
+        wrong = (2.0,) * (env.context_dim + 1)
+        for score in (lambda: env.reset(wrong, SeedSpec(0, 0)),
+                      lambda: greedy_rollout(lambda obs: 1, env, wrong, SeedSpec(0, 0)),
+                      lambda: env.path_return([1] * env.horizon, wrong, 0, 0),
+                      lambda: env.path_rewards([1] * env.horizon, wrong, 0, 0)):
+            with pytest.raises(ContractError, match=message):
+                score()
 
     def test_every_noisy_benchmark_scores_its_own_paths(self):
         """The base ``path_return`` reads a noise-free reward table and takes only
-        whole schedules, so a benchmark without ``fixed_rewards`` overrides it."""
+        whole schedules, so a benchmark without ``fixed_rewards`` overrides it, and
+        ``path_rewards`` too."""
         noisy = [cls for cls in ENVIRONMENTS.values() if not cls.fixed_rewards]
         assert noisy
         for cls in noisy:
-            assert "path_return" in vars(cls), cls.kind
+            assert "path_return" in vars(cls) and "path_rewards" in vars(cls), cls.kind
 
     @pytest.mark.parametrize("env, actions", [
         (FuzzyEnv(20), [1] * 25),

@@ -246,9 +246,7 @@ class TestParameterViews:
         self.check(agent)
         rng = derive_stream(96, 0)
         instance = (1.0, 5.0)
-        for t in range(3):
-            agent.observe(Observation(t, instance), t % 4, 0.5, Observation(t + 1, instance),
-                          t == 2)
+        agent.observe(instance, [t % 4 for t in range(3)], [0.5] * 3)
         agent.end_episode(rng)  # one SGD step, no sync
         self.check(agent)
         assert not np.array_equal(agent.net.theta, agent.target_net.theta)
@@ -451,16 +449,17 @@ def lockstep_members(count, context_dim=2, hidden=50, capacity=40, names=None):
 
 
 def play_episode(agent, rng):
-    """Observe one random episode on a random integer instance; returns what
-    the ring receives: (instance, t0, actions, rewards, dones)."""
+    """Write one random run of consecutive steps on a random integer instance
+    to the agent's ring; returns what the ring receives: (instance, t0,
+    actions, rewards, dones)."""
     instance = tuple(float(v) for v in rng.integers(-3, 4, agent.input_dim - 1))
     t0 = int(rng.integers(0, 6))
     n = int(rng.integers(1, 12 - t0))
     actions = rng.integers(3, size=n).tolist()
     rewards = rng.normal(size=n).tolist()
     dones = [t == n - 1 for t in range(n)]
-    for t, a, r, done in zip(range(t0, t0 + n), actions, rewards, dones):
-        agent.observe(Observation(t, instance), a, r, Observation(t + 1, instance), done)
+    rows = agent.input_rows(instance)
+    agent.buffer.extend(rows[t0 : t0 + n], actions, rewards, rows[t0 + 1 : t0 + n + 1], dones)
     return instance, t0, actions, rewards, dones
 
 
@@ -593,8 +592,7 @@ class TestDQNAgent:
             rng=derive_stream(87, 0),
         )
         rng = derive_stream(87, 1)
-        s = Observation(time_step=0, continuous_features=(1.0, 5.0))
-        agent.observe(s, 1, 0.5, s, True)
+        agent.observe((1.0, 5.0), [1], [0.5])
         agent.end_episode(rng)
         getattr(agent.net, where).flat[0] = value
         with np.errstate(all="ignore"), pytest.raises(ContractError, match="episode 2"):
@@ -819,11 +817,11 @@ def test_ring_holds_the_per_step_rows(kind, horizon, capacity, episodes, seed):
                      rng=derive_stream(seed, 0), context_scales=(0.01, 1 / horizon))
     written, observe = [], agent.observe
 
-    def recording(s, action, reward, s_next, done):
-        written.append((per_step_encoding(agent, s.time_step, s.continuous_features), action,
-                        reward, per_step_encoding(agent, s_next.time_step,
-                                                  s_next.continuous_features), done))
-        observe(s, action, reward, s_next, done)
+    def recording(instance, actions, rewards):
+        for t, (action, reward) in enumerate(zip(actions, rewards)):
+            written.append((per_step_encoding(agent, t, instance), action, reward,
+                            per_step_encoding(agent, t + 1, instance), t == len(actions) - 1))
+        observe(instance, actions, rewards)
 
     agent.observe = recording
     rng = derive_stream(seed, 1)
@@ -881,24 +879,32 @@ class TestMemoLifetime:
             assert np.array_equal(rows[t, 5:8], per_step_encoding(agent, t + 1, instance))
         assert list(rows[:11, 8]) == [0.0] * 10 + [1.0]
 
-    def test_one_episode_spans_one_instance(self):
+    @pytest.mark.parametrize("n", [1, 4, 11])
+    def test_an_episode_is_steps_0_to_n_of_one_instance(self, n):
+        """``observe`` writes steps 0..n-1 of its one instance, each next_obs the
+        following step of that instance, and only the last step done."""
         agent = make_agent()
-        for t, instance in enumerate([(1.0, 2.0), (3.0, 2.0)]):
-            agent.observe(Observation(t, instance), 0, 0.0, Observation(t + 1, instance), t == 1)
-        with pytest.raises(ContractError, match="one instance"):
-            agent.end_episode(derive_stream(94, 0))
+        agent.observe((1.0, 2.0), [0] * 4, [0.0] * 4)  # rows of another episode first
+        instance = (3.0, 2.0)
+        actions, rewards = [t % 4 for t in range(n)], [0.25 * t for t in range(n)]
+        agent.observe(instance, actions, rewards)
+        assert len(agent.buffer) == 4 + n
+        rows = agent.buffer.rows[4 : 4 + n]  # obs 0:3 | action 3 | reward 4 | next_obs 5:8 | done 8
+        for t in range(n):
+            assert np.array_equal(rows[t, :3], per_step_encoding(agent, t, instance))
+            assert np.array_equal(rows[t, 5:8], per_step_encoding(agent, t + 1, instance))
+        assert list(rows[:, 3]) == actions and list(rows[:, 4]) == rewards
+        assert list(rows[:, 8]) == [0.0] * (n - 1) + [1.0]
 
-    @pytest.mark.parametrize("times", [(0, 2), (0, 0), (3, 2), (10, 11), (-1, 0)],
-                             ids=["skipped", "repeated", "backwards", "past-horizon",
-                                  "negative"])
-    def test_time_steps_must_be_consecutive(self, times):
+    @pytest.mark.parametrize("instance, n_actions, n_rewards", [
+        ((1.0, 2.0), 0, 0), ((1.0, 2.0), 12, 12), ((1.0, 2.0), 3, 2), ((1.0, 2.0), 2, 3),
+        ((1.0,), 3, 3), ((1.0, 2.0, 3.0), 3, 3),
+    ], ids=["empty", "past-horizon", "a-reward-short", "a-reward-over", "short-instance",
+            "long-instance"])
+    def test_a_malformed_episode_is_refused(self, instance, n_actions, n_rewards):
         agent = make_agent()
-        instance = (1.0, 2.0)
-        for t in times:
-            agent.observe(Observation(t, instance), 0, 0.0, Observation(t + 1, instance),
-                          t == times[-1])
-        with pytest.raises(ContractError, match="consecutive"):
-            agent.end_episode(derive_stream(94, 0))
+        with pytest.raises(ContractError, match="an episode is 1 to 11 actions, a reward each"):
+            agent.observe(instance, [0] * n_actions, [0.0] * n_rewards)
         assert len(agent.buffer) == 0
 
     def test_input_rows_outlive_updates_within_a_bound(self):

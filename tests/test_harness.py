@@ -1,5 +1,7 @@
 """Experiment protocol: curves, aggregation, CSV, determinism."""
 
+import gc
+import weakref
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -330,9 +332,9 @@ class TestTrainAndEvaluate:
 
 
 class TestStepFreeTraining:
-    """A training episode reads each reward from ``env._reward``: it makes no
-    ``Environment.step`` call and no ``state_key`` call, and takes the agent's
-    features once."""
+    """A training episode scores its path with ``env.path_rewards``: it makes no
+    ``Environment.step`` call and no ``state_key`` call, and a tabular agent's
+    features are taken once (the DQN takes none: it selects on (t, instance))."""
 
     @pytest.mark.parametrize("kind", ["qlearn", "dqn"])
     def test_no_step_no_state_key_one_features(self, kind, monkeypatch):
@@ -354,13 +356,16 @@ class TestStepFreeTraining:
         monkeypatch.setattr(Environment, "step", counted("step", Environment.step))
         monkeypatch.setattr(tabular, "state_key", counted("state_key", tabular.state_key))
         monkeypatch.setattr(harness, "state_key", counted("state_key", harness.state_key))
-        monkeypatch.setattr(type(agent), "features", counted("features", type(agent).features))
+        if kind != "dqn":
+            features = counted("features", TabularAgent.features)
+            monkeypatch.setattr(TabularAgent, "features", features)
         rng = derive_stream(90, 0)
         run_training_episode(agent, env, instance, SeedSpec(90, 1), rng, rng)
-        assert calls == ["features"]
         if kind == "dqn":
+            assert calls == [] and not hasattr(agent, "features")
             assert len(agent.buffer) == 11
         else:
+            assert calls == ["features"]
             assert sorted(s.time_step for s in agent.q) == list(range(32))
 
 
@@ -401,15 +406,34 @@ class TestTrainingMatchesTheStepLoop:
             assert [x.random() for _ in range(5)] == [y.random() for _ in range(5)]
         assert free.draw() == ref.draw()
 
+    def test_dqn_path_stops_where_its_episode_ends(self):
+        """A DQN on a benchmark whose action 0 ends the episode (a context-free
+        net, outside the configs' sigmoid family) stops picking there, as the
+        step loop does."""
+        agents = [DQNAgent(action_count=2, horizon=5, context_dim=0, total_episodes=40,
+                           rng=derive_stream(97, 0)) for _ in range(2)]
+        streams = [(derive_stream(97, 1), BlockStream(97, 2)) for _ in range(2)]
+        lengths = set()
+        for episode in range(40):
+            returns = [loop(agent, FuzzyEnv(5), (), SeedSpec(97, episode), *rngs)
+                       for loop, agent, rngs in zip((run_training_episode, step_training_episode),
+                                                    agents, streams)]
+            assert repr(returns[0]) == repr(returns[1]), episode
+            lengths.add(len(agents[0].buffer))
+        n = len(agents[0].buffer)
+        assert agents[0].buffer.rows[:n].tobytes() == agents[1].buffer.rows[:n].tobytes()
+        assert agents[0].net.theta.tobytes() == agents[1].net.theta.tobytes()
+        assert n < 5 * 40  # some episodes ended early
+
     def test_fuzzy_episode_total_is_the_path_return_of_its_actions(self):
         env, rng, lengths = FuzzyEnv(5), derive_stream(94, 0), set()
         agent = TabularAgent("urs", 2)
         actions: list = []
         real = agent.observe
 
-        def recording(s, action, reward, s_next, done):
-            actions.append(action)
-            real(s, action, reward, s_next, done)
+        def recording(path, rewards):
+            actions.extend(action for _, action in path)
+            real(path, rewards)
 
         agent.observe = recording
         for episode in range(100):
@@ -572,12 +596,57 @@ class TestCheckpointMemo:
         assert scored == [(setup.run_seed, base[0] + r) for r in range(1, runs)] + [
             (setup.run_seed, base[1] + r) for r in range(runs)]
 
-    def test_dqn_rolls_out_every_run(self, monkeypatch):
+    @pytest.mark.parametrize("mode", ["distribution", "fixed"])
+    def test_dqn_checkpoint_scores_its_greedy_paths_without_rollouts(self, mode, monkeypatch):
         cfg = ExperimentConfig(BenchmarkConfig("sigmoid", horizon=11), "dqn", n_seeds=1,
-                               n_episodes=6, master_seed=3)
-        rollouts = count_rollouts(monkeypatch)
-        curve = train_and_evaluate(cfg, [0])[0]
-        assert rollouts == [len(curve.episodes) * cfg.validated().eval_runs]
+                               n_episodes=6, master_seed=3, instance_mode=mode,
+                               n_train_instances=7, n_test_instances=5,
+                               test_eval_every=3).validated()
+        setup = harness._EvalSetup(cfg, 0)
+        agent, env, seed = setup.agent, setup.env, setup.run_seed
+        rollouts, checked = count_rollouts(monkeypatch), 0
+        for episode in range(1, cfg.n_episodes + 1):
+            setup.train(episode)
+            setup.checkpoint(episode)
+            assert rollouts == [0]
+            base = harness.EVAL_NOISE_BASE + episode * len(setup.instances)
+            for instances, base, value in [
+                    (setup.instances, base, setup.curve.train_rewards[-1]),
+                    *[(setup.test_set, harness.TEST_NOISE_BASE, v)
+                      for e, v in setup.curve.test_points if e == episode]]:
+                rolled = [greedy_rollout(agent.greedy_action, env, instance,
+                                         SeedSpec(seed, base + r))
+                          for r, instance in enumerate(instances)]
+                total = 0.0
+                for score in rolled:
+                    total += score
+                assert repr(value) == repr(total / len(instances))
+                checked += len(instances)
+        assert checked == 6 * cfg.eval_runs + (2 * 5 if mode == "fixed" else 0)
+
+
+def test_dqn_rings_are_freed_when_the_lockstep_run_returns(monkeypatch):
+    """A ``DQNGroup`` holds its members only within a round, so once
+    ``train_and_evaluate`` returns, no reference cycle keeps a 2-seed group's
+    replay rings alive until a full garbage collection (on ``sigmoid-dqn-fixed``,
+    a group that kept its member list read 59.5 against 40.5 MB peak RSS)."""
+    rings, real = [], harness._make_agent
+
+    def recording(*args):
+        agent = real(*args)
+        rings.append(weakref.ref(agent.buffer.rows))
+        return agent
+
+    monkeypatch.setattr(harness, "_make_agent", recording)
+    cfg = ExperimentConfig(BenchmarkConfig("sigmoid", horizon=11), "dqn", n_seeds=2,
+                           n_episodes=4, master_seed=3, instance_mode="fixed",
+                           n_train_instances=3, n_test_instances=2, test_eval_every=2)
+    gc.disable()
+    try:
+        assert len(train_and_evaluate(cfg, [0, 1])) == 2
+        assert len(rings) == 2 and all(ring() is None for ring in rings)
+    finally:
+        gc.enable()
 
 
 class TestFixedInstanceMode:

@@ -348,8 +348,7 @@ def _purs_episodes(agent, episodes):
     """Feed each episode's (state, action) steps to a PURS agent."""
     rng = derive_stream(0, 0)
     for steps in episodes:
-        for s, a in steps:
-            agent.observe(s, a, 0.0, "next", False)
+        agent.observe(steps, [0.0] * len(steps))
         agent.end_episode(rng)
 
 
