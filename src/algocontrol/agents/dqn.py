@@ -299,9 +299,10 @@ class DQNAgent:
     ``INPUT_ROWS_KEPT`` instances), and its T greedy actions come from one
     stacked forward, kept until the next SGD step. ε is likewise set once
     per episode, after that step. So no choice of an episode depends on
-    its rewards: ``select_action(t, instance, rng)`` picks the whole path,
-    ``observe`` writes it to the replay ring in one write, and a checkpoint
-    scores ``greedy_path(instance)`` with ``Environment.path_rewards``.
+    its rewards: ``select_action(s, rng)`` picks the whole path on states ``(t,
+    features(instance), history)``, whose features are the instance, ``observe``
+    writes it to the replay ring in one write, and a checkpoint scores
+    ``greedy_path(instance)`` with ``Environment.path_rewards``.
     """
 
     kind = "dqn"
@@ -368,22 +369,28 @@ class DQNAgent:
         frac = self.episodes_trained / self.decay_episodes
         return EPSILON_START + (EPSILON_END - EPSILON_START) * frac
 
-    def select_action(self, t: int, instance: Instance, rng: np.random.Generator) -> ActionId:
-        """The ε-greedy action of time step ``t`` on ``instance``."""
+    def features(self, instance: Instance) -> Instance:
+        """The features of every state of an episode on ``instance``: the instance."""
+        return instance
+
+    def select_action(self, s: tuple, rng: np.random.Generator) -> ActionId:
+        """The ε-greedy action of state ``s = (t, instance, history)``."""
         if rng.random() < self._epsilon:
             return int(rng.integers(self.action_count))
-        return self.greedy_path(instance)[t]
+        return self.greedy_path(s[1])[s[0]]
 
-    def observe(self, instance: Instance, actions: list[ActionId], rewards: list[float]) -> None:
-        """Write one episode to the replay ring, in one write: ``actions`` from
-        step 0 on ``instance`` and their ``rewards``, the last step ending it, so
-        obs and next_obs are two slices of the instance's input rows. Any other
-        shape (1 to T actions, a reward each, context_dim values) is refused."""
-        n = len(actions)
-        if not 0 < n == len(rewards) <= self.horizon or len(instance) != self.input_dim - 1:
-            raise ContractError(f"an episode is 1 to {self.horizon} actions, a reward each, on an "
-                                f"instance of {self.input_dim - 1} values; got {n} actions, "
-                                f"{len(rewards)} rewards, instance {instance!r}")
+    def observe(self, states: list, actions: list[ActionId], rewards: list[float]) -> None:
+        """Write one episode to the replay ring, in one write: ``states`` from step 0
+        on the instance ``states[0][1]``, their ``actions`` and ``rewards``, the last
+        step ending it, so obs and next_obs are two slices of the instance's input
+        rows. Any other shape (1 to T states, an action and a reward each,
+        context_dim values) is refused."""
+        n, instance, d = len(actions), states[0][1] if states else (), self.input_dim - 1
+        if not 0 < n == len(states) == len(rewards) <= self.horizon or len(instance) != d:
+            raise ContractError(f"an episode is 1 to {self.horizon} states, an action and a "
+                                f"reward each, on an instance of {d} values; got {len(states)} "
+                                f"states, {n} actions, {len(rewards)} rewards, instance "
+                                f"{instance!r}")
         rows = self.input_rows(instance)
         self.buffer.extend(rows[:n], actions, rewards, rows[1 : n + 1], [0.0] * (n - 1) + [1.0])
 

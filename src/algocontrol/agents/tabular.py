@@ -167,16 +167,16 @@ class TabularAgent:
             return int(rng.integers(self.action_count))
         return argmax_with_random_ties(rng, self.q, s, self.action_count)
 
-    def observe(self, path: list[tuple[StateKey, ActionId]], rewards: list[float]) -> None:
-        """Learn from one episode: its (state key, action) ``path`` in step order,
-        the last step ending it, and the ``rewards`` of those steps. ``q_update``
-        runs step by step; PURS keeps the path for ``end_episode``."""
-        q, hp, n, last = self.q, self.hp, self.action_count, len(path) - 1
-        for i, (s, action) in enumerate(path):
+    def observe(self, states: list[StateKey], actions: list, rewards: list[float]) -> None:
+        """Learn from one episode: its state keys in step order, the last step ending
+        it, with the ``actions`` taken there and their ``rewards``. ``q_update`` runs
+        step by step; PURS keeps the (state, action) pairs for ``end_episode``."""
+        q, hp, n, last = self.q, self.hp, self.action_count, len(states) - 1
+        for i, s in enumerate(states):
             done = i == last
-            q_update(q, s, action, rewards[i], None if done else path[i + 1][0], done, hp, n)
+            q_update(q, s, actions[i], rewards[i], None if done else states[i + 1], done, hp, n)
         if self.kind == "purs":
-            self._episode += path
+            self._episode += zip(states, actions)
 
     def _purs_action(self, s: StateKey, rng: np.random.Generator) -> ActionId:
         """Unvisited actions first (uniformly); otherwise sample an action

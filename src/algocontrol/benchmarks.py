@@ -102,7 +102,7 @@ class CountingEnv(Environment):
     def __init__(self, horizon: int = default_horizon) -> None:
         super().__init__(horizon, action_count=horizon)
 
-    def _reward(self, t: int, action: ActionId) -> float:
+    def _reward(self, t: int, action: ActionId, instance: Instance) -> float:
         return counting_reward(t, action)
 
 
@@ -133,7 +133,7 @@ class FuzzyEnv(Environment):
         self._seed, self._rng = seed or SeedSpec(0, 0), None
         return obs
 
-    def _reward(self, t: int, action: ActionId) -> float:
+    def _reward(self, t: int, action: ActionId, instance: Instance) -> float:
         if action == 0:
             return 0.0
         if self._rng is None:
@@ -180,7 +180,7 @@ class LubyEnv(Environment):
         super().__init__(horizon, action_count=horizon.bit_length())  # floor(log2 T) + 1
         self._targets = tuple(luby_exponent(t + 1) for t in range(horizon))
 
-    def _reward(self, t: int, action: ActionId) -> float:
+    def _reward(self, t: int, action: ActionId, instance: Instance) -> float:
         return 1.0 if action == self._targets[t] else -1.0
 
 
@@ -199,8 +199,8 @@ class SigmoidEnv(Environment):
     def __init__(self, horizon: int = default_horizon) -> None:
         super().__init__(horizon, action_count=2)
 
-    def _reward(self, t: int, action: ActionId) -> float:
-        scale, inflection = self._instance
+    def _reward(self, t: int, action: ActionId, instance: Instance) -> float:
+        scale, inflection = instance
         return sigmoid_reward(t, action, scale, inflection)
 
 
@@ -224,8 +224,8 @@ class SigmoidMVAEnv(Environment):
         super().__init__(horizon, action_count=levels + 1)
         self.levels = levels
 
-    def _reward(self, t: int, action: ActionId) -> float:
-        scale, inflection = self._instance
+    def _reward(self, t: int, action: ActionId, instance: Instance) -> float:
+        scale, inflection = instance
         return sigmoidmva_reward(t, action, scale, inflection, self.levels)
 
 

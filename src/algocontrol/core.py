@@ -233,10 +233,11 @@ class Environment:
     plays the int it equals; 0.5, -1, ``action_count`` and None are refused with
     ``ContractError``. ``step`` and every ``path_return`` apply this one rule.
 
-    Subclasses implement ``_reward(t, action)`` and may override
-    ``_terminates(t, action)`` for benchmarks with early termination.
-    ``path_rewards`` calls a noise-free ``_reward``, and the training loop
-    ``_terminates``, without ``step``: they read the instance, not the episode.
+    Subclasses implement ``_reward(t, action, instance)`` and may override
+    ``_terminates(t, action)`` for benchmarks with early termination. ``step``
+    passes its episode's instance to ``_reward``, and ``path_rewards`` the
+    instance it scores; neither that call nor the training loop's
+    ``_terminates`` reads the episode.
     A single instance is single-threaded; independent instances may run
     concurrently. Each environment has a ``horizon`` and an ``action_count``;
     its class states ``kind``, ``default_horizon``, ``context_dim`` (the length
@@ -288,23 +289,22 @@ class Environment:
             raise ContractError("step called on an inactive episode (reset first)")
         if action not in self.action_set:
             raise ContractError(f"action {action} out of range [0, {self.action_count})")
-        reward = float(self._reward(t, action))
+        reward = float(self._reward(t, action, self._instance))
         done = self._done = t + 1 >= self.horizon or (
             not self.fixed_rewards and self._terminates(t, action))
         history = self._history
         if self.history_len > 0:
             history = self._history = history[1:] + (action,)
         self._t = t + 1
-        # Observation(...) without the named tuple's Python-level __new__
-        return tuple.__new__(Observation, (t + 1, self._instance, history)), reward, done
+        return Observation(t + 1, self._instance, history), reward, done
 
     def path_rewards(self, actions, instance: Instance, master_seed: int,
                      stream_id: int) -> list[float]:
         """What ``step`` returns for ``actions`` after ``reset(instance, SeedSpec(
         master_seed, stream_id))``, bit for bit: the instance's reward table rows if
-        this environment holds them, else ``_reward``'s values. Takes the paths
-        ``path_return`` takes, refuses what ``step`` refuses, and leaves the
-        caller's episode alone. Benchmarks whose rewards are not fixed override it."""
+        this environment holds them, else ``_reward``'s values on ``instance``.
+        Takes the paths ``path_return`` takes, refuses what ``step`` refuses, and
+        reads no episode attribute. Benchmarks whose rewards are not fixed override it."""
         if len(actions) != self.horizon:
             raise ContractError(
                 f"a path of {len(actions)} actions ends no episode of horizon {self.horizon}")
@@ -317,10 +317,8 @@ class Environment:
         self._check_instance(instance)
         if not self.action_set.issuperset(actions):
             raise ContractError(f"path action out of range [0, {self.action_count})")
-        episode, self._instance, reward = self._instance, instance, self._reward
-        rewards = [float(reward(t, action)) for t, action in enumerate(actions)]
-        self._instance = episode
-        return rewards
+        reward = self._reward
+        return [float(reward(t, action, instance)) for t, action in enumerate(actions)]
 
     def path_return(self, actions, instance: Instance, master_seed: int,
                     stream_id: int) -> float:
@@ -360,7 +358,7 @@ class Environment:
             self._tables[instance] = table
         return table
 
-    def _reward(self, t: int, action: ActionId) -> float:
+    def _reward(self, t: int, action: ActionId, instance: Instance) -> float:
         raise NotImplementedError
 
     def _terminates(self, t: int, action: ActionId) -> bool:

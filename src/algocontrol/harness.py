@@ -28,8 +28,8 @@ from .agents import (AgentHyperparams, DQNAgent, DQNGroup, TabularAgent, AGENT_K
                      state_key)
 from .benchmarks import BenchmarkConfig, make_env, make_instance_set, sample_sigmoid_instance
 from .blackbox import blackbox_optimize
-from .core import (BlockStream, ConfigError, ContractError, Environment, Instance, Observation,
-                   SeedSpec, derive_seed, derive_stream, greedy_rollout)
+from .core import (BlockStream, ConfigError, ContractError, Environment, Instance, SeedSpec,
+                   derive_seed, derive_stream, greedy_rollout)
 
 INSTANCE_MODES = ("none", "distribution", "fixed")
 
@@ -183,38 +183,28 @@ def run_training_episode(agent, env: Environment, instance: Instance, seed: Seed
                          train_rng: BlockStream) -> float:
     """One training episode; returns its total reward. The benchmarks are
     white-box (what the agent sees at step t depends only on t, the instance and
-    the actions so far), and no choice reads an update of its own episode. So
-    after ``env.reset`` the agent picks the whole path up to its end, a DQN by
-    ``select_action(t, instance, rng)``, a tabular agent by ``select_action(s,
-    rng)`` on ``Observation(t, agent.features(instance), history)``;
-    ``env.path_rewards`` scores it in one call, with ``step``'s values and
-    draws; the agent ``observe``s it and ``end_episode``s. ``explore_rng``
-    serves ``select_action``, ``train_rng`` ``end_episode``."""
-    env.reset(instance, seed)
-    select, actions = agent.select_action, []
+    the actions so far), and no choice reads an update of its own episode. So the
+    agent picks the whole path up to its end by ``select_action(s, rng)`` on the
+    states ``(t, agent.features(instance), history)``; ``env.path_rewards`` scores
+    it in one call, with ``step``'s values and draws; the agent ``observe``s the
+    states, actions and rewards and ``end_episode``s. The environment's own
+    episode is left alone. ``explore_rng`` serves ``select_action``,
+    ``train_rng`` ``end_episode``."""
+    env._check_instance(instance)
+    select, features = agent.select_action, agent.features(instance)
+    history, states, actions = (env.pad_action,) * env.history_len, [], []
     terminates = None if env.fixed_rewards else env._terminates
-    if isinstance(agent, DQNAgent):
-        for t in range(env.horizon):
-            action = select(t, instance, explore_rng)
-            actions.append(action)
-            if terminates is not None and terminates(t, action):
-                break
-        rewards = env.path_rewards(actions, instance, *seed)
-        agent.observe(instance, actions, rewards)
-    else:
-        features, history = agent.features(instance), (env.pad_action,) * env.history_len
-        path, new = [], tuple.__new__  # Observation(...) without its __new__
-        for t in range(env.horizon):
-            s = new(Observation, (t, features, history))
-            action = select(s, explore_rng)
-            path.append((s, action))
-            actions.append(action)
-            if terminates is not None and terminates(t, action):
-                break
-            if history:
-                history = history[1:] + (action,)
-        rewards = env.path_rewards(actions, instance, *seed)
-        agent.observe(path, rewards)
+    for t in range(env.horizon):
+        s = (t, features, history)
+        action = select(s, explore_rng)
+        states.append(s)
+        actions.append(action)
+        if terminates is not None and terminates(t, action):
+            break
+        if history:
+            history = history[1:] + (action,)
+    rewards = env.path_rewards(actions, instance, *seed)
+    agent.observe(states, actions, rewards)
     agent.end_episode(train_rng)
     return reduce(add, rewards, 0.0)
 

@@ -3,14 +3,15 @@
 Each oracle deliberately recomputes its quantity by a different route
 than the implementation under test: sequence construction by doubling,
 dynamic programming by explicit enumeration, gradients by central
-finite differences, training episodes through ``Environment.step``.
+finite differences, training episodes through ``Environment.step``,
+the best reward of a step from the benchmark's closed form.
 """
 
 import numpy as np
 
 from algocontrol.agents.dqn import MLPQNet
 from algocontrol.agents.tabular import TabularAgent, q_update, state_key
-from algocontrol.benchmarks import CountingEnv
+from algocontrol.benchmarks import CountingEnv, sigmoid
 from algocontrol.core import SeedSpec
 
 
@@ -20,8 +21,9 @@ def step_training_episode(agent, env, instance, seed, explore_rng, train_rng) ->
     ``run_training_episode``, which picks the whole path first, must equal,
     draw for draw and bit for bit. A tabular agent selects on the state key of
     each observation and ``q_update``s its table per step (PURS also records
-    the step); the DQN selects on (t, instance) and writes one ring row per
-    step, the per-step encoding of the observation and the next one."""
+    the step); the DQN selects on the observation, ``(t, instance, history)``,
+    and writes one ring row per step, the per-step encoding of the observation
+    and the next one."""
     select, step = agent.select_action, env.step
     obs = env.reset(instance, seed)
     total, done = 0.0, False
@@ -35,7 +37,7 @@ def step_training_episode(agent, env, instance, seed, explore_rng, train_rng) ->
             if agent.kind == "purs":
                 agent._episode.append((s, action))
         else:
-            action = select(obs.time_step, obs.continuous_features, explore_rng)
+            action = select(obs, explore_rng)
             next_obs, reward, done = step(action)
             agent.buffer.extend([_dqn_input(agent, obs)], [action], [reward],
                                 [_dqn_input(agent, next_obs)], [done])
@@ -49,6 +51,21 @@ def _dqn_input(agent, obs) -> np.ndarray:
     """The DQN's input row for one observation: [t / T, *scaled features]."""
     return np.array([obs.time_step / agent.horizon,
                      *(np.asarray(obs.continuous_features) * agent.context_scales)])
+
+
+def optimal_rewards(env, instance) -> list[float]:
+    """The best reward of each step of an episode on ``instance``, from the
+    benchmarks' closed forms: Counting plays t and Luby the exponents of its
+    sequence, each paying 1.0; Sigmoid takes max(sig, 1 - sig), and SigmoidMVA
+    its best level, 1 - |sig - a/L| at the level a/L closest to sig. Defined for
+    the ``fixed_rewards`` benchmarks."""
+    if env.kind in ("counting", "luby"):
+        return [1.0] * env.horizon
+    curve = [sigmoid(t, *instance) for t in range(env.horizon)]
+    if env.kind == "sigmoid":
+        return [max(v, 1.0 - v) for v in curve]
+    levels = env.levels
+    return [max(1.0 - abs(v - a / levels) for a in range(levels + 1)) for v in curve]
 
 
 def luby_sequence_oracle(length: int) -> list[int]:

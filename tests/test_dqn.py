@@ -181,6 +181,12 @@ def make_agent(total_episodes=3000, **hp):
     )
 
 
+def episode_states(instance, n):
+    """The states of steps 0..n-1 of an episode on ``instance``, as training
+    builds them: ``(t, instance, history)``, a DQN's features being its instance."""
+    return [(t, instance, ()) for t in range(n)]
+
+
 class TestEpsilonSchedule:
     def epsilon(self, episode, decay_episodes=3000):
         agent = make_agent(decay_episodes, eps_decay_fraction=1.0)
@@ -246,7 +252,7 @@ class TestParameterViews:
         self.check(agent)
         rng = derive_stream(96, 0)
         instance = (1.0, 5.0)
-        agent.observe(instance, [t % 4 for t in range(3)], [0.5] * 3)
+        agent.observe(episode_states(instance, 3), [t % 4 for t in range(3)], [0.5] * 3)
         agent.end_episode(rng)  # one SGD step, no sync
         self.check(agent)
         assert not np.array_equal(agent.net.theta, agent.target_net.theta)
@@ -592,7 +598,7 @@ class TestDQNAgent:
             rng=derive_stream(87, 0),
         )
         rng = derive_stream(87, 1)
-        agent.observe((1.0, 5.0), [1], [0.5])
+        agent.observe(episode_states((1.0, 5.0), 1), [1], [0.5])
         agent.end_episode(rng)
         getattr(agent.net, where).flat[0] = value
         with np.errstate(all="ignore"), pytest.raises(ContractError, match="episode 2"):
@@ -817,11 +823,11 @@ def test_ring_holds_the_per_step_rows(kind, horizon, capacity, episodes, seed):
                      rng=derive_stream(seed, 0), context_scales=(0.01, 1 / horizon))
     written, observe = [], agent.observe
 
-    def recording(instance, actions, rewards):
-        for t, (action, reward) in enumerate(zip(actions, rewards)):
+    def recording(states, actions, rewards):
+        for (t, instance, _), action, reward in zip(states, actions, rewards):
             written.append((per_step_encoding(agent, t, instance), action, reward,
                             per_step_encoding(agent, t + 1, instance), t == len(actions) - 1))
-        observe(instance, actions, rewards)
+        observe(states, actions, rewards)
 
     agent.observe = recording
     rng = derive_stream(seed, 1)
@@ -884,10 +890,10 @@ class TestMemoLifetime:
         """``observe`` writes steps 0..n-1 of its one instance, each next_obs the
         following step of that instance, and only the last step done."""
         agent = make_agent()
-        agent.observe((1.0, 2.0), [0] * 4, [0.0] * 4)  # rows of another episode first
+        agent.observe(episode_states((1.0, 2.0), 4), [0] * 4, [0.0] * 4)  # another episode first
         instance = (3.0, 2.0)
         actions, rewards = [t % 4 for t in range(n)], [0.25 * t for t in range(n)]
-        agent.observe(instance, actions, rewards)
+        agent.observe(episode_states(instance, n), actions, rewards)
         assert len(agent.buffer) == 4 + n
         rows = agent.buffer.rows[4 : 4 + n]  # obs 0:3 | action 3 | reward 4 | next_obs 5:8 | done 8
         for t in range(n):
@@ -896,15 +902,18 @@ class TestMemoLifetime:
         assert list(rows[:, 3]) == actions and list(rows[:, 4]) == rewards
         assert list(rows[:, 8]) == [0.0] * (n - 1) + [1.0]
 
-    @pytest.mark.parametrize("instance, n_actions, n_rewards", [
-        ((1.0, 2.0), 0, 0), ((1.0, 2.0), 12, 12), ((1.0, 2.0), 3, 2), ((1.0, 2.0), 2, 3),
-        ((1.0,), 3, 3), ((1.0, 2.0, 3.0), 3, 3),
-    ], ids=["empty", "past-horizon", "a-reward-short", "a-reward-over", "short-instance",
-            "long-instance"])
-    def test_a_malformed_episode_is_refused(self, instance, n_actions, n_rewards):
+    @pytest.mark.parametrize("instance, n_states, n_actions, n_rewards", [
+        ((1.0, 2.0), 0, 0, 0), ((1.0, 2.0), 12, 12, 12), ((1.0, 2.0), 3, 3, 2),
+        ((1.0, 2.0), 2, 2, 3), ((1.0, 2.0), 2, 3, 3), ((1.0, 2.0), 4, 3, 3),
+        ((1.0, 2.0), 0, 3, 3), ((1.0,), 3, 3, 3), ((1.0, 2.0, 3.0), 3, 3, 3),
+    ], ids=["empty", "past-horizon", "a-reward-short", "a-reward-over", "a-state-short",
+            "a-state-over", "no-state", "short-instance", "long-instance"])
+    def test_a_malformed_episode_is_refused(self, instance, n_states, n_actions, n_rewards):
         agent = make_agent()
-        with pytest.raises(ContractError, match="an episode is 1 to 11 actions, a reward each"):
-            agent.observe(instance, [0] * n_actions, [0.0] * n_rewards)
+        with pytest.raises(ContractError,
+                           match="an episode is 1 to 11 states, an action and a reward each"):
+            agent.observe(episode_states(instance, n_states), [0] * n_actions,
+                          [0.0] * n_rewards)
         assert len(agent.buffer) == 0
 
     def test_input_rows_outlive_updates_within_a_bound(self):

@@ -17,12 +17,15 @@ from __future__ import annotations
 import ctypes
 import json
 import sys
+from functools import reduce
+from operator import add
 from pathlib import Path
 
 import pytest
 
+from algocontrol import harness
 from algocontrol.agents import AGENT_KINDS
-from algocontrol.benchmarks import BENCHMARK_KINDS
+from algocontrol.benchmarks import BENCHMARK_KINDS, ENVIRONMENTS
 from algocontrol.config import parse_config
 from algocontrol.harness import (
     INSTANCE_MODES,
@@ -31,6 +34,7 @@ from algocontrol.harness import (
     format_csv,
     run_experiment,
 )
+from oracles import optimal_rewards
 
 GOLDEN = Path(__file__).parent / "golden"
 META = GOLDEN / "meta.json"
@@ -114,6 +118,53 @@ def test_golden_csv_byte_identical(case):
             pytest.skip(f"DQN golden recorded on BLAS kernel {recorded}, running on {running}")
     expected = case_path(*case).read_bytes()
     assert run_case(*case).encode("utf-8") == expected
+
+
+def mean_optimum(env, instances) -> float:
+    """The mean of the instances' optimal returns, added as a checkpoint adds
+    its returns: each from 0.0, step by step, then over the instances from 0.0.
+    Float addition and division are monotone, so no score of ``instances`` added
+    in that order can exceed it."""
+    return reduce(add, [reduce(add, optimal_rewards(env, i), 0.0) for i in instances],
+                  0.0) / len(instances)
+
+
+@pytest.mark.parametrize("case", [c for c in CASES if ENVIRONMENTS[c[0]].fixed_rewards],
+                         ids="-".join)
+def test_no_point_beats_the_optimum(case, monkeypatch):
+    """Every train and test point of a golden run with fixed rewards, and every
+    blackbox best-so-far value, is at most the mean optimum of the instances it
+    evaluated: a scorer that counts a step twice shows here."""
+    results = []
+    real = harness.blackbox_optimize
+
+    def spy(*args, **kwargs):
+        results.append(real(*args, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(harness, "blackbox_optimize", spy)
+    cfg = parse_config(case_text(*case)).validated()
+    curves = run_experiment(cfg)
+    for curve in curves:
+        setup = harness._EvalSetup(cfg, curve.seed)
+        env, instances = setup.env, setup.instances
+        if cfg.agent_kind == "blackbox":
+            # Run r of a race scores instances[r % n]; an incumbent holds the
+            # first min(runs, episodes) runs and its mean is their sum / count.
+            runs = min(cfg.benchmark.runs, cfg.n_episodes)
+            optima = [reduce(add, optimal_rewards(env, instances[r % len(instances)]), 0.0)
+                      for r in range(runs)]
+            ceiling = sum(optima) / runs
+            values = results[curve.seed].best_so_far
+            assert len(values) == cfg.n_episodes
+        else:
+            ceiling, values = mean_optimum(env, instances), curve.train_rewards
+        assert max(values) <= ceiling, curve.seed
+        if curve.test_points:
+            ceiling = mean_optimum(env, setup.test_set)
+            assert max(value for _, value in curve.test_points) <= ceiling, curve.seed
+        assert bool(curve.test_points) == (cfg.instance_mode == "fixed"
+                                           and cfg.agent_kind != "blackbox")
 
 
 def regenerate() -> None:

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from algocontrol.agents import AgentHyperparams, DQNAgent, TabularAgent, tabular
 from algocontrol import harness
 from algocontrol.benchmarks import (
+    BENCHMARK_KINDS,
     BenchmarkConfig,
     CountingEnv,
     FuzzyEnv,
@@ -333,8 +334,8 @@ class TestTrainAndEvaluate:
 
 class TestStepFreeTraining:
     """A training episode scores its path with ``env.path_rewards``: it makes no
-    ``Environment.step`` call and no ``state_key`` call, and a tabular agent's
-    features are taken once (the DQN takes none: it selects on (t, instance))."""
+    ``Environment.reset`` or ``step`` call and no ``state_key`` call, and the
+    agent's features are taken once."""
 
     @pytest.mark.parametrize("kind", ["qlearn", "dqn"])
     def test_no_step_no_state_key_one_features(self, kind, monkeypatch):
@@ -353,20 +354,41 @@ class TestStepFreeTraining:
                 return real(*args)
             return wrapper
 
+        monkeypatch.setattr(Environment, "reset", counted("reset", Environment.reset))
         monkeypatch.setattr(Environment, "step", counted("step", Environment.step))
         monkeypatch.setattr(tabular, "state_key", counted("state_key", tabular.state_key))
         monkeypatch.setattr(harness, "state_key", counted("state_key", harness.state_key))
-        if kind != "dqn":
-            features = counted("features", TabularAgent.features)
-            monkeypatch.setattr(TabularAgent, "features", features)
+        cls = type(agent)
+        monkeypatch.setattr(cls, "features", counted("features", cls.features))
         rng = derive_stream(90, 0)
         run_training_episode(agent, env, instance, SeedSpec(90, 1), rng, rng)
+        assert calls == ["features"]
         if kind == "dqn":
-            assert calls == [] and not hasattr(agent, "features")
             assert len(agent.buffer) == 11
         else:
-            assert calls == ["features"]
-            assert sorted(s.time_step for s in agent.q) == list(range(32))
+            assert sorted(s[0] for s in agent.q) == list(range(32))
+
+    @pytest.mark.parametrize("kind, agent_kind", [
+        *[(kind, "qlearn") for kind in BENCHMARK_KINDS], ("sigmoid", "dqn")])
+    def test_a_training_episode_leaves_the_environments_episode_alone(self, kind, agent_kind):
+        """An episode two steps in goes on, after a training episode on another
+        instance and seed of the same environment, as on an untouched twin."""
+        env, twin = (make_env(BenchmarkConfig(kind)) for _ in range(2))
+        instance, other = ((3.0, 5.0), (-40.0, 2.0)) if env.context_dim else ((), ())
+        for e in (env, twin):
+            e.reset(instance, SeedSpec(70, 1))
+            e.step(1)
+            e.step(1)
+        if agent_kind == "dqn":
+            agent = DQNAgent(action_count=2, horizon=env.horizon, context_dim=2,
+                             total_episodes=10, rng=derive_stream(70, 0))
+        else:
+            agent = TabularAgent(agent_kind, env.action_count)
+        rng = derive_stream(70, 2)
+        run_training_episode(agent, env, other, SeedSpec(71, 3), rng, rng)
+        steps = [[repr(e.step(1)) for _ in range(env.horizon - 2)] for e in (env, twin)]
+        assert steps[0] == steps[1]
+        assert steps[0][-1].endswith("True)")  # both episodes ran to their end
 
 
 TRAINED_CASES = [c for c in valid_cases() if c[1] != "blackbox"]
@@ -431,9 +453,9 @@ class TestTrainingMatchesTheStepLoop:
         actions: list = []
         real = agent.observe
 
-        def recording(path, rewards):
-            actions.extend(action for _, action in path)
-            real(path, rewards)
+        def recording(states, taken, rewards):
+            actions.extend(taken)
+            real(states, taken, rewards)
 
         agent.observe = recording
         for episode in range(100):

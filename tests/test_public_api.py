@@ -100,3 +100,33 @@ def test_no_module_imports_a_name_it_never_uses():
         unused += [f"{path.relative_to(SRC)}:{line} {name}"
                    for name, line in imported.items() if name not in used]
     assert unused == []
+
+
+# Per guarded attribute, the (class, method) pairs that may read or write it:
+# an environment's episode is its reset/step state, and FuzzyEnv's noise stream
+# is keyed by reset and drawn from by _reward. Path scoring and training read
+# none of them.
+EPISODE_OWNERS = {
+    **{attr: {("Environment", m) for m in ("__init__", "reset", "step", "reward_table")}
+       for attr in ("_instance", "_t", "_done", "_history")},
+    **{attr: {("FuzzyEnv", "reset"), ("FuzzyEnv", "_reward")} for attr in ("_seed", "_rng")},
+}
+
+
+def test_only_the_episode_methods_touch_the_episode():
+    found = []
+    for path, module in MODULES.items():
+        scopes = []  # (class name or None, method name or None, node)
+        for statement in module.body:
+            if isinstance(statement, ast.ClassDef):
+                scopes += [(statement.name, node.name if isinstance(node, ast.FunctionDef)
+                            else None, node) for node in statement.body]
+            else:
+                scopes.append((None, None, statement))
+        for cls, method, scope in scopes:
+            for node in ast.walk(scope):
+                if (isinstance(node, ast.Attribute) and node.attr in EPISODE_OWNERS
+                        and (cls, method) not in EPISODE_OWNERS[node.attr]):
+                    found.append(f"{path.relative_to(SRC)}:{node.lineno} {cls}.{method} "
+                                 f"{node.attr}")
+    assert found == []

@@ -22,7 +22,7 @@ from algocontrol.cli import main
 from algocontrol.core import BlockStream, ContractError, Observation, SeedSpec, derive_stream
 from algocontrol.agents.tabular import argmax_with_random_ties, greedy
 from algocontrol.harness import run_training_episode
-from oracles import enumerate_counting_mdp, value_iteration_oracle
+from oracles import enumerate_counting_mdp, step_training_episode, value_iteration_oracle
 
 # chi-squared critical values at alpha = 0.01
 CHI2_99 = {1: 6.635, 4: 13.277, 5: 15.086}
@@ -348,7 +348,7 @@ def _purs_episodes(agent, episodes):
     """Feed each episode's (state, action) steps to a PURS agent."""
     rng = derive_stream(0, 0)
     for steps in episodes:
-        agent.observe(steps, [0.0] * len(steps))
+        agent.observe([s for s, _ in steps], [a for _, a in steps], [0.0] * len(steps))
         agent.end_episode(rng)
 
 
@@ -451,19 +451,25 @@ class TestTabularAgent:
         assert hash(state_key(obs)) == hash((4, (), (1, 2, 3, 0, 2)))
 
     def test_observation_keys_snapshot_like_plain_tuples(self, tmp_path):
-        """Rows keyed by observations save to the bytes of the same rows
-        keyed by plain tuples, and load back equal."""
+        """Rows keyed by observations (a table built through ``step``) save to the
+        bytes of the same rows keyed by plain tuples, and load back equal; the
+        plain-tuple keys ``run_training_episode`` writes build that same table."""
         env = LubyEnv(32)
-        agent = TabularAgent("qlearn", env.action_count, hp=AgentHyperparams(alpha=1.0))
-        rng = derive_stream(15, 0)
+        agent, trained = (TabularAgent("qlearn", env.action_count, hp=AgentHyperparams(alpha=1.0))
+                          for _ in range(2))
+        rngs = [derive_stream(15, 0), derive_stream(15, 0)]
         for episode in range(20):
-            run_training_episode(agent, env, (), SeedSpec(15, episode), rng, rng)
+            step_training_episode(agent, env, (), SeedSpec(15, episode), rngs[0], rngs[0])
+            run_training_episode(trained, env, (), SeedSpec(15, episode), rngs[1], rngs[1])
         assert all(type(s) is Observation for s in agent.q)
+        assert all(type(s) is tuple for s in trained.q) and trained.q == agent.q
         plain = TabularAgent("qlearn", env.action_count)
         plain.q = {tuple(s): row for s, row in agent.q.items()}
         save_agent(agent, str(tmp_path / "obs.snap"))
         save_agent(plain, str(tmp_path / "tuple.snap"))
+        save_agent(trained, str(tmp_path / "trained.snap"))
         assert (tmp_path / "obs.snap").read_bytes() == (tmp_path / "tuple.snap").read_bytes()
+        assert (tmp_path / "trained.snap").read_bytes() == (tmp_path / "tuple.snap").read_bytes()
         assert load_snapshot(str(tmp_path / "obs.snap")).q == agent.q
 
     def test_untrained_policy_plays_action_zero(self):
