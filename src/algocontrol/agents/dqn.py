@@ -22,6 +22,9 @@ EPSILON_END = 0.02
 # Instances whose input rows a DQN agent keeps: the 100 training plus 100
 # test instances of a fixed-set run fit; with more, the memo starts over.
 INPUT_ROWS_KEPT = 256
+# Instances per forward of a checkpoint's greedy fill. Every instance of a
+# 200-instance checkpoint in one forward raises peak RSS by about 1 MB.
+GREEDY_CHUNK = 8
 
 
 class MLPQNet:
@@ -49,8 +52,8 @@ class MLPQNet:
         self._bias_rows = (self.b1[..., None, :], self.b2[..., None, :])  # broadcast over rows
         self.grad = np.zeros(theta.shape) if grad is None else grad
         self._grad_blocks = self._blocks(self.grad)
-        # The SGD step's batch indices and dLoss/dQ buffer, for its one batch shape.
-        self._scratch = ((), np.empty((0, action_count)))
+        # The SGD step's flat row offsets and dLoss/dQ buffer, for its one batch shape.
+        self._scratch = (None, np.empty((0, action_count)))
         if rng is not None:  # He initialization for the ReLU layer, Xavier-ish for the head
             self.w1[...] = rng.normal(0.0, np.sqrt(2.0 / input_dim), self.w1.shape)
             self.w2[...] = rng.normal(0.0, np.sqrt(1.0 / hidden), self.w2.shape)
@@ -155,25 +158,27 @@ def _loss_into_grad(
     n = x.shape[-2]
     if n == 0:
         raise ContractError("batch must be non-empty")
-    at, dq = net._scratch  # at: index arrays broadcasting to actions.shape
+    base, dq = net._scratch  # base: the flat offset of each row's first Q-value
     if dq.shape[:-1] != actions.shape:
-        at, dq = net._scratch = (np.indices(actions.shape, sparse=True),
-                                 np.empty(actions.shape + (net.action_count,)))
+        a = net.action_count
+        base, dq = net._scratch = (np.arange(0, actions.size * a, a).reshape(actions.shape),
+                                   np.empty(actions.shape + (a,)))
 
     next_actions = net._layers(next_obs)[2].argmax(axis=-1)
-    bootstrap = target_net._layers(next_obs)[2][(*at, next_actions)]
+    bootstrap = target_net._layers(next_obs)[2].take(base + next_actions)
     targets = rewards + hp.gamma * bootstrap * (1.0 - dones)
 
     z1, h, q = net._layers(x)
-    diff = q[(*at, actions)] - targets
+    chosen = base + actions
+    diff = q.take(chosen) - targets
 
     dq.fill(0.0)
-    dq[(*at, actions)] = 2.0 * diff / n
+    dq.put(chosen, 2.0 * diff / n)
     dw1, db1, dw2, db2 = net._grad_blocks
     np.matmul(h.swapaxes(-1, -2), dq, out=dw2)
     np.add.reduce(dq, axis=-2, out=db2)
     dh = dq @ net.w2.swapaxes(-1, -2)
-    dh[z1 <= 0.0] = 0.0
+    np.copyto(dh, 0.0, where=z1 <= 0.0)
     # Contiguous: numpy's vector path (input_dim or hidden 1) rounds strided x.T differently.
     np.matmul(np.ascontiguousarray(x).swapaxes(-1, -2), dh, out=dw1)
     np.add.reduce(dh, axis=-2, out=db1)
@@ -302,7 +307,8 @@ class DQNAgent:
     its rewards: ``select_action(s, rng)`` picks the whole path on states ``(t,
     features(instance), history)``, whose features are the instance, ``observe``
     writes it to the replay ring in one write, and a checkpoint scores
-    ``greedy_path(instance)`` with ``Environment.path_rewards``.
+    ``greedy_paths(instances)`` with ``Environment.path_rewards``; that fill
+    forwards the rows of ``GREEDY_CHUNK`` instances at a time.
     """
 
     kind = "dqn"
@@ -357,9 +363,31 @@ class DQNAgent:
         """Greedy action of each time step 0..T-1 on ``instance``."""
         actions = self._greedy.get(instance)
         if actions is None:
-            q = self.net.forward(self.input_rows(instance)[: self.horizon])
-            actions = self._greedy[instance] = np.argmax(q, axis=1).tolist()
+            self._fill([instance])
+            actions = self._greedy[instance]
         return actions
+
+    def greedy_paths(self, instances: list[Instance]) -> list[list[ActionId]]:
+        """``greedy_path`` of each of ``instances``, in order, from one fill of
+        those not memoised yet."""
+        greedy = self._greedy
+        self._fill([i for i in dict.fromkeys(instances) if i not in greedy])
+        return [greedy[i] for i in instances]
+
+    def _fill(self, new: list[Instance]) -> None:
+        """Memoise the greedy paths of ``new``, distinct instances without one: their
+        T input rows go through ``net.forward`` ``GREEDY_CHUNK`` instances at a
+        time, concatenated. Each row runs the single-row product, so every path is
+        the one a forward of its instance alone gives."""
+        greedy, T = self._greedy, self.horizon
+        for k in range(0, len(new), GREEDY_CHUNK):
+            chunk = new[k : k + GREEDY_CHUNK]
+            rows = [self.input_rows(i)[:T] for i in chunk]
+            # A lone instance, a training episode's miss, needs no copy of its rows.
+            q = self.net.forward(np.concatenate(rows) if len(rows) > 1 else rows[0])
+            actions = q.argmax(axis=1).tolist()
+            for j, instance in enumerate(chunk):
+                greedy[instance] = actions[j * T : (j + 1) * T]
 
     @property
     def epsilon(self) -> float:

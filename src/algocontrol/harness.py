@@ -249,8 +249,8 @@ class _EvalSetup:
             self.test_set = make_instance_set(
                 derive_stream(cfg.master_seed, TEST_SET_STREAM), horizon, cfg.n_test_instances
             )
-            instance_rng = derive_stream(run_seed, TRAIN_INSTANCE_STREAM)
-            self.draw = lambda: train[int(instance_rng.integers(len(train)))]
+            instance_rng = BlockStream(run_seed, TRAIN_INSTANCE_STREAM)  # derive_stream's values
+            self.draw = lambda: train[instance_rng.integers(len(train))]
         else:
             self.instances = [()] * cfg.eval_runs
             self.draw = lambda: ()
@@ -302,20 +302,21 @@ def evaluate_on_test_set(
 def _mean_greedy_return(agent, env: Environment, instances: list[Instance],
                         run_seed: int, base: int, paths: dict | None = None) -> float:
     """Mean greedy return over ``instances``; run r draws noise stream base + r.
-    A DQN run adds up ``env.path_rewards`` of its ``greedy_path(instance)``. With
+    A DQN run adds up ``env.path_rewards`` of its path from one
+    ``greedy_paths(instances)`` fill, a few instances per forward. With
     ``paths``, a stored tabular path that ``greedy_path_holds`` (checked once per
     instance) is scored again without a rollout, as an observation holds no
     reward: by the score stored with it where rewards are fixed, which no noise
     seed changes, else by ``env.path_return``. Otherwise the run rolls out, and
     ``paths`` keeps its path and score."""
-    policy = agent.greedy_action
     total = 0.0
+    if isinstance(agent, DQNAgent):
+        for r, (instance, path) in enumerate(zip(instances, agent.greedy_paths(instances))):
+            total += reduce(add, env.path_rewards(path, instance, run_seed, base + r), 0.0)
+        return total / len(instances)
+    policy = agent.greedy_action
     checked = set()
     for r, instance in enumerate(instances):
-        if isinstance(agent, DQNAgent):
-            total += reduce(add, env.path_rewards(agent.greedy_path(instance), instance,
-                                                  run_seed, base + r), 0.0)
-            continue
         if paths is None:
             total += greedy_rollout(policy, env, instance, SeedSpec(run_seed, base + r))
             continue

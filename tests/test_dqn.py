@@ -15,7 +15,7 @@ from algocontrol.agents import (
     load_snapshot,
     save_agent,
 )
-from algocontrol.agents.dqn import INPUT_ROWS_KEPT, _columns, _loss_into_grad
+from algocontrol.agents.dqn import GREEDY_CHUNK, INPUT_ROWS_KEPT, _columns, _loss_into_grad
 from algocontrol.benchmarks import (
     SigmoidEnv,
     SigmoidMVAEnv,
@@ -24,7 +24,7 @@ from algocontrol.benchmarks import (
 )
 from algocontrol.cli import main
 from algocontrol.core import BlockStream, ContractError, Observation, SeedSpec, derive_stream
-from algocontrol.harness import run_training_episode
+from algocontrol.harness import evaluate_on_test_set, run_training_episode
 from oracles import (
     _reference_forward,
     random_gradcheck_case,
@@ -412,13 +412,16 @@ class TestStridedBatch:
 
 class TestSGDStepOracle:
     """Loss, gradients and parameters after each of 20 chained SGD steps,
-    with target syncs, equal ``oracles.reference_train_step`` bit for bit."""
+    with target syncs, equal ``oracles.reference_train_step`` bit for bit;
+    with ``other_size``, every third step takes a batch of that size instead."""
 
     @settings(max_examples=30, deadline=None)
     @given(shape=st.sampled_from(BATCH_SHAPES), contiguous=st.booleans(),
-           sync_every=st.integers(1, 7), seed=st.integers(0, 2**16))
-    def test_matches_reference(self, shape, contiguous, sync_every, seed):
-        obs_dim, actions, hidden, batch_size = shape
+           sync_every=st.integers(1, 7), seed=st.integers(0, 2**16),
+           other_size=st.sampled_from([None, 1, 5, 11, 40]))
+    @example(shape=BATCH_SHAPES[0], contiguous=False, sync_every=5, seed=0, other_size=5)
+    def test_matches_reference(self, shape, contiguous, sync_every, seed, other_size):
+        obs_dim, actions, hidden, size = shape
         rng = derive_stream(seed, 0)
         buf = filled_ring(rng, obs_dim, actions)
         hp = AgentHyperparams(alpha=1.0, dqn_lr=0.01)
@@ -426,6 +429,7 @@ class TestSGDStepOracle:
         target = MLPQNet(obs_dim, actions, rng, hidden=hidden)
         ref, ref_target = twin(net), twin(target)
         for step in range(1, 21):
+            batch_size = other_size if other_size and step % 3 == 0 else size
             batch = sample(buf, rng, batch_size)
             if contiguous:
                 batch = tuple(np.ascontiguousarray(column) for column in batch)
@@ -805,6 +809,56 @@ class TestStackedGreedy:
             for t in range(11):
                 agent.greedy_action(Observation(t, instance))
         assert calls == [(11, 3), (11, 3)]
+
+    @settings(max_examples=40, deadline=None)
+    @given(input_dim=st.integers(1, 4), actions=st.integers(2, 6), horizon=st.integers(1, 40),
+           seed=st.integers(0, 2**16))
+    @example(input_dim=3, actions=3, horizon=11, seed=0)
+    def test_checkpoint_fill_equals_single_row_forwards(self, input_dim, actions, horizon, seed):
+        """``greedy_paths`` gives each instance the Q-values and path of single-row
+        forwards of its own rows, on a list longer than a chunk, with repeats,
+        with memoised instances, and across the clear of the input-row memo."""
+        agent = self.agent(input_dim, actions, horizon, seed)
+        fresh = self.instances(agent, seed, n=2 * GREEDY_CHUNK + 3)
+        memoised = {fresh[1], fresh[6]}
+        for instance in memoised:
+            agent.greedy_path(instance)
+        if input_dim > 1:  # fill the row memo so that its clear falls in the first chunk
+            for k in range(INPUT_ROWS_KEPT - len(agent._rows) - 3):
+                agent.input_rows((1000.0 + k,) * (input_dim - 1))
+        q_rows = []
+        forward = agent.net.forward
+        agent.net.forward = lambda x: q_rows.append(forward(x)) or q_rows[-1]
+        listed = fresh[:5] + fresh[3:1:-1] + fresh + fresh[::4]
+        paths = agent.greedy_paths(listed)
+
+        new = list(dict.fromkeys(i for i in listed if i not in memoised))
+        assert len(q_rows) == -(-len(new) // GREEDY_CHUNK)
+        q = np.concatenate(q_rows) if q_rows else np.empty((0, actions))
+        assert len(q) == len(new) * horizon
+        for k, instance in enumerate(new):
+            assert np.array_equal(q[k * horizon : (k + 1) * horizon],
+                                  single_row_q(agent, instance), equal_nan=True)
+        assert paths == [single_row_greedy(agent, i) for i in listed]
+        if input_dim > 1:
+            assert len(agent._rows) < INPUT_ROWS_KEPT - 3  # the memo started over
+        assert agent.greedy_paths(listed) == paths
+        assert len(q_rows) == -(-len(new) // GREEDY_CHUNK)  # memoised until the next update
+
+    def test_a_checkpoint_forwards_a_chunk_of_instances_at_a_time(self):
+        horizon = 11
+        env = SigmoidEnv(horizon=horizon)
+        agent = self.agent(3, env.action_count, horizon, 10)
+        test_set = make_instance_set(derive_stream(10, 2), horizon, 100)
+        calls = []
+        forward = agent.net.forward
+        agent.net.forward = lambda x: calls.append(x.shape) or forward(x)
+        evaluate_on_test_set(agent, env, test_set, 10)
+        assert len(calls) == -(-100 // GREEDY_CHUNK)
+        assert sum(n for n, _ in calls) == 100 * horizon
+        assert all(d == 3 for _, d in calls)
+        evaluate_on_test_set(agent, env, test_set, 10)  # memoised until the next update
+        assert len(calls) == -(-100 // GREEDY_CHUNK)
 
 
 SIGMOID_FAMILY = {"sigmoid": SigmoidEnv, "sigmoidmva": SigmoidMVAEnv}

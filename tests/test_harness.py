@@ -700,6 +700,13 @@ class TestFixedInstanceMode:
         assert not set(train) & set(test)
         assert {setup.draw() for _ in range(50)} <= set(train)
 
+    @pytest.mark.parametrize("n_train", [1, 7, 100])
+    def test_draws_are_those_of_the_training_instance_stream(self, n_train):
+        setup = harness._EvalSetup(self._cfg(n_train_instances=n_train).validated(), 0)
+        stream = derive_stream(setup.run_seed, harness.TRAIN_INSTANCE_STREAM)
+        expected = [setup.instances[int(stream.integers(n_train))] for _ in range(1000)]
+        assert [setup.draw() for _ in range(1000)] == expected
+
     def test_sets_shared_across_seeds(self):
         a, b = self._setup(0), self._setup(1)
         assert a.run_seed != b.run_seed
