@@ -42,26 +42,6 @@ def greedy(q: QRows, s: StateKey) -> ActionId:
     return 0 if row is None else row.index(max(row))
 
 
-def argmax_with_random_ties(
-    rng: np.random.Generator, q: QRows, s: StateKey, action_count: int
-) -> ActionId:
-    """Greedy selection breaking exact ties uniformly at random; a state
-    with no row reads as zeros, so it draws once over all actions.
-
-    Used during training only: with zero-initialized tables, always
-    taking the lowest tied index starves states reached off the greedy
-    path, which visibly fattens the time-to-optimum tail.
-    """
-    row = q.get(s)
-    if row is None:
-        return int(rng.integers(action_count))
-    best = max(row)
-    if row.count(best) == 1:  # a unique maximum draws nothing
-        return row.index(best)
-    tied = [a for a in range(action_count) if row[a] == best]
-    return tied[int(rng.integers(len(tied)))]
-
-
 @dataclass
 class AgentHyperparams:
     """Shared learner settings; defaults follow the experimental setup."""
@@ -161,20 +141,44 @@ class TabularAgent:
         return rounded(instance)
 
     def select_action(self, s: StateKey, rng: np.random.Generator) -> ActionId:
+        """The training-time action at ``s``. PURS samples by its ledger. The others
+        explore with probability epsilon (one ``random()``, then a uniform action),
+        else take the greedy action, breaking exact ties uniformly at random: a
+        unique maximum draws nothing, and a state with no row reads as zeros, so it
+        draws once over all actions. The greedy action is read off the row's values
+        as they are now, so any write to ``q`` is seen.
+
+        Random ties matter during training only: with zero-initialized tables,
+        always taking the lowest tied index starves states reached off the greedy
+        path, which visibly fattens the time-to-optimum tail.
+        """
         if self.kind == "purs":
             return self._purs_action(s, rng)
         if self.epsilon > 0.0 and rng.random() < self.epsilon:
             return int(rng.integers(self.action_count))
-        return argmax_with_random_ties(rng, self.q, s, self.action_count)
+        row = self.q.get(s)
+        if row is None:
+            return int(rng.integers(self.action_count))
+        best = max(row)
+        if row.count(best) == 1:
+            return row.index(best)
+        tied = [a for a, v in enumerate(row) if v == best]
+        return tied[int(rng.integers(len(tied)))]
 
     def observe(self, states: list[StateKey], actions: list, rewards: list[float]) -> None:
         """Learn from one episode: its state keys in step order, the last step ending
         it, with the ``actions`` taken there and their ``rewards``. ``q_update`` runs
-        step by step; PURS keeps the (state, action) pairs for ``end_episode``."""
-        q, hp, n, last = self.q, self.hp, self.action_count, len(states) - 1
-        for i, s in enumerate(states):
-            done = i == last
-            q_update(q, s, actions[i], rewards[i], None if done else states[i + 1], done, hp, n)
+        step by step; PURS keeps the (state, action) pairs for ``end_episode``. Any
+        other shape (no state, or lists of different lengths) is refused."""
+        n = len(states)
+        if not 0 < n == len(actions) == len(rewards):
+            raise ContractError(f"an episode is 1 or more states, an action and a reward "
+                                f"each; got {n} states, {len(actions)} actions, "
+                                f"{len(rewards)} rewards")
+        q, hp, count = self.q, self.hp, self.action_count
+        for s, a, r, s_next in zip(states, actions, rewards, states[1:]):
+            q_update(q, s, a, r, s_next, False, hp, count)
+        q_update(q, states[-1], actions[-1], rewards[-1], None, True, hp, count)
         if self.kind == "purs":
             self._episode += zip(states, actions)
 
@@ -219,11 +223,26 @@ class TabularAgent:
     def greedy_action(self, obs: Observation) -> ActionId:
         return greedy(self.q, state_key(obs))
 
-    def greedy_path_holds(self, path: list[tuple[StateKey, ActionId]]) -> bool:
-        """Whether ``greedy_action`` takes each action of a (state key, action) path."""
-        q = self.q
-        for s, a in path:
-            row = q.get(s)
-            if (0 if row is None else row.index(max(row))) != a:
-                return False
+    def rows_seen(self, keys: list[StateKey]) -> list[list[float] | None]:
+        """A copy of the row of each of ``keys`` as it is now, None where there is
+        none: what ``greedy_path_holds`` compares the rows with."""
+        return [row if row is None else row.copy() for row in map(self.q.get, keys)]
+
+    def greedy_path_holds(self, keys: list[StateKey], actions: list[ActionId],
+                          seen: list[list[float] | None]) -> bool:
+        """Whether ``greedy_action`` takes ``actions[i]`` at each state key ``keys[i]``,
+        given ``seen[i]``, that row's values when the path last held there. A row
+        equal to the values last seen keeps its greedy action (equal values give
+        the same lowest-index argmax, -0.0 == 0.0 included), so only a row that
+        differs is walked again, and its copy in ``seen`` is refreshed where its
+        action still holds. The rows are read as they are now, so any write to
+        ``q`` is seen: by ``q_update``, in place, or a row replaced or created."""
+        rows = list(map(self.q.get, keys))
+        if rows == seen:
+            return True
+        for i, row in enumerate(rows):
+            if row != seen[i]:
+                if (0 if row is None else row.index(max(row))) != actions[i]:
+                    return False
+                seen[i] = row if row is None else row.copy()
         return True

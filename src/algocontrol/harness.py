@@ -254,9 +254,10 @@ class _EvalSetup:
         else:
             self.instances = [()] * cfg.eval_runs
             self.draw = lambda: ()
-        # Per distinct instance: its last greedy (state key, action) path, its
-        # actions and the score of the rollout that took it.
-        self.paths: dict[Instance, tuple[list, list, float]] = {}
+        # Per distinct instance: the state keys and actions of its last greedy path,
+        # the score of the rollout that took it, and each key's row as last seen
+        # (see TabularAgent.greedy_path_holds).
+        self.paths: dict[Instance, tuple[list, list, float, list]] = {}
         if cfg.agent_kind != "blackbox":
             if env.fixed_rewards and not env.context_dim:  # training reads its one table
                 env.reward_table(())
@@ -307,8 +308,11 @@ def _mean_greedy_return(agent, env: Environment, instances: list[Instance],
     ``paths``, a stored tabular path that ``greedy_path_holds`` (checked once per
     instance) is scored again without a rollout, as an observation holds no
     reward: by the score stored with it where rewards are fixed, which no noise
-    seed changes, else by ``env.path_return``. Otherwise the run rolls out, and
-    ``paths`` keeps its path and score."""
+    seed changes, else by ``env.path_return``. The check compares the path's rows
+    with their values as last seen: a row equal to them keeps its greedy action,
+    and any write to ``agent.q`` is seen, so only changed rows are walked again.
+    Otherwise the run rolls out, and ``paths`` keeps its path, its score and a
+    copy of its rows."""
     total = 0.0
     if isinstance(agent, DQNAgent):
         for r, (instance, path) in enumerate(zip(instances, agent.greedy_paths(instances))):
@@ -321,15 +325,16 @@ def _mean_greedy_return(agent, env: Environment, instances: list[Instance],
             total += greedy_rollout(policy, env, instance, SeedSpec(run_seed, base + r))
             continue
         held = paths.get(instance)
-        if held is not None and (instance in checked or agent.greedy_path_holds(held[0])):
+        if held is not None and (instance in checked or agent.greedy_path_holds(
+                held[0], held[1], held[3])):
             total += (held[2] if env.fixed_rewards
                       else env.path_return(held[1], instance, run_seed, base + r))
         else:
             trace: list = []
             score = greedy_rollout(policy, env, instance, SeedSpec(run_seed, base + r), trace)
             total += score
-            paths[instance] = ([(state_key(obs), a) for obs, a, _ in trace],
-                               [a for _, a, _ in trace], score)
+            keys = [state_key(obs) for obs, _, _ in trace]
+            paths[instance] = (keys, [a for _, a, _ in trace], score, agent.rows_seen(keys))
         checked.add(instance)
     return total / len(instances)
 

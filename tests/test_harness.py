@@ -562,14 +562,32 @@ class TestCheckpointMemo:
         agent.q["off the path"] = [100.0, 0.0, 0.0, 0.0, 0.0]
         assert setup.evaluate(agent, env, 3) == first and rollouts == [1]
 
-        path = setup.paths[()][0]
-        s, a = path[2]
+        keys, actions = setup.paths[()][:2]
+        s, a = keys[2], actions[2]
         row = agent.q.setdefault(s, [0.0] * 5)
         row[(a + 1) % 5] = max(row) + 1.0
         value = setup.evaluate(agent, env, 4)
         assert rollouts == [2]
         assert repr(value) == repr(fresh_value(setup, agent, env, 4))
-        assert setup.paths[()][0][2] == (s, (a + 1) % 5)
+        assert (setup.paths[()][0][2], setup.paths[()][1][2]) == (s, (a + 1) % 5)
+
+        keys, actions = setup.paths[()][:2]
+        s, a = keys[1], actions[1]
+        row = agent.q.setdefault(s, [0.0] * 5)
+        row[a] = max(row) + 1.0  # in place, the argmax kept
+        rollouts[0] = 0  # fresh_value rolled out once more
+        value = setup.evaluate(agent, env, 5)
+        assert rollouts == [0]
+        assert repr(value) == repr(fresh_value(setup, agent, env, 5))
+
+        replaced = [0.0] * 5
+        replaced[(a + 2) % 5] = 1.0
+        agent.q[s] = replaced  # a new row with another argmax
+        rollouts[0] = 0
+        value = setup.evaluate(agent, env, 6)
+        assert rollouts == [1]
+        assert repr(value) == repr(fresh_value(setup, agent, env, 6))
+        assert (setup.paths[()][0][1], setup.paths[()][1][1]) == (s, (a + 2) % 5)
 
     @staticmethod
     def _trained(kind: str):

@@ -20,7 +20,7 @@ from algocontrol.agents import (
 from algocontrol.benchmarks import CountingEnv, FuzzyEnv, LubyEnv
 from algocontrol.cli import main
 from algocontrol.core import BlockStream, ContractError, Observation, SeedSpec, derive_stream
-from algocontrol.agents.tabular import argmax_with_random_ties, greedy
+from algocontrol.agents.tabular import greedy
 from algocontrol.harness import run_training_episode
 from oracles import enumerate_counting_mdp, step_training_episode, value_iteration_oracle
 
@@ -163,14 +163,16 @@ class TestQTableMatchesPairTable:
                 assert repr(max(row_of(q, s, action_count))) == repr(max(ref.row(s)))
             elif name == "argmax":
                 assert greedy(q, s) == ref.argmax(s)
-            else:
+            else:  # a gr agent's selection: epsilon 0 draws nothing before the tie-break
+                agent = TabularAgent("gr", action_count)
+                agent.q = q
                 before = rng.bit_generator.state
-                picked = argmax_with_random_ties(rng, q, s, action_count)
+                picked = agent.select_action(s, rng)
                 assert picked == ref.argmax_with_random_ties(ref_rng, s)
                 assert rng.bit_generator.state == ref_rng.bit_generator.state
                 if ref.row(s).count(max(ref.row(s))) == 1:  # a unique maximum draws nothing
                     assert rng.bit_generator.state == before
-                picked = argmax_with_random_ties(block, q, s, action_count)
+                picked = agent.select_action(s, block)
                 assert picked == ref.argmax_with_random_ties(block_ref, s)
                 assert block.random() == block_ref.random()
         frozen.append((q, ref))
@@ -197,6 +199,101 @@ class TestGrSelect:
         base = greedy({"s": row}, "s")
         scaled = greedy({"s": [10 * v for v in row]}, "s")
         assert base == scaled == 1
+
+
+_ROW_VALUES = st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5]) | st.floats(-10, 10, allow_nan=False)
+_ROW_OPS = st.one_of(
+    st.tuples(st.just("update"), st.sampled_from(_STATES), st.integers(0, 5), _ROW_VALUES,
+              st.sampled_from(_STATES), st.booleans(), st.sampled_from([1.0, 0.5]),
+              st.sampled_from([0.99, 0.0])),
+    st.tuples(st.just("in place"), st.sampled_from(_STATES), st.integers(0, 5), _ROW_VALUES),
+    st.tuples(st.sampled_from(["replace", "create"]), st.sampled_from(_STATES),
+              st.lists(_ROW_VALUES, min_size=6, max_size=6)),
+    st.tuples(st.sampled_from(["flip zeros", "delete"]), st.sampled_from(_STATES)),
+    st.tuples(st.just("copy table")),
+)
+
+
+class CountingRow(list):
+    """A Q row that counts the walks of it by its ``index`` calls: a walk takes
+    ``max`` of the row, then looks it up."""
+
+    walks = 0
+
+    def index(self, value, *args):
+        CountingRow.walks += 1
+        return super().index(value, *args)
+
+
+class TestGreedyPathHolds:
+    """``greedy_path_holds`` compares a held path's rows with their values as last
+    seen; it must answer as a full walk of ``greedy`` over the path does."""
+
+    @staticmethod
+    def _apply(agent, op, action_count):
+        q, name = agent.q, op[0]
+        if name == "update":
+            s, a, reward, s_next, done, alpha, gamma = op[1:]
+            q_update(q, s, a % action_count, reward, s_next, done,
+                     AgentHyperparams(alpha=alpha, gamma=gamma), action_count)
+        elif name == "in place":
+            if op[1] in q:
+                q[op[1]][op[2] % action_count] = op[3]
+        elif name == "replace" or (name == "create" and op[1] not in q):
+            q[op[1]] = op[2][:action_count]
+        elif name == "flip zeros":  # 0.0 <-> -0.0: equal values, other objects
+            row = q.get(op[1], [])
+            row[:] = [-v if v == 0.0 else v for v in row]
+        elif name == "delete":
+            q.pop(op[1], None)
+        elif name == "copy table":
+            agent.q = copy.deepcopy(q)
+
+    @given(action_count=st.integers(1, 6),
+           rows=st.dictionaries(st.sampled_from(_STATES),
+                                st.lists(_ROW_VALUES, min_size=6, max_size=6)),
+           keys=st.lists(st.sampled_from(_STATES), min_size=1, max_size=8),
+           sequences=st.lists(st.lists(_ROW_OPS, max_size=6), max_size=8))
+    @example(action_count=2, rows={"s0": [0.0, -0.0]}, keys=["s0"],
+             sequences=[[("flip zeros", "s0")], [("in place", "s0", 1, 0.0)]])
+    @example(action_count=2, rows={"s0": [0.0, 1.0]}, keys=["s0", "s1"],
+             sequences=[[("delete", "s0")], [("create", "s1", [0.0, 2.0, 0, 0, 0, 0])]])
+    @settings(max_examples=300, deadline=None)
+    def test_equals_a_full_walk(self, action_count, rows, keys, sequences):
+        agent = TabularAgent("qlearn", action_count)
+        agent.q = {s: row[:action_count] for s, row in rows.items()}
+
+        def hold():  # a rollout's record: the greedy actions and the rows they came from
+            return [greedy(agent.q, s) for s in keys], agent.rows_seen(keys)
+
+        actions, seen = hold()
+        for ops in sequences:
+            for op in ops:
+                self._apply(agent, op, action_count)
+            walked = all(greedy(agent.q, s) == a for s, a in zip(keys, actions))
+            assert agent.greedy_path_holds(keys, actions, seen) == walked
+            assert agent.greedy_path_holds(keys, actions, seen) == walked
+            if walked:  # the copies are refreshed, and share no row with the table
+                assert seen == [agent.q.get(s) for s in keys]
+                assert not any(row is agent.q.get(s) for s, row in zip(keys, seen)
+                               if row is not None)
+            else:  # the harness rolls out again and holds the new path
+                actions, seen = hold()
+
+    def test_unchanged_rows_are_not_walked(self):
+        agent = TabularAgent("qlearn", 3)
+        keys = ["s0", "s1", "s0", "s2"]
+        agent.q = {"s0": CountingRow([0.0, 2.0, 1.0]), "s1": CountingRow([-0.0, 0.0, 0.0])}
+        actions, seen = [1, 0, 1, 0], agent.rows_seen(keys)
+        CountingRow.walks = 0
+        assert agent.greedy_path_holds(keys, actions, seen) and CountingRow.walks == 0
+        agent.q["s0"][2] = 1.5  # the argmax holds: that row alone is walked, once
+        assert agent.greedy_path_holds(keys, actions, seen) and CountingRow.walks == 2
+        assert agent.greedy_path_holds(keys, actions, seen) and CountingRow.walks == 2
+        agent.q["s1"][0] = 0.0  # -0.0 -> 0.0: an equal value, nothing to walk
+        assert agent.greedy_path_holds(keys, actions, seen) and CountingRow.walks == 2
+        agent.q["s1"][2] = 0.5  # the argmax moves
+        assert not agent.greedy_path_holds(keys, actions, seen)
 
 
 class TestPursSelect:
@@ -471,6 +568,20 @@ class TestTabularAgent:
         assert (tmp_path / "obs.snap").read_bytes() == (tmp_path / "tuple.snap").read_bytes()
         assert (tmp_path / "trained.snap").read_bytes() == (tmp_path / "tuple.snap").read_bytes()
         assert load_snapshot(str(tmp_path / "obs.snap")).q == agent.q
+
+    @pytest.mark.parametrize("n_states, n_actions, n_rewards", [
+        (0, 0, 0), (3, 3, 2), (2, 2, 3), (2, 3, 3), (4, 3, 3), (0, 3, 3),
+    ], ids=["empty", "a-reward-short", "a-reward-over", "a-state-short", "a-state-over",
+            "no-state"])
+    def test_a_malformed_episode_is_refused(self, n_states, n_actions, n_rewards):
+        agent = TabularAgent("purs", 3)
+        with pytest.raises(ContractError,
+                           match="an episode is 1 or more states, an action and a reward each"):
+            agent.observe([(t, (), ()) for t in range(n_states)], [0] * n_actions,
+                          [1.0] * n_rewards)
+        assert agent.q == {}
+        agent.end_episode(derive_stream(17, 0))
+        assert agent.visits == {}
 
     def test_untrained_policy_plays_action_zero(self):
         assert TabularAgent("qlearn", 5).greedy_action(OBS) == 0
