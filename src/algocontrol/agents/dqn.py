@@ -27,6 +27,12 @@ INPUT_ROWS_KEPT = 256
 GREEDY_CHUNK = 8
 
 
+def parameter_sizes(input_dim: int, action_count: int, hidden: int) -> dict[str, int]:
+    """Element counts of an ``MLPQNet``'s w1, b1, w2 and b2, in ``theta``'s order."""
+    return {"w1": input_dim * hidden, "b1": hidden, "w2": hidden * action_count,
+            "b2": action_count}
+
+
 class MLPQNet:
     """input_dim -> 50 ReLU -> action_count; ``w1, b1, w2, b2`` are views of one
     float64 vector ``theta``, all NaN for a caller to fill when built without ``rng``.
@@ -45,7 +51,7 @@ class MLPQNet:
             raise ContractError("input_dim and action_count must be >= 1")
         self.input_dim, self.action_count, self.hidden = input_dim, action_count, hidden
         if theta is None:
-            size = (input_dim + 1) * hidden + (hidden + 1) * action_count
+            size = sum(parameter_sizes(input_dim, action_count, hidden).values())
             theta = np.full(size, np.nan if rng is None else 0.0)
         self.theta = theta
         self.w1, self.b1, self.w2, self.b2 = self._blocks(self.theta)
@@ -63,7 +69,8 @@ class MLPQNet:
         leading axes are kept."""
         d, h, a = self.input_dim, self.hidden, self.action_count
         lead = vector.shape[:-1]
-        w1, b1, w2, b2 = np.split(vector, np.cumsum([d * h, h, h * a]), axis=-1)
+        sizes = list(parameter_sizes(d, a, h).values())
+        w1, b1, w2, b2 = np.split(vector, np.cumsum(sizes[:-1]), axis=-1)
         return w1.reshape(lead + (d, h)), b1, w2.reshape(lead + (h, a)), b2
 
     def parameters(self) -> list[np.ndarray]:

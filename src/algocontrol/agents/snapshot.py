@@ -11,7 +11,9 @@ required. Floats round-trip exactly via repr. Loading rebuilds the agent
 itself, so a replay acts through the same ``greedy_action`` as training.
 A malformed snapshot (a value that is not finite, a repeated record)
 raises ContractError naming the line, as does a line after the last
-record; a missing network element raises it naming the element.
+record; a missing network element raises it naming the element, before
+anything is built at the header's sizes. A horizon too large to allocate
+raises it naming that header line.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ import math
 import numpy as np
 
 from ..core import ContractError
-from .dqn import HIDDEN_UNITS, DQNAgent, MLPQNet
+from .dqn import HIDDEN_UNITS, DQNAgent, MLPQNet, parameter_sizes
 from .tabular import TabularAgent
 
 FORMAT_TAG = "algocontrol-snapshot"
@@ -149,12 +151,16 @@ def load_snapshot(path: str) -> TabularAgent | DQNAgent:
         input_dim = _meta_int(meta, "input_dim")
         action_count = _meta_int(meta, "action_count")
         hidden = _meta_int(meta, "hidden", HIDDEN_UNITS)
-        net = MLPQNet(input_dim, action_count, hidden=hidden)  # NaN: no record has set it
-        arrays = dict(zip(("w1", "b1", "w2", "b2"), (p.reshape(-1) for p in net.parameters())))
-        _read_records(body, start + 2, lambda key, value: _set_param(arrays, key, value))
-        unset = [f"{n}/{i:06d}" for n, a in arrays.items() for i in np.flatnonzero(np.isnan(a))]
-        if unset:
-            raise ContractError(f"snapshot has no record for {unset[0]}")
+        # Every record is read before anything is built at the header's sizes.
+        sizes, values = parameter_sizes(input_dim, action_count, hidden), {}
+        _read_records(body, start + 2, lambda key, value: _set_param(values, sizes, key, value))
+        slots = ((name, i) for name, size in sizes.items() for i in range(size))
+        # At most len(values) + 1 slots are walked, whatever the header's sizes.
+        missing = next((slot for slot in slots if slot not in values), None)
+        if missing is not None:
+            raise ContractError(f"snapshot has no record for {missing[0]}/{missing[1]:06d}")
+        theta = np.array([values[name, i] for name, size in sizes.items() for i in range(size)])
+        net = MLPQNet(input_dim, action_count, hidden=hidden, theta=theta)
         scales_text = meta.get("context_scales", "")
         try:
             scales = tuple(_finite(s) for s in scales_text.split(",")) if scales_text else None
@@ -163,14 +169,20 @@ def load_snapshot(path: str) -> TabularAgent | DQNAgent:
                 f"snapshot header line 'context_scales': {scales_text!r} is not a list of "
                 "finite numbers"
             ) from None
-        return DQNAgent(
-            action_count=action_count,
-            horizon=_meta_int(meta, "horizon"),
-            context_dim=input_dim - 1,
-            total_episodes=1,
-            context_scales=scales,
-            net=net,
-        )
+        horizon = _meta_int(meta, "horizon")
+        try:
+            return DQNAgent(
+                action_count=action_count,
+                horizon=horizon,
+                context_dim=input_dim - 1,
+                total_episodes=1,
+                context_scales=scales,
+                net=net,
+            )
+        except MemoryError:  # the training batch holds one row per step
+            raise ContractError(
+                f"snapshot header line 'horizon': {horizon} steps do not fit in memory"
+            ) from None
     raise ContractError(f"snapshot for unknown agent kind {kind!r}")
 
 
@@ -198,11 +210,11 @@ def _set_q(agent: TabularAgent, key_text: str, value: float) -> tuple:
     return state, action
 
 
-def _set_param(arrays: dict[str, np.ndarray], key_text: str, value: float) -> tuple:
+def _set_param(values: dict[tuple, float], sizes: dict[str, int], key_text: str,
+               value: float) -> tuple:
     name, _, index_text = key_text.partition("/")
-    array = arrays[name]
     index = int(index_text)
-    if not 0 <= index < len(array):
+    if not 0 <= index < sizes[name]:
         raise IndexError(index)
-    array[index] = value
+    values[name, index] = value
     return name, index

@@ -920,6 +920,24 @@ class TestCliReplay:
         assert len(err) == 1 and err[0].startswith("E-RUNTIME:") and "horizon" in err[0]
         assert main(argv + ["--horizon", "11"]) == 0
 
+    @pytest.mark.parametrize("edit, message", [
+        # 65.5 TiB of training batch: the allocation fails before any page is touched.
+        (("horizon 11", "horizon 1000000000000"),
+         "snapshot header line 'horizon': 1000000000000 steps do not fit in memory"),
+        # 43.7 TiB of parameters: the first one missing is named before any is built.
+        (("hidden 50", "hidden 1000000000000"), "snapshot has no record for w1/000150"),
+    ], ids=["horizon", "hidden"])
+    def test_dqn_header_sized_beyond_memory_is_one_runtime_line(self, tmp_path, capsys, edit,
+                                                              message):
+        agent = DQNAgent(action_count=2, horizon=11, context_dim=2, total_episodes=10,
+                         rng=derive_stream(23, 0))
+        snap = tmp_path / "dqn.snap"
+        save_agent(agent, str(snap))
+        snap.write_text(snap.read_text(encoding="utf-8").replace(*edit), encoding="utf-8")
+        argv = ["replay", str(snap), "--benchmark", "sigmoid", "--instance", "s=1,p=5"]
+        assert main(argv) == 3
+        assert capsys.readouterr().err.splitlines() == [f"E-RUNTIME: {message}"]
+
     def test_dqn_overflowing_q_value_is_one_runtime_line(self, tmp_path, capsys):
         agent = DQNAgent(action_count=2, horizon=11, context_dim=2, total_episodes=10,
                          rng=derive_stream(26, 0))

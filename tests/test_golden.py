@@ -15,6 +15,7 @@ the kernel named in ``golden/meta.json``.
 from __future__ import annotations
 
 import ctypes
+import gc
 import json
 import sys
 from functools import reduce
@@ -118,6 +119,23 @@ def test_golden_csv_byte_identical(case):
             pytest.skip(f"DQN golden recorded on BLAS kernel {recorded}, running on {running}")
     expected = case_path(*case).read_bytes()
     assert run_case(*case).encode("utf-8") == expected
+
+
+@pytest.mark.parametrize("case", CASES, ids=["-".join(c) for c in CASES])
+def test_a_run_leaves_no_cyclic_garbage(case):
+    """A seed run makes no reference cycles, which is what lets
+    ``train_and_evaluate`` pause the cyclic collector: run with the collector
+    off, the case leaves nothing for ``gc.collect()`` to find."""
+    cfg = parse_config(case_text(*case))
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        gc.collect()
+        run_experiment(cfg)
+        assert gc.collect() == 0
+    finally:
+        if collecting:
+            gc.enable()
 
 
 def mean_optimum(env, instances) -> float:

@@ -689,6 +689,44 @@ def test_dqn_rings_are_freed_when_the_lockstep_run_returns(monkeypatch):
         gc.enable()
 
 
+class TestCollectorPause:
+    """``train_and_evaluate`` runs its seed runs with the cyclic collector
+    off and leaves it as the caller had it, whether the run returns or raises."""
+
+    CFG = ExperimentConfig(BenchmarkConfig("luby", horizon=8), "qlearn", n_seeds=2, n_episodes=5)
+
+    @pytest.fixture(autouse=True)
+    def _restore(self):
+        collecting = gc.isenabled()
+        yield
+        (gc.enable if collecting else gc.disable)()
+
+    @pytest.mark.parametrize("collecting", [True, False])
+    def test_the_run_is_paused_and_the_callers_state_restored(self, collecting, monkeypatch):
+        seen, real = [], harness._EvalSetup.train
+
+        def train(run, episode):
+            seen.append(gc.isenabled())
+            real(run, episode)
+
+        monkeypatch.setattr(harness._EvalSetup, "train", train)
+        (gc.enable if collecting else gc.disable)()
+        assert len(train_and_evaluate(self.CFG, [0, 1])) == 2
+        assert seen == [False] * 10
+        assert gc.isenabled() is collecting
+
+    @pytest.mark.parametrize("collecting", [True, False])
+    def test_a_run_that_raises_restores_the_callers_state(self, collecting, monkeypatch):
+        def train(run, episode):
+            raise ContractError(f"episode {episode} refused")
+
+        monkeypatch.setattr(harness._EvalSetup, "train", train)
+        (gc.enable if collecting else gc.disable)()
+        with pytest.raises(ContractError, match="episode 1 refused"):
+            train_and_evaluate(self.CFG, [0])
+        assert gc.isenabled() is collecting
+
+
 class TestFixedInstanceMode:
     def _cfg(self, **kwargs):
         defaults = dict(
