@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -76,26 +77,48 @@ class AgentHyperparams:
 
 def q_update(
     q: QRows,
-    s: StateKey,
-    a: ActionId,
-    reward: float,
-    s_next: StateKey,
-    done: bool,
+    states: list[StateKey],
+    actions: list[ActionId],
+    rewards: list[float],
     hp: AgentHyperparams,
     action_count: int,
 ) -> QRows:
-    """One-step Q-learning update (in place; the table is returned). The row
-    of ``s`` is created here, ``action_count`` zeros, on its first update. A
-    new value that is not finite raises ContractError before it is written."""
-    next_row = None if done else q.get(s_next)
-    bootstrap = 0.0 if next_row is None else max(next_row)
-    row = q.get(s)
-    if row is None:
-        row = q[s] = [0.0] * action_count
-    value = (1.0 - hp.alpha) * row[a] + hp.alpha * (reward + hp.gamma * bootstrap)
-    if value - value != 0.0:  # nan for inf and nan alike
-        raise ContractError(f"Q-value {value!r} of state {s!r}, action {a} is not finite")
-    row[a] = value
+    """Q-learning along one segment of an episode, transition by transition in
+    order (in place; the table is returned). Transition i goes from
+    ``states[i]`` by ``actions[i]``, paid ``rewards[i]``, to ``states[i + 1]``;
+    where ``states`` has no entry i + 1 (as many states as actions) it ends the
+    episode and bootstraps 0.0. So ``[s, s_next], [a], [r]`` is one step that
+    goes on, ``[s], [a], [r]`` one that ends, and an episode is its states,
+    actions and rewards. Each transition's value is
+    ``(1 - alpha) * row[a] + alpha * (reward + gamma * max(next row))``, with
+    the next row as it is when that transition runs (a state with no row
+    reads as zeros). Each state's row is looked up once: the row that
+    bootstraps transition i is the one transition i + 1 writes. A row is
+    created, ``action_count`` zeros, on its own state's first update. A new
+    value that is not finite raises ContractError before it is written; the
+    transitions before it stay written, and no later state gets a row. Any
+    other shape (no action, rewards not one per action, or states neither as
+    many as the actions nor one more) is refused before anything is written."""
+    n = len(actions)
+    if not 0 < n == len(rewards) or len(states) - n not in (0, 1):
+        raise ContractError(f"a segment is 1 or more actions, a reward each, and as many "
+                            f"states or one more; got {len(states)} states, {n} actions, "
+                            f"{len(rewards)} rewards")
+    alpha, gamma = hp.alpha, hp.gamma
+    keep, get = 1.0 - alpha, q.get
+    # Each next row is looked up as its transition starts (map is lazy), so it
+    # holds every write of the transitions before.
+    next_rows = chain(map(get, states[1:]), (None,))
+    row = get(states[0])
+    for s, a, reward, next_row in zip(states, actions, rewards, next_rows):
+        if row is None:  # or made just now, by the transition before from this same state
+            row = q.setdefault(s, [0.0] * action_count)
+        value = keep * row[a] + alpha * (reward + gamma * (0.0 if next_row is None
+                                                           else max(next_row)))
+        if value - value != 0.0:  # nan for inf and nan alike
+            raise ContractError(f"Q-value {value!r} of state {s!r}, action {a} is not finite")
+        row[a] = value
+        row = next_row
     return q
 
 
@@ -167,18 +190,17 @@ class TabularAgent:
 
     def observe(self, states: list[StateKey], actions: list, rewards: list[float]) -> None:
         """Learn from one episode: its state keys in step order, the last step ending
-        it, with the ``actions`` taken there and their ``rewards``. ``q_update`` runs
-        step by step; PURS keeps the (state, action) pairs for ``end_episode``. Any
-        other shape (no state, or lists of different lengths) is refused."""
+        it, with the ``actions`` taken there and their ``rewards``. One ``q_update``
+        call learns the whole episode, a segment with as many states as actions, so its
+        last step bootstraps 0.0; PURS keeps the (state, action) pairs for
+        ``end_episode``. Any other shape (no state, or lists of different lengths) is
+        refused."""
         n = len(states)
         if not 0 < n == len(actions) == len(rewards):
             raise ContractError(f"an episode is 1 or more states, an action and a reward "
                                 f"each; got {n} states, {len(actions)} actions, "
                                 f"{len(rewards)} rewards")
-        q, hp, count = self.q, self.hp, self.action_count
-        for s, a, r, s_next in zip(states, actions, rewards, states[1:]):
-            q_update(q, s, a, r, s_next, False, hp, count)
-        q_update(q, states[-1], actions[-1], rewards[-1], None, True, hp, count)
+        q_update(self.q, states, actions, rewards, self.hp, self.action_count)
         if self.kind == "purs":
             self._episode += zip(states, actions)
 

@@ -360,6 +360,7 @@ def _check_save(cfg: ExperimentConfig, save_agent: tuple[int, str] | None) -> No
         raise ConfigError("blackbox runs produce schedules, not agent snapshots")
 
 
+@np.errstate(all="ignore")
 def train_and_evaluate(
     cfg: ExperimentConfig,
     seeds: list[int],
@@ -388,6 +389,11 @@ def train_and_evaluate(
     whose rows are tracked lists: a ``luby-qlearn`` benchmark repeat (2 x
     1,000 episodes) made 125-126 young, 11-12 middle and 1 full pass, which
     found nothing and took about a tenth of its time.
+
+    numpy's floating-point warnings are off for the call, in a pool worker as
+    in process: a DQN round that overflows is reported once, by the
+    ContractError that names its seed run, not first by warnings from inside
+    its SGD step.
     """
     cfg = cfg.validated()
     _check_save(cfg, save_agent)

@@ -20,10 +20,11 @@ def step_training_episode(agent, env, instance, seed, explore_rng, train_rng) ->
     update applied before the next selection: the reference that
     ``run_training_episode``, which picks the whole path first, must equal,
     draw for draw and bit for bit. A tabular agent selects on the state key of
-    each observation and ``q_update``s its table per step (PURS also records
-    the step); the DQN selects on the observation, ``(t, instance, history)``,
-    and writes one ring row per step, the per-step encoding of the observation
-    and the next one."""
+    each observation and ``q_update``s its table with each step as a segment of
+    one transition, states ``[s, s_next]`` or, on the last step, ``[s]`` (PURS
+    also records the step); the DQN selects on the observation, ``(t, instance,
+    history)``, and writes one ring row per step, the per-step encoding of the
+    observation and the next one."""
     select, step = agent.select_action, env.step
     obs = env.reset(instance, seed)
     total, done = 0.0, False
@@ -32,8 +33,8 @@ def step_training_episode(agent, env, instance, seed, explore_rng, train_rng) ->
             s = state_key(obs)
             action = select(s, explore_rng)
             next_obs, reward, done = step(action)
-            q_update(agent.q, s, action, reward, state_key(next_obs), done, agent.hp,
-                     agent.action_count)
+            q_update(agent.q, [s] if done else [s, state_key(next_obs)], [action], [reward],
+                     agent.hp, agent.action_count)
             if agent.kind == "purs":
                 agent._episode.append((s, action))
         else:

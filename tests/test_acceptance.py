@@ -271,7 +271,7 @@ class TestCriterion6PropertySuites:
         hp = AgentHyperparams(alpha=1.0, gamma=0.99)
         for _ in range(200):
             for (s, a), (r, s_next, done) in transitions.items():
-                q_update(q, s, a, r, s_next, done, hp, 3)
+                q_update(q, [s] if done else [s, s_next], [a], [r], hp, 3)
         assert all(q[s][a] == value for (s, a), value in q_star.items())
         print("[PASS] criterion 6b: Q-learning sweeps == value iteration (exact)")
 

@@ -1,6 +1,7 @@
 """Experiment protocol: curves, aggregation, CSV, determinism."""
 
 import gc
+import re
 import weakref
 from dataclasses import replace
 from types import SimpleNamespace
@@ -1016,3 +1017,30 @@ class TestDivergenceInAGroup:
             "E-RUNTIME: DQN training of seed 1 diverged in episode 1: loss nan or an updated "
             "parameter is not finite"]
         assert not out.exists()
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_cli_process_prints_only_the_runtime_line(self, tmp_path, workers):
+        """A run whose SGD step overflows, in a process of its own (no warning
+        filter set around it), in process and in a pool: stderr is the one
+        E-RUNTIME line, with no numpy warning before it."""
+        import os
+        import subprocess
+        import sys
+
+        import algocontrol
+        from algocontrol.config import render_config
+
+        config = tmp_path / "exp.ini"
+        config.write_text(render_config(dqn_cfg("fixed", n_seeds=2, n_episodes=3)))
+        out = tmp_path / "res.csv"
+        src = os.path.dirname(os.path.dirname(algocontrol.__file__))
+        done = subprocess.run(
+            [sys.executable, "-c", "import sys; from algocontrol.cli import main; sys.exit(main())",
+             "run", str(config), "--set", "agent.dqn_lr=1e300",
+             "--set", f"harness.workers={workers}", "--output", str(out)],
+            capture_output=True, text=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": src}, check=False)
+        assert done.returncode == 3
+        assert re.fullmatch(r"E-RUNTIME: DQN training of seed [01] diverged in episode \d+: loss "
+                            r"(inf|nan) or an updated parameter is not finite\n", done.stderr)
+        assert done.stdout == "" and not out.exists()

@@ -150,7 +150,8 @@ class TestQTableMatchesPairTable:
             elif name == "update":
                 reward, s_next, done, alpha, gamma = op[3:]
                 hp = AgentHyperparams(alpha=alpha, gamma=gamma)
-                assert q_update(q, s, a, reward, s_next, done, hp, action_count) is q
+                assert q_update(q, [s] if done else [s, s_next], [a], [reward], hp,
+                                action_count) is q
                 ref.q_update(s, a, reward, s_next, done, hp)
                 assert [repr(v) for v in q[s]] == [repr(v) for v in ref.row(s)]
             elif name == "get":
@@ -234,7 +235,7 @@ class TestGreedyPathHolds:
         q, name = agent.q, op[0]
         if name == "update":
             s, a, reward, s_next, done, alpha, gamma = op[1:]
-            q_update(q, s, a % action_count, reward, s_next, done,
+            q_update(q, [s] if done else [s, s_next], [a % action_count], [reward],
                      AgentHyperparams(alpha=alpha, gamma=gamma), action_count)
         elif name == "in place":
             if op[1] in q:
@@ -375,13 +376,13 @@ class TestQUpdate:
     def test_terminal_bootstrap(self):
         q = {}
         hp = AgentHyperparams(alpha=1.0)
-        q_update(q, "s", 0, 1.0, "s2", True, hp, 2)
+        q_update(q, ["s"], [0], [1.0], hp, 2)
         assert q == {"s": [1.0, 0.0]}
 
     def test_direct_formula(self):
         q = {"s2": [0.0, 1.0]}
         hp = AgentHyperparams(alpha=1.0, gamma=0.99)
-        q_update(q, "s", 0, 1.0, "s2", False, hp, 2)
+        q_update(q, ["s", "s2"], [0], [1.0], hp, 2)
         assert q["s"][0] == pytest.approx(1.99, abs=0)
 
     @pytest.mark.parametrize("reward, bootstrap", [
@@ -392,7 +393,7 @@ class TestQUpdate:
         hp = AgentHyperparams(alpha=1.0, gamma=0.99)
         with pytest.raises(ContractError, match=r"Q-value -?(inf|nan) of state 's', action 1 "
                                                 r"is not finite"):
-            q_update(q, "s", 1, reward, "s2", False, hp, 2)
+            q_update(q, ["s", "s2"], [1], [reward], hp, 2)
         assert q["s"] == [0.5, 0.25]
 
     def test_two_step_chain_converges_to_value_iteration(self):
@@ -410,9 +411,121 @@ class TestQUpdate:
         for _ in range(200):
             for s, nxt, done in (("s0", "s1", False), ("s1", "t", True)):
                 for a in (0, 1):
-                    q_update(q, s, a, rewards[(s, a)], nxt, done, hp, 2)
+                    q_update(q, [s] if done else [s, nxt], [a], [rewards[(s, a)]], hp, 2)
         for (s, a), value in expected.items():
             assert q[s][a] == value
+
+
+@st.composite
+def segments(draw):
+    """(action_count, pre-filled rows, states, actions, rewards) of 1 to 8
+    transitions over three states, so states repeat and follow themselves; as
+    many states as actions (the last transition ends the episode) or one more
+    (the segment is cut off)."""
+    action_count = draw(st.integers(1, 4))
+    n = draw(st.integers(1, 8))
+    rows = draw(st.dictionaries(st.sampled_from(_STATES),
+                                st.lists(_VALUES, min_size=action_count,
+                                         max_size=action_count)))
+    states = draw(st.lists(st.sampled_from(_STATES), min_size=n, max_size=n + 1))
+    actions = draw(st.lists(st.integers(0, action_count - 1), min_size=n, max_size=n))
+    rewards = draw(st.lists(_VALUES, min_size=n, max_size=n))
+    return action_count, rows, states, actions, rewards
+
+
+class TestSegmentUpdate:
+    """``q_update`` along a segment equals the one-step update applied to its
+    transitions in order, and a refusal leaves the table as its docstring says."""
+
+    @given(segment=segments(),
+           alpha=st.sampled_from([0.0, 1.0, 0.5]) | st.floats(0.0, 1.0),
+           gamma=st.sampled_from([0.0, 1.0, 0.99]) | st.floats(0.0, 1.0))
+    @example(segment=(2, {}, ["s0", "s0", "s0"], [1, 0], [1.0, 2.0]), alpha=1.0, gamma=1.0)
+    @example(segment=(2, {"s0": [-0.0, -0.0]}, ["s1", "s0", "s1"], [0, 1, 1],
+                      [-0.0, -0.0, 0.5]), alpha=0.0, gamma=0.99)
+    @example(segment=(1, {"s1": [3.0]}, ["s0", "s1", "s0", "s1"], [0, 0, 0], [1.0, -0.0, 0.0]),
+             alpha=0.5, gamma=0.0)
+    @settings(max_examples=300, deadline=None)
+    def test_equals_one_step_updates_in_order(self, segment, alpha, gamma):
+        action_count, rows, states, actions, rewards = segment
+        hp = AgentHyperparams(gamma=gamma)
+        hp.alpha = alpha  # 0 is outside the configured range; the update takes it as it is
+        q, ref = {s: list(row) for s, row in rows.items()}, ReferenceTable(action_count)
+        for s, row in rows.items():
+            for a, value in enumerate(row):
+                ref.set(s, a, value)
+        assert q_update(q, states, actions, rewards, hp, action_count) is q
+        for i, (s, a, reward) in enumerate(zip(states, actions, rewards)):
+            done = i + 1 == len(states)
+            ref.q_update(s, a, reward, None if done else states[i + 1], done, hp)
+        assert list(q) == list(dict.fromkeys(s for s, _ in ref.values))  # rows made in order
+        for s, row in q.items():
+            assert [repr(v) for v in row] == [repr(v) for v in ref.row(s)]
+
+    @pytest.mark.parametrize("cut_off", [False, True], ids=["terminal", "cut-off"])
+    def test_a_non_finite_value_mid_segment_stops_the_segment_there(self, cut_off):
+        q = {"s1": [0.5, 0.25], "s2": [1e308, 1e308]}
+        hp = AgentHyperparams(alpha=1.0, gamma=0.99)
+        states = ["s0", "s1", "s2", "s3"] + ["s4"] * cut_off
+        with pytest.raises(ContractError, match=r"Q-value inf of state 's1', action 1 "
+                                                r"is not finite"):
+            q_update(q, states, [0, 1, 0, 1], [1.0, 1e308, 0.0, 0.0], hp, 2)
+        assert list(q) == ["s1", "s2", "s0"]  # the earlier row is written, no later one made
+        assert q == {"s0": [0.0 * 0.0 + 1.0 * (1.0 + 0.99 * 0.5), 0.0],
+                     "s1": [0.5, 0.25], "s2": [1e308, 1e308]}
+
+    @pytest.mark.parametrize("n_states, n_actions, n_rewards", [
+        (0, 0, 0), (1, 0, 0), (2, 1, 0), (2, 1, 2), (0, 1, 1), (1, 2, 2), (4, 2, 2),
+    ], ids=["empty", "no-action", "a-reward-short", "a-reward-over", "no-state",
+            "a-state-short", "a-state-over"])
+    def test_a_malformed_segment_is_refused_before_any_write(self, n_states, n_actions,
+                                                             n_rewards):
+        q = {"s1": [0.5, -0.0]}
+        with pytest.raises(ContractError, match=f"a segment is 1 or more actions, a reward "
+                                                f"each, and as many states or one more; got "
+                                                f"{n_states} states, {n_actions} actions, "
+                                                f"{n_rewards} rewards"):
+            q_update(q, [f"s{i}" for i in range(n_states)], [1] * n_actions,
+                     [1.0] * n_rewards, AgentHyperparams(alpha=1.0), 2)
+        assert list(q) == ["s1"] and [repr(v) for v in q["s1"]] == ["0.5", "-0.0"]
+
+
+class TestUpdateCallGranularity:
+    """The per-layer counts that perfbench reads by name: a training episode
+    makes one ``q_update`` call, which holds every update of the episode, and
+    one ``select_action`` call per step."""
+
+    def test_one_update_call_per_episode_one_selection_per_step(self, monkeypatch):
+        from algocontrol.agents import tabular
+
+        env = LubyEnv(32)
+        agent, reference = (TabularAgent("qlearn", env.action_count,
+                                         hp=AgentHyperparams(alpha=1.0)) for _ in range(2))
+        rngs = [derive_stream(18, 0), derive_stream(18, 0)]
+        for episode in range(2):
+            step_training_episode(reference, env, (), SeedSpec(18, episode), rngs[0], rngs[0])
+        run_training_episode(agent, env, (), SeedSpec(18, 0), rngs[1], rngs[1])
+        first = copy.deepcopy(agent.q)
+        real_update, real_select = tabular.q_update, TabularAgent.select_action
+        updates, selections = [], []
+
+        def update(q, states, actions, rewards, hp, action_count):
+            before = copy.deepcopy(q)
+            real_update(q, states, actions, rewards, hp, action_count)
+            updates.append((before, len(actions), copy.deepcopy(q)))
+            return q
+
+        def select(self, s, rng):
+            selections.append(s)
+            return real_select(self, s, rng)
+
+        monkeypatch.setattr(tabular, "q_update", update)
+        monkeypatch.setattr(TabularAgent, "select_action", select)
+        run_training_episode(agent, env, (), SeedSpec(18, 1), rngs[1], rngs[1])
+        assert len(selections) == env.horizon == 32
+        assert [n for _, n, _ in updates] == [32]  # one call, every step of the episode
+        before, _, after = updates[0]
+        assert before == first and after == agent.q == reference.q  # nothing outside it
 
 
 class TestHyperparamRanges:
@@ -484,7 +597,7 @@ class TestValueIterationFixedPoint:
         hp = AgentHyperparams(alpha=1.0, gamma=gamma)
         for _ in range(200):
             for (s, a), (r, s_next, done) in transitions.items():
-                q_update(q, s, a, r, s_next, done, hp, 3)
+                q_update(q, [s] if done else [s, s_next], [a], [r], hp, 3)
         for (s, a), expected in q_star.items():
             assert q[s][a] == expected
 
@@ -494,7 +607,7 @@ class TestValueIterationFixedPoint:
         hp = AgentHyperparams(alpha=1.0, gamma=0.99)
         for _ in range(200):
             for (s, a), (r, s_next, done) in transitions.items():
-                q_update(q, s, a, r, s_next, done, hp, 3)
+                q_update(q, [s] if done else [s, s_next], [a], [r], hp, 3)
         env = CountingEnv(3)
         obs = env.reset((), SeedSpec(0, 0))
         total, done = 0.0, False
